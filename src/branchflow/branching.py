@@ -252,8 +252,6 @@ def build_one_to_many(
         sel = np.flatnonzero(selectable[:count])
         if sel.size == 0:
             break
-        # update-rule consequence: selectable nodes always hang off the source
-        assert np.all(parent[sel] == 0)
 
         dist0 = np.linalg.norm(pos[sel] - v0, axis=1)
         i = int(sel[int(np.argmax(dist0))])

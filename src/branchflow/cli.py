@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,43 +49,6 @@ SEED_ENV = "BRANCHFLOW_SEED"
 WORKERS_ENV = "BRANCHFLOW_WORKERS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one CLI invocation."""
-
-    subcommand: str
-    alpha: float = 0.5
-    formula: str = "interp"
-    seed: int = 0
-    ot_mode: str = "exact"
-    reg: float = 0.01
-    tol: float = 1e-9
-    max_iter: int = 100_000
-    shift_norm: float = 0.0
-    shift_delta: float = 0.01
-    d: int = 2
-    n_sources: int = 2
-    n_targets: int = 100
-    threshold: float | None = None
-    workers: int | None = None
-    pole: tuple = DEFAULT_POLE
-    cities: Path | None = None
-    out: Path | None = None
-    trace: Path | None = None
-
-    def bot_params(self) -> BotParams:
-        return BotParams(
-            alpha=self.alpha,
-            formula=self.formula,
-            shift_norm=self.shift_norm,
-            shift_delta=self.shift_delta,
-            seed=self.seed,
-        )
-
-    def sinkhorn_config(self) -> SinkhornConfig:
-        return SinkhornConfig(reg=self.reg, tol=self.tol, max_iter=self.max_iter)
-
-
 def _env_int(name: str):
     raw = os.environ.get(name)
     if raw is None:
@@ -121,6 +83,16 @@ def _positive_masses(rng, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+def synthetic_problem(seed: int, n_targets: int, d: int = 2) -> OneToManyProblem:
+    """Seeded one-to-many problem: source at the origin, targets uniform
+    in [-1, 1]^d, areas positive random normalized to total 1."""
+    if d not in (2, 3):
+        raise ParameterError(f"d must be 2 or 3, got {d}")
+    targets = substream(seed, "single", "positions").uniform(-1.0, 1.0, (n_targets, d))
+    areas = _positive_masses(substream(seed, "single", "areas"), n_targets)
+    return OneToManyProblem(np.zeros(d), targets, areas)
+
+
 def run_synthetic_single(
     seed: int,
     n_targets: int,
@@ -131,17 +103,11 @@ def run_synthetic_single(
     shift_norm: float = 0.0,
     shift_delta: float = 0.01,
 ) -> BuildResult:
-    """Seeded one-to-many benchmark: source at the origin, targets uniform
-    in [-1, 1]^d, areas positive random normalized to total 1."""
-    if d not in (2, 3):
-        raise ParameterError(f"d must be 2 or 3, got {d}")
-    targets = substream(seed, "single", "positions").uniform(-1.0, 1.0, (n_targets, d))
-    areas = _positive_masses(substream(seed, "single", "areas"), n_targets)
-    problem = OneToManyProblem(np.zeros(d), targets, areas)
+    """Seeded one-to-many benchmark: build the synthetic_problem tree."""
     params = BotParams(
         alpha=alpha, formula=formula, shift_norm=shift_norm, shift_delta=shift_delta, seed=seed
     )
-    return build_one_to_many(problem, params)
+    return build_one_to_many(synthetic_problem(seed, n_targets, d), params)
 
 
 def synthetic_instance(seed: int, n_sources: int, n_targets: int) -> TransportInstance:
@@ -188,60 +154,64 @@ def _json_text(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _cmd_ot(cfg: RunConfig) -> int:
-    instance = synthetic_instance(cfg.seed, cfg.n_sources, cfg.n_targets)
+def _sinkhorn_config(args: argparse.Namespace) -> SinkhornConfig:
+    return SinkhornConfig(reg=args.reg, tol=args.tol, max_iter=args.max_iter)
+
+
+def _cmd_ot(args: argparse.Namespace) -> int:
+    instance = synthetic_instance(args.seed, args.n_sources, args.n_targets)
     c = cost_matrix(instance)
-    if cfg.ot_mode == "exact":
+    if args.ot_mode == "exact":
         plan = solve_exact(instance, c)
         print(f"ot cost {plan_cost(plan, c)!r} (exact)")
-    elif cfg.ot_mode == "sinkhorn":
-        res = solve_sinkhorn(instance, c, cfg.sinkhorn_config())
+    elif args.ot_mode == "sinkhorn":
+        res = solve_sinkhorn(instance, c, _sinkhorn_config(args))
         plan = res.plan
         print(f"ot cost {plan_cost(plan, c)!r} (sinkhorn)")
         print(f"iterations {res.n_iter} converged {res.converged} "
               f"marginal error {res.marginal_error!r}")
     else:
-        raise ParameterError(f"unknown ot mode {cfg.ot_mode!r}")
-    if cfg.out is not None:
-        _write_text(cfg.out, plan_to_json(instance, plan))
-        print(f"wrote {cfg.out}")
+        raise ParameterError(f"unknown ot mode {args.ot_mode!r}")
+    if args.out is not None:
+        _write_text(args.out, plan_to_json(instance, plan))
+        print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_branch(cfg: RunConfig) -> int:
+def _cmd_branch(args: argparse.Namespace) -> int:
     result = run_synthetic_single(
-        cfg.seed,
-        cfg.n_targets,
-        cfg.alpha,
-        cfg.d,
-        formula=cfg.formula,
-        shift_norm=cfg.shift_norm,
-        shift_delta=cfg.shift_delta,
+        args.seed,
+        args.n_targets,
+        args.alpha,
+        args.d,
+        formula=args.formula,
+        shift_norm=args.shift_norm,
+        shift_delta=args.shift_delta,
     )
     n_branch = int(np.sum(result.tree.kind == "branch"))
     print(f"star cost {float(result.trace[0])!r}")
     print(f"tree cost {float(result.trace[-1])!r}")
     print(f"branches {n_branch} candidate evals {result.candidate_evals}")
-    if cfg.out is not None:
-        _write_text(cfg.out, network_to_json(result.tree, cfg.alpha))
-        print(f"wrote {cfg.out}")
-    if cfg.trace is not None:
+    if args.out is not None:
+        _write_text(args.out, network_to_json(result.tree, args.alpha))
+        print(f"wrote {args.out}")
+    if args.trace is not None:
         rows = "\n".join(f"{i},{float(v)!r}" for i, v in enumerate(result.trace))
-        _write_text(cfg.trace, "iter,cost\n" + rows)
-        print(f"wrote {cfg.trace}")
+        _write_text(args.trace, "iter,cost\n" + rows)
+        print(f"wrote {args.trace}")
     return 0
 
 
-def _forest_manifest(result: NetworkResult, cfg: RunConfig, files) -> dict:
+def _forest_manifest(result: NetworkResult, args: argparse.Namespace, files) -> dict:
     rep = result.report
     return {
         "trees": [
             {"file": name, "source": src, "star_cost": star, "bot_cost": bot}
             for name, (src, star, bot) in zip(files, rep.per_source)
         ],
-        "alpha": cfg.alpha,
-        "formula": cfg.formula,
-        "seed": cfg.seed,
+        "alpha": args.alpha,
+        "formula": args.formula,
+        "seed": args.seed,
         "ot_mode": rep.ot_mode,
         "threshold": rep.threshold,
         "ot_cost": rep.ot_cost,
@@ -250,64 +220,63 @@ def _forest_manifest(result: NetworkResult, cfg: RunConfig, files) -> dict:
     }
 
 
-def _cmd_net(cfg: RunConfig) -> int:
+def _cmd_net(args: argparse.Namespace) -> int:
     result = run_synthetic_multi(
-        cfg.seed,
-        cfg.n_sources,
-        cfg.n_targets,
-        cfg.alpha,
-        formula=cfg.formula,
-        ot_mode=cfg.ot_mode,
-        cfg=cfg.sinkhorn_config(),
-        threshold=cfg.threshold,
+        args.seed,
+        args.n_sources,
+        args.n_targets,
+        args.alpha,
+        formula=args.formula,
+        ot_mode=args.ot_mode,
+        cfg=_sinkhorn_config(args),
+        threshold=args.threshold,
     )
     rep = result.report
     print(f"ot cost {rep.ot_cost!r} ({rep.ot_mode})")
-    print(f"star cost {rep.star_cost!r} (alpha {cfg.alpha!r})")
+    print(f"star cost {rep.star_cost!r} (alpha {args.alpha!r})")
     print(f"bot cost {rep.bot_cost!r}")
     print(f"trees {len(result.trees)}")
-    if cfg.out is not None:
+    if args.out is not None:
         files = [f"tree_{k:04d}.json" for k in range(len(result.trees))]
         for name, tree in zip(files, result.trees):
-            _write_text(cfg.out / name, network_to_json(tree, cfg.alpha))
-        _write_text(cfg.out / "manifest.json", _json_text(_forest_manifest(result, cfg, files)))
-        print(f"wrote {cfg.out / 'manifest.json'}")
+            _write_text(args.out / name, network_to_json(tree, args.alpha))
+        _write_text(args.out / "manifest.json", _json_text(_forest_manifest(result, args, files)))
+        print(f"wrote {args.out / 'manifest.json'}")
     return 0
 
 
-def _cmd_dual(cfg: RunConfig) -> int:
-    targets = substream(cfg.seed, "single", "positions").uniform(-1.0, 1.0, (cfg.n_targets, cfg.d))
-    areas = _positive_masses(substream(cfg.seed, "single", "areas"), cfg.n_targets)
-    problem = OneToManyProblem(np.zeros(cfg.d), targets, areas)
-    artery, vein = dual_network(problem, cfg.bot_params())
-    print(f"artery cost {bot_cost(artery, cfg.alpha)!r}")
-    print(f"vein cost {bot_cost(vein, cfg.alpha)!r}")
-    if cfg.out is not None:
-        _write_text(cfg.out / "artery.json", network_to_json(artery, cfg.alpha))
-        _write_text(cfg.out / "vein.json", network_to_json(vein, cfg.alpha))
-        print(f"wrote {cfg.out / 'artery.json'} and {cfg.out / 'vein.json'}")
+def _cmd_dual(args: argparse.Namespace) -> int:
+    params = BotParams(alpha=args.alpha, formula=args.formula, shift_norm=args.shift_norm,
+                       shift_delta=args.shift_delta, seed=args.seed)
+    artery, vein = dual_network(synthetic_problem(args.seed, args.n_targets, args.d), params)
+    print(f"artery cost {bot_cost(artery, args.alpha)!r}")
+    print(f"vein cost {bot_cost(vein, args.alpha)!r}")
+    if args.out is not None:
+        _write_text(args.out / "artery.json", network_to_json(artery, args.alpha))
+        _write_text(args.out / "vein.json", network_to_json(vein, args.alpha))
+        print(f"wrote {args.out / 'artery.json'} and {args.out / 'vein.json'}")
     return 0
 
 
-def _cmd_santa(cfg: RunConfig) -> int:
-    path = cfg.cities if cfg.cities is not None else sample_cities_path()
+def _cmd_santa(args: argparse.Namespace) -> int:
+    path = args.cities if args.cities is not None else sample_cities_path()
     report = load_cities_csv(path)
     print(report.summary())
     if not report.cities:
         raise InputError(f"{path} contains no loadable cities")
+    params = BotParams(alpha=args.alpha, formula=args.formula, seed=args.seed)
     network = santa_pipeline(
-        report.cities, cfg.pole, cfg.bot_params(), workers=cfg.workers
+        report.cities, (args.pole_lat, args.pole_lon), params, workers=args.workers
     )
     entries = list(network.all_trees())
-    total = sum(bot_cost(tree, cfg.alpha) for _, _, tree in entries)
+    costs = [bot_cost(tree, args.alpha) for _, _, tree in entries]
     print(f"countries {len(network.countries)} trees {network.n_trees}")
-    print(f"total cost {total!r}")
-    if cfg.out is not None:
+    print(f"total cost {sum(costs)!r}")
+    if args.out is not None:
         files = [f"tree_{k:04d}.json" for k in range(len(entries))]
         manifest_trees = []
-        for name, (level, label, tree) in zip(files, entries):
-            cost = bot_cost(tree, cfg.alpha)
-            _write_text(cfg.out / name, network_to_json(tree, cfg.alpha, cost))
+        for name, (level, label, tree), cost in zip(files, entries, costs):
+            _write_text(args.out / name, network_to_json(tree, args.alpha, cost))
             manifest_trees.append(
                 {"file": name, "level": level, "label": label,
                  "cost": cost, "n_nodes": tree.n_nodes}
@@ -315,20 +284,20 @@ def _cmd_santa(cfg: RunConfig) -> int:
         manifest = {
             "levels": ["global", "country", "regional"],
             "pole": [network.pole[0], network.pole[1]],
-            "alpha": cfg.alpha,
-            "formula": cfg.formula,
-            "seed": cfg.seed,
+            "alpha": args.alpha,
+            "formula": args.formula,
+            "seed": args.seed,
             "share_rule": "population-proportional",
             "n_cities": len(report.cities),
             "countries": list(network.countries),
             "trees": manifest_trees,
         }
-        _write_text(cfg.out / "manifest.json", _json_text(manifest))
+        _write_text(args.out / "manifest.json", _json_text(manifest))
         geo = render_geojson(
             [tree for _, _, tree in entries], [level for level, _, _ in entries]
         )
-        _write_text(cfg.out / "network.geojson", geo)
-        print(f"wrote {cfg.out / 'manifest.json'} and {cfg.out / 'network.geojson'}")
+        _write_text(args.out / "network.geojson", geo)
+        print(f"wrote {args.out / 'manifest.json'} and {args.out / 'network.geojson'}")
     return 0
 
 
@@ -338,15 +307,13 @@ def _load_forest(path: Path):
 
     if path.is_dir():
         manifest = path / "manifest.json"
-        entries = []
         if manifest.is_file():
             try:
                 doc = _json.loads(manifest.read_text(encoding="utf-8"))
-                listed = doc["trees"]
+                # KeyError/TypeError: no "trees" list, or an entry without a "file" name
+                entries = [(path / item["file"], item.get("level")) for item in doc["trees"]]
             except (OSError, _json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise InputError(f"cannot read manifest {manifest}: {exc}") from None
-            for item in listed:
-                entries.append((path / item["file"], item.get("level")))
+                raise InputError(f"cannot read manifest {manifest}: {exc!r}") from None
         else:
             names = sorted(p for p in path.glob("*.json"))
             if not names:
@@ -369,16 +336,16 @@ def _load_forest(path: Path):
     return trees, levels
 
 
-def _cmd_render(cfg: RunConfig, svg_out, geojson_out) -> int:
-    trees, levels = _load_forest(cfg.cities)  # reused field: input path
-    if svg_out is None and geojson_out is None:
+def _cmd_render(args: argparse.Namespace) -> int:
+    if args.svg is None and args.geojson is None:
         raise ParameterError("render needs --svg and/or --geojson output paths")
-    if svg_out is not None:
-        _write_text(Path(svg_out), render_svg(trees, alpha=cfg.alpha))
-        print(f"wrote {svg_out}")
-    if geojson_out is not None:
-        _write_text(Path(geojson_out), render_geojson(trees, levels))
-        print(f"wrote {geojson_out}")
+    trees, levels = _load_forest(args.input)
+    if args.svg is not None:
+        _write_text(args.svg, render_svg(trees, alpha=args.alpha))
+        print(f"wrote {args.svg}")
+    if args.geojson is not None:
+        _write_text(args.geojson, render_geojson(trees, levels))
+        print(f"wrote {args.geojson}")
     return 0
 
 
@@ -472,43 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("alpha", "formula", "ot_mode", "reg", "tol", "max_iter",
-                 "shift_norm", "shift_delta", "d", "n_sources", "n_targets",
-                 "threshold", "out", "trace"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    fields["seed"] = _resolve_seed(getattr(args, "seed", None))
-    if hasattr(args, "workers"):
-        fields["workers"] = _resolve_workers(args.workers)
-    if hasattr(args, "pole_lat"):
-        fields["pole"] = (args.pole_lat, args.pole_lon)
-    if hasattr(args, "cities"):
-        fields["cities"] = args.cities
-    if hasattr(args, "input"):
-        fields["cities"] = args.input
-    return RunConfig(subcommand=args.subcommand, **fields)
+_COMMANDS = {"ot": _cmd_ot, "branch": _cmd_branch, "net": _cmd_net,
+             "dual": _cmd_dual, "santa": _cmd_santa, "render": _cmd_render}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if args.subcommand == "ot":
-            return _cmd_ot(cfg)
-        if args.subcommand == "branch":
-            return _cmd_branch(cfg)
-        if args.subcommand == "net":
-            return _cmd_net(cfg)
-        if args.subcommand == "dual":
-            return _cmd_dual(cfg)
-        if args.subcommand == "santa":
-            return _cmd_santa(cfg)
-        if args.subcommand == "render":
-            return _cmd_render(cfg, args.svg, args.geojson)
-        raise ParameterError(f"unknown subcommand {args.subcommand!r}")
+        args.seed = _resolve_seed(getattr(args, "seed", None))
+        if hasattr(args, "workers"):
+            args.workers = _resolve_workers(args.workers)
+        return _COMMANDS[args.subcommand](args)
     except (ParameterError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

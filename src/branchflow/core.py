@@ -33,7 +33,15 @@ class ParameterError(BranchFlowError):
 
 
 class StructuralError(BranchFlowError):
-    """A flow network is structurally invalid."""
+    """A flow network is structurally invalid.
+
+    ``report`` holds the ValidationReport with every violation when the
+    error comes from constructing a FlowTree, else None.
+    """
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 class ConvergenceError(BranchFlowError):
@@ -159,6 +167,9 @@ class FlowTree:
     ``area[n]`` is the sectional area on the edge into ``n``.  The source
     row stores its total outflow, so every internal node obeys the same
     conservation rule: its area equals the sum of its children's areas.
+
+    Every instance is valid: construction runs validate_tree and raises
+    StructuralError, carrying the report, on any violation.
     """
 
     coords: np.ndarray
@@ -177,6 +188,9 @@ class FlowTree:
         object.__setattr__(self, "kind", _freeze(kind))
         object.__setattr__(self, "parent", _freeze(parent))
         object.__setattr__(self, "area", _freeze(area))
+        report = validate_tree(self)
+        if not report.ok:
+            raise StructuralError(f"invalid flow tree: {report.summary()}", report)
 
     @property
     def n_nodes(self) -> int:
@@ -190,7 +204,7 @@ class FlowTree:
         """Child lists per node, in node-id order.
 
         Parents outside the node range contribute no link; validate_tree
-        reports them as orphans.
+        reports them as orphans during construction.
         """
         count = self.n_nodes
         out: list[list[int]] = [[] for _ in range(count)]
@@ -271,6 +285,9 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
     the sum of its children's areas, relative tolerance 1e-9).  When
     ``demands`` maps target ids to their assigned areas, those are checked
     too.  Diagnostics are returned, never raised.
+
+    FlowTree construction already runs this check; call it directly to
+    check ``demands``.
     """
     v: list[Violation] = []
     n = tree.n_nodes
@@ -361,13 +378,12 @@ def bot_cost(tree: FlowTree, alpha: float) -> float:
     """Total transport cost of a flow tree: sum of area**alpha * length.
 
     At ``alpha = 1`` this is the plain mass-times-distance objective; at
-    ``alpha = 0`` it degenerates to total edge length.
+    ``alpha = 0`` it degenerates to total edge length.  Raises
+    ParameterError for ``alpha`` outside [0, 1]; the tree needs no check,
+    since a FlowTree is valid by construction.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    report = validate_tree(tree)
-    if not report.ok:
-        raise StructuralError(f"invalid tree: {report.summary()}")
     child = np.flatnonzero(tree.parent >= 0)
     seg = tree.coords[child] - tree.coords[tree.parent[child]]
     lengths = np.linalg.norm(seg, axis=1)

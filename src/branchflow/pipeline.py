@@ -167,21 +167,22 @@ def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:
 EARTH_RADIUS_KM = 6371.0
 
 
-def geo_embed(lat: float, lon: float) -> np.ndarray:
+def geo_embed(lat, lon) -> np.ndarray:
     """Map latitude/longitude in degrees to 3-D unit-sphere coordinates.
 
+    Scalars give one point of shape (3,); arrays of n values give (n, 3).
     (0, 0) maps to (1, 0, 0) and (90, anything) to (0, 0, 1).
     """
-    lat, lon = float(lat), float(lon)
-    if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-        raise ParameterError(f"latitude must lie in [-90, 90], got {lat}")
-    if not math.isfinite(lon):
+    lat = np.asarray(lat, dtype=float)
+    lon = np.asarray(lon, dtype=float)
+    ok = np.isfinite(lat) & (-90.0 <= lat) & (lat <= 90.0)
+    if not ok.all():
+        raise ParameterError(f"latitude must lie in [-90, 90], got {lat[~ok].flat[0]}")
+    if not np.isfinite(lon).all():
         raise ParameterError("longitude must be finite")
-    phi = math.radians(lat)
-    lam = math.radians(normalize_lon(lon))
-    return np.array(
-        [math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)]
-    )
+    phi = np.radians(lat)
+    lam = np.radians(normalize_lon(lon))
+    return np.stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)], axis=-1)
 
 
 def geo_project(point) -> tuple:
@@ -203,14 +204,6 @@ def to_sphere(points: np.ndarray) -> np.ndarray:
     if np.any(norms <= 0):
         raise ParameterError("cannot project the sphere center")
     return pts / norms
-
-
-def _embed_cities(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    phi = np.radians(lats)
-    lam = np.radians(lons)
-    return np.column_stack(
-        [np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +306,9 @@ def santa_pipeline(
     if params is None:
         params = BotParams()
 
-    lats = np.array([c.lat for c in cities])
-    lons = np.array([c.lon for c in cities])
     pops = np.array([c.population for c in cities])
-    xyz = _embed_cities(lats, lons)
+    # GeoCity longitudes are normalized already; normalize_lon keeps their bits
+    xyz = geo_embed([c.lat for c in cities], [c.lon for c in cities])
 
     by_country: dict[str, list[int]] = {}
     for i, city in enumerate(cities):

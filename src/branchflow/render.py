@@ -13,14 +13,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    KIND_SOURCE,
-    KIND_TARGET,
-    FlowTree,
-    ParameterError,
-    StructuralError,
-    validate_tree,
-)
+from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError
 from .pipeline import EARTH_RADIUS_KM, geo_project
 
 MAX_SEGMENT_KM = 100.0
@@ -31,9 +24,6 @@ def _check_trees(trees):
     for t, tree in enumerate(trees):
         if not isinstance(tree, FlowTree):
             raise ParameterError(f"entry {t} is not a flow tree")
-        report = validate_tree(tree)
-        if not report.ok:
-            raise StructuralError(f"tree {t} is invalid: {report.summary()}")
     return trees
 
 

@@ -108,6 +108,22 @@ def test_render_without_outputs_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_render_checks_outputs_before_reading_input(tmp_path, capsys):
+    assert main(["render", str(tmp_path / "missing.json")]) == 2
+    assert "--svg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "trees",
+    [[{"level": "global"}], [1], ["tree_0000.json"]],
+    ids=["entry-without-file", "entry-not-object", "entry-is-string"],
+)
+def test_render_malformed_manifest_exits_two(tmp_path, capsys, trees):
+    (tmp_path / "manifest.json").write_text(json.dumps({"trees": trees}), encoding="utf-8")
+    assert main(["render", str(tmp_path), "--svg", str(tmp_path / "out.svg")]) == 2
+    assert "error: cannot read manifest" in capsys.readouterr().err
+
+
 def test_bad_seed_env_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BRANCHFLOW_SEED", "not-an-int")
     assert main(["branch", "--n-targets", "4"]) == 2

@@ -1,10 +1,15 @@
 """Domain types, cost functional, and structural validation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import branchflow
 from branchflow import (
     BotParams,
     FlowTree,
@@ -78,14 +83,17 @@ def test_bot_cost_alpha_one_matches_mass_times_distance():
 def test_bot_cost_rejects_bad_alpha_and_bad_tree():
     with pytest.raises(ParameterError):
         bot_cost(single_edge_tree(), 1.5)
-    broken = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0]],
-        kind=["source", "target"],
-        parent=[-1, 0],
-        area=[1.0, 0.4],
-    )
-    with pytest.raises(StructuralError):
-        bot_cost(broken, 0.5)
+    # a broken tree never reaches bot_cost: constructing it raises
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(
+            coords=[[0.0, 0.0], [1.0, 0.0]],
+            kind=["source", "target"],
+            parent=[-1, 0],
+            area=[1.0, 0.4],
+        )
+    (bad,) = excinfo.value.report.violations
+    assert (bad.kind, bad.nodes) == ("conservation", (0,))
+    assert bad.residual == pytest.approx(0.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +108,14 @@ def test_validate_single_edge_passes():
 
 
 def test_validate_conservation_residual():
-    tree = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [2.0, -0.5]],
-        kind=["source", "branch", "target", "target"],
-        parent=[-1, 0, 1, 1],
-        area=[1.0, 1.0, 0.5, 0.4],
-    )
-    report = validate_tree(tree)
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(
+            coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [2.0, -0.5]],
+            kind=["source", "branch", "target", "target"],
+            parent=[-1, 0, 1, 1],
+            area=[1.0, 1.0, 0.5, 0.4],
+        )
+    report = excinfo.value.report
     assert not report.ok
     kinds = [v.kind for v in report.violations]
     assert "conservation" in kinds
@@ -116,44 +125,48 @@ def test_validate_conservation_residual():
 
 
 def test_validate_mutual_parents_is_cycle():
-    tree = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-        kind=["source", "branch", "branch"],
-        parent=[-1, 2, 1],
-        area=[1.0, 1.0, 1.0],
-    )
-    report = validate_tree(tree)
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(
+            coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            kind=["source", "branch", "branch"],
+            parent=[-1, 2, 1],
+            area=[1.0, 1.0, 1.0],
+        )
+    report = excinfo.value.report
     assert any(v.kind == "cycle" for v in report.violations)
 
 
 def test_validate_orphan_and_source_count():
-    no_source = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0]],
-        kind=["target", "target"],
-        parent=[-1, 0],
-        area=[1.0, 1.0],
-    )
-    kinds = [v.kind for v in validate_tree(no_source).violations]
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(  # no source
+            coords=[[0.0, 0.0], [1.0, 0.0]],
+            kind=["target", "target"],
+            parent=[-1, 0],
+            area=[1.0, 1.0],
+        )
+    kinds = [v.kind for v in excinfo.value.report.violations]
     assert "source-count" in kinds
 
-    dangling = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0]],
-        kind=["source", "target"],
-        parent=[-1, 7],
-        area=[1.0, 1.0],
-    )
-    kinds = [v.kind for v in validate_tree(dangling).violations]
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(  # dangling parent
+            coords=[[0.0, 0.0], [1.0, 0.0]],
+            kind=["source", "target"],
+            parent=[-1, 7],
+            area=[1.0, 1.0],
+        )
+    kinds = [v.kind for v in excinfo.value.report.violations]
     assert "orphan" in kinds
 
 
 def test_validate_target_must_be_leaf():
-    tree = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-        kind=["source", "target", "target"],
-        parent=[-1, 0, 1],
-        area=[1.0, 1.0, 1.0],
-    )
-    kinds = [v.kind for v in validate_tree(tree).violations]
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(
+            coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            kind=["source", "target", "target"],
+            parent=[-1, 0, 1],
+            area=[1.0, 1.0, 1.0],
+        )
+    kinds = [v.kind for v in excinfo.value.report.violations]
     assert "target-not-leaf" in kinds
 
 
@@ -262,3 +275,20 @@ def test_flow_tree_shape_mismatch_rejected():
             parent=[-1, 0],
             area=[1.0, 1.0],
         )
+
+
+def test_invalid_tree_rejected_under_optimize():
+    # construction must check with real code, not with an assert that -O strips
+    script = (
+        "import sys, branchflow as bf\n"
+        "try:\n"
+        "    bf.FlowTree([[0, 0], [1, 0]], ['source', 'target'], [-1, 0], [1.0, 0.5])\n"
+        "except bf.StructuralError as exc:\n"
+        "    print(sys.flags.optimize, exc.report.violations[0].kind)\n"
+    )
+    src = str(Path(branchflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["1", "conservation"]

@@ -79,14 +79,16 @@ def test_network_json_default_cost_is_computed():
 
 
 def test_network_json_rejects_invalid_tree():
-    broken = FlowTree(
-        coords=[[0.0, 0.0], [1.0, 0.0]],
-        kind=["source", "target"],
-        parent=[-1, 0],
-        area=[1.0, 0.5],
-    )
-    with pytest.raises(StructuralError):
-        network_to_json(broken, 0.5)
+    # a broken tree never reaches network_to_json: constructing it raises
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(
+            coords=[[0.0, 0.0], [1.0, 0.0]],
+            kind=["source", "target"],
+            parent=[-1, 0],
+            area=[1.0, 0.5],
+        )
+    (bad,) = excinfo.value.report.violations
+    assert (bad.kind, bad.nodes, bad.residual) == ("conservation", (0,), 0.5)
 
 
 @pytest.mark.parametrize(

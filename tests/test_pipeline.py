@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import branchflow.core
 from branchflow import (
     BotParams,
     GeoCity,
@@ -16,6 +17,7 @@ from branchflow import (
     dual_network,
     geo_embed,
     geo_project,
+    network_to_json,
     santa_pipeline,
     solve_network,
     validate_tree,
@@ -182,6 +184,24 @@ def test_dual_shifted_trees_share_leaves_but_not_branches():
     assert np.array_equal(artery2.coords, artery.coords)
 
 
+def test_each_tree_is_validated_once(monkeypatch):
+    original = branchflow.core.validate_tree
+    seen = []
+
+    def counting(tree, demands=None):
+        seen.append(id(tree))
+        return original(tree, demands)
+
+    monkeypatch.setattr(branchflow.core, "validate_tree", counting)
+    result = solve_network(random_instance(4, 3, 30), BotParams(alpha=0.25, seed=4))
+    for tree in result.trees:
+        network_to_json(tree, 0.25)
+        bot_cost(tree, 0.25)
+    # one check per tree, made when the builder constructs it
+    assert len(result.trees) == 3
+    assert sorted(seen) == sorted(id(tree) for tree in result.trees)
+
+
 # ---------------------------------------------------------------------------
 # spherical geometry
 
@@ -199,6 +219,21 @@ def test_geo_embed_rejects_out_of_range():
         geo_embed(91.0, 0.0)
     with pytest.raises(ParameterError):
         geo_embed(0.0, float("nan"))
+    with pytest.raises(ParameterError):
+        geo_embed([10.0, -90.5], [0.0, 0.0])
+    with pytest.raises(ParameterError):
+        geo_embed([10.0, 20.0], [0.0, float("inf")])
+
+
+def test_geo_embed_arrays_match_scalar_calls_bitwise():
+    rng = substream(12, "embed")
+    lats = rng.uniform(-90.0, 90.0, 200)
+    lons = rng.uniform(-540.0, 540.0, 200)
+    xyz = geo_embed(lats, lons)
+    assert xyz.shape == (200, 3)
+    assert geo_embed(0.0, 0.0).shape == (3,)
+    for row, lat, lon in zip(xyz, lats, lons):
+        assert np.array_equal(row, geo_embed(lat, lon))
 
 
 def test_geo_roundtrip_identity():

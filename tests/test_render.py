@@ -90,9 +90,10 @@ def test_svg_deterministic():
 def test_svg_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         render_svg(["nope"])
-    broken = FlowTree([[0.0, 0.0], [1.0, 0.0]], ["source", "target"], [-1, 0], [1.0, 0.5])
-    with pytest.raises(StructuralError):
-        render_svg([broken])
+    # a broken tree never reaches render_svg: constructing it raises
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree([[0.0, 0.0], [1.0, 0.0]], ["source", "target"], [-1, 0], [1.0, 0.5])
+    assert [v.kind for v in excinfo.value.report.violations] == ["conservation"]
     with pytest.raises(ParameterError):
         render_svg([star_tree()], alpha=2.0)
 
