@@ -179,7 +179,9 @@ class FlowTree:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_point_array(self.coords, "coords"))
-        kind = np.array(self.kind, dtype="U6")
+        # dtype=str keeps every kind whole, so a long bad kind cannot be
+        # cut to a valid one; valid kinds all have six characters (U6)
+        kind = np.array(self.kind, dtype=str)
         parent = np.array(self.parent, dtype=np.int64)
         area = np.array(self.area, dtype=float)
         n = self.coords.shape[0]

@@ -5,12 +5,19 @@ transportation-simplex solver and entropically regularized matrix
 scaling.  Both are deterministic; the exact solver breaks every pivot
 tie by lowest index so relabeling inputs relabels the plan and nothing
 else.
+
+The exact solver keeps its basis as a spanning tree of the m + n row and
+column nodes, rooted at row 0, with a parent, depth and dual per node.
+A pivot walks the entering cell's endpoints up to their common ancestor
+to find its cycle, and recomputes duals only on the subtree it cuts off
+and re-hangs (network simplex; Ahuja, Magnanti and Orlin, Network Flows,
+ch. 11).  The least-cost start always yields such a spanning tree.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,8 @@ from .core import (
     TransportInstance,
     TransportPlan,
 )
+
+_log = logging.getLogger(__name__)
 
 _FEAS_TOL = 1e-9      # allowed |sum(p) - sum(q)|
 _PRICE_TOL = 1e-11    # reduced-cost threshold for entering variables
@@ -55,13 +64,18 @@ def _initial_basis(p: np.ndarray, q: np.ndarray, c: np.ndarray):
     """Least-cost starting basis: allocate to the cheapest open cell.
 
     Every allocation closes exactly one row or column, which keeps the
-    chosen cells acyclic and yields exactly m + n - 1 basic cells.
+    chosen cells acyclic and yields exactly m + n - 1 basic cells.  The
+    exhausted line is the one closed, except that the last open row is
+    never closed while columns stay open, nor the last open column while
+    rows stay open: then the other line of the cell closes, and the lines
+    left open get degenerate (zero) fills.  This matters when a float
+    residual exhausts a row before the columns it must still reach.
     """
     m, n = c.shape
     a = p.copy()
     b = q.copy()
     cc = c.copy()
-    rows_open = m
+    rows_open, cols_open = m, n
     alloc: dict[tuple[int, int], float] = {}
     for _ in range(m + n - 1):
         flat = int(np.argmin(cc))
@@ -70,57 +84,14 @@ def _initial_basis(p: np.ndarray, q: np.ndarray, c: np.ndarray):
         alloc[(i, j)] = x
         a[i] -= x
         b[j] -= x
-        if a[i] == 0.0 and b[j] == 0.0:
-            # tie: keep the last open row available for degenerate fills
-            if rows_open > 1:
-                cc[i, :] = np.inf
-                rows_open -= 1
-            else:
-                cc[:, j] = np.inf
-        elif a[i] == 0.0:
+        # x is min(a[i], b[j]), so at least one of the two is now exactly 0
+        if rows_open > 1 and (a[i] == 0.0 or cols_open == 1):
             cc[i, :] = np.inf
             rows_open -= 1
         else:
             cc[:, j] = np.inf
+            cols_open -= 1
     return alloc
-
-
-def _compute_duals(adj, c, m: int, n: int):
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if node < m:  # row -> col
-                if math.isnan(v[nb - m]):
-                    v[nb - m] = c[node, nb - m] - u[node]
-                    stack.append(nb)
-            else:  # col -> row
-                if math.isnan(u[nb]):
-                    u[nb] = c[nb, node - m] - v[node - m]
-                    stack.append(nb)
-    return u, v
-
-
-def _tree_path(adj, start: int, goal: int, size: int) -> list[int]:
-    prev = [-1] * size
-    prev[start] = start
-    dq = deque([start])
-    while dq:
-        node = dq.popleft()
-        if node == goal:
-            break
-        for nb in adj[node]:
-            if prev[nb] == -1:
-                prev[nb] = node
-                dq.append(nb)
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
 
 
 def _rebuild_from_basis(adj, p, q, m: int, n: int) -> np.ndarray:
@@ -146,17 +117,14 @@ def _rebuild_from_basis(adj, p, q, m: int, n: int) -> np.ndarray:
                 dq.append(nb)
 
     tin = [0] * size
-    tout = [0] * size
     for t, node in enumerate(order):
         tin[node] = t
     # order[] is a DFS preorder; subtree extents come from children extents
-    tout_arr = [tin[node] for node in range(size)]
+    tout = tin[:]
     for node in reversed(order):
         par = parent[node]
         if par != node:
-            tout_arr[par] = max(tout_arr[par], tout_arr[node])
-    for node in range(size):
-        tout[node] = tout_arr[node]
+            tout[par] = max(tout[par], tout[node])
 
     vals = [0.0] * size
     for node in range(size):
@@ -182,6 +150,43 @@ def _rebuild_from_basis(adj, p, q, m: int, n: int) -> np.ndarray:
     return gamma
 
 
+def _connected(adj) -> bool:
+    """Whether every node is reachable from node 0."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if not seen[nb]:
+                seen[nb] = True
+                stack.append(nb)
+    return all(seen)
+
+
+def _hang(adj, c, m: int, top: int, parent, depth, dual) -> None:
+    """Set parent, depth and dual below ``top`` from its own three values.
+
+    Walks the component of ``top`` away from ``parent[top]``, which must
+    be a tree; each node takes ``dual = c[cell] - dual[parent]`` for the
+    cell joining it to its parent, so a dual is the alternating sum of
+    costs on its root path.
+    """
+    item = c.item
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        up = parent[node]
+        d = depth[node] + 1
+        du = dual[node]
+        for nb in adj[node]:
+            if nb != up:
+                parent[nb] = node
+                depth[nb] = d
+                cost = item(node, nb - m) if node < m else item(nb, node - m)
+                dual[nb] = cost - du
+                stack.append(nb)
+
+
 def transport_simplex(p, q, c) -> np.ndarray:
     """Minimum-cost coupling of supplies ``p`` onto demands ``q``.
 
@@ -189,11 +194,24 @@ def transport_simplex(p, q, c) -> np.ndarray:
     entries.  Entering variables use the most-negative-reduced-cost rule
     with lowest-index ties; after a stall of m + n degenerate pivots the
     rule switches to Bland's to guarantee termination.
+
+    The least-cost initial basis always spans all m + n row and column
+    nodes, and the basis is kept as a spanning tree rooted at row 0: each
+    node holds its parent, depth and dual (u for rows, v for columns, with
+    u[0] = 0).  A pivot finds its cycle by walking the entering cell's two
+    endpoints up to their common ancestor, cuts the leaving cell, re-hangs
+    the cut-off subtree from the entering endpoint inside it, and
+    recomputes depths and duals on that subtree only.  Every dual is the
+    same sum of costs along its root path as a full recomputation would
+    give, so the pivot sequence and the plan bytes do not depend on this
+    bookkeeping.  Pivot counts go to this module's logger at DEBUG.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     m, n = p.shape[0], q.shape[0]
     c = _check_cost(c, m, n)
+    if m == 0 or n == 0:
+        raise ParameterError("need at least one supply and one demand")
     if np.any(p <= 0) or np.any(q <= 0):
         raise ParameterError("supplies and demands must be strictly positive")
     if abs(p.sum() - q.sum()) > _FEAS_TOL:
@@ -207,36 +225,63 @@ def transport_simplex(p, q, c) -> np.ndarray:
     for (i, j) in alloc:
         adj[i].add(m + j)
         adj[m + j].add(i)
+    if len(alloc) != size - 1 or not _connected(adj):
+        raise ConvergenceError("initial basis is not a spanning tree of all rows and columns")
+    parent = [0] * size
+    depth = [0] * size
+    dual = [0.0] * size
+    _hang(adj, c, m, 0, parent, depth, dual)
 
     bland = False
     stalled = 0
+    pivots = degenerate = 0
     max_pivots = 200 * size + 1000
+    reduced = np.empty_like(c)
+    reduced_flat = reduced.ravel()
     for _ in range(max_pivots):
-        u, v = _compute_duals(adj, c, m, n)
-        reduced = c - u[:, None] - v[None, :]
+        duals = np.array(dual)
+        # reduced = c - u[:, None] - v[None, :], in one reused buffer
+        np.subtract(c, duals[:m, None], out=reduced)
+        np.subtract(reduced, duals[None, m:], out=reduced)
         if bland:
-            neg = reduced.ravel() < -_PRICE_TOL
+            neg = reduced_flat < -_PRICE_TOL
             if not neg.any():
                 break
             flat = int(np.argmax(neg))
         else:
-            flat = int(np.argmin(reduced))
-            if reduced.ravel()[flat] >= -_PRICE_TOL:
+            flat = int(np.argmin(reduced_flat))
+            if reduced_flat[flat] >= -_PRICE_TOL:
                 break
         ei, ej = divmod(flat, n)
 
-        path = _tree_path(adj, ei, m + ej, size)
-        cells = []
-        for t in range(len(path) - 1):
-            a, b = path[t], path[t + 1]
-            cell = (a, b - m) if a < m else (b, a - m)
-            cells.append((cell, -1 if t % 2 == 0 else +1))
-        minus = [cell for cell, sign in cells if sign < 0]
-        theta = min(alloc[cell] for cell in minus)
-        leaving = min(cell for cell in minus if alloc[cell] == theta)
+        # Cycle: the tree path from row ei to column ej, closed by the
+        # entering cell.  Walking from ei, the path's cells alternate
+        # -theta, +theta; the -theta ones are those below a row node on
+        # ei's side and those below a column node on ej's side.  Each
+        # -theta cell is recorded with the side it lies on.
+        minus: list[tuple[tuple[int, int], bool]] = []
+        plus: list[tuple[int, int]] = []
+        a, b = ei, m + ej
+        while a != b:
+            on_row_side = depth[a] >= depth[b]
+            node = a if on_row_side else b
+            up = parent[node]
+            cell = (node, up - m) if node < m else (up, node - m)
+            if (node < m) == on_row_side:
+                minus.append((cell, on_row_side))
+            else:
+                plus.append(cell)
+            if on_row_side:
+                a = up
+            else:
+                b = up
+        theta = min(alloc[cell] for cell, _ in minus)
+        leaving, on_row_side = min(entry for entry in minus if alloc[entry[0]] == theta)
 
-        for cell, sign in cells:
-            alloc[cell] += sign * theta
+        for cell, _ in minus:
+            alloc[cell] -= theta
+        for cell in plus:
+            alloc[cell] += theta
         alloc[(ei, ej)] = theta
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
@@ -244,15 +289,30 @@ def transport_simplex(p, q, c) -> np.ndarray:
         adj[leaving[0]].discard(m + leaving[1])
         adj[m + leaving[1]].discard(leaving[0])
 
+        # The subtree cut off below the leaving cell holds the entering
+        # endpoint on the leaving cell's side; hang it from the other
+        # endpoint and refresh that subtree.
+        inner, outer = (ei, m + ej) if on_row_side else (m + ej, ei)
+        parent[inner] = outer
+        depth[inner] = depth[outer] + 1
+        dual[inner] = c.item(ei, ej) - dual[outer]
+        _hang(adj, c, m, inner, parent, depth, dual)
+
+        pivots += 1
         if theta > 0:
             stalled = 0
         else:
+            degenerate += 1
             stalled += 1
             if stalled > size:
                 bland = True
     else:
         raise ConvergenceError("transportation simplex exceeded its pivot budget")
 
+    _log.debug(
+        "transport_simplex %dx%d: %d pivots, %d degenerate, bland switch %s",
+        m, n, pivots, degenerate, "yes" if bland else "no",
+    )
     return _rebuild_from_basis(adj, p, q, m, n)
 
 

@@ -158,6 +158,22 @@ def test_validate_orphan_and_source_count():
     assert "orphan" in kinds
 
 
+def test_long_bad_kinds_are_not_truncated():
+    # "sourcery"/"targeted" must not be cut to six characters ("source",
+    # "target"), which would make the tree look valid
+    with pytest.raises(StructuralError) as excinfo:
+        FlowTree(
+            coords=[[0.0, 0.0], [1.0, 0.0]],
+            kind=["sourcery", "targeted"],
+            parent=[-1, 0],
+            area=[1.0, 1.0],
+        )
+    bad = [v for v in excinfo.value.report.violations if v.kind == "bad-kind"]
+    assert [v.nodes for v in bad] == [(0,), (1,)]
+    assert "'sourcery'" in bad[0].message
+    assert single_edge_tree().kind.dtype == np.dtype("U6")
+
+
 def test_validate_target_must_be_leaf():
     with pytest.raises(StructuralError) as excinfo:
         FlowTree(

@@ -1,7 +1,12 @@
 """Stage-one transport solvers: exact simplex, entropic scaling, extraction."""
 
+import hashlib
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchflow import (
     ConvergenceError,
@@ -14,7 +19,8 @@ from branchflow import (
     solve_exact,
     solve_sinkhorn,
 )
-from branchflow.ot import transport_simplex
+from branchflow import ot
+from branchflow.ot import _initial_basis, transport_simplex
 from branchflow.seeding import substream
 
 from oracles import exact_ot_oracle
@@ -130,6 +136,167 @@ def test_exact_rejects_unbalanced_raw_marginals():
     c = np.ones((2, 2))
     with pytest.raises(ParameterError):
         transport_simplex([0.6, 0.6], [0.5, 0.5], c)
+    with pytest.raises(ParameterError, match="at least one"):
+        transport_simplex([], [], np.ones((0, 0)))
+
+
+# 9x9 assignment with costs in {0, 1, 2}: the most-negative rule stalls
+# for more than m + n degenerate pivots, so the solve ends under Bland's rule
+BLAND_COST = [
+    [1, 1, 1, 0, 1, 0, 2, 1, 1],
+    [1, 2, 1, 0, 1, 1, 1, 0, 0],
+    [1, 2, 1, 2, 2, 1, 1, 0, 0],
+    [1, 1, 1, 1, 0, 1, 1, 1, 1],
+    [0, 0, 1, 1, 1, 1, 1, 0, 0],
+    [0, 0, 0, 1, 2, 1, 2, 1, 1],
+    [0, 0, 1, 2, 0, 0, 0, 2, 2],
+    [1, 2, 1, 2, 2, 2, 1, 0, 2],
+    [0, 2, 1, 2, 2, 1, 2, 2, 0],
+]
+
+
+def _golden_problem(name):
+    if name == "planar-20x200":
+        inst = random_instance(20, 20, 200)
+        return inst.p, inst.q, cost_matrix(inst)
+    if name == "planar-50x1000":
+        inst = random_instance(50, 50, 1000)
+        return inst.p, inst.q, cost_matrix(inst)
+    if name == "int-grid-16x64":
+        rng = np.random.default_rng(3)
+        xs = rng.integers(0, 4, (16, 2)).astype(float)
+        ys = rng.integers(0, 4, (64, 2)).astype(float)
+        c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
+        return np.full(16, 1 / 16), np.full(64, 1 / 64), c
+    assert name == "bland-9x9"
+    return np.ones(9), np.ones(9), np.array(BLAND_COST, dtype=float)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("planar-20x200", "4b6145c24788f08cae84ee387efc112c13c388857cb88ba35d616fb012f1b3bd"),
+    ("planar-50x1000", "89734b2b8029c8a8a79e8cfb68f61882135e5d045332d675a44342d9924287a5"),
+    ("int-grid-16x64", "224cff16c88eff427448eb7c537af5324fb2bcaae9780f7144f0bb3f509506b0"),
+    ("bland-9x9", "f9ebf1e1fe1f5bfba634a7d05cfae25d14ea731f92b84e82fa7d1a35c2203d49"),
+])
+def test_exact_plan_bytes_are_pinned(name, digest):
+    """Plan bytes on fixed instances; any change to pivoting must keep them."""
+    gamma = transport_simplex(*_golden_problem(name))
+    assert hashlib.sha256(gamma.tobytes()).hexdigest() == digest
+
+
+def highs_cost(p, q, c):
+    """Optimal transport cost from scipy's HiGHS LP solver (test-only oracle)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sparse = pytest.importorskip("scipy.sparse")
+    m, n = c.shape
+    cells = np.arange(m * n)
+    rows = np.concatenate([cells // n, m + cells % n])
+    a_eq = sparse.csr_matrix((np.ones(2 * m * n), (rows, np.concatenate([cells, cells]))),
+                             shape=(m + n, m * n))
+    res = linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def check_against_highs(p, q, c, gamma, cost_tol):
+    """HiGHS-optimal cost, marginals exact up to the float imbalance of p
+    and q plus rounding, a basic support, and no negative entry."""
+    m, n = c.shape
+    assert float(np.sum(gamma * c)) == pytest.approx(highs_cost(p, q, c), abs=cost_tol)
+    marginal_tol = abs(math.fsum(p) - math.fsum(q)) + 1e-15 * p.sum()
+    assert np.abs(gamma.sum(axis=1) - p).max() <= marginal_tol
+    assert np.abs(gamma.sum(axis=0) - q).max() <= marginal_tol
+    assert int(np.count_nonzero(gamma > 0)) <= m + n - 1
+    assert gamma.min() >= 0.0
+
+
+def jittered_grid(rng, nx, ny):
+    """One uniform point per cell of an nx-by-ny grid over [-1, 1]^2."""
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    cells = np.column_stack([ix.ravel(), iy.ravel()]).astype(float)
+    pts = (cells + rng.random(cells.shape)) / np.array([nx, ny]) * 2.0 - 1.0
+    return pts[rng.permutation(len(pts))]
+
+
+def test_exact_matches_highs_at_50x1000():
+    rng = substream(0, "ot-test", "jittered-grid")
+    xs, ys = jittered_grid(rng, 10, 5), jittered_grid(rng, 40, 25)
+    p, q = 1.0 - rng.random(50), 1.0 - rng.random(1000)
+    inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
+    c = cost_matrix(inst)
+    check_against_highs(inst.p, inst.q, c, transport_simplex(inst.p, inst.q, c), 1e-9)
+
+
+# 5x15 uniform-mass instances whose least-cost start used to close the last
+# open row early (float residuals leave a[i] == 0 while some b[j] > 0):
+# the solver then hung or raised KeyError on these seeds.
+@pytest.mark.parametrize("seed", [1, 5, 7, 9, 11, 16, 33, 37, 39, 49])
+def test_exact_uniform_masses_start_from_a_spanning_basis(seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.random((5, 2)), rng.random((15, 2))
+    c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
+    p, q = np.full(5, 1 / 5), np.full(15, 1 / 15)
+    assert len(_initial_basis(p, q, c)) == 5 + 15 - 1
+    check_against_highs(p, q, c, transport_simplex(p, q, c), 1e-12)
+
+
+@pytest.mark.parametrize("basis", [
+    {(0, 0): 0.4, (1, 0): 0.2},                            # too few cells
+    {(0, 0): 0.2, (0, 1): 0.2, (1, 0): 0.0, (1, 1): 0.4},  # a cycle, column 2 cut off
+])
+def test_exact_rejects_a_start_that_is_not_a_spanning_tree(monkeypatch, basis):
+    # the least-cost start is always a spanning tree; any other start must
+    # be caught by a real check before pivoting, not hang or run on
+    monkeypatch.setattr(ot, "_initial_basis", lambda p, q, c: dict(basis))
+    with pytest.raises(ConvergenceError, match="spanning tree"):
+        transport_simplex([0.4, 0.6], [0.2, 0.2, 0.6], np.ones((2, 3)))
+
+
+@st.composite
+def tied_instances(draw):
+    """Small degenerate instances: equal or integer masses, ties in the costs."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["grid", "collinear", "rounded"]))
+    if layout == "grid":
+        xs = rng.integers(0, 3, (m, 2)).astype(float)
+        ys = rng.integers(0, 3, (n, 2)).astype(float)
+    elif layout == "collinear":
+        xs = np.column_stack([rng.integers(0, 5, m), np.zeros(m)]).astype(float)
+        ys = np.column_stack([rng.integers(0, 5, n), np.zeros(n)]).astype(float)
+    else:
+        xs, ys = rng.random((m, 2)), rng.random((n, 2))
+    c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
+    if layout == "rounded":
+        c = np.round(c, 1)
+    if draw(st.booleans()):
+        p, q = np.full(m, 1 / m), np.full(n, 1 / n)
+    else:  # integer masses with equal totals
+        p = rng.integers(1, 4, m).astype(float) * n
+        q = rng.integers(1, 4, n).astype(float) * m
+        q[-1] += p.sum() - q.sum()
+        if q[-1] <= 0:
+            p, q = np.full(m, float(n)), np.full(n, float(m))
+    return p, q, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tied_instances())
+def test_exact_is_optimal_and_basic_on_tied_instances(instance):
+    p, q, c = instance
+    check_against_highs(p, q, c, transport_simplex(p, q, c), 1e-9 * max(1.0, p.sum()))
+
+
+def test_exact_logs_pivot_counts(caplog):
+    with caplog.at_level(logging.DEBUG, logger="branchflow.ot"):
+        transport_simplex(*_golden_problem("bland-9x9"))
+        transport_simplex(*_golden_problem("planar-20x200"))
+    assert [r.getMessage() for r in caplog.records] == [
+        "transport_simplex 9x9: 22 pivots, 20 degenerate, bland switch yes",
+        "transport_simplex 20x200: 163 pivots, 0 degenerate, bland switch no",
+    ]
 
 
 def test_exact_label_equivariance_is_bitwise():
