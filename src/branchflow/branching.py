@@ -11,6 +11,8 @@ list and finishes in at most 2N iterations.
 
 from __future__ import annotations
 
+import heapq
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,10 @@ from .core import (
 )
 from .seeding import random_direction, substream
 
+_log = logging.getLogger(__name__)
+
 GAIN_TOL = 1e-12  # a merge must beat this to be accepted
+_NEAR_BAND = 16   # nearest candidates scanned before the scan widens to all
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,17 @@ class BuildEvent:
 
 @dataclass(frozen=True)
 class BuildResult:
+    """A built tree with its cost trace and per-iteration events.
+
+    ``candidate_evals`` counts the branch points the scan evaluated:
+    the nearest few neighbors per merge, every remaining selectable
+    node per retirement (and per merge found beyond the nearest few).
+    """
+
     tree: FlowTree
     trace: np.ndarray         # cost before any merge, then after each merge
     events: tuple[BuildEvent, ...]
-    candidate_evals: int      # branch-point evaluations, O(N) per iteration
+    candidate_evals: int
     eps: np.ndarray | None    # frozen shift vector actually used
 
 
@@ -206,13 +218,21 @@ def build_one_to_many(
     are retired.  If no neighbor improves, the picked node is retired on
     its direct source edge.  Retired nodes never return, so the loop
     ends after at most 2N iterations and N - 1 insertions, and the cost
-    after each accepted insertion is strictly decreasing.
+    after each accepted insertion is strictly decreasing.  Ties in the
+    distance to the source or to the picked node go to the lower id.
+
+    The scan evaluates the nearest few neighbors first and the rest only
+    when none of those improves, so ``candidate_evals`` counts the
+    branch points actually evaluated: about a constant per merge, all
+    other selectable nodes per retirement.
 
     ``eps`` overrides the frozen shift vector (otherwise drawn once from
     ``params.seed`` when ``params.shift_norm > 0``); ``nearest_only``
     restricts the scan to the single nearest neighbor; ``post_point``
-    maps candidate branch points (an (n, dim) array) before they are
-    evaluated, e.g. to re-project them onto a sphere.
+    maps candidate branch points (an (n, dim) array, a subset of the
+    neighbors) before they are evaluated, e.g. to re-project them onto a
+    sphere.  It must act row by row, and sees only the candidates the
+    scan reaches.
     """
     n = problem.n_targets
     d = problem.dim
@@ -231,73 +251,141 @@ def build_one_to_many(
     pos = np.zeros((cap, d))
     area = np.zeros(cap)
     parent = np.full(cap, -1, dtype=np.int64)
-    selectable = np.zeros(cap, dtype=bool)
+    # fixed when a node is inserted: distance to the source, area ** alpha
+    r0 = np.zeros(cap)
+    wa = np.zeros(cap)
 
     pos[0] = problem.source
     pos[1:n + 1] = problem.targets
     area[1:n + 1] = problem.areas
     area[0] = float(problem.areas.sum())
     parent[1:n + 1] = 0
-    selectable[1:n + 1] = True
+    v0 = pos[0]
+    r0[1:n + 1] = np.linalg.norm(pos[1:n + 1] - v0, axis=1)
+    wa[1:n + 1] = area[1:n + 1] ** alpha
     count = n + 1
 
-    v0 = pos[0]
+    # the selectable nodes, compacted: ids[:m] at positions live[:m];
+    # slot[k] is k's index there, or -1 once k is retired
+    ids = np.arange(1, n + 1)
+    live = pos[1:n + 1].copy()
+    slot = [-1] * cap
+    slot[1:n + 1] = range(n)
+    m = n
+    # farthest first, lower id on ties; retired partners are skipped on pop
+    heap = list(zip((-r0[1:n + 1]).tolist(), range(1, n + 1)))
+    heapq.heapify(heap)
+
+    def retire(k):
+        nonlocal m
+        s = slot[k]
+        m -= 1
+        last = int(ids[m])
+        ids[s] = last
+        live[s] = live[m]
+        slot[last] = s
+        slot[k] = -1
+
     cost = star_cost(problem, alpha)
     trace = [cost]
     events: list[BuildEvent] = []
     evals = 0
+    near_merges = 0
     step = 0
 
-    while True:
-        sel = np.flatnonzero(selectable[:count])
-        if sel.size == 0:
-            break
-
-        dist0 = np.linalg.norm(pos[sel] - v0, axis=1)
-        i = int(sel[int(np.argmax(dist0))])
-        cand = sel[sel != i]
+    while heap:
+        i = heapq.heappop(heap)[1]
+        if slot[i] < 0:
+            continue
+        retire(i)
 
         j = -1
-        if cand.size:
+        if m:
+            v_i = pos[i]
             s_i = float(area[i])
-            s_js = area[cand]
-            zs = formula(v0, pos[i], pos[cand], s_i, s_js, alpha)
-            if eps is not None:
-                zs = zs + eps / (s_i + s_js + params.shift_delta)[:, None]
-            if post_point is not None:
-                zs = post_point(zs)
-            gains = _gains(v0, pos[i], pos[cand], s_i, s_js, alpha, zs)
-            evals += cand.size
+            w_i = s_i ** alpha
+            before_i = w_i * np.linalg.norm(v0 - v_i)
+            dist = np.linalg.norm(live[:m] - v_i, axis=1)
 
-            order = np.argsort(np.linalg.norm(pos[cand] - pos[i], axis=1), kind="stable")
+            def scan(band):
+                """The improving candidate of ``band`` with the least (distance, id)."""
+                k = ids[band]
+                v_js = live[band]
+                s_js = area[k]
+                zs = formula(v0, v_i, v_js, s_i, s_js, alpha)
+                if eps is not None:
+                    zs = zs + eps / (s_i + s_js + params.shift_delta)[:, None]
+                if post_point is not None:
+                    zs = post_point(zs)
+                # the same arithmetic as _gains, with the per-node terms stored
+                w_j = wa[k]
+                w_m = (s_i + s_js) ** alpha
+                r_z = np.linalg.norm(v0 - zs, axis=1)
+                before = before_i + w_j * r0[k]
+                after = (
+                    w_m * r_z
+                    + w_i * np.linalg.norm(zs - v_i, axis=1)
+                    + w_j * np.linalg.norm(zs - v_js, axis=1)
+                )
+                gains = before - after
+                hits = np.flatnonzero(gains > gain_tol)
+                if not hits.size:
+                    return None
+                d_hits = dist[band[hits]]
+                hits = hits[d_hits == d_hits.min()]
+                h = hits[np.argmin(k[hits])]
+                return int(k[h]), zs[h], float(gains[h]), w_m[h], r_z[h]
+
+            # the near band holds every candidate at most as far as the
+            # _NEAR_BAND-th nearest; the rest are scanned only if none pays
             if nearest_only:
-                order = order[:1]
-            improving = gains[order] > gain_tol
-            if improving.any():
-                hit = int(np.argmax(improving))
-                j = int(cand[order[hit]])
-                z = zs[order[hit]]
-                gain = float(gains[order[hit]])
+                near = np.flatnonzero(dist == dist.min())
+                near = near[np.argmin(ids[near])][None]
+            elif m > _NEAR_BAND:
+                cut = np.partition(dist, _NEAR_BAND - 1)[_NEAR_BAND - 1]
+                near = np.flatnonzero(dist <= cut)
+            else:
+                near = np.arange(m)
+            hit = scan(near)
+            evals += near.size
+            if hit is not None:
+                near_merges += 1
+            elif near.size < m and not nearest_only:
+                far = np.flatnonzero(dist > cut)
+                hit = scan(far)
+                evals += far.size
+            if hit is not None:
+                j, z, gain, w_b, r_b = hit
 
         if j >= 0:
+            retire(j)
             b = count
             pos[b] = z
             area[b] = area[i] + area[j]
+            r0[b] = r_b
+            wa[b] = w_b
             parent[b] = 0
             parent[i] = b
             parent[j] = b
-            selectable[i] = False
-            selectable[j] = False
-            selectable[b] = True
+            ids[m] = b
+            live[m] = z
+            slot[b] = m
+            m += 1
+            heapq.heappush(heap, (-float(r_b), b))
             count += 1
             cost -= gain
             trace.append(cost)
             events.append(BuildEvent(step, i, j, b, gain, cost))
         else:
-            selectable[i] = False
             events.append(BuildEvent(step, i, None, None, 0.0, cost))
         step += 1
 
+    merges = count - n - 1
+    _log.debug(
+        "build_one_to_many N=%d: %d iterations, %d merges, %d retirements, "
+        "%d candidate evals, %d merges in the near band",
+        n, step, merges, step - merges, evals, near_merges,
+    )
     kind = np.empty(count, dtype="U6")
     kind[0] = KIND_SOURCE
     kind[1:n + 1] = KIND_TARGET

@@ -3,12 +3,25 @@
 These deliberately avoid the library's solver code paths: the transport
 oracle enumerates spanning trees of the complete bipartite graph (every
 vertex of the transportation polytope is supported on one), and the
-clustering oracle brute-forces two-part splits.
+clustering oracle brute-forces two-part splits.  The builder reference
+is the plain full-scan loop, sharing only the closed-form branch-point
+and gain arithmetic with the library.
 """
 
 import itertools
 
 import numpy as np
+
+from branchflow.branching import (
+    _FORMULAS,
+    GAIN_TOL,
+    BuildEvent,
+    BuildResult,
+    _gains,
+    star_cost,
+)
+from branchflow.core import FlowTree
+from branchflow.seeding import random_direction, substream
 
 _TREE_CACHE = {}
 
@@ -137,3 +150,93 @@ def best_bipartition(points, weights):
             best_obj = obj
             best_lab = lab
     return best_obj, best_lab
+
+
+def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point=None,
+                    gain_tol=GAIN_TOL):
+    """The greedy/tabu builder with a full candidate scan per iteration.
+
+    Every iteration recomputes the distance of every selectable node to
+    the source, evaluates a branch point for every other selectable node
+    and walks all of them in stable (distance, id) order.  O(N^2) work;
+    the library's lazy nearest-first scan must match it byte for byte.
+    """
+    n = problem.n_targets
+    d = problem.dim
+    formula = _FORMULAS[params.formula]
+    alpha = params.alpha
+    if eps is None and params.shift_norm > 0:
+        eps = random_direction(substream(params.seed, "branch-shift"), d) * params.shift_norm
+    if eps is not None:
+        eps = np.asarray(eps, dtype=float)
+
+    cap = 2 * n + 1
+    pos = np.zeros((cap, d))
+    area = np.zeros(cap)
+    parent = np.full(cap, -1, dtype=np.int64)
+    selectable = np.zeros(cap, dtype=bool)
+    pos[0] = problem.source
+    pos[1:n + 1] = problem.targets
+    area[1:n + 1] = problem.areas
+    area[0] = float(problem.areas.sum())
+    parent[1:n + 1] = 0
+    selectable[1:n + 1] = True
+    count = n + 1
+
+    v0 = pos[0]
+    cost = star_cost(problem, alpha)
+    trace = [cost]
+    events = []
+    evals = 0
+    step = 0
+    while True:
+        sel = np.flatnonzero(selectable[:count])
+        if sel.size == 0:
+            break
+        dist0 = np.linalg.norm(pos[sel] - v0, axis=1)
+        i = int(sel[int(np.argmax(dist0))])
+        cand = sel[sel != i]
+
+        j = -1
+        if cand.size:
+            s_i = float(area[i])
+            s_js = area[cand]
+            zs = formula(v0, pos[i], pos[cand], s_i, s_js, alpha)
+            if eps is not None:
+                zs = zs + eps / (s_i + s_js + params.shift_delta)[:, None]
+            if post_point is not None:
+                zs = post_point(zs)
+            gains = _gains(v0, pos[i], pos[cand], s_i, s_js, alpha, zs)
+            evals += cand.size
+            order = np.argsort(np.linalg.norm(pos[cand] - pos[i], axis=1), kind="stable")
+            if nearest_only:
+                order = order[:1]
+            improving = gains[order] > gain_tol
+            if improving.any():
+                hit = int(np.argmax(improving))
+                j = int(cand[order[hit]])
+                z = zs[order[hit]]
+                gain = float(gains[order[hit]])
+
+        if j >= 0:
+            b = count
+            pos[b] = z
+            area[b] = area[i] + area[j]
+            parent[b] = 0
+            parent[i] = b
+            parent[j] = b
+            selectable[i] = False
+            selectable[j] = False
+            selectable[b] = True
+            count += 1
+            cost -= gain
+            trace.append(cost)
+            events.append(BuildEvent(step, i, j, b, gain, cost))
+        else:
+            selectable[i] = False
+            events.append(BuildEvent(step, i, None, None, 0.0, cost))
+        step += 1
+
+    kind = np.array(["source"] + ["target"] * n + ["branch"] * (count - n - 1))
+    tree = FlowTree(pos[:count], kind, parent[:count], area[:count])
+    return BuildResult(tree, np.array(trace), tuple(events), evals, eps)

@@ -1,9 +1,13 @@
 """Closed-form branch points and the greedy/tabu tree builder."""
 
+import dataclasses
+import hashlib
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchflow import (
     BotParams,
@@ -18,7 +22,13 @@ from branchflow import (
     star_cost,
     validate_tree,
 )
+from branchflow import pipeline
+from branchflow.cli import run_synthetic_single, synthetic_problem
+from branchflow.io import load_cities_csv, network_to_json, sample_cities_path
+from branchflow.pipeline import santa_pipeline
 from branchflow.seeding import substream
+
+from oracles import full_scan_build
 
 
 def narrow_problem():
@@ -320,9 +330,23 @@ def test_build_nearest_only_variant():
     assert validate_tree(result.tree).ok
     assert result.trace[-1] <= result.trace[0]
     assert len(result.events) <= 2 * problem.n_targets
-    # every merge partner really is the picked node's nearest selectable neighbor
-    # at merge time, which the full scan does not promise
     assert np.all(np.diff(result.trace) < 0)
+    # every merge partner is the picked node's nearest selectable neighbor
+    # at merge time (lower id on ties), which the full scan does not promise
+    coords = result.tree.coords
+    selectable = set(range(1, problem.n_targets + 1))
+    merges = 0
+    for ev in result.events:
+        selectable.remove(ev.picked)
+        if ev.partner is not None:
+            others = sorted(selectable)
+            dist = np.linalg.norm(coords[others] - coords[ev.picked], axis=1)
+            assert ev.partner == others[int(np.argmin(dist))]
+            selectable.remove(ev.partner)
+            selectable.add(ev.branch)
+            merges += 1
+    assert not selectable
+    assert merges > 0
 
 
 def test_build_post_point_hook_constrains_branches():
@@ -357,3 +381,165 @@ def test_build_shift_draws_frozen_eps():
 
     forced = build_one_to_many(problem, BotParams(alpha=0.5), eps=np.array([0.0, 0.0]))
     assert np.array_equal(forced.tree.coords, plain.tree.coords)
+
+
+# ---------------------------------------------------------------------------
+# pinned builder bytes: tree JSON, trace and events, captured from the
+# full-scan builder; any change to the scan must keep every byte
+
+
+def build_digest(results, alpha):
+    """sha256 over each result's network JSON, trace bytes and event tuples."""
+    h = hashlib.sha256()
+    for result in results:
+        h.update(network_to_json(result.tree, alpha).encode())
+        h.update(np.asarray(result.trace).tobytes())
+        h.update(repr([dataclasses.astuple(ev) for ev in result.events]).encode())
+    return h.hexdigest()
+
+
+def grid_problem():
+    """Equal areas on a 21 x 21 integer grid around the source: ties everywhere."""
+    xs, ys = np.meshgrid(np.arange(-10.0, 11.0), np.arange(-10.0, 11.0))
+    targets = np.column_stack([xs.ravel(), ys.ravel()])
+    targets = targets[np.any(targets != 0.0, axis=1)]
+    return OneToManyProblem([0.0, 0.0], targets, np.full(len(targets), 1.0 / len(targets)))
+
+
+def pinned_build(name):
+    """One builder run per pinned case, returned as (results, alpha)."""
+    if name == "interp-4000":
+        return [run_synthetic_single(0, 4000, 0.5)], 0.5
+    if name == "power-4000":
+        return [run_synthetic_single(1, 4000, 0.5, formula="power")], 0.5
+    if name == "shift-4000":
+        return [run_synthetic_single(2, 4000, 0.5, shift_norm=0.01)], 0.5
+    if name == "nearest-only-4000":
+        params = BotParams(alpha=0.5, seed=3)
+        return [build_one_to_many(synthetic_problem(3, 4000), params, nearest_only=True)], 0.5
+    if name == "interp-3d-1000":
+        return [run_synthetic_single(4, 1000, 0.25, d=3)], 0.25
+    if name == "grid-interp":
+        return [build_one_to_many(grid_problem(), BotParams(alpha=0.5))], 0.5
+    if name == "grid-power":
+        return [build_one_to_many(grid_problem(), BotParams(alpha=0.3, formula="power"))], 0.3
+    assert name == "santa-sample"
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(build_one_to_many(*args, **kwargs))
+        return results[-1]
+
+    cities = load_cities_csv(sample_cities_path()).cities
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_one_to_many", recording)
+        santa_pipeline(cities, params=BotParams(alpha=0.5, seed=0))
+    return results, 0.5
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("interp-4000", "f38363729929a16c21c9b1cf39f1c2dade107c9438f8f25020b34a446d98d77e"),
+    ("power-4000", "a54a5fb929d771c94ee0dc22d692b519c0d1d2a577fb08d5748a483d97b44d0d"),
+    ("shift-4000", "6cb9d7f7b2692fea29a12a62e627616c92e9008cd16fd26da5d6cc063470ecda"),
+    ("nearest-only-4000", "3746805315b26ef1ea807a9b4ab0ef45c4c2707ab84b8e4c522b28734f5151b0"),
+    ("interp-3d-1000", "6e84f49205b72d2472fb792fb6073d97e2bd4334c3225c1f7a8ac5f333d28959"),
+    ("grid-interp", "915e9e9096f0a4f9fe1194c16d8de0a82f2ab1cc906ee40367efb8b6719f1d1a"),
+    ("grid-power", "b4213b0737fc6b4afca06769b975231d5baca59f9daa7c89db7f17bf6e99a6bc"),
+    ("santa-sample", "3b344a369165965a4c6db2eb6ebfbddf523c33de2a7fd1e4cf65fe6716b7d866"),
+])
+def test_builder_bytes_are_pinned(name, digest):
+    """Tree, trace and event bytes on fixed problems, taken from the full scan."""
+    assert build_digest(*pinned_build(name)) == digest
+
+
+# ---------------------------------------------------------------------------
+# the lazy nearest-first scan against the full-scan reference
+
+
+@st.composite
+def small_builds(draw):
+    """Small problems full of ties: grid or collinear points, equal areas."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["grid", "collinear", "uniform", "huddle"]))
+    if layout == "grid":
+        targets = rng.integers(-3, 4, (n, d)).astype(float)
+    elif layout == "collinear":
+        targets = np.zeros((n, d))
+        targets[:, 0] = rng.integers(-8, 9, n)
+    elif layout == "uniform":
+        targets = rng.uniform(-1.0, 1.0, (n, d))
+    else:  # half the targets at the source: near neighbors that do not pay
+        targets = rng.uniform(-1.0, 1.0, (n, d))
+        targets[: n // 2] = rng.normal(0.0, 0.03, (n // 2, d))
+    source = np.zeros(d) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, d)
+    if layout == "huddle":
+        source = np.zeros(d)
+    areas = np.full(n, 1.0 / n) if draw(st.booleans()) else rng.uniform(0.01, 1.0, n) ** 3
+    params = BotParams(
+        alpha=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))),
+        formula=draw(st.sampled_from(["interp", "power"])),
+        shift_norm=draw(st.sampled_from([0.0, 0.05])),
+        seed=draw(st.integers(0, 99)),
+    )
+    options = {"nearest_only": draw(st.booleans())}
+    if draw(st.booleans()):
+        options["post_point"] = flatten_last_axis
+    return OneToManyProblem(source, targets, areas), params, options
+
+
+def flatten_last_axis(points):
+    out = points.copy()
+    out[:, -1] = 0.0
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_builds())
+def test_build_matches_full_scan_reference(build):
+    problem, params, options = build
+    got = build_one_to_many(problem, params, **options)
+    want = full_scan_build(problem, params, **options)
+    assert got.events == want.events
+    assert got.trace.tobytes() == want.trace.tobytes()
+    assert np.array_equal(got.tree.coords, want.tree.coords)
+    assert np.array_equal(got.tree.parent, want.tree.parent)
+    assert got.candidate_evals <= want.candidate_evals
+    assert validate_tree(got.tree).ok
+    assert np.all(np.diff(got.trace) < 0)
+
+
+def huddle_problem(seed):
+    """Half the targets huddle at the source and areas spread over decades,
+    so all of the picked node's nearest neighbors can fail while a farther
+    one pays."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(18, 60))
+    targets = np.vstack([rng.normal(0.0, 0.03, (n // 2, 2)), rng.uniform(-1.0, 1.0, (n - n // 2, 2))])
+    areas = rng.uniform(0.01, 1.0, n) ** 3
+    return OneToManyProblem([0.0, 0.0], targets, areas), float(rng.uniform(0.3, 1.0))
+
+
+@pytest.mark.parametrize("seed, formula", [(144, "interp"), (489, "power")])
+def test_build_far_band_merge_matches_full_scan(seed, formula):
+    problem, alpha = huddle_problem(seed)
+    params = BotParams(alpha=alpha, formula=formula)
+    got = build_one_to_many(problem, params)
+    want = full_scan_build(problem, params)
+    assert got.events == want.events
+    assert got.trace.tobytes() == want.trace.tobytes()
+    assert np.array_equal(got.tree.coords, want.tree.coords)
+
+
+def test_build_logs_scan_counts(caplog):
+    with caplog.at_level(logging.DEBUG, logger="branchflow.branching"):
+        build_one_to_many(narrow_problem(), BotParams(alpha=0.5))
+        problem, alpha = huddle_problem(144)
+        build_one_to_many(problem, BotParams(alpha=alpha))
+    assert [r.getMessage() for r in caplog.records] == [
+        "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
+        "1 candidate evals, 1 merges in the near band",
+        "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
+        "369 candidate evals, 26 merges in the near band",
+    ]

@@ -1,6 +1,8 @@
 """Network JSON round-tripping, longitude handling, and the cities loader."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +281,32 @@ def test_bundled_sample_dataset():
     countries = {c.country for c in report.cities}
     assert len(countries) == 20
     assert min(c.population for c in report.cities) > 0
+
+
+def load_sample_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_sample_cities.py"
+    spec = importlib.util.spec_from_file_location("make_sample_cities", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sample_tool_defaults_rewrite_bundled_sample(tmp_path):
+    tool = load_sample_tool()
+    out = tmp_path / "cities.csv"
+    assert tool.main(["--out", str(out)]) == 0
+    assert out.read_bytes() == sample_cities_path().read_bytes()
+
+
+def test_sample_tool_writes_any_size_and_rejects_too_few(tmp_path):
+    tool = load_sample_tool()
+    out = tmp_path / "big" / "cities.csv"
+    assert tool.main(["--n-cities", "2500", "--out", str(out)]) == 0
+    report = load_cities_csv(out)
+    assert len(report.cities) == 2500
+    assert report.n_dropped == 0
+    assert len({c.country for c in report.cities}) == 20
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--n-cities", "59", "--out", str(tmp_path / "small.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "small.csv").exists()

@@ -1,13 +1,18 @@
-"""Regenerate the bundled synthetic cities dataset.
+"""Generate a synthetic cities dataset, by default the bundled sample.
 
-Writes src/branchflow/data/cities_sample.csv: 1000 cities in 20 invented
-countries, each country a compact cluster of at least 3 cities with
-log-normal populations.  The extra elevation column is deliberate; the
-loader must ignore columns it does not know.  Fully deterministic.
+Writes N cities (default 1000) in 20 invented countries, each country a
+compact cluster of at least 3 cities with log-normal populations.  The
+extra elevation column is deliberate; the loader must ignore columns it
+does not know.  Fully deterministic: with the defaults it rewrites
+src/branchflow/data/cities_sample.csv byte for byte.
+
+    python tools/make_sample_cities.py
+    python tools/make_sample_cities.py --n-cities 50000 --out /tmp/cities_50k.csv
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 from pathlib import Path
 
@@ -15,6 +20,7 @@ import numpy as np
 
 N_CITIES = 1000
 SEED = 20240817
+SAMPLE_PATH = Path(__file__).resolve().parents[1] / "src" / "branchflow" / "data" / "cities_sample.csv"
 
 COUNTRIES = [
     "Aravelle", "Borvia", "Caldria", "Dorsania", "Elvenia",
@@ -22,24 +28,28 @@ COUNTRIES = [
     "Kesteron", "Lumavia", "Morvania", "Nordyssa", "Ostrelia",
     "Penrovia", "Qirestan", "Rovandia", "Sulmara", "Tervenia",
 ]
+MIN_PER_COUNTRY = 3
 
 
-def main():
-    rng = np.random.default_rng(SEED)
+def write_cities(n_cities: int, path: Path) -> None:
+    """Write ``n_cities`` seeded cities to ``path`` as CSV."""
     k = len(COUNTRIES)
+    if n_cities < MIN_PER_COUNTRY * k:
+        raise ValueError(
+            f"n_cities must be at least {MIN_PER_COUNTRY * k} "
+            f"({MIN_PER_COUNTRY} per country), got {n_cities}"
+        )
+    rng = np.random.default_rng(SEED)
 
-    sizes = np.full(k, 3)
+    sizes = np.full(k, MIN_PER_COUNTRY)
     weights = rng.dirichlet(np.full(k, 1.5))
-    sizes = sizes + rng.multinomial(N_CITIES - sizes.sum(), weights)
-    assert sizes.sum() == N_CITIES
+    sizes = sizes + rng.multinomial(n_cities - sizes.sum(), weights)
 
     centers_lat = rng.uniform(-60.0, 70.0, k)
     centers_lon = rng.uniform(-180.0, 180.0, k)
     spreads = rng.uniform(1.5, 5.0, k)
 
-    out = Path(__file__).resolve().parents[1] / "src" / "branchflow" / "data"
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "cities_sample.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["city", "country", "lat", "lng", "population", "elevation"])
@@ -53,8 +63,22 @@ def main():
                     [f"{country} {i + 1:03d}", country,
                      f"{lat[i]:.6f}", f"{lon[i]:.6f}", int(pop[i]), elev[i]]
                 )
-    print(f"wrote {path}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-cities", type=int, default=N_CITIES,
+                        help=f"number of cities (default {N_CITIES})")
+    parser.add_argument("--out", type=Path, default=SAMPLE_PATH,
+                        help="output CSV (default: the bundled sample)")
+    args = parser.parse_args(argv)
+    try:
+        write_cities(args.n_cities, args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
