@@ -187,14 +187,28 @@ def geo_embed(lat, lon) -> np.ndarray:
 
 def geo_project(point) -> tuple:
     """Renormalize a 3-D point to the unit sphere and return (lat, lon) degrees."""
-    p = np.asarray(point, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(p))
-    if not norm > 0:
+    (lon, lat), = _lon_lat_rows(np.asarray(point, dtype=float).reshape(1, 3))
+    return lat, lon
+
+
+def _lon_lat_rows(points: np.ndarray) -> list:
+    """Renormalize each row of an (n, 3) array to the unit sphere: [lon, lat] degrees.
+
+    The norms and the division are batched; ``np.vecdot`` runs the same
+    BLAS dot per row as a 1-D ``np.linalg.norm``, so each row gets the
+    bits of a one-point projection.  asin and atan2 stay on libm through
+    ``math``: numpy's vectorized arcsin and arctan2 differ from it in the
+    last bit on some inputs, which would change output bytes.
+    """
+    p = np.ascontiguousarray(points, dtype=float)
+    norms = np.sqrt(np.vecdot(p, p))
+    if not np.all(norms > 0):
         raise ParameterError("cannot project the sphere center")
-    x, y, z = p / norm
-    lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
-    lon = math.degrees(math.atan2(y, x))
-    return lat, normalize_lon(lon)
+    rows = []
+    for x, y, z in (p / norms[:, None]).tolist():
+        lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
+        rows.append([normalize_lon(math.degrees(math.atan2(y, x))), lat])
+    return rows
 
 
 def to_sphere(points: np.ndarray) -> np.ndarray:

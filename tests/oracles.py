@@ -5,10 +5,12 @@ oracle enumerates spanning trees of the complete bipartite graph (every
 vertex of the transportation polytope is supported on one), and the
 clustering oracle brute-forces two-part splits.  The builder reference
 is the plain full-scan loop, sharing only the closed-form branch-point
-and gain arithmetic with the library.
+and gain arithmetic with the library.  The sphere projection references
+project one point at a time, as the renderer once did.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -20,7 +22,10 @@ from branchflow.branching import (
     _gains,
     star_cost,
 )
-from branchflow.core import FlowTree
+from branchflow.core import FlowTree, ParameterError
+from branchflow.io import normalize_lon
+from branchflow.pipeline import EARTH_RADIUS_KM
+from branchflow.render import MAX_SEGMENT_KM
 from branchflow.seeding import random_direction, substream
 
 _TREE_CACHE = {}
@@ -240,3 +245,37 @@ def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point
     kind = np.array(["source"] + ["target"] * n + ["branch"] * (count - n - 1))
     tree = FlowTree(pos[:count], kind, parent[:count], area[:count])
     return BuildResult(tree, np.array(trace), tuple(events), evals, eps)
+
+
+# ---------------------------------------------------------------------------
+# per-point sphere projection
+
+
+def per_point_geo_project(point):
+    """(lat, lon) degrees of one 3-D point pushed onto the unit sphere."""
+    p = np.asarray(point, dtype=float).reshape(3)
+    norm = float(np.linalg.norm(p))
+    if not norm > 0:
+        raise ParameterError("cannot project the sphere center")
+    x, y, z = p / norm
+    lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
+    lon = math.degrees(math.atan2(y, x))
+    return lat, normalize_lon(lon)
+
+
+def per_point_arc_points(u, v):
+    """Great-circle polyline from u to v in [lon, lat], one point and one edge at a time."""
+    dot = float(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
+    omega = math.acos(dot)
+    arc_km = omega * EARTH_RADIUS_KM
+    n_seg = max(1, math.ceil(arc_km / MAX_SEGMENT_KM))
+    pts = []
+    for s in range(n_seg + 1):
+        t = s / n_seg
+        if omega < 1e-12:
+            p = u
+        else:
+            p = (math.sin((1 - t) * omega) * u + math.sin(t * omega) * v) / math.sin(omega)
+        lat, lon = per_point_geo_project(p)
+        pts.append([lon, lat])
+    return pts

@@ -113,6 +113,16 @@ def test_render_checks_outputs_before_reading_input(tmp_path, capsys):
     assert "--svg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output", ["--geojson", "--svg"])
+def test_render_tree_at_sphere_center_exits_two(tmp_path, capsys, output):
+    # a 3-D branch tree has its source at the origin, which has no lat/lon
+    tree = tmp_path / "t.json"
+    assert main(["branch", "--d", "3", "--n-targets", "20", "--out", str(tree)]) == 0
+    capsys.readouterr()
+    assert main(["render", str(tree), output, str(tmp_path / "out")]) == 2
+    assert "error: cannot project the sphere center" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "trees",
     [[{"level": "global"}], [1], ["tree_0000.json"]],

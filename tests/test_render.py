@@ -1,12 +1,15 @@
 """SVG and GeoJSON emission."""
 
+import hashlib
 import json
+import logging
 import math
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchflow import (
     BotParams,
@@ -14,13 +17,22 @@ from branchflow import (
     OneToManyProblem,
     ParameterError,
     StructuralError,
+    TransportInstance,
     build_one_to_many,
     geo_embed,
+    geo_project,
+    load_cities_csv,
     render_geojson,
     render_svg,
+    sample_cities_path,
+    santa_pipeline,
+    solve_network,
 )
-from branchflow.pipeline import EARTH_RADIUS_KM
+from branchflow.pipeline import EARTH_RADIUS_KM, _lon_lat_rows
+from branchflow.render import _great_circle_arcs
 from branchflow.seeding import substream
+
+from oracles import per_point_arc_points, per_point_geo_project
 
 
 def star_tree():
@@ -174,3 +186,178 @@ def test_svg_numbers_formatted_compactly():
     text = render_svg([star_tree()])
     for token in re.findall(r'x1="([0-9.]+)"', text):
         assert re.fullmatch(r"\d+\.\d{3}", token)
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+
+
+def sphere_edge_case_tree():
+    """A sphere tree whose edges hit every special case of the arc sampler.
+
+    Edge 0->1 has zero length (omega < 1e-12), 0->2 crosses the
+    antimeridian, 3->4 runs through the north pole with a sample point
+    at its middle, 0->5 ends at a node scaled off the sphere, and 0->6
+    and 0->7 end on the antimeridian with y = +0.0 and y = -0.0.
+    """
+    coords = [
+        geo_embed(20.0, 175.0),
+        geo_embed(20.0, 175.0),
+        geo_embed(25.0, -170.0),
+        geo_embed(82.0, 0.0),
+        geo_embed(82.0, 180.0),
+        2.5 * geo_embed(-30.0, 40.0),
+        [-1.0, 0.0, 0.0],
+        [-1.0, -0.0, 0.0],
+        geo_embed(-90.0, 0.0),
+    ]
+    return FlowTree(
+        coords=coords,
+        kind=["source", "branch", "target", "branch", "target",
+              "target", "target", "target", "target"],
+        parent=[-1, 0, 1, 0, 3, 0, 0, 0, 3],
+        area=[7.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 2.0],
+    )
+
+
+def pinned_forest(name):
+    """(trees, levels) of one pinned render case."""
+    if name == "santa-sample":
+        cities = load_cities_csv(sample_cities_path()).cities
+        network = santa_pipeline(cities, params=BotParams(alpha=0.5, seed=0))
+        entries = list(network.all_trees())
+        return [tree for _, _, tree in entries], [level for level, _, _ in entries]
+    if name == "planar-forest":
+        rng = substream(5, "render", "pinned")
+        inst = TransportInstance(
+            rng.uniform(-1.0, 1.0, (6, 2)), rng.uniform(-1.0, 1.0, (120, 2)),
+            np.full(6, 1.0 / 6), np.full(120, 1.0 / 120),
+        )
+        trees = list(solve_network(inst, BotParams(alpha=0.5)).trees)
+        return trees, None
+    assert name == "sphere-edge-cases"
+    return [sphere_edge_case_tree(), geo_edge_tree(170.0)], ["a", "b"]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, fmt, digest", [
+    ("santa-sample", "geojson", "e9efb88d93b9e695da88a2a990aaf728ab107e3dd486c40a7b77d716ce54958d"),
+    ("santa-sample", "svg", "c7772c14e3c5a2075948812927eaab44e8ad4fa428686818833b47028dc81c39"),
+    ("planar-forest", "geojson", "6aa14780bce061517c05e73a216feea4ddda39fe5f3969edba461eb28525c43e"),
+    ("planar-forest", "svg", "f7b1a7f37524670159c1457b7610890a7cafa4d5d08a502547b9d3c72e2cb2a6"),
+    ("sphere-edge-cases", "geojson", "ff78b8613d5c62873479345b0ae745d3e1b6c88a489255e1ec73ee8324cb062c"),
+    ("sphere-edge-cases", "svg", "bbb747eba587cd1fb0eaa433f42592e09512f613eea9661f67821aa1c3d737dd"),
+])
+def test_render_bytes_are_pinned(name, fmt, digest):
+    """GeoJSON and SVG bytes of fixed forests, taken from the per-point projection."""
+    trees, levels = pinned_forest(name)
+    text = render_geojson(trees, levels) if fmt == "geojson" else render_svg(trees)
+    assert sha256(text) == digest
+
+
+# ---------------------------------------------------------------------------
+# the batched projection against the per-point path
+
+
+def bits(values):
+    """Float bit patterns, so that 0.0 and -0.0 tell apart."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def sphere_points(draw):
+    """(n, 3) points: random directions, poles, lon +-180, axes; many off the sphere."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["normal", "lat-lon", "special"]))
+    if layout == "normal":
+        pts = rng.normal(size=(n, 3))
+    elif layout == "lat-lon":
+        lat = rng.choice([-90.0, 90.0, 0.0, 45.0], n)
+        lat = np.where(rng.random(n) < 0.5, lat, rng.uniform(-90.0, 90.0, n))
+        lon = rng.choice([-180.0, 180.0, 0.0, -90.0], n)
+        lon = np.where(rng.random(n) < 0.5, lon, rng.uniform(-180.0, 180.0, n))
+        pts = geo_embed(lat, lon).reshape(n, 3)
+    else:
+        specials = np.array([
+            [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
+            [-1.0, 1e-300, 0.0], [-1.0, -1e-300, 0.0], [1e-17, 0.0, 1.0], [0.0, -1e-17, -1.0],
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3.0, 4.0, 12.0],
+        ])
+        pts = specials[rng.integers(0, len(specials), n)]
+    scale = draw(st.sampled_from(["unit", "scaled"]))
+    if scale == "scaled":
+        pts = pts * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    return pts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sphere_points())
+def test_batched_projection_matches_per_point_bitwise(pts):
+    expected = [per_point_geo_project(p) for p in pts]
+    rows = _lon_lat_rows(pts)
+    assert np.array_equal(bits(rows), bits([[lon, lat] for lat, lon in expected]))
+    for p, (lat, lon) in zip(pts, expected):
+        assert np.array_equal(bits(geo_project(p)), bits([lat, lon]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sphere_points(), st.integers(0, 2**32 - 1))
+def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed):
+    """Each edge keeps its point count and its [lon, lat] bits, zero-length
+    edges, antipodes and rescaled copies of one direction included."""
+    rng = np.random.default_rng(seed)
+    n = len(pts)
+    u = pts[rng.integers(0, n, 2 * n)]
+    v = pts[rng.integers(0, n, 2 * n)]
+    v[::4] = u[::4] * rng.choice([1.0, 2.5, 1e-3, -1.0], (len(u[::4]), 1))
+    try:
+        expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            _great_circle_arcs(u, v)
+        return
+    arcs = _great_circle_arcs(u, v)
+    assert [len(arc) for arc in arcs] == [len(arc) for arc in expected]
+    for arc, ref in zip(arcs, expected):
+        assert np.array_equal(bits(arc), bits(ref))
+
+
+def test_projection_rejects_the_sphere_center():
+    center = FlowTree(
+        coords=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        kind=["source", "target"],
+        parent=[-1, 0],
+        area=[1.0, 1.0],
+    )
+    for render in (render_geojson, render_svg):
+        with pytest.raises(ParameterError, match="cannot project the sphere center"):
+            render([center])
+    with pytest.raises(ParameterError, match="cannot project the sphere center"):
+        geo_project([0.0, 0.0, 0.0])
+
+
+def test_geojson_logs_point_counts(caplog):
+    with caplog.at_level(logging.DEBUG, logger="branchflow.render"):
+        render_geojson([geo_edge_tree(10.0), star_tree()])
+        render_geojson([])
+    assert [r.getMessage() for r in caplog.records] == [
+        "render_geojson: 2 trees, 3 edges, 17 arc points",
+        "render_geojson: 0 trees, 0 edges, 0 arc points",
+    ]
+
+
+def test_geojson_rejects_arcs_between_huge_points():
+    # the squared norms overflow, so the arc angle would be inf / inf
+    huge = FlowTree(
+        coords=[[1e200, 1e200, 0.0], [1e200, 1e200, 1.0]],
+        kind=["source", "target"],
+        parent=[-1, 0],
+        area=[1.0, 1.0],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="too large"):
+            render_geojson([huge])
