@@ -206,14 +206,13 @@ def build_one_to_many(
     eps: np.ndarray | None = None,
     nearest_only: bool = False,
     post_point=None,
-    gain_tol: float = GAIN_TOL,
 ) -> BuildResult:
     """Grow a branched flow tree over one source and its targets.
 
     Starting from the star network, each iteration picks the selectable
     node farthest from the source and scans the other selectable nodes
     from nearest outward; the first neighbor whose closed-form branch
-    point improves the cost by more than ``gain_tol`` is merged with it
+    point improves the cost by more than ``GAIN_TOL`` is merged with it
     into a new branch node (which becomes selectable itself), and both
     are retired.  If no neighbor improves, the picked node is retired on
     its direct source edge.  Retired nodes never return, so the loop
@@ -328,7 +327,7 @@ def build_one_to_many(
                     + w_j * np.linalg.norm(zs - v_js, axis=1)
                 )
                 gains = before - after
-                hits = np.flatnonzero(gains > gain_tol)
+                hits = np.flatnonzero(gains > GAIN_TOL)
                 if not hits.size:
                     return None
                 d_hits = dist[band[hits]]

@@ -1,4 +1,4 @@
-"""Command-line interface: synthetic benchmarks, file ingestion, rendering.
+"""Command-line interface: parse arguments, call the library, write files.
 
 Subcommands: ``ot`` (plan one instance), ``branch`` (one-to-many build),
 ``net`` (plan-then-branch forest), ``dual`` (paired artery/vein trees),
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branching import BuildResult, OneToManyProblem, build_one_to_many, star_cost
+from .branching import build_one_to_many
 from .core import (
     BotParams,
     BranchFlowError,
@@ -24,7 +24,6 @@ from .core import (
     InputError,
     ParameterError,
     StructuralError,
-    TransportInstance,
     bot_cost,
 )
 from .io import (
@@ -41,9 +40,10 @@ from .pipeline import (
     dual_network,
     santa_pipeline,
     solve_network,
+    synthetic_instance,
+    synthetic_problem,
 )
 from .render import render_geojson, render_svg
-from .seeding import substream
 
 SEED_ENV = "BRANCHFLOW_SEED"
 WORKERS_ENV = "BRANCHFLOW_WORKERS"
@@ -70,70 +70,6 @@ def _resolve_workers(value):
     if value is not None:
         return int(value)
     return _env_int(WORKERS_ENV)
-
-
-# ---------------------------------------------------------------------------
-# synthetic problem generators
-
-
-def _positive_masses(rng, n: int) -> np.ndarray:
-    w = rng.random(n)
-    while np.any(w <= 0):
-        w[w <= 0] = rng.random(int(np.sum(w <= 0)))
-    return w / w.sum()
-
-
-def synthetic_problem(seed: int, n_targets: int, d: int = 2) -> OneToManyProblem:
-    """Seeded one-to-many problem: source at the origin, targets uniform
-    in [-1, 1]^d, areas positive random normalized to total 1."""
-    if d not in (2, 3):
-        raise ParameterError(f"d must be 2 or 3, got {d}")
-    targets = substream(seed, "single", "positions").uniform(-1.0, 1.0, (n_targets, d))
-    areas = _positive_masses(substream(seed, "single", "areas"), n_targets)
-    return OneToManyProblem(np.zeros(d), targets, areas)
-
-
-def run_synthetic_single(
-    seed: int,
-    n_targets: int,
-    alpha: float = 0.5,
-    d: int = 2,
-    *,
-    formula: str = "interp",
-    shift_norm: float = 0.0,
-    shift_delta: float = 0.01,
-) -> BuildResult:
-    """Seeded one-to-many benchmark: build the synthetic_problem tree."""
-    params = BotParams(
-        alpha=alpha, formula=formula, shift_norm=shift_norm, shift_delta=shift_delta, seed=seed
-    )
-    return build_one_to_many(synthetic_problem(seed, n_targets, d), params)
-
-
-def synthetic_instance(seed: int, n_sources: int, n_targets: int) -> TransportInstance:
-    """Seeded planar transport instance with uniform positions and random masses."""
-    sources = substream(seed, "multi", "source-positions").uniform(-1.0, 1.0, (n_sources, 2))
-    targets = substream(seed, "multi", "target-positions").uniform(-1.0, 1.0, (n_targets, 2))
-    p = _positive_masses(substream(seed, "multi", "p"), n_sources)
-    q = _positive_masses(substream(seed, "multi", "q"), n_targets)
-    return TransportInstance(sources, targets, p, q)
-
-
-def run_synthetic_multi(
-    seed: int,
-    n_sources: int,
-    n_targets: int,
-    alpha: float = 0.25,
-    *,
-    formula: str = "interp",
-    ot_mode: str = "exact",
-    cfg: SinkhornConfig | None = None,
-    threshold: float | None = None,
-) -> NetworkResult:
-    """Seeded many-to-many benchmark: plan the instance, branch each source."""
-    instance = synthetic_instance(seed, n_sources, n_targets)
-    params = BotParams(alpha=alpha, formula=formula, seed=seed)
-    return solve_network(instance, params, ot_mode, cfg, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +100,12 @@ def _cmd_ot(args: argparse.Namespace) -> int:
     if args.ot_mode == "exact":
         plan = solve_exact(instance, c)
         print(f"ot cost {plan_cost(plan, c)!r} (exact)")
-    elif args.ot_mode == "sinkhorn":
+    else:
         res = solve_sinkhorn(instance, c, _sinkhorn_config(args))
         plan = res.plan
         print(f"ot cost {plan_cost(plan, c)!r} (sinkhorn)")
         print(f"iterations {res.n_iter} converged {res.converged} "
               f"marginal error {res.marginal_error!r}")
-    else:
-        raise ParameterError(f"unknown ot mode {args.ot_mode!r}")
     if args.out is not None:
         _write_text(args.out, plan_to_json(instance, plan))
         print(f"wrote {args.out}")
@@ -179,15 +113,9 @@ def _cmd_ot(args: argparse.Namespace) -> int:
 
 
 def _cmd_branch(args: argparse.Namespace) -> int:
-    result = run_synthetic_single(
-        args.seed,
-        args.n_targets,
-        args.alpha,
-        args.d,
-        formula=args.formula,
-        shift_norm=args.shift_norm,
-        shift_delta=args.shift_delta,
-    )
+    params = BotParams(alpha=args.alpha, formula=args.formula, shift_norm=args.shift_norm,
+                       shift_delta=args.shift_delta, seed=args.seed)
+    result = build_one_to_many(synthetic_problem(args.seed, args.n_targets, args.d), params)
     n_branch = int(np.sum(result.tree.kind == "branch"))
     print(f"star cost {float(result.trace[0])!r}")
     print(f"tree cost {float(result.trace[-1])!r}")
@@ -221,14 +149,11 @@ def _forest_manifest(result: NetworkResult, args: argparse.Namespace, files) -> 
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
-    result = run_synthetic_multi(
-        args.seed,
-        args.n_sources,
-        args.n_targets,
-        args.alpha,
-        formula=args.formula,
-        ot_mode=args.ot_mode,
-        cfg=_sinkhorn_config(args),
+    result = solve_network(
+        synthetic_instance(args.seed, args.n_sources, args.n_targets),
+        BotParams(alpha=args.alpha, formula=args.formula, seed=args.seed),
+        args.ot_mode,
+        _sinkhorn_config(args),
         threshold=args.threshold,
     )
     rep = result.report
@@ -451,20 +376,12 @@ def main(argv=None) -> int:
         if hasattr(args, "workers"):
             args.workers = _resolve_workers(args.workers)
         return _COMMANDS[args.subcommand](args)
-    except (ParameterError, InputError) as exc:
+    except (BranchFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BranchFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ConvergenceError):
+            return 3
+        if isinstance(exc, StructuralError):
+            return 4
         return 2
 
 

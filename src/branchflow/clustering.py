@@ -16,6 +16,9 @@ import numpy as np
 from .core import ParameterError, _as_point_array, _as_mass_vector, _freeze
 from .seeding import substream
 
+_KMEANS_TOL = 1e-9  # Lloyd stops once the objective improves by at most this
+_KMEANS_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class WeightedPointSet:
@@ -117,8 +120,6 @@ def weighted_kmeans(
     k: int,
     *,
     seed: int = 0,
-    tol: float = 1e-9,
-    max_iter: int = 200,
     init: np.ndarray | None = None,
 ) -> KMeansResult:
     """Cluster weighted points into k groups by Lloyd iteration.
@@ -127,18 +128,14 @@ def weighted_kmeans(
     left empty with the point costing the most where it is, then moves
     every center to the weighted mean of its members.  Stops when the
     objective (sum of weight times squared distance) improves by at most
-    ``tol``, so feeding a converged result's centroids back via ``init``
-    reproduces it unchanged.
+    1e-9, so feeding a converged result's centroids back via ``init``
+    reproduces it unchanged, or after 200 rounds.
     """
     x = pointset.points
     w = pointset.weights
     n = pointset.n_points
     if not 1 <= k <= n:
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
-    if tol < 0:
-        raise ParameterError("tol must be nonnegative")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")
 
     if init is not None:
         centers = np.array(init, dtype=float)
@@ -152,7 +149,7 @@ def weighted_kmeans(
     prev = math.inf
     history: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centers)
         labels = np.argmin(d2, axis=1)
 
@@ -177,7 +174,7 @@ def weighted_kmeans(
         diff = x - centers[labels]
         obj = float(np.sum(w * np.einsum("nd,nd->n", diff, diff)))
         history.append(obj)
-        if prev - obj <= tol:
+        if prev - obj <= _KMEANS_TOL:
             break
         prev = obj
 

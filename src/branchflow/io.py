@@ -138,11 +138,11 @@ def network_from_json(text: str) -> NetworkDocument:
     return NetworkDocument(FlowTree(coords, kind, parent, area), alpha, cost)
 
 
-def plan_to_json(instance: TransportInstance, plan: TransportPlan, threshold: float = 0.0) -> str:
+def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:
     """Debug view of a transport plan in the network JSON edge shape.
 
-    Sources and targets become nodes, every above-threshold coupling entry
-    a direct edge.  With several sources this is a forest, not a tree, so
+    Sources and targets become nodes, every positive coupling entry a
+    direct edge.  With several sources this is a forest, not a tree, so
     it is for inspection only and not readable by network_from_json.
     """
     m, n = instance.n_sources, instance.n_targets
@@ -157,7 +157,7 @@ def plan_to_json(instance: TransportInstance, plan: TransportPlan, threshold: fl
         {"from": i, "to": m + j, "area": float(plan.gamma[i, j])}
         for i in range(m)
         for j in range(n)
-        if plan.gamma[i, j] > threshold
+        if plan.gamma[i, j] > 0.0
     ]
     from .ot import cost_matrix
 

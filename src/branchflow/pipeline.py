@@ -162,6 +162,36 @@ def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# seeded synthetic problems
+
+
+def _positive_masses(rng, n: int) -> np.ndarray:
+    w = rng.random(n)
+    while np.any(w <= 0):
+        w[w <= 0] = rng.random(int(np.sum(w <= 0)))
+    return w / w.sum()
+
+
+def synthetic_problem(seed: int, n_targets: int, d: int = 2) -> OneToManyProblem:
+    """Seeded one-to-many problem: source at the origin, targets uniform
+    in [-1, 1]^d, areas positive random normalized to total 1."""
+    if d not in (2, 3):
+        raise ParameterError(f"d must be 2 or 3, got {d}")
+    targets = substream(seed, "single", "positions").uniform(-1.0, 1.0, (n_targets, d))
+    areas = _positive_masses(substream(seed, "single", "areas"), n_targets)
+    return OneToManyProblem(np.zeros(d), targets, areas)
+
+
+def synthetic_instance(seed: int, n_sources: int, n_targets: int) -> TransportInstance:
+    """Seeded planar transport instance with uniform positions and random masses."""
+    sources = substream(seed, "multi", "source-positions").uniform(-1.0, 1.0, (n_sources, 2))
+    targets = substream(seed, "multi", "target-positions").uniform(-1.0, 1.0, (n_targets, 2))
+    p = _positive_masses(substream(seed, "multi", "p"), n_sources)
+    q = _positive_masses(substream(seed, "multi", "q"), n_targets)
+    return TransportInstance(sources, targets, p, q)
+
+
+# ---------------------------------------------------------------------------
 # spherical geometry
 
 EARTH_RADIUS_KM = 6371.0
@@ -202,8 +232,7 @@ def _lon_lat_rows(points: np.ndarray) -> list:
     """
     p = np.ascontiguousarray(points, dtype=float)
     norms = np.sqrt(np.vecdot(p, p))
-    if not np.all(norms > 0):
-        raise ParameterError("cannot project the sphere center")
+    _check_norms(norms)
     rows = []
     for x, y, z in (p / norms[:, None]).tolist():
         lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
@@ -215,9 +244,16 @@ def to_sphere(points: np.ndarray) -> np.ndarray:
     """Radially push an (n, 3) array of points onto the unit sphere."""
     pts = np.asarray(points, dtype=float)
     norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-    if np.any(norms <= 0):
-        raise ParameterError("cannot project the sphere center")
+    _check_norms(norms)
     return pts / norms
+
+
+def _check_norms(norms: np.ndarray):
+    """Reject points with no direction: the center, or a norm that overflowed."""
+    if not np.all(np.isfinite(norms)):
+        raise ParameterError("coordinates too large to project onto the sphere")
+    if not np.all(norms > 0):
+        raise ParameterError("cannot project the sphere center")
 
 
 # ---------------------------------------------------------------------------

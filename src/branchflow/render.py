@@ -24,9 +24,13 @@ import math
 import numpy as np
 
 from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError
-from .pipeline import EARTH_RADIUS_KM, _lon_lat_rows
+from .pipeline import EARTH_RADIUS_KM, _check_norms, _lon_lat_rows
 
 MAX_SEGMENT_KM = 100.0
+_SVG_WIDTH = 800
+_SVG_MARGIN = 0.05      # padding around the drawing, as a share of its larger span
+_STROKE_SCALE = 6.0     # stroke width of the thickest edge
+_POINT_RADIUS = 3.0     # target dot radius; source dots are 1.6 times larger
 
 _log = logging.getLogger(__name__)
 
@@ -46,15 +50,7 @@ def _planar_coords(tree: FlowTree) -> np.ndarray:
     return np.array(_lon_lat_rows(tree.coords))
 
 
-def render_svg(
-    trees,
-    *,
-    alpha: float = 0.5,
-    width: int = 800,
-    margin: float = 0.05,
-    stroke_scale: float = 6.0,
-    point_radius: float = 3.0,
-) -> str:
+def render_svg(trees, *, alpha: float = 0.5) -> str:
     """Draw a forest of flow trees as a standalone SVG document.
 
     Stroke widths scale like area**alpha relative to the thickest edge.
@@ -74,10 +70,10 @@ def render_svg(
         lo = np.zeros(2)
         hi = np.ones(2)
     span = np.maximum(hi - lo, 1e-9)
-    pad = margin * float(span.max())
+    pad = _SVG_MARGIN * float(span.max())
     lo = lo - pad
     span = span + 2 * pad
-    scale = width / float(span[0])
+    scale = _SVG_WIDTH / float(span[0])
     height = max(1, int(round(float(span[1]) * scale)))
 
     def place(p):
@@ -93,15 +89,15 @@ def render_svg(
     max_w = max(max_w, 1e-12)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {height}">',
+        f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>',
     ]
     for tree, pts in zip(trees, planar):
         for i in np.flatnonzero(tree.parent >= 0):
             x1, y1 = place(pts[int(tree.parent[i])])
             x2, y2 = place(pts[i])
-            w = stroke_scale * float(tree.area[i] ** alpha) / max_w
+            w = _STROKE_SCALE * float(tree.area[i] ** alpha) / max_w
             lines.append(
                 f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="#555555" stroke-width="{max(w, 0.3):.3f}" stroke-linecap="round"/>'
@@ -111,13 +107,13 @@ def render_svg(
             if tree.kind[i] == KIND_SOURCE:
                 x, y = place(pts[i])
                 lines.append(
-                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{1.6 * point_radius:.3f}" '
+                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{1.6 * _POINT_RADIUS:.3f}" '
                     f'fill="#cc2222"/>'
                 )
             elif tree.kind[i] == KIND_TARGET:
                 x, y = place(pts[i])
                 lines.append(
-                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{point_radius:.3f}" '
+                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{_POINT_RADIUS:.3f}" '
                     f'fill="#2255cc"/>'
                 )
     lines.append("</svg>")
@@ -133,8 +129,8 @@ def _great_circle_arcs(u: np.ndarray, v: np.ndarray) -> list:
     """
     nu = np.sqrt(np.vecdot(u, u))
     nv = np.sqrt(np.vecdot(v, v))
-    if not (np.all(nu > 0) and np.all(nv > 0)):
-        raise ParameterError("cannot project the sphere center")
+    _check_norms(nu)
+    _check_norms(nv)
     cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
     if np.isnan(cos).any():
         raise ParameterError("coordinates too large to draw as great-circle arcs")

@@ -157,8 +157,7 @@ def best_bipartition(points, weights):
     return best_obj, best_lab
 
 
-def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point=None,
-                    gain_tol=GAIN_TOL):
+def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point=None):
     """The greedy/tabu builder with a full candidate scan per iteration.
 
     Every iteration recomputes the distance of every selectable node to
@@ -216,7 +215,7 @@ def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point
             order = np.argsort(np.linalg.norm(pos[cand] - pos[i], axis=1), kind="stable")
             if nearest_only:
                 order = order[:1]
-            improving = gains[order] > gain_tol
+            improving = gains[order] > GAIN_TOL
             if improving.any():
                 hit = int(np.argmax(improving))
                 j = int(cand[order[hit]])

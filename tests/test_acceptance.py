@@ -28,13 +28,15 @@ from branchflow import (
     render_geojson,
     santa_pipeline,
     solve_exact,
+    solve_network,
     solve_sinkhorn,
     subadditivity_gain,
     validate_tree,
 )
-from branchflow.cli import main, run_synthetic_multi, run_synthetic_single
+from branchflow.cli import main
 from branchflow.clustering import choose_k
 from branchflow.io import load_cities_csv, sample_cities_path
+from branchflow.pipeline import synthetic_instance, synthetic_problem
 from branchflow.seeding import substream
 
 
@@ -108,7 +110,7 @@ def test_criterion_3_single_source_descent():
     max_insertions = 0
     all_decreasing = True
     for seed in range(50):
-        result = run_synthetic_single(seed, 100, 0.5)
+        result = build_one_to_many(synthetic_problem(seed, 100), BotParams(alpha=0.5, seed=seed))
         trace = result.trace
         all_decreasing = all_decreasing and bool(np.all(np.diff(trace) < 0))
         inserted = sum(1 for e in result.events if e.branch is not None)
@@ -132,7 +134,8 @@ def test_criterion_4_forest_cost_reduction():
     for seed in range(10):
         for mode in ("exact", "sinkhorn"):
             t0 = perf_counter()
-            result = run_synthetic_multi(seed, 50, 1000, 0.25, ot_mode=mode)
+            params = BotParams(alpha=0.25, seed=seed)
+            result = solve_network(synthetic_instance(seed, 50, 1000), params, mode)
             t_max = max(t_max, perf_counter() - t0)
             rep = result.report
             if rep.bot_cost < rep.star_cost:
@@ -162,7 +165,8 @@ def test_criterion_5_alpha_limits():
     no_branches = True
     for formula in ("interp", "power"):
         for seed in range(5):
-            result = run_synthetic_single(seed, 40, 1.0, formula=formula)
+            params = BotParams(alpha=1.0, formula=formula, seed=seed)
+            result = build_one_to_many(synthetic_problem(seed, 40), params)
             kinds = result.tree.kind
             no_branches = no_branches and int(np.sum(kinds == "branch")) == 0
             cost = bot_cost(result.tree, 1.0)

@@ -23,9 +23,8 @@ from branchflow import (
     validate_tree,
 )
 from branchflow import pipeline
-from branchflow.cli import run_synthetic_single, synthetic_problem
 from branchflow.io import load_cities_csv, network_to_json, sample_cities_path
-from branchflow.pipeline import santa_pipeline
+from branchflow.pipeline import santa_pipeline, synthetic_problem
 from branchflow.seeding import substream
 
 from oracles import full_scan_build
@@ -409,16 +408,19 @@ def grid_problem():
 def pinned_build(name):
     """One builder run per pinned case, returned as (results, alpha)."""
     if name == "interp-4000":
-        return [run_synthetic_single(0, 4000, 0.5)], 0.5
+        return [build_one_to_many(synthetic_problem(0, 4000), BotParams(seed=0))], 0.5
     if name == "power-4000":
-        return [run_synthetic_single(1, 4000, 0.5, formula="power")], 0.5
+        params = BotParams(formula="power", seed=1)
+        return [build_one_to_many(synthetic_problem(1, 4000), params)], 0.5
     if name == "shift-4000":
-        return [run_synthetic_single(2, 4000, 0.5, shift_norm=0.01)], 0.5
+        params = BotParams(shift_norm=0.01, seed=2)
+        return [build_one_to_many(synthetic_problem(2, 4000), params)], 0.5
     if name == "nearest-only-4000":
         params = BotParams(alpha=0.5, seed=3)
         return [build_one_to_many(synthetic_problem(3, 4000), params, nearest_only=True)], 0.5
     if name == "interp-3d-1000":
-        return [run_synthetic_single(4, 1000, 0.25, d=3)], 0.25
+        params = BotParams(alpha=0.25, seed=4)
+        return [build_one_to_many(synthetic_problem(4, 1000, d=3), params)], 0.25
     if name == "grid-interp":
         return [build_one_to_many(grid_problem(), BotParams(alpha=0.5))], 0.5
     if name == "grid-power":

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from branchflow import cli
 from branchflow.cli import build_parser, main
 from branchflow.io import network_from_json
 
@@ -24,6 +25,31 @@ def write_small_cities(path, n_per_country=8):
             rows.append(f"{country}_{k},{country},{lat!r},{lon!r},{pop}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
+
+
+def write_network(path, kinds, coords, edges):
+    """One network JSON file; ``edges`` holds (from, to, area) triples."""
+    doc = {
+        "nodes": [{"id": i, "kind": k, "coords": c} for i, (k, c) in enumerate(zip(kinds, coords))],
+        "edges": [{"from": a, "to": b, "area": s} for a, b, s in edges],
+        "alpha": 0.5,
+        "cost": None,
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def write_dangling_branch(path):
+    """A branch node with inflow but no children breaks conservation."""
+    return write_network(path, ["source", "branch"], [[0.0, 0.0], [1.0, 0.0]], [(0, 1, 0.5)])
+
+
+def test_cli_defines_no_public_callable_but_main_and_build_parser():
+    own = {
+        name for name, value in vars(cli).items()
+        if callable(value) and not name.startswith("_") and value.__module__ == cli.__name__
+    }
+    assert own == {"main", "build_parser"}
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +109,36 @@ def test_sinkhorn_underflow_exits_three(capsys):
 
 
 def test_invalid_network_render_exits_four(tmp_path, capsys):
-    # a branch node with inflow but no children breaks conservation
-    doc = {
-        "nodes": [
-            {"id": 0, "kind": "source", "coords": [0.0, 0.0]},
-            {"id": 1, "kind": "branch", "coords": [1.0, 0.0]},
-        ],
-        "edges": [{"from": 0, "to": 1, "area": 0.5}],
-        "alpha": 0.5,
-        "cost": None,
-    }
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
+    bad = write_dangling_branch(tmp_path / "bad.json")
     code = main(["render", str(bad), "--svg", str(tmp_path / "out.svg")])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+# one case per exception family main() maps to an exit code; "{tmp}" is the test directory
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["branch", "--alpha", "2.0", "--n-targets", "5"], 2,
+         "alpha must lie in [0, 1], got 2.0"),
+        (["santa", "--cities", "{tmp}/nope.csv"], 2,
+         "cannot read {tmp}/nope.csv: [Errno 2] No such file or directory"),
+        (["ot", "--ot-mode", "sinkhorn", "--lambda", "1e-9"], 3,
+         "scaling kernel underflowed to zero rows/columns; increase reg"),
+        (["render", "{tmp}/bad.json", "--svg", "{tmp}/out.svg"], 4,
+         "invalid flow tree: node 1 carries 0.5 but sends 0.0"),
+        (["net", "--n-sources", "3", "--n-targets", "5", "--out", "{tmp}/exists.txt"], 2,
+         "[Errno 17] File exists: '{tmp}/exists.txt'"),
+    ],
+    ids=["parameter", "input", "convergence", "structural", "os"],
+)
+def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
+    write_dangling_branch(tmp_path / "bad.json")
+    (tmp_path / "exists.txt").write_text("a regular file\n", encoding="utf-8")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
+    assert err.count("\n") == 1
 
 
 def test_render_without_outputs_exits_two(tmp_path, capsys):
@@ -121,6 +162,15 @@ def test_render_tree_at_sphere_center_exits_two(tmp_path, capsys, output):
     capsys.readouterr()
     assert main(["render", str(tree), output, str(tmp_path / "out")]) == 2
     assert "error: cannot project the sphere center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", ["--geojson", "--svg"])
+def test_render_tree_with_overflowing_norms_exits_two(tmp_path, capsys, output):
+    huge = write_network(tmp_path / "t.json", ["source", "target"],
+                         [[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]], [(0, 1, 1.0)])
+    with np.errstate(over="ignore"):
+        assert main(["render", str(huge), output, str(tmp_path / "out")]) == 2
+    assert "error: coordinates too large" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

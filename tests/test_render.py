@@ -27,6 +27,7 @@ from branchflow import (
     sample_cities_path,
     santa_pipeline,
     solve_network,
+    to_sphere,
 )
 from branchflow.pipeline import EARTH_RADIUS_KM, _lon_lat_rows
 from branchflow.render import _great_circle_arcs
@@ -77,7 +78,7 @@ def test_svg_single_edge():
 
 def test_svg_stroke_widths_follow_area_power():
     alpha = 0.5
-    root = ET.fromstring(render_svg([star_tree()], alpha=alpha, stroke_scale=6.0))
+    root = ET.fromstring(render_svg([star_tree()], alpha=alpha))
     widths = sorted(
         float(el.get("stroke-width")) for el in root.iter() if el.tag.endswith("line")
     )
@@ -88,7 +89,7 @@ def test_svg_stroke_widths_follow_area_power():
 
 
 def test_svg_source_dot_is_larger():
-    root = ET.fromstring(render_svg([star_tree()], point_radius=3.0))
+    root = ET.fromstring(render_svg([star_tree()]))
     radii = {c.get("fill"): float(c.get("r")) for c in root.iter() if c.tag.endswith("circle")}
     assert radii["#cc2222"] == pytest.approx(4.8, abs=1e-9)
     assert radii["#2255cc"] == pytest.approx(3.0, abs=1e-9)
@@ -338,6 +339,24 @@ def test_projection_rejects_the_sphere_center():
             render([center])
     with pytest.raises(ParameterError, match="cannot project the sphere center"):
         geo_project([0.0, 0.0, 0.0])
+
+
+def test_projection_rejects_overflowing_norms():
+    # the squared norms overflow to inf; 1/inf used to project to lat 0, lon -0.0
+    huge = FlowTree(
+        coords=[[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]],
+        kind=["source", "target"],
+        parent=[-1, 0],
+        area=[1.0, 1.0],
+    )
+    with np.errstate(over="ignore"):
+        for project in (render_geojson, render_svg):
+            with pytest.raises(ParameterError, match="too large"):
+                project([huge])
+        with pytest.raises(ParameterError, match="too large"):
+            geo_project([1e200, 0.0, 0.0])
+        with pytest.raises(ParameterError, match="too large"):
+            to_sphere([[1e200, 0.0, 0.0]])
 
 
 def test_geojson_logs_point_counts(caplog):
