@@ -39,6 +39,7 @@ from .branching import (
     branch_point_interp,
     branch_point_power,
     branch_point_shifted,
+    build_forest,
     build_one_to_many,
     local_improvement,
     star_cost,
@@ -105,6 +106,7 @@ __all__ = [
     "branch_point_interp",
     "branch_point_power",
     "branch_point_shifted",
+    "build_forest",
     "build_one_to_many",
     "choose_k",
     "cost_matrix",

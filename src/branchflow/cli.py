@@ -84,6 +84,12 @@ def _write_text(path: Path, text: str):
             fh.write("\n")
 
 
+def _make_out_dir(path):
+    """Create an output directory before any work, so an unusable path fails at once."""
+    if path is not None:
+        path.mkdir(parents=True, exist_ok=True)
+
+
 def _json_text(obj) -> str:
     import json
 
@@ -149,6 +155,7 @@ def _forest_manifest(result: NetworkResult, args: argparse.Namespace, files) -> 
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
+    _make_out_dir(args.out)
     result = solve_network(
         synthetic_instance(args.seed, args.n_sources, args.n_targets),
         BotParams(alpha=args.alpha, formula=args.formula, seed=args.seed),
@@ -171,6 +178,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
+    _make_out_dir(args.out)
     params = BotParams(alpha=args.alpha, formula=args.formula, shift_norm=args.shift_norm,
                        shift_delta=args.shift_delta, seed=args.seed)
     artery, vein = dual_network(synthetic_problem(args.seed, args.n_targets, args.d), params)
@@ -184,6 +192,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_santa(args: argparse.Namespace) -> int:
+    _make_out_dir(args.out)
     path = args.cities if args.cities is not None else sample_cities_path()
     report = load_cities_csv(path)
     print(report.summary())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branching import OneToManyProblem, build_one_to_many, star_cost
+from .branching import OneToManyProblem, build_forest, star_cost
 from .clustering import WeightedPointSet, choose_k, weighted_centroid, weighted_kmeans
 from .core import (
     BotParams,
@@ -108,23 +108,24 @@ def solve_network(
         sink_conv = res.converged
 
     assignments = plan_to_assignments(plan, threshold)
-    trees = []
+    problems = []
     source_index = []
-    per_source = []
-    total_star = 0.0
-    total_bot = 0.0
     for i, assignment in enumerate(assignments):
         if not assignment:
             continue
         idx = [j for j, _ in assignment]
         areas = [a for _, a in assignment]
-        problem = OneToManyProblem(instance.sources[i], instance.targets[idx], areas)
-        sub = replace(params, seed=substream_seed(params.seed, "network", str(i)))
-        result = build_one_to_many(problem, sub)
-        star = star_cost(problem, params.alpha)
-        bot = bot_cost(result.tree, params.alpha)
-        trees.append(result.tree)
+        problems.append(OneToManyProblem(instance.sources[i], instance.targets[idx], areas))
         source_index.append(i)
+    subs = [replace(params, seed=substream_seed(params.seed, "network", str(i)))
+            for i in source_index]
+    trees = tuple(r.tree for r in build_forest(problems, subs))
+    per_source = []
+    total_star = 0.0
+    total_bot = 0.0
+    for i, problem, tree in zip(source_index, problems, trees):
+        star = star_cost(problem, params.alpha)
+        bot = bot_cost(tree, params.alpha)
         per_source.append((i, star, bot))
         total_star += star
         total_bot += bot
@@ -139,7 +140,7 @@ def solve_network(
         sinkhorn_iterations=sink_iters,
         sinkhorn_converged=sink_conv,
     )
-    return NetworkResult(tuple(trees), tuple(source_index), plan, report)
+    return NetworkResult(trees, tuple(source_index), plan, report)
 
 
 def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:
@@ -150,15 +151,14 @@ def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:
     branch nodes come apart, more so on thin edges than on thick ones.
     With ``shift_norm = 0`` both builds coincide exactly.
     """
-    trees = []
+    eps = []
     for role in ("artery", "vein"):
         if params.shift_norm > 0:
             rng = substream(params.seed, "dual", role)
-            eps = random_direction(rng, problem.dim) * params.shift_norm
+            eps.append(random_direction(rng, problem.dim) * params.shift_norm)
         else:
-            eps = None
-        trees.append(build_one_to_many(problem, params, eps=eps).tree)
-    return tuple(trees)
+            eps.append(None)
+    return tuple(r.tree for r in build_forest([problem, problem], [params, params], eps=eps))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +231,9 @@ def _lon_lat_rows(points: np.ndarray) -> list:
     last bit on some inputs, which would change output bytes.
     """
     p = np.ascontiguousarray(points, dtype=float)
-    norms = np.sqrt(np.vecdot(p, p))
-    _check_norms(norms)
+    with np.errstate(over="ignore"):   # an overflowed norm is rejected below
+        norms = np.sqrt(np.vecdot(p, p))
+    p, norms = _check_norms(p, norms)
     rows = []
     for x, y, z in (p / norms[:, None]).tolist():
         lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
@@ -244,16 +245,31 @@ def to_sphere(points: np.ndarray) -> np.ndarray:
     """Radially push an (n, 3) array of points onto the unit sphere."""
     pts = np.asarray(points, dtype=float)
     norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-    _check_norms(norms)
+    pts, norms = _check_norms(pts, norms)
     return pts / norms
 
 
-def _check_norms(norms: np.ndarray):
-    """Reject points with no direction: the center, or a norm that overflowed."""
+def _check_norms(points: np.ndarray, norms: np.ndarray) -> tuple:
+    """Reject points with no direction: the center, or a norm that overflowed.
+
+    A row whose squared norm underflowed to 0, although it has a nonzero
+    coordinate, is divided by its largest absolute coordinate and gets
+    the norm of that.  Returns the points and their norms, which keep
+    their bits in every row whose norm was not 0.
+    """
     if not np.all(np.isfinite(norms)):
         raise ParameterError("coordinates too large to project onto the sphere")
-    if not np.all(norms > 0):
+    if np.all(norms > 0):
+        return points, norms
+    tiny = (norms == 0).reshape(points.shape[:-1])
+    scale = np.abs(points[tiny]).max(axis=-1, keepdims=True)
+    if not np.all(scale > 0):
         raise ParameterError("cannot project the sphere center")
+    points = points.copy()
+    norms = norms.copy()
+    points[tiny] = points[tiny] / scale
+    norms[tiny] = np.linalg.norm(points[tiny], axis=-1).reshape(norms[tiny].shape)
+    return points, norms
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +308,9 @@ class HierarchicalNetwork:
         return 1 + len(self.country_trees) + sum(len(t) for t in self.regional_trees)
 
 
-def _country_stage(xyz, pops, city_idx, params, seed_base, country):
-    """National center, regional centers, and regional trees for one country."""
+def _country_stage(xyz, pops, city_idx, seed_base, country):
+    """National center, regional centers, and the tree problems of one
+    country: its country tree first, then one per region, each labelled."""
     pts = xyz[city_idx]
     w = pops[city_idx]
     center = to_sphere(weighted_centroid(pts, w)[None, :])[0]
@@ -309,28 +326,14 @@ def _country_stage(xyz, pops, city_idx, params, seed_base, country):
 
     # country tree: national center feeding the regional centers
     region_shares = region_pops / country_pop
-    country_tree = _build_geo_tree(
-        center, centers, region_shares, params, seed_base, f"country/{country}"
-    )
-
-    region_trees = []
+    problems = [(f"country/{country}", OneToManyProblem(center, centers, region_shares))]
     members = []
     for r in range(k):
         mask = km.labels == r
-        idx = tuple(int(city_idx[t]) for t in np.flatnonzero(mask))
+        members.append(tuple(int(city_idx[t]) for t in np.flatnonzero(mask)))
         areas = w[mask] / region_pops[r]
-        tree = _build_geo_tree(
-            centers[r], pts[mask], areas, params, seed_base, f"region/{country}/{r}"
-        )
-        region_trees.append(tree)
-        members.append(idx)
-    return center, country_pop, country_tree, tuple(region_trees), tuple(members)
-
-
-def _build_geo_tree(source, targets, areas, params, seed_base, label) -> FlowTree:
-    problem = OneToManyProblem(source, targets, areas)
-    sub = replace(params, seed=substream_seed(seed_base, "tree", label))
-    return build_one_to_many(problem, sub, post_point=to_sphere).tree
+        problems.append((f"region/{country}/{r}", OneToManyProblem(centers[r], pts[mask], areas)))
+    return center, country_pop, problems, tuple(members)
 
 
 def santa_pipeline(
@@ -344,11 +347,12 @@ def santa_pipeline(
 
     Per country (processed independently, optionally in parallel): the
     national center is the population-weighted centroid pushed onto the
-    sphere, regional centers come from weighted K-means with
-    K = floor(sqrt(N)) + 1 capped at N, and each level's tree is built
-    with branch points re-projected onto the sphere.  Leaf areas are
-    population shares normalized per tree; the global tree splits unit
-    mass between countries in proportion to population.
+    sphere, and regional centers come from weighted K-means with
+    K = floor(sqrt(N)) + 1 capped at N.  Then every tree of every level
+    is built in one ``build_forest`` call, with branch points
+    re-projected onto the sphere.  Leaf areas are population shares
+    normalized per tree; the global tree splits unit mass between
+    countries in proportion to population.
     """
     cities = list(cities)
     if not cities:
@@ -368,9 +372,7 @@ def santa_pipeline(
     seed_base = params.seed
 
     def stage(name):
-        return _country_stage(
-            xyz, pops, np.array(by_country[name]), params, seed_base, name
-        )
+        return _country_stage(xyz, pops, np.array(by_country[name]), seed_base, name)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -383,15 +385,24 @@ def santa_pipeline(
     shares = country_pops / country_pops.sum()
 
     pole_point = geo_embed(*pole)
-    global_tree = _build_geo_tree(pole_point, centers, shares, params, seed_base, "global")
+    labelled = [lp for s in staged for lp in s[2]]
+    labelled.append(("global", OneToManyProblem(pole_point, centers, shares)))
+    subs = [replace(params, seed=substream_seed(seed_base, "tree", label)) for label, _ in labelled]
+    results = build_forest([p for _, p in labelled], subs, post_point=to_sphere)
+    trees = iter(r.tree for r in results)
+    country_trees = []
+    regional_trees = []
+    for s in staged:
+        country_trees.append(next(trees))
+        regional_trees.append(tuple(next(trees) for _ in s[3]))
 
     return HierarchicalNetwork(
         countries=countries,
         shares=tuple(float(s) for s in shares),
-        global_tree=global_tree,
-        country_trees=tuple(s[2] for s in staged),
-        regional_trees=tuple(s[3] for s in staged),
-        regional_members=tuple(s[4] for s in staged),
+        global_tree=results[-1].tree,
+        country_trees=tuple(country_trees),
+        regional_trees=tuple(regional_trees),
+        regional_members=tuple(s[3] for s in staged),
         params=params,
         pole=(float(pole[0]), float(pole[1])),
     )

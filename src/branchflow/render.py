@@ -127,10 +127,11 @@ def _great_circle_arcs(u: np.ndarray, v: np.ndarray) -> list:
     at most 100 km.  An edge shorter than 1e-12 rad is drawn as two
     copies of its start point.
     """
-    nu = np.sqrt(np.vecdot(u, u))
-    nv = np.sqrt(np.vecdot(v, v))
-    _check_norms(nu)
-    _check_norms(nv)
+    with np.errstate(over="ignore"):   # an overflowed norm is rejected below
+        nu = np.sqrt(np.vecdot(u, u))
+        nv = np.sqrt(np.vecdot(v, v))
+    u, nu = _check_norms(u, nu)
+    v, nv = _check_norms(v, nv)
     cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
     if np.isnan(cos).any():
         raise ParameterError("coordinates too large to draw as great-circle arcs")

@@ -4,8 +4,9 @@ These deliberately avoid the library's solver code paths: the transport
 oracle enumerates spanning trees of the complete bipartite graph (every
 vertex of the transportation polytope is supported on one), and the
 clustering oracle brute-forces two-part splits.  The builder reference
-is the plain full-scan loop, sharing only the closed-form branch-point
-and gain arithmetic with the library.  The sphere projection references
+is the plain full-scan loop over one tree, with the closed-form
+branch-point and gain arithmetic written per tree, as the library's
+one-tree loop once had it.  The sphere projection references
 project one point at a time, as the renderer once did.
 """
 
@@ -14,14 +15,7 @@ import math
 
 import numpy as np
 
-from branchflow.branching import (
-    _FORMULAS,
-    GAIN_TOL,
-    BuildEvent,
-    BuildResult,
-    _gains,
-    star_cost,
-)
+from branchflow.branching import GAIN_TOL, BuildEvent, BuildResult, star_cost
 from branchflow.core import FlowTree, ParameterError
 from branchflow.io import normalize_lon
 from branchflow.pipeline import EARTH_RADIUS_KM
@@ -155,6 +149,35 @@ def best_bipartition(points, weights):
             best_obj = obj
             best_lab = lab
     return best_obj, best_lab
+
+
+def _power_points(v_k, v_i, v_js, s_i, s_js, alpha):
+    w_i = s_i ** alpha
+    w_j = s_js ** alpha
+    w_k = (s_i + s_js) ** alpha
+    num = w_i * v_i + w_j[:, None] * v_js + w_k[:, None] * v_k
+    return num / (w_i + w_j + w_k)[:, None]
+
+
+def _interp_points(v_k, v_i, v_js, s_i, s_js, alpha):
+    mid = (s_i * v_i + s_js[:, None] * v_js) / (s_i + s_js)[:, None]
+    return (1.0 - alpha) * mid + alpha * v_k
+
+
+_FORMULAS = {"power": _power_points, "interp": _interp_points}
+
+
+def _gains(v_k, v_i, v_js, s_i, s_js, alpha, zs):
+    w_i = s_i ** alpha
+    w_j = s_js ** alpha
+    w_m = (s_i + s_js) ** alpha
+    before = w_i * np.linalg.norm(v_k - v_i) + w_j * np.linalg.norm(v_k - v_js, axis=1)
+    after = (
+        w_m * np.linalg.norm(v_k - zs, axis=1)
+        + w_i * np.linalg.norm(zs - v_i, axis=1)
+        + w_j * np.linalg.norm(zs - v_js, axis=1)
+    )
+    return before - after
 
 
 def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point=None):

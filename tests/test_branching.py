@@ -17,12 +17,13 @@ from branchflow import (
     branch_point_interp,
     branch_point_power,
     branch_point_shifted,
+    build_forest,
     build_one_to_many,
     local_improvement,
     star_cost,
     validate_tree,
 )
-from branchflow import pipeline
+from branchflow import branching, pipeline
 from branchflow.io import load_cities_csv, network_to_json, sample_cities_path
 from branchflow.pipeline import santa_pipeline, synthetic_problem
 from branchflow.seeding import substream
@@ -429,12 +430,12 @@ def pinned_build(name):
     results = []
 
     def recording(*args, **kwargs):
-        results.append(build_one_to_many(*args, **kwargs))
-        return results[-1]
+        results.extend(build_forest(*args, **kwargs))
+        return results
 
     cities = load_cities_csv(sample_cities_path()).cities
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "build_one_to_many", recording)
+        mp.setattr(pipeline, "build_forest", recording)
         santa_pipeline(cities, params=BotParams(alpha=0.5, seed=0))
     return results, 0.5
 
@@ -545,3 +546,160 @@ def test_build_logs_scan_counts(caplog):
         "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
         "369 candidate evals, 26 merges in the near band",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the lockstep forest against one-tree builds and the full-scan reference
+
+
+def tree_bytes(result, alpha):
+    return (network_to_json(result.tree, alpha), result.trace.tobytes(),
+            result.events, result.candidate_evals)
+
+
+@st.composite
+def forests(draw):
+    """Mixed forests: most trees share the forest's settings, so they run
+    in one lockstep block; the rest bring their own dimension, formula,
+    alpha and shift.  Sizes run from 1 target up."""
+    def settings_draw():
+        return {
+            "d": draw(st.sampled_from([2, 3])),
+            "alpha": draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))),
+            "formula": draw(st.sampled_from(["interp", "power"])),
+            "shift_norm": draw(st.sampled_from([0.0, 0.05])),
+        }
+
+    base = settings_draw()
+    problems, params, eps = [], [], []
+    for _ in range(draw(st.integers(1, 7))):
+        own = settings_draw() if draw(st.integers(0, 3)) == 0 else base
+        d = own["d"]
+        n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        layout = draw(st.sampled_from(["grid", "collinear", "uniform", "huddle"]))
+        if layout == "grid":
+            targets = rng.integers(-3, 4, (n, d)).astype(float)
+        elif layout == "collinear":
+            targets = np.zeros((n, d))
+            targets[:, 0] = rng.integers(-8, 9, n)
+        else:
+            targets = rng.uniform(-1.0, 1.0, (n, d))
+            if layout == "huddle":
+                targets[: n // 2] = rng.normal(0.0, 0.03, (n // 2, d))
+        source = np.zeros(d) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, d)
+        areas = np.full(n, 1.0 / n) if draw(st.booleans()) else rng.uniform(0.01, 1.0, n) ** 3
+        problems.append(OneToManyProblem(source, targets, areas))
+        params.append(BotParams(alpha=own["alpha"], formula=own["formula"],
+                                shift_norm=own["shift_norm"], seed=draw(st.integers(0, 99))))
+        eps.append(rng.normal(0.0, 0.05, d) if draw(st.integers(0, 4)) == 0 else None)
+    options = {"nearest_only": draw(st.booleans())}
+    if draw(st.booleans()):
+        options["post_point"] = flatten_last_axis
+    block_cells = draw(st.sampled_from([branching._BLOCK_CELLS, 64, 1]))
+    return problems, params, eps, options, block_cells
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(forests())
+def test_forest_matches_one_tree_builds_and_full_scan(forest):
+    problems, params, eps, options, block_cells = forest
+    saved = branching._BLOCK_CELLS
+    branching._BLOCK_CELLS = block_cells   # small blocks split the forest
+    try:
+        got = build_forest(problems, params, eps=eps, **options)
+    finally:
+        branching._BLOCK_CELLS = saved
+    assert len(got) == len(problems)
+    for problem, p, e, result in zip(problems, params, eps, got):
+        alone = build_forest([problem], [p], eps=[e], **options)[0]
+        assert tree_bytes(result, p.alpha) == tree_bytes(alone, p.alpha)
+        want = full_scan_build(problem, p, eps=e, **options)
+        assert result.events == want.events
+        assert result.trace.tobytes() == want.trace.tobytes()
+        assert result.tree.coords.tobytes() == want.tree.coords.tobytes()
+
+
+@st.composite
+def padded_rows(draw):
+    """Point sets of several trees, NaN-padded to one width, with ties,
+    duplicates and very large and very small coordinates."""
+    d = draw(st.sampled_from([2, 3]))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150, 1e-3]))
+    rows = []
+    for n in sizes:
+        if draw(st.booleans()):
+            pts = rng.integers(-3, 4, (n, d)).astype(float) * scale
+        else:
+            pts = rng.normal(0.0, 1.0, (n, d)) * scale
+        rows.append(pts)
+    return d, rows, rng.normal(0.0, 1.0, (len(sizes), d)) * scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(padded_rows())
+def test_batched_reductions_match_the_one_tree_forms_bitwise(batch):
+    d, rows, origins = batch
+    width = max(len(r) for r in rows)
+    live = np.full((d, len(rows), width), np.nan)
+    for b, r in enumerate(rows):
+        live[:, b, :len(r)] = r.T
+    dist = branching._coord_norms(live - origins.T[:, :, None])
+    for b, r in enumerate(rows):
+        n = len(r)
+        # distance pass: one norm(axis=1) per tree
+        assert dist[b, :n].tobytes() == np.linalg.norm(r - origins[b], axis=1).tobytes()
+        assert np.isnan(dist[b, n:]).all()
+        # flat candidate rows, legs stacked: norm(axis=1) per leg
+        legs = np.stack([r - origins[b], r, origins[b] - r])
+        flat = branching._row_norms(legs)
+        for leg, got in zip(legs, flat):
+            assert got.tobytes() == np.linalg.norm(leg, axis=1).tobytes()
+        # the near-band cut and the nearest distance, NaN padding dropped
+        if width > branching._NEAR_BAND and n > branching._NEAR_BAND:
+            kth = np.partition(dist, branching._NEAR_BAND - 1, axis=1)[b, branching._NEAR_BAND - 1]
+            assert kth == np.partition(dist[b, :n], branching._NEAR_BAND - 1)[branching._NEAR_BAND - 1]
+        assert np.fmin.reduce(dist, axis=1)[b] == dist[b, :n].min()
+    # the picked node's edge to its source: one 1-D norm per tree
+    picked = np.array([r[-1] for r in rows])
+    dv = origins - picked
+    one_d = [np.linalg.norm(v) for v in dv]
+    assert np.sqrt(np.vecdot(dv, dv)).tobytes() == np.array(one_d).tobytes()
+    # area powers of a flat candidate list, per element as in one tree
+    areas = np.abs(np.concatenate(rows).ravel()) + 0.5
+    for alpha in (0.5, 0.3, 1.0, 0.0):
+        whole = areas ** alpha
+        assert whole.tobytes() == np.concatenate([areas[k:k + 7] ** alpha
+                                                  for k in range(0, areas.size, 7)]).tobytes()
+
+
+def test_forest_logs_one_summary_after_the_tree_lines(caplog):
+    problem, alpha = huddle_problem(144)
+    with caplog.at_level(logging.DEBUG, logger="branchflow.branching"):
+        build_forest(
+            [narrow_problem(), problem, narrow_problem()],
+            [BotParams(alpha=0.5), BotParams(alpha=alpha), BotParams(alpha=0.5, seed=3)],
+        )
+    assert [r.getMessage() for r in caplog.records] == [
+        "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
+        "1 candidate evals, 1 merges in the near band",
+        "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
+        "369 candidate evals, 26 merges in the near band",
+        "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
+        "1 candidate evals, 1 merges in the near band",
+        "build_forest: 3 trees in 2 blocks, 33 lockstep steps, 35 padded cells, "
+        "2 far-band scans",
+    ]
+
+
+def test_forest_checks_its_arguments():
+    problem = narrow_problem()
+    assert build_forest([], []) == []
+    with pytest.raises(ParameterError, match="one entry per problem"):
+        build_forest([problem, problem], [BotParams()])
+    with pytest.raises(ParameterError, match="one entry per problem"):
+        build_forest([problem], [BotParams()], eps=[None, None])
+    with pytest.raises(ParameterError, match="same dimension"):
+        build_forest([problem], [BotParams()], eps=[np.zeros(3)])

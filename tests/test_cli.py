@@ -141,6 +141,20 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["net", "--n-sources", "3", "--n-targets", "5"],
+    ["dual", "--n-targets", "5"],
+    ["santa"],
+])
+def test_unusable_out_dir_fails_before_solving(tmp_path, capsys, command):
+    taken = tmp_path / "exists.txt"
+    taken.write_text("a regular file\n", encoding="utf-8")
+    assert main(command + ["--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 17] File exists: '{taken}'\n"
+
+
 def test_render_without_outputs_exits_two(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["branch", "--n-targets", "4", "--out", str(out)]) == 0
@@ -168,9 +182,10 @@ def test_render_tree_at_sphere_center_exits_two(tmp_path, capsys, output):
 def test_render_tree_with_overflowing_norms_exits_two(tmp_path, capsys, output):
     huge = write_network(tmp_path / "t.json", ["source", "target"],
                          [[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]], [(0, 1, 1.0)])
-    with np.errstate(over="ignore"):
-        assert main(["render", str(huge), output, str(tmp_path / "out")]) == 2
-    assert "error: coordinates too large" in capsys.readouterr().err
+    assert main(["render", str(huge), output, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coordinates too large")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -359,6 +359,34 @@ def test_projection_rejects_overflowing_norms():
             to_sphere([[1e200, 0.0, 0.0]])
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e-170, 5e-324])
+def test_projection_rescales_tiny_coordinates(tiny):
+    # the squared norm underflows to 0, yet the point has a direction
+    assert geo_project([tiny, 0.0, 0.0]) == (0.0, 0.0)
+    assert geo_project([0.0, 0.0, -tiny]) == (-90.0, 0.0)
+    lat, lon = geo_project([tiny, tiny, 0.0])
+    assert lat == 0.0 and lon == pytest.approx(45.0, abs=1e-12)
+    assert to_sphere([[tiny, 0.0, 0.0]]).tolist() == [[1.0, 0.0, 0.0]]
+    rows = to_sphere([[0.0, 3.0, 4.0], [0.0, -tiny, 0.0]])
+    assert rows.tolist() == [[0.0, 0.6, 0.8], [0.0, -1.0, 0.0]]
+
+    def edge(scale):
+        return FlowTree(
+            coords=[[scale, 0.0, 0.0], [0.0, scale, 0.0]],
+            kind=["source", "target"],
+            parent=[-1, 0],
+            area=[1.0, 1.0],
+        )
+
+    assert render_svg([edge(tiny)]) == render_svg([edge(1.0)])
+    assert render_geojson([edge(tiny)]) == render_geojson([edge(1.0)])
+    # no direction at all still raises
+    with pytest.raises(ParameterError, match="cannot project the sphere center"):
+        to_sphere([[tiny, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ParameterError, match="cannot project the sphere center"):
+        geo_project([-0.0, 0.0, 0.0])
+
+
 def test_geojson_logs_point_counts(caplog):
     with caplog.at_level(logging.DEBUG, logger="branchflow.render"):
         render_geojson([geo_edge_tree(10.0), star_tree()])
