@@ -29,6 +29,8 @@ from .core import (
     as_point,
     _as_point_array,
     _as_mass_vector,
+    _child_groups,
+    _outflow,
 )
 from .seeding import random_direction, substream
 
@@ -318,7 +320,6 @@ def _grow_block(trees, nearest_only, post_point):
         pos[o] = problem.source
         pos[tgt] = problem.targets
         area[tgt] = problem.areas
-        area[o] = float(problem.areas.sum())
         parent[o] = -1
         r0 = _row_norms(pos[tgt] - pos[o])
         wa[tgt] = area[tgt] ** alpha
@@ -487,7 +488,10 @@ def _grow_block(trees, nearest_only, post_point):
         kind[0] = KIND_SOURCE
         kind[1:n + 1] = KIND_TARGET
         kind[n + 1:] = KIND_BRANCH
-        tree = FlowTree(pos[o:o + count], kind, parent[o:o + count], area[o:o + count])
+        par = np.array(parent[o:o + count])
+        a = area[o:o + count]
+        a[0] = _outflow(a, *_child_groups(par))[0]
+        tree = FlowTree(pos[o:o + count], kind, par, a)
         t.result = BuildResult(tree, np.array(t.trace), tuple(t.events), t.evals, t.eps)
         t.heap = t.trace = t.events = None
     return far_scans

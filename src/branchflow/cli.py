@@ -10,6 +10,7 @@ JSON to SVG/GeoJSON).  Exit codes: 0 success, 2 bad input or parameters,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -49,27 +50,17 @@ SEED_ENV = "BRANCHFLOW_SEED"
 WORKERS_ENV = "BRANCHFLOW_WORKERS"
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
+def _resolve(value, env: str, default=None):
+    """A flag's value, else the environment variable ``env``'s, else ``default``."""
+    if value is not None:
+        return int(value)
+    raw = os.environ.get(env)
     if raw is None:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise InputError(f"environment variable {name} must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = _env_int(SEED_ENV)
-    return 0 if env is None else env
-
-
-def _resolve_workers(value):
-    if value is not None:
-        return int(value)
-    return _env_int(WORKERS_ENV)
+        raise InputError(f"environment variable {env} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +79,6 @@ def _make_out_dir(path):
     """Create an output directory before any work, so an unusable path fails at once."""
     if path is not None:
         path.mkdir(parents=True, exist_ok=True)
-
-
-def _json_text(obj) -> str:
-    import json
-
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _sinkhorn_config(args: argparse.Namespace) -> SinkhornConfig:
@@ -170,9 +155,10 @@ def _cmd_net(args: argparse.Namespace) -> int:
     print(f"trees {len(result.trees)}")
     if args.out is not None:
         files = [f"tree_{k:04d}.json" for k in range(len(result.trees))]
-        for name, tree in zip(files, result.trees):
-            _write_text(args.out / name, network_to_json(tree, args.alpha))
-        _write_text(args.out / "manifest.json", _json_text(_forest_manifest(result, args, files)))
+        for name, tree, (_, _, bot) in zip(files, result.trees, rep.per_source):
+            _write_text(args.out / name, network_to_json(tree, args.alpha, bot))
+        manifest = _forest_manifest(result, args, files)
+        _write_text(args.out / "manifest.json", json.dumps(manifest, separators=(",", ":")))
         print(f"wrote {args.out / 'manifest.json'}")
     return 0
 
@@ -182,11 +168,12 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     params = BotParams(alpha=args.alpha, formula=args.formula, shift_norm=args.shift_norm,
                        shift_delta=args.shift_delta, seed=args.seed)
     artery, vein = dual_network(synthetic_problem(args.seed, args.n_targets, args.d), params)
-    print(f"artery cost {bot_cost(artery, args.alpha)!r}")
-    print(f"vein cost {bot_cost(vein, args.alpha)!r}")
+    artery_cost, vein_cost = bot_cost(artery, args.alpha), bot_cost(vein, args.alpha)
+    print(f"artery cost {artery_cost!r}")
+    print(f"vein cost {vein_cost!r}")
     if args.out is not None:
-        _write_text(args.out / "artery.json", network_to_json(artery, args.alpha))
-        _write_text(args.out / "vein.json", network_to_json(vein, args.alpha))
+        _write_text(args.out / "artery.json", network_to_json(artery, args.alpha, artery_cost))
+        _write_text(args.out / "vein.json", network_to_json(vein, args.alpha, vein_cost))
         print(f"wrote {args.out / 'artery.json'} and {args.out / 'vein.json'}")
     return 0
 
@@ -226,7 +213,7 @@ def _cmd_santa(args: argparse.Namespace) -> int:
             "countries": list(network.countries),
             "trees": manifest_trees,
         }
-        _write_text(args.out / "manifest.json", _json_text(manifest))
+        _write_text(args.out / "manifest.json", json.dumps(manifest, separators=(",", ":")))
         geo = render_geojson(
             [tree for _, _, tree in entries], [level for level, _, _ in entries]
         )
@@ -237,16 +224,14 @@ def _cmd_santa(args: argparse.Namespace) -> int:
 
 def _load_forest(path: Path):
     """Read one network JSON file, or a directory of them (manifest-aware)."""
-    import json as _json
-
     if path.is_dir():
         manifest = path / "manifest.json"
         if manifest.is_file():
             try:
-                doc = _json.loads(manifest.read_text(encoding="utf-8"))
+                doc = json.loads(manifest.read_text(encoding="utf-8"))
                 # KeyError/TypeError: no "trees" list, or an entry without a "file" name
                 entries = [(path / item["file"], item.get("level")) for item in doc["trees"]]
-            except (OSError, _json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise InputError(f"cannot read manifest {manifest}: {exc!r}") from None
         else:
             names = sorted(p for p in path.glob("*.json"))
@@ -381,9 +366,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = _resolve_seed(getattr(args, "seed", None))
+        args.seed = _resolve(getattr(args, "seed", None), SEED_ENV, 0)
         if hasattr(args, "workers"):
-            args.workers = _resolve_workers(args.workers)
+            args.workers = _resolve(args.workers, WORKERS_ENV)
         return _COMMANDS[args.subcommand](args)
     except (BranchFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

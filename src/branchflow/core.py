@@ -10,7 +10,8 @@ here are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -81,6 +82,26 @@ def _as_mass_vector(arr, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ParameterError(f"{name} contains non-finite entries")
     return _freeze(v)
+
+
+def _child_groups(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Children grouped by parent, in id order: node p's children are
+    ``kids[bounds[p]:bounds[p + 1]]``.  Out-of-range parents link nothing."""
+    n = parent.shape[0]
+    linked = np.flatnonzero((parent >= 0) & (parent < n))
+    kids = linked[np.argsort(parent[linked], kind="stable")]
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(parent[linked], minlength=n), out=bounds[1:])
+    return kids, bounds
+
+
+def _outflow(area: np.ndarray, kids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each node's outflow, the sum of its children's areas: bit for bit
+    ``area[children].sum()``, which starts from 0.0, so every group does."""
+    starts = bounds[:-1] + np.arange(bounds.size - 1)
+    vals = np.zeros(kids.size + starts.size)
+    vals[np.delete(np.arange(vals.size), starts)] = area[kids]
+    return np.add.reduceat(vals, starts)
 
 
 @dataclass(frozen=True)
@@ -182,11 +203,17 @@ class FlowTree:
         # dtype=str keeps every kind whole, so a long bad kind cannot be
         # cut to a valid one; valid kinds all have six characters (U6)
         kind = np.array(self.kind, dtype=str)
-        parent = np.array(self.parent, dtype=np.int64)
+        # integer ids only: a cast would truncate floats and parse strings
+        parent = np.asarray(self.parent)
+        if parent.dtype.kind not in "iu" or not np.can_cast(parent.dtype, np.int64):
+            raise ParameterError(f"parent ids must be integers, got dtype {parent.dtype}")
+        parent = np.array(parent, dtype=np.int64)
         area = np.array(self.area, dtype=float)
         n = self.coords.shape[0]
         if kind.shape != (n,) or parent.shape != (n,) or area.shape != (n,):
             raise ParameterError("kind, parent and area must have one entry per node")
+        if not np.all(np.isfinite(area)):
+            raise ParameterError("area contains non-finite entries")
         object.__setattr__(self, "kind", _freeze(kind))
         object.__setattr__(self, "parent", _freeze(parent))
         object.__setattr__(self, "area", _freeze(area))
@@ -208,12 +235,9 @@ class FlowTree:
         Parents outside the node range contribute no link; validate_tree
         reports them as orphans during construction.
         """
-        count = self.n_nodes
-        out: list[list[int]] = [[] for _ in range(count)]
-        for n, par in enumerate(self.parent):
-            if 0 <= par < count:
-                out[int(par)].append(n)
-        return out
+        kids, bounds = _child_groups(self.parent)
+        kids = kids.tolist()
+        return [kids[a:b] for a, b in itertools.pairwise(bounds.tolist())]
 
     def edge_lengths(self) -> np.ndarray:
         """Euclidean length of the edge into each node (0 for the source)."""
@@ -289,89 +313,77 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
     too.  Diagnostics are returned, never raised.
 
     FlowTree construction already runs this check; call it directly to
-    check ``demands``.
+    check ``demands``.  Each check is a whole-array pass; apart from the
+    log2(n) pointer-doubling rounds, Python loops run only per violation,
+    per node on or leading into a cycle, and per ``demands`` entry.
     """
     v: list[Violation] = []
     n = tree.n_nodes
+    kind, parent, area = tree.kind, tree.parent, tree.area
+    is_source, is_target, is_branch = (kind == k for k in KINDS)
+    nonsource = ~is_source
 
-    for i, k in enumerate(tree.kind):
-        if k not in KINDS:
-            v.append(Violation("bad-kind", (i,), None, f"node {i} has unknown kind {k!r}"))
-
-    src = np.flatnonzero(tree.kind == KIND_SOURCE)
+    for i in np.flatnonzero(~(is_source | is_target | is_branch)):
+        v.append(Violation("bad-kind", (int(i),), None, f"node {i} has unknown kind {kind[i]!r}"))
+    src = np.flatnonzero(is_source)
     if src.size != 1:
-        v.append(Violation("source-count", tuple(int(s) for s in src), None,
+        v.append(Violation("source-count", tuple(src.tolist()), None,
                            f"expected exactly one source node, found {src.size}"))
-    for s in src:
-        if tree.parent[s] != -1:
-            v.append(Violation("source-parent", (int(s),), None,
-                               f"source node {s} must not have a parent"))
+    for s in src[parent[src] != -1]:
+        v.append(Violation("source-parent", (int(s),), None,
+                           f"source node {s} must not have a parent"))
 
-    for i in range(n):
-        par = int(tree.parent[i])
-        if tree.kind[i] == KIND_SOURCE:
-            continue
-        if par < 0 or par >= n:
-            v.append(Violation("orphan", (i,), None, f"node {i} has no valid parent"))
-        elif par == i:
-            v.append(Violation("cycle", (i,), None, f"node {i} is its own parent"))
+    linked = (parent >= 0) & (parent < n)
+    for i in np.flatnonzero(nonsource & (~linked | (parent == np.arange(n)))):
+        if linked[i]:
+            v.append(Violation("cycle", (int(i),), None, f"node {i} is its own parent"))
+        else:
+            v.append(Violation("orphan", (int(i),), None, f"node {i} has no valid parent"))
 
-    # Walk parent chains; any chain that revisits an in-progress node is a cycle.
-    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 on current chain, 2 settled
-    for start in range(n):
-        if color[start]:
-            continue
-        chain = []
-        node = start
-        while True:
-            if node < 0 or node >= n:
-                break  # dangling parent, already reported as orphan
-            if color[node] == 2:
-                break
-            if color[node] == 1:
-                cyc = chain[chain.index(node):]
-                v.append(Violation("cycle", tuple(cyc), None,
-                                   f"nodes {cyc} form a cycle"))
-                break
-            color[node] = 1
+    # Pointer doubling: after k rounds hop[i] is 2**k parents up from i, or
+    # n once i's chain has ended, which a chain does within n steps if ever.
+    hop = np.append(np.where(linked, parent, n), n)
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    # Walk the endless chains in id order; a walk that runs back into
+    # itself names a new cycle, from the node where it entered it.
+    walk_of: dict[int, int] = {}
+    for start in np.flatnonzero(hop[:n] < n).tolist():
+        chain, node = [], start
+        while node not in walk_of:
+            walk_of[node] = start
             chain.append(node)
-            if tree.parent[node] == -1:
-                break
-            node = int(tree.parent[node])
-        for m in chain:
-            color[m] = 2
+            node = int(parent[node])
+        if walk_of[node] == start:
+            cyc = chain[chain.index(node):]
+            v.append(Violation("cycle", tuple(cyc), None, f"nodes {cyc} form a cycle"))
 
-    nonsource = tree.kind != KIND_SOURCE
-    bad_area = np.flatnonzero(nonsource & ~(tree.area > 0))
-    for i in bad_area:
-        v.append(Violation("nonpositive-area", (int(i),), float(tree.area[i]),
-                           f"node {i} carries nonpositive area {tree.area[i]}"))
+    for i in np.flatnonzero(nonsource & ~(area > 0)):
+        v.append(Violation("nonpositive-area", (int(i),), float(area[i]),
+                           f"node {i} carries nonpositive area {area[i]}"))
 
-    kids = tree.children()
-    for i in range(n):
-        k = tree.kind[i]
-        if k == KIND_TARGET and kids[i]:
-            v.append(Violation("target-not-leaf", (i, *kids[i]), None,
-                               f"target node {i} has children {kids[i]}"))
-        elif k in (KIND_SOURCE, KIND_BRANCH):
-            outflow = float(tree.area[kids[i]].sum()) if kids[i] else 0.0
-            residual = float(tree.area[i] - outflow)
-            tol = CONSERVATION_RTOL * max(1.0, abs(float(tree.area[i])))
-            if abs(residual) > tol:
-                v.append(Violation("conservation", (i,), residual,
-                                   f"node {i} carries {tree.area[i]} but sends {outflow} "
-                                   f"(residual {residual:.3g})"))
+    kids, bounds = _child_groups(parent)
+    outflow = _outflow(area, kids, bounds)
+    residual = area - outflow
+    fed = is_target & (bounds[1:] > bounds[:-1])
+    tol = CONSERVATION_RTOL * np.maximum(1.0, np.abs(area))
+    for i in np.flatnonzero(fed | (is_source | is_branch) & (np.abs(residual) > tol)):
+        if fed[i]:
+            ks = kids[bounds[i]:bounds[i + 1]].tolist()
+            v.append(Violation("target-not-leaf", (int(i), *ks), None,
+                               f"target node {i} has children {ks}"))
+        else:
+            r = float(residual[i])
+            v.append(Violation("conservation", (int(i),), r, f"node {i} carries {area[i]} "
+                               f"but sends {float(outflow[i])} (residual {r:.3g})"))
 
-    if demands is not None:
-        for node, demand in demands.items():
-            if node < 0 or node >= n or tree.kind[node] != KIND_TARGET:
-                v.append(Violation("demand-mismatch", (int(node),), None,
-                                   f"demand given for non-target node {node}"))
-            elif abs(tree.area[node] - demand) > CONSERVATION_RTOL * max(1.0, abs(demand)):
-                v.append(Violation("demand-mismatch", (int(node),),
-                                   float(tree.area[node] - demand),
-                                   f"target {node} carries {tree.area[node]} "
-                                   f"but was assigned {demand}"))
+    for node, demand in (demands or {}).items():
+        if node < 0 or node >= n or kind[node] != KIND_TARGET:
+            v.append(Violation("demand-mismatch", (int(node),), None,
+                               f"demand given for non-target node {node}"))
+        elif abs(area[node] - demand) > CONSERVATION_RTOL * max(1.0, abs(demand)):
+            v.append(Violation("demand-mismatch", (int(node),), float(area[node] - demand),
+                               f"target {node} carries {area[node]} but was assigned {demand}"))
 
     return ValidationReport(tuple(v))
 

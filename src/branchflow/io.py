@@ -28,10 +28,12 @@ from .core import (
     StructuralError,
     TransportInstance,
     TransportPlan,
+    _child_groups,
+    _outflow,
     bot_cost,
     validate_tree,  # noqa: F401  (bench/test_bench.py reads this binding)
 )
-from .ot import plan_cost
+from .ot import cost_matrix, plan_cost
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +132,9 @@ def network_from_json(text: str) -> NetworkDocument:
         area[dst] = _as_number(edge["area"] if "area" in edge else None,
                                f"edge into {dst} needs a finite area")
 
-    src_ids = np.flatnonzero(kind == KIND_SOURCE)
-    for s in src_ids:
-        kids = np.flatnonzero(parent == s)
-        area[s] = float(area[kids].sum())
+    groups = _child_groups(parent)
+    for s in np.flatnonzero(kind == KIND_SOURCE):  # in id order, as a source may feed another
+        area[s] = _outflow(area, *groups)[s]
 
     return NetworkDocument(FlowTree(coords, kind, parent, area), alpha, cost)
 
@@ -159,8 +160,6 @@ def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:
         for j in range(n)
         if plan.gamma[i, j] > 0.0
     ]
-    from .ot import cost_matrix
-
     cost = plan_cost(plan, cost_matrix(instance))
     doc = {"nodes": nodes, "edges": edges, "alpha": 1.0, "cost": cost}
     return json.dumps(doc, separators=(",", ":"))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branching import OneToManyProblem, build_forest, star_cost
+from .branching import OneToManyProblem, build_forest
 from .clustering import WeightedPointSet, choose_k, weighted_centroid, weighted_kmeans
 from .core import (
     BotParams,
@@ -119,13 +119,12 @@ def solve_network(
         source_index.append(i)
     subs = [replace(params, seed=substream_seed(params.seed, "network", str(i)))
             for i in source_index]
-    trees = tuple(r.tree for r in build_forest(problems, subs))
+    results = build_forest(problems, subs)
     per_source = []
-    total_star = 0.0
-    total_bot = 0.0
-    for i, problem, tree in zip(source_index, problems, trees):
-        star = star_cost(problem, params.alpha)
-        bot = bot_cost(tree, params.alpha)
+    total_star = total_bot = 0.0
+    for i, r in zip(source_index, results):
+        star = float(r.trace[0])   # a trace starts at the star cost, bit for bit
+        bot = bot_cost(r.tree, params.alpha)
         per_source.append((i, star, bot))
         total_star += star
         total_bot += bot
@@ -140,7 +139,7 @@ def solve_network(
         sinkhorn_iterations=sink_iters,
         sinkhorn_converged=sink_conv,
     )
-    return NetworkResult(trees, tuple(source_index), plan, report)
+    return NetworkResult(tuple(r.tree for r in results), tuple(source_index), plan, report)
 
 
 def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:

@@ -7,7 +7,9 @@ clustering oracle brute-forces two-part splits.  The builder reference
 is the plain full-scan loop over one tree, with the closed-form
 branch-point and gain arithmetic written per tree, as the library's
 one-tree loop once had it.  The sphere projection references
-project one point at a time, as the renderer once did.
+project one point at a time, as the renderer once did, and the tree
+validation reference checks one node at a time, as validate_tree once
+did.
 """
 
 import itertools
@@ -16,7 +18,17 @@ import math
 import numpy as np
 
 from branchflow.branching import GAIN_TOL, BuildEvent, BuildResult, star_cost
-from branchflow.core import FlowTree, ParameterError
+from branchflow.core import (
+    CONSERVATION_RTOL,
+    KIND_BRANCH,
+    KIND_SOURCE,
+    KIND_TARGET,
+    KINDS,
+    FlowTree,
+    ParameterError,
+    ValidationReport,
+    Violation,
+)
 from branchflow.io import normalize_lon
 from branchflow.pipeline import EARTH_RADIUS_KM
 from branchflow.render import MAX_SEGMENT_KM
@@ -301,3 +313,115 @@ def per_point_arc_points(u, v):
         lat, lon = per_point_geo_project(p)
         pts.append([lon, lat])
     return pts
+
+
+# ---------------------------------------------------------------------------
+# per-node tree validation
+
+
+def per_node_children(tree):
+    """Child lists per node, in node-id order, one parent at a time."""
+    count = tree.n_nodes
+    out = [[] for _ in range(count)]
+    for n, par in enumerate(tree.parent):
+        if 0 <= par < count:
+            out[int(par)].append(n)
+    return out
+
+
+def per_node_validate_tree(tree, demands=None):
+    """Check a flow tree against the node balance rules.
+
+    Verifies single-source rootedness, acyclicity, leaf-only targets,
+    positive areas, and conservation (area into each internal node equals
+    the sum of its children's areas, relative tolerance 1e-9).  When
+    ``demands`` maps target ids to their assigned areas, those are checked
+    too.  Diagnostics are returned, never raised.
+
+    The per-node reference for ``validate_tree``: ``tree`` needs only
+    ``n_nodes``, ``kind``, ``parent`` and ``area``, so a tree that fails
+    construction can be checked too.
+    """
+    v: list[Violation] = []
+    n = tree.n_nodes
+
+    for i, k in enumerate(tree.kind):
+        if k not in KINDS:
+            v.append(Violation("bad-kind", (i,), None, f"node {i} has unknown kind {k!r}"))
+
+    src = np.flatnonzero(tree.kind == KIND_SOURCE)
+    if src.size != 1:
+        v.append(Violation("source-count", tuple(int(s) for s in src), None,
+                           f"expected exactly one source node, found {src.size}"))
+    for s in src:
+        if tree.parent[s] != -1:
+            v.append(Violation("source-parent", (int(s),), None,
+                               f"source node {s} must not have a parent"))
+
+    for i in range(n):
+        par = int(tree.parent[i])
+        if tree.kind[i] == KIND_SOURCE:
+            continue
+        if par < 0 or par >= n:
+            v.append(Violation("orphan", (i,), None, f"node {i} has no valid parent"))
+        elif par == i:
+            v.append(Violation("cycle", (i,), None, f"node {i} is its own parent"))
+
+    # Walk parent chains; any chain that revisits an in-progress node is a cycle.
+    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 on current chain, 2 settled
+    for start in range(n):
+        if color[start]:
+            continue
+        chain = []
+        node = start
+        while True:
+            if node < 0 or node >= n:
+                break  # dangling parent, already reported as orphan
+            if color[node] == 2:
+                break
+            if color[node] == 1:
+                cyc = chain[chain.index(node):]
+                v.append(Violation("cycle", tuple(cyc), None,
+                                   f"nodes {cyc} form a cycle"))
+                break
+            color[node] = 1
+            chain.append(node)
+            if tree.parent[node] == -1:
+                break
+            node = int(tree.parent[node])
+        for m in chain:
+            color[m] = 2
+
+    nonsource = tree.kind != KIND_SOURCE
+    bad_area = np.flatnonzero(nonsource & ~(tree.area > 0))
+    for i in bad_area:
+        v.append(Violation("nonpositive-area", (int(i),), float(tree.area[i]),
+                           f"node {i} carries nonpositive area {tree.area[i]}"))
+
+    kids = per_node_children(tree)
+    for i in range(n):
+        k = tree.kind[i]
+        if k == KIND_TARGET and kids[i]:
+            v.append(Violation("target-not-leaf", (i, *kids[i]), None,
+                               f"target node {i} has children {kids[i]}"))
+        elif k in (KIND_SOURCE, KIND_BRANCH):
+            outflow = float(tree.area[kids[i]].sum()) if kids[i] else 0.0
+            residual = float(tree.area[i] - outflow)
+            tol = CONSERVATION_RTOL * max(1.0, abs(float(tree.area[i])))
+            if abs(residual) > tol:
+                v.append(Violation("conservation", (i,), residual,
+                                   f"node {i} carries {tree.area[i]} but sends {outflow} "
+                                   f"(residual {residual:.3g})"))
+
+    if demands is not None:
+        for node, demand in demands.items():
+            if node < 0 or node >= n or tree.kind[node] != KIND_TARGET:
+                v.append(Violation("demand-mismatch", (int(node),), None,
+                                   f"demand given for non-target node {node}"))
+            elif abs(tree.area[node] - demand) > CONSERVATION_RTOL * max(1.0, abs(demand)):
+                v.append(Violation("demand-mismatch", (int(node),),
+                                   float(tree.area[node] - demand),
+                                   f"target {node} carries {tree.area[node]} "
+                                   f"but was assigned {demand}"))
+
+    return ValidationReport(tuple(v))

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import branchflow
 from branchflow import (
@@ -18,9 +20,15 @@ from branchflow import (
     TransportInstance,
     TransportPlan,
     bot_cost,
+    load_cities_csv,
+    network_from_json,
+    network_to_json,
+    sample_cities_path,
+    santa_pipeline,
     subadditivity_gain,
     validate_tree,
 )
+from oracles import per_node_children, per_node_validate_tree
 
 
 def single_edge_tree(length=2.0, area=1.0):
@@ -200,6 +208,161 @@ def test_valid_tree_source_equals_sum_of_targets():
     assert validate_tree(tree).ok
     targets = tree.kind == "target"
     assert tree.area[0] == pytest.approx(float(tree.area[targets].sum()), rel=1e-12)
+
+
+def test_non_finite_source_area_rejected():
+    # a NaN residual compared False against the tolerance, so this built
+    # and even survived the JSON round trip
+    with pytest.raises(ParameterError, match="area"):
+        FlowTree([[0, 0], [1, 0]], ["source", "target"], [-1, 0], [math.nan, 1.0])
+
+
+def test_infinite_areas_rejected():
+    # an infinite residual compared against an infinite tolerance, and the
+    # tree was written as "area":Infinity, which the parser rejects
+    with pytest.raises(ParameterError, match="area"):
+        FlowTree([[0, 0], [1, 0]], ["source", "target"], [-1, 0], [math.inf, math.inf])
+
+
+@pytest.mark.parametrize("parent", [[-1, 0.7], [-1.5, 0], [-1, "0"]])
+def test_non_integer_parents_rejected(parent):
+    # a cast to int64 would truncate the floats and parse the string into
+    # the valid parents [-1, 0]
+    with pytest.raises(ParameterError, match="parent"):
+        FlowTree([[0, 0], [1, 0]], ["source", "target"], parent, [1.0, 1.0])
+
+
+def test_integer_parent_dtypes_accepted():
+    for dtype in (np.int8, np.int32, np.int64):
+        tree = FlowTree([[0, 0], [1, 0]], ["source", "target"], np.array([-1, 0], dtype=dtype),
+                        [1.0, 1.0])
+        assert tree.parent.dtype == np.int64
+        assert tree.parent.tolist() == [-1, 0]
+    # uint64 ids cannot all be held by int64
+    with pytest.raises(ParameterError, match="parent"):
+        FlowTree([[0, 0], [1, 0]], ["source", "target"], np.array([0, 0], dtype=np.uint64),
+                 [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# validate_tree against the per-node reference
+
+BAD_KINDS = ["sourcery", "targeted", "", "x", "branc", "Target", "branch!"]
+
+
+def report_bits(report):
+    """A report with every residual as its exact bits."""
+    return [(v.kind, v.nodes, None if v.residual is None else float(v.residual).hex(), v.message)
+            for v in report.violations]
+
+
+@st.composite
+def raw_trees(draw):
+    """Node arrays of a random valid tree, then a few drawn defects.
+
+    Node ids are shuffled, so children are not numbered after their
+    parents.  A hub takes a share of the nodes, for fan-outs of 8 or more
+    and of 128 or more, where the order of a sum shows in its low bits.
+    About half the trees get no structural defect, only nudged
+    areas.  Returns (coords, kind, parent, area, demands); demands is
+    None or a dict of target, non-target and out-of-range ids.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 12, 30, 140, 300, 300]))
+    hub_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    up = [-1] + [0 if rng.random() < hub_share else int(rng.integers(0, i)) for i in range(1, n)]
+    perm = rng.permutation(n)
+    parent = np.full(n, -1, dtype=np.int64)
+    for i in range(1, n):
+        parent[perm[i]] = perm[up[i]]
+    kids = per_node_children(SimpleNamespace(n_nodes=n, parent=parent))
+    kind = np.array(["target" if not k else "branch" for k in kids], dtype=object)
+    kind[perm[0]] = "source"
+    scale = draw(st.sampled_from([1.0, 1e3, 1e-3]))
+    area = np.zeros(n)
+    for i in reversed(range(n)):  # children before parents
+        node = perm[i]
+        area[node] = area[kids[node]].sum() if kids[node] else rng.uniform(0.01, 1.0) ** 3 * scale
+
+    internal = [i for i in range(n) if kids[i]]
+    hub = perm[0] if not internal else max(internal, key=lambda i: len(kids[i]))
+
+    def node():
+        return int(rng.integers(0, n))
+
+    if draw(st.booleans()):  # structural defects
+        for _ in range(draw(st.integers(0, 2))):
+            kind[node()] = draw(st.sampled_from(BAD_KINDS))
+        if draw(st.integers(0, 5)) == 0:
+            kind[node()] = "source"
+        if draw(st.integers(0, 5)) == 0:
+            kind[perm[0]] = draw(st.sampled_from(["branch", "target"]))
+        if draw(st.integers(0, 5)) == 0:
+            parent[perm[0]] = draw(st.sampled_from([node(), -2, n + 3]))
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            parent[node()] = draw(st.sampled_from([-1, -2, -9, n, n + 4]))
+        if draw(st.integers(0, 5)) == 0:
+            i = node()
+            parent[i] = i
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+            # a cycle of 2 or more nodes; the nodes hanging off it become tails
+            ring = rng.permutation(n)[:draw(st.integers(2, 12))]
+            parent[ring] = np.roll(ring, -1)
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            i = node()
+            area[i] = draw(st.sampled_from([0.0, -0.0, -area[i], -1e-300]))
+        if internal and draw(st.integers(0, 5)) == 0:
+            kind[internal[int(rng.integers(0, len(internal)))]] = "target"
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        # conservation off by one ulp, or by about the 1e-9 tolerance
+        i = hub if draw(st.booleans()) else node()
+        if draw(st.booleans()):
+            area[i] = np.nextafter(area[i], draw(st.sampled_from([-np.inf, np.inf])))
+        else:
+            area[i] *= 1.0 + draw(st.floats(-3e-9, 3e-9))
+
+    demands = None
+    if draw(st.booleans()):
+        demands = {int(i): float(area[i]) for i in rng.permutation(n)[:5]}
+        for key in draw(st.lists(st.sampled_from([-1, n, n + 2, 0]), max_size=2)):
+            demands[key] = 1.0
+        for key in list(demands)[:draw(st.integers(0, 2))]:
+            if key in range(n):
+                demands[key] *= 1.0 + draw(st.floats(-3e-9, 3e-9))
+    coords = rng.uniform(-1.0, 1.0, (n, draw(st.sampled_from([2, 3]))))
+    return coords, kind.astype(str).tolist(), parent, area, demands
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(raw_trees())
+def test_validate_tree_matches_per_node_reference(raw):
+    coords, kind, parent, area, demands = raw
+    want = per_node_validate_tree(SimpleNamespace(
+        n_nodes=len(kind), kind=np.array(kind, dtype=str), parent=parent, area=area))
+    try:
+        tree = FlowTree(coords, kind, parent, area)
+    except StructuralError as exc:
+        assert not want.ok
+        assert report_bits(exc.report) == report_bits(want)
+        return
+    assert want.ok and validate_tree(tree).ok
+    assert tree.children() == per_node_children(tree)
+    if demands is not None:
+        got = validate_tree(tree, demands)
+        assert report_bits(got) == report_bits(per_node_validate_tree(tree, demands))
+
+
+def test_validate_tree_matches_per_node_reference_on_santa_trees():
+    cities = load_cities_csv(sample_cities_path()).cities
+    network = santa_pipeline(cities, params=BotParams(alpha=0.5, seed=0))
+    for _, _, tree in network.all_trees():
+        assert report_bits(validate_tree(tree)) == report_bits(per_node_validate_tree(tree)) == []
+        targets = {int(i): float(tree.area[i]) for i in np.flatnonzero(tree.kind == "target")}
+        assert validate_tree(tree, targets) == per_node_validate_tree(tree, targets)
+        assert tree.children() == per_node_children(tree)
+        # the parser sums the source's outflow as the builder does
+        doc = network_from_json(network_to_json(tree, 0.5))
+        assert doc.tree.area.tobytes() == tree.area.tobytes()
 
 
 # ---------------------------------------------------------------------------

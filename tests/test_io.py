@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchflow import (
+    BotParams,
     FlowTree,
     GeoCity,
     InputError,
     ParameterError,
     StructuralError,
+    build_forest,
     load_cities_csv,
     network_from_json,
     network_to_json,
@@ -20,6 +23,7 @@ from branchflow import (
 )
 from branchflow.core import TransportInstance, TransportPlan
 from branchflow.io import normalize_lon, plan_to_json
+from branchflow.pipeline import synthetic_problem
 
 
 def single_edge_tree():
@@ -64,6 +68,24 @@ def test_network_json_roundtrip_bitwise():
     assert np.array_equal(doc.tree.area, tree.area)
     assert doc.alpha == 0.25
     assert doc.cost == 1.5
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+       alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       formula=st.sampled_from(["interp", "power"]), n=st.integers(1, 60))
+def test_network_json_roundtrip_of_built_trees(seed, d, alpha, formula, n):
+    # the builder and the parser sum the source's outflow the same way, so
+    # every array comes back bit for bit, the source area included
+    problems = [synthetic_problem(seed, n, d), synthetic_problem(seed + 1, n // 2 + 1, d)]
+    params = BotParams(alpha=alpha, formula=formula, seed=seed)
+    for result in build_forest(problems, [params, params]):
+        text = network_to_json(result.tree, alpha)
+        doc = network_from_json(text)
+        for name in ("coords", "kind", "parent", "area"):
+            got, want = getattr(doc.tree, name), getattr(result.tree, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert network_to_json(doc.tree, doc.alpha, doc.cost) == text
 
 
 def test_network_json_edges_sorted_by_head():
