@@ -45,13 +45,13 @@ def network_to_json(tree: FlowTree, alpha: float, cost: float | None = None) -> 
     if cost is None:
         cost = bot_cost(tree, alpha)
     nodes = [
-        {"id": i, "kind": str(tree.kind[i]), "coords": [float(c) for c in tree.coords[i]]}
-        for i in range(tree.n_nodes)
+        {"id": i, "kind": k, "coords": c}
+        for i, (k, c) in enumerate(zip(tree.kind.tolist(), tree.coords.tolist()))
     ]
+    child = np.flatnonzero(tree.parent >= 0)
     edges = [
-        {"from": int(tree.parent[i]), "to": i, "area": float(tree.area[i])}
-        for i in range(tree.n_nodes)
-        if tree.parent[i] >= 0
+        {"from": p, "to": i, "area": a}
+        for p, i, a in zip(tree.parent[child].tolist(), child.tolist(), tree.area[child].tolist())
     ]
     doc = {"nodes": nodes, "edges": edges, "alpha": float(alpha), "cost": float(cost)}
     return json.dumps(doc, separators=(",", ":"))
@@ -64,15 +64,17 @@ class NetworkDocument:
     cost: float | None
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise InputError(message)
+def _is_number(value) -> bool:
+    """A finite JSON number: a float, or an int that fits one (bool is no number)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def _as_number(value, message) -> float:
-    # bool is an int subclass and must not pass as a number
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), message)
-    _require(math.isfinite(value), message)
+    if not _is_number(value):
+        raise InputError(message)
     return float(value)
 
 
@@ -87,56 +89,74 @@ def network_from_json(text: str) -> NetworkDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "network document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise InputError("network document must be a JSON object")
     for key in ("nodes", "edges", "alpha", "cost"):
-        _require(key in doc, f"network document is missing the {key!r} field")
-    _require(isinstance(doc["nodes"], list) and doc["nodes"], "nodes must be a nonempty array")
-    _require(isinstance(doc["edges"], list), "edges must be an array")
+        if key not in doc:
+            raise InputError(f"network document is missing the {key!r} field")
+    if not (isinstance(doc["nodes"], list) and doc["nodes"]):
+        raise InputError("nodes must be a nonempty array")
+    if not isinstance(doc["edges"], list):
+        raise InputError("edges must be an array")
     alpha = _as_number(doc["alpha"], "alpha must be a finite number")
-    _require(0.0 <= alpha <= 1.0, f"alpha must lie in [0, 1], got {alpha}")
+    if not 0.0 <= alpha <= 1.0:
+        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
     cost = None if doc["cost"] is None else _as_number(doc["cost"], "cost must be a finite number")
 
+    # each check formats its message only when it fails
     n = len(doc["nodes"])
-    coords = None
-    kind = np.empty(n, dtype="U6")
-    seen = np.zeros(n, dtype=bool)
+    kind = [None] * n
+    rows = [None] * n
+    dim = None
     for node in doc["nodes"]:
-        _require(isinstance(node, dict), "each node must be an object")
+        if not isinstance(node, dict):
+            raise InputError("each node must be an object")
         i = node.get("id")
-        _require(type(i) is int and 0 <= i < n, f"node ids must cover 0..{n - 1}, got {i!r}")
-        _require(not seen[i], f"duplicate node id {i}")
-        seen[i] = True
+        if not (type(i) is int and 0 <= i < n):
+            raise InputError(f"node ids must cover 0..{n - 1}, got {i!r}")
+        if kind[i] is not None:
+            raise InputError(f"duplicate node id {i}")
         k = node.get("kind")
-        _require(k in KINDS, f"node {i} has unknown kind {k!r}")
+        if k not in KINDS:
+            raise InputError(f"node {i} has unknown kind {k!r}")
         kind[i] = k
         cs = node.get("coords")
-        _require(isinstance(cs, list) and len(cs) in (2, 3), f"node {i} coords must be 2-D or 3-D")
-        row = [_as_number(c, f"node {i} has a non-finite coordinate") for c in cs]
-        if coords is None:
-            coords = np.zeros((n, len(row)))
-        _require(len(row) == coords.shape[1], "all nodes must share one dimension")
-        coords[i] = row
+        if not (isinstance(cs, list) and len(cs) in (2, 3)):
+            raise InputError(f"node {i} coords must be 2-D or 3-D")
+        if not all(map(_is_number, cs)):
+            raise InputError(f"node {i} has a non-finite coordinate")
+        if dim is None:
+            dim = len(cs)
+        elif len(cs) != dim:
+            raise InputError("all nodes must share one dimension")
+        rows[i] = cs
 
-    parent = np.full(n, -1, dtype=np.int64)
-    area = np.zeros(n)
-    has_edge = np.zeros(n, dtype=bool)
+    parent = [-1] * n
+    area = [0.0] * n
     for edge in doc["edges"]:
-        _require(isinstance(edge, dict), "each edge must be an object")
+        if not isinstance(edge, dict):
+            raise InputError("each edge must be an object")
         src, dst = edge.get("from"), edge.get("to")
-        _require(type(src) is int and 0 <= src < n, f"edge 'from' must be a node id, got {src!r}")
-        _require(type(dst) is int and 0 <= dst < n, f"edge 'to' must be a node id, got {dst!r}")
-        if has_edge[dst]:
+        if not (type(src) is int and 0 <= src < n):
+            raise InputError(f"edge 'from' must be a node id, got {src!r}")
+        if not (type(dst) is int and 0 <= dst < n):
+            raise InputError(f"edge 'to' must be a node id, got {dst!r}")
+        if parent[dst] >= 0:
             raise StructuralError(f"node {dst} has two incoming edges")
-        has_edge[dst] = True
         parent[dst] = src
-        area[dst] = _as_number(edge["area"] if "area" in edge else None,
-                               f"edge into {dst} needs a finite area")
+        a = edge.get("area")
+        if not _is_number(a):
+            raise InputError(f"edge into {dst} needs a finite area")
+        area[dst] = a
 
+    kind = np.array(kind)
+    parent = np.array(parent, dtype=np.int64)
+    area = np.array(area, dtype=float)
     groups = _child_groups(parent)
     for s in np.flatnonzero(kind == KIND_SOURCE):  # in id order, as a source may feed another
         area[s] = _outflow(area, *groups)[s]
 
-    return NetworkDocument(FlowTree(coords, kind, parent, area), alpha, cost)
+    return NetworkDocument(FlowTree(np.array(rows, dtype=float), kind, parent, area), alpha, cost)
 
 
 def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:

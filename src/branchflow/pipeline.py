@@ -216,28 +216,29 @@ def geo_embed(lat, lon) -> np.ndarray:
 
 def geo_project(point) -> tuple:
     """Renormalize a 3-D point to the unit sphere and return (lat, lon) degrees."""
-    (lon, lat), = _lon_lat_rows(np.asarray(point, dtype=float).reshape(1, 3))
+    (lon, lat), = _lon_lat_rows(np.asarray(point, dtype=float).reshape(1, 3)).tolist()
     return lat, lon
 
 
-def _lon_lat_rows(points: np.ndarray) -> list:
-    """Renormalize each row of an (n, 3) array to the unit sphere: [lon, lat] degrees.
+def _lon_lat_rows(points: np.ndarray) -> np.ndarray:
+    """Renormalize each row of an (n, 3) array to the unit sphere: (n, 2) [lon, lat] degrees.
 
     The norms and the division are batched; ``np.vecdot`` runs the same
     BLAS dot per row as a 1-D ``np.linalg.norm``, so each row gets the
-    bits of a one-point projection.  asin and atan2 stay on libm through
-    ``math``: numpy's vectorized arcsin and arctan2 differ from it in the
-    last bit on some inputs, which would change output bytes.
+    bits of a one-point projection.  asin and atan2 are ``math``'s, mapped
+    over the columns: numpy's vectorized arcsin and arctan2 differ from
+    libm in the last bit on some inputs, which would change output bytes.
+    The clip, the degrees and the longitude wrap are numpy ops with the
+    bits of their scalar forms.
     """
     p = np.ascontiguousarray(points, dtype=float)
     with np.errstate(over="ignore"):   # an overflowed norm is rejected below
         norms = np.sqrt(np.vecdot(p, p))
     p, norms = _check_norms(p, norms)
-    rows = []
-    for x, y, z in (p / norms[:, None]).tolist():
-        lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
-        rows.append([normalize_lon(math.degrees(math.atan2(y, x))), lat])
-    return rows
+    q = p / norms[:, None]
+    lat = np.degrees(list(map(math.asin, np.clip(q[:, 2], -1.0, 1.0).tolist())))
+    lon = normalize_lon(np.degrees(list(map(math.atan2, q[:, 1].tolist(), q[:, 0].tolist()))))
+    return np.column_stack([lon, lat])
 
 
 def to_sphere(points: np.ndarray) -> np.ndarray:

@@ -5,18 +5,21 @@ a red dot per source and blue dots for targets.  GeoJSON emits one
 LineString per edge; edges of unit-sphere trees are subdivided into
 great-circle arcs of at most 100 km so they follow the globe on a map.
 
-Sphere trees are projected in one batch per tree: the arc sample points
-of every edge come from one broadcast of the slerp formula, and their
-norms and divisions are elementwise numpy ops with the bits of the
-one-point path.  sin, acos, asin and atan2 stay on libm through
-``math``: numpy's vectorized versions differ from it in the last bit on
-some inputs (about 8% for arcsin and arctan2 on an AVX-512 machine), as
-do ``norm(axis=1)`` and ``einsum`` norms, and either would change the
-coordinate bytes.
+Each renderer projects a whole forest at once: SVG every sphere node in
+one call, GeoJSON the arc sample points of every sphere edge in one
+broadcast of the slerp formula, whose norms and divisions are
+elementwise numpy ops with the bits of the one-point path.  sin, acos,
+asin and atan2 stay on libm through ``math``: numpy's vectorized
+versions differ from it in the last bit on some inputs (about 8% for
+arcsin and arctan2 on an AVX-512 machine), as do ``norm(axis=1)`` and
+``einsum`` norms, and either would change the coordinate bytes.  The
+GeoJSON text is written from templates, each number as its
+``repr(float)``, which is how ``json`` writes a finite float.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -43,13 +46,6 @@ def _check_trees(trees):
     return trees
 
 
-def _planar_coords(tree: FlowTree) -> np.ndarray:
-    """Node positions in a drawing plane; sphere trees become (lon, lat)."""
-    if tree.dim == 2:
-        return np.asarray(tree.coords)
-    return np.array(_lon_lat_rows(tree.coords))
-
-
 def render_svg(trees, *, alpha: float = 0.5) -> str:
     """Draw a forest of flow trees as a standalone SVG document.
 
@@ -61,7 +57,11 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
 
-    planar = [_planar_coords(t) for t in trees]
+    # every sphere tree's nodes in one projection, split back per tree
+    sphere = [t.coords for t in trees if t.dim == 3]
+    sizes = np.cumsum([len(c) for c in sphere])[:-1]
+    rows = iter(np.split(_lon_lat_rows(np.concatenate(sphere)), sizes) if sphere else ())
+    planar = [next(rows) if t.dim == 3 else t.coords for t in trees]
     if planar:
         allpts = np.vstack(planar)
         lo = allpts.min(axis=0)
@@ -76,14 +76,9 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
     scale = _SVG_WIDTH / float(span[0])
     height = max(1, int(round(float(span[1]) * scale)))
 
-    def place(p):
-        x = (p[0] - lo[0]) * scale
-        y = height - (p[1] - lo[1]) * scale
-        return x, y
-
+    children = [np.flatnonzero(t.parent >= 0) for t in trees]
     max_w = 0.0
-    for tree in trees:
-        child = np.flatnonzero(tree.parent >= 0)
+    for tree, child in zip(trees, children):
         if child.size:
             max_w = max(max_w, float((tree.area[child] ** alpha).max()))
     max_w = max(max_w, 1e-12)
@@ -93,29 +88,27 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
         f'viewBox="0 0 {_SVG_WIDTH} {height}">',
         f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>',
     ]
-    for tree, pts in zip(trees, planar):
-        for i in np.flatnonzero(tree.parent >= 0):
-            x1, y1 = place(pts[int(tree.parent[i])])
-            x2, y2 = place(pts[i])
-            w = _STROKE_SCALE * float(tree.area[i] ** alpha) / max_w
-            lines.append(
-                f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
-                f'stroke="#555555" stroke-width="{max(w, 0.3):.3f}" stroke-linecap="round"/>'
-            )
-    for tree, pts in zip(trees, planar):
-        for i in range(tree.n_nodes):
-            if tree.kind[i] == KIND_SOURCE:
-                x, y = place(pts[i])
-                lines.append(
-                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{1.6 * _POINT_RADIUS:.3f}" '
-                    f'fill="#cc2222"/>'
-                )
-            elif tree.kind[i] == KIND_TARGET:
-                x, y = place(pts[i])
-                lines.append(
-                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{_POINT_RADIUS:.3f}" '
-                    f'fill="#2255cc"/>'
-                )
+    dots = []
+    source_dot = f'" r="{1.6 * _POINT_RADIUS:.3f}" fill="#cc2222"/>'
+    target_dot = f'" r="{_POINT_RADIUS:.3f}" fill="#2255cc"/>'
+    for tree, pts, child in zip(trees, planar, children):
+        x = (pts[:, 0] - lo[0]) * scale
+        y = height - (pts[:, 1] - lo[1]) * scale
+        head = tree.parent[child]
+        # a scalar power per edge: the array power may round differently
+        widths = [_STROKE_SCALE * a ** alpha / max_w for a in tree.area[child].tolist()]
+        lines += [
+            f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+            f'stroke="#555555" stroke-width="{max(w, 0.3):.3f}" stroke-linecap="round"/>'
+            for x1, y1, x2, y2, w in zip(x[head].tolist(), y[head].tolist(),
+                                         x[child].tolist(), y[child].tolist(), widths)
+        ]
+        for k, xk, yk in zip(tree.kind.tolist(), x.tolist(), y.tolist()):
+            if k == KIND_SOURCE:
+                dots.append(f'<circle cx="{xk:.3f}" cy="{yk:.3f}{source_dot}')
+            elif k == KIND_TARGET:
+                dots.append(f'<circle cx="{xk:.3f}" cy="{yk:.3f}{target_dot}')
+    lines += dots
     lines.append("</svg>")
     return "\n".join(lines)
 
@@ -153,7 +146,7 @@ def _great_circle_arcs(u: np.ndarray, v: np.ndarray) -> list:
     ue = u[edge]
     pts = (sin_a[:, None] * ue + sin_b[:, None] * v[edge]) / sin_w[:, None]
     pts[flat] = ue[flat]
-    rows = _lon_lat_rows(pts)
+    rows = _lon_lat_rows(pts).tolist()
     return [rows[e - k - 1:e] for e, k in zip(ends.tolist(), n_seg.tolist())]
 
 
@@ -172,28 +165,30 @@ def render_geojson(trees, levels=None) -> str:
     if len(levels) != len(trees):
         raise ParameterError("levels must have one entry per tree")
 
+    children = [np.flatnonzero(t.parent >= 0) for t in trees]
+    # the arcs of every sphere edge of the forest, drawn in one call
+    sphere = [(t.coords[t.parent[c]], t.coords[c]) for t, c in zip(trees, children) if t.dim == 3]
+    arcs = iter(_great_circle_arcs(*map(np.concatenate, zip(*sphere))) if sphere else ())
+
+    # json writes a finite float as its repr, and every coordinate and area here is finite
     features = []
     n_points = 0
-    for tree, level in zip(trees, levels):
-        child = np.flatnonzero(tree.parent >= 0)
-        a = tree.coords[tree.parent[child]]
-        b = tree.coords[child]
+    for tree, child, level in zip(trees, children, levels):
         if tree.dim == 3:
-            lines = _great_circle_arcs(a, b)
+            lines = itertools.islice(arcs, child.size)
         else:
-            lines = [[pa, pb] for pa, pb in zip(a.tolist(), b.tolist())]
+            lines = zip(tree.coords[tree.parent[child]].tolist(), tree.coords[child].tolist())
+        tail = ',"level":' + json.dumps(level, separators=(",", ":")) + "}}"
         for coords, area in zip(lines, tree.area[child].tolist()):
             n_points += len(coords)
             features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "LineString", "coordinates": coords},
-                    "properties": {"area": area, "level": level},
-                }
+                '{"type":"Feature","geometry":{"type":"LineString","coordinates":[['
+                + "],[".join([f"{x!r},{y!r}" for x, y in coords])
+                + ']]},"properties":{"area":' + repr(area) + tail
             )
+    del arcs   # the arc point lists, so that the join below does not hold them too
     _log.debug(
         "render_geojson: %d trees, %d edges, %d arc points",
         len(trees), len(features), n_points,
     )
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, separators=(",", ":"))
+    return '{"type":"FeatureCollection","features":[' + ",".join(features) + "]}"

@@ -9,10 +9,13 @@ branch-point and gain arithmetic written per tree, as the library's
 one-tree loop once had it.  The sphere projection references
 project one point at a time, as the renderer once did, and the tree
 validation reference checks one node at a time, as validate_tree once
-did.
+did.  The writer references build the GeoJSON and network JSON documents
+as dicts, one edge and one node at a time, and leave the text to
+``json.dumps``, as the library's writers once did.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,6 +31,7 @@ from branchflow.core import (
     ParameterError,
     ValidationReport,
     Violation,
+    bot_cost,
 )
 from branchflow.io import normalize_lon
 from branchflow.pipeline import EARTH_RADIUS_KM
@@ -313,6 +317,55 @@ def per_point_arc_points(u, v):
         lat, lon = per_point_geo_project(p)
         pts.append([lon, lat])
     return pts
+
+
+# ---------------------------------------------------------------------------
+# dict-built writers
+
+
+def dict_geojson(trees, levels=None):
+    """GeoJSON FeatureCollection text of a forest, built as one dict tree.
+
+    Sphere edges are drawn one at a time with ``per_point_arc_points``.
+    """
+    if levels is None:
+        levels = list(range(len(trees)))
+    features = []
+    for tree, level in zip(trees, levels):
+        child = np.flatnonzero(tree.parent >= 0)
+        a = tree.coords[tree.parent[child]]
+        b = tree.coords[child]
+        if tree.dim == 3:
+            lines = [per_point_arc_points(u, v) for u, v in zip(a, b)]
+        else:
+            lines = [[pa, pb] for pa, pb in zip(a.tolist(), b.tolist())]
+        for coords, area in zip(lines, tree.area[child].tolist()):
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {"type": "LineString", "coordinates": coords},
+                    "properties": {"area": area, "level": level},
+                }
+            )
+    doc = {"type": "FeatureCollection", "features": features}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def per_node_network_json(tree, alpha, cost=None):
+    """Network JSON text of a flow tree, built one node and one edge at a time."""
+    if cost is None:
+        cost = bot_cost(tree, alpha)
+    nodes = [
+        {"id": i, "kind": str(tree.kind[i]), "coords": [float(c) for c in tree.coords[i]]}
+        for i in range(tree.n_nodes)
+    ]
+    edges = [
+        {"from": int(tree.parent[i]), "to": i, "area": float(tree.area[i])}
+        for i in range(tree.n_nodes)
+        if tree.parent[i] >= 0
+    ]
+    doc = {"nodes": nodes, "edges": edges, "alpha": float(alpha), "cost": float(cost)}
+    return json.dumps(doc, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

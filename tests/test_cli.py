@@ -188,6 +188,28 @@ def test_render_tree_with_overflowing_norms_exits_two(tmp_path, capsys, output):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("output", ["--geojson", "--svg"])
+def test_render_huge_integer_coordinate_exits_two(tmp_path, capsys, output):
+    # json.dumps writes the int as a 401-digit literal, beyond the float range
+    huge = write_network(tmp_path / "t.json", ["source", "target"],
+                         [[0.0, 1.0], [10**400, 0.0]], [(0, 1, 1.0)])
+    assert main(["render", str(huge), output, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: node 1 has a non-finite coordinate\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], "cannot project the sphere center"),
+    ([[0.0, 0.0, 1.0], [1e200, 0.0, 0.0]], "coordinates too large to project onto the sphere"),
+], ids=["center", "overflow"])
+@pytest.mark.parametrize("output", ["--geojson", "--svg"])
+def test_render_bad_second_tree_of_a_forest_exits_two(tmp_path, capsys, output, bad, message):
+    good = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    for name, coords in (("a.json", good), ("b.json", bad), ("c.json", good)):
+        write_network(tmp_path / name, ["source", "target"], coords, [(0, 1, 1.0)])
+    assert main(["render", str(tmp_path), output, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "trees",
     [[{"level": "global"}], [1], ["tree_0000.json"]],

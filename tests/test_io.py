@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,29 +116,63 @@ def test_network_json_rejects_invalid_tree():
     assert (bad.kind, bad.nodes, bad.residual) == ("conservation", (0,), 0.5)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json at all",
-        "[]",
-        '{"nodes":[],"edges":[],"alpha":0.5,"cost":null}',
-        '{"edges":[],"alpha":0.5}',
-        '{"nodes":[{"id":true,"kind":"source","coords":[0.0]}],"edges":[],"alpha":0.5,"cost":null}',
-        '{"nodes":[{"id":0,"kind":"river","coords":[0.0]}],"edges":[],"alpha":0.5,"cost":null}',
-        '{"nodes":[{"id":0,"kind":"source","coords":[0.0,0.0]},'
-        '{"id":0,"kind":"target","coords":[1.0,0.0]}],'
-        '"edges":[{"from":0,"to":0,"area":1.0}],"alpha":0.5,"cost":null}',
-        '{"nodes":[{"id":0,"kind":"source","coords":[0.0,0.0]},'
-        '{"id":1,"kind":"target","coords":[1.0,0.0]}],'
-        '"edges":[{"from":0,"to":1,"area":1.0}],"alpha":7,"cost":null}',
-        '{"nodes":[{"id":0,"kind":"source","coords":[0.0,0.0]},'
-        '{"id":1,"kind":"target","coords":[1.0,0.0]}],'
-        '"edges":[{"from":0,"to":1,"area":1.0}],"alpha":0.5,"cost":"five"}',
-    ],
+TWO_NODES = (
+    '{"nodes":[{"id":0,"kind":"source","coords":[0.0,0.0]},'
+    '{"id":1,"kind":"target","coords":[1.0,0.0]}],'
+    '"edges":[{"from":0,"to":1,"area":1.0}],"alpha":0.5,"cost":null}'
 )
+HUGE_INT = "1" + "0" * 400   # a JSON integer too large for a float
+
+
+def two_nodes(old, new):
+    assert old in TWO_NODES
+    return TWO_NODES.replace(old, new, 1)
+
+
+# each malformed document and the exact message it raises
+MALFORMED = {
+    "not json at all": "not valid JSON: Expecting value: line 1 column 1 (char 0)",
+    "[]": "network document must be a JSON object",
+    '{"nodes":[],"edges":[],"alpha":0.5,"cost":null}': "nodes must be a nonempty array",
+    '{"edges":[],"alpha":0.5}': "network document is missing the 'nodes' field",
+    '{"nodes":[{"id":true,"kind":"source","coords":[0.0]}],"edges":[],"alpha":0.5,"cost":null}':
+        "node ids must cover 0..0, got True",
+    '{"nodes":[{"id":0,"kind":"river","coords":[0.0]}],"edges":[],"alpha":0.5,"cost":null}':
+        "node 0 has unknown kind 'river'",
+    '{"nodes":[{"id":0,"kind":"source","coords":[0.0,0.0]},'
+    '{"id":0,"kind":"target","coords":[1.0,0.0]}],'
+    '"edges":[{"from":0,"to":0,"area":1.0}],"alpha":0.5,"cost":null}': "duplicate node id 0",
+    two_nodes('"alpha":0.5', '"alpha":7'): "alpha must lie in [0, 1], got 7.0",
+    two_nodes('"cost":null', '"cost":"five"'): "cost must be a finite number",
+    two_nodes("[0.0,0.0]", "[true,0.0]"): "node 0 has a non-finite coordinate",
+    two_nodes("[1.0,0.0]", "[1.0,NaN]"): "node 1 has a non-finite coordinate",
+    two_nodes("[1.0,0.0]", "[-Infinity,0.0]"): "node 1 has a non-finite coordinate",
+    two_nodes('"area":1.0', '"area":NaN'): "edge into 1 needs a finite area",
+    two_nodes('"area":1.0', '"area":Infinity'): "edge into 1 needs a finite area",
+    two_nodes("[1.0,0.0]", "[1.0,0.0,0.0]"): "all nodes must share one dimension",
+    two_nodes('{"id":1,"kind":"target","coords":[1.0,0.0]}', "[1,1.0,0.0]"):
+        "each node must be an object",
+    two_nodes('{"from":0,"to":1,"area":1.0}', "[0,1,1.0]"): "each edge must be an object",
+    two_nodes(',"area":1.0', ""): "edge into 1 needs a finite area",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_network_json_malformed_is_input_error(text):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=f"^{re.escape(MALFORMED[text])}$"):
         network_from_json(text)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[1.0,0.0]", f"[{HUGE_INT},0.0]", "node 1 has a non-finite coordinate"),
+    ('"area":1.0', f'"area":{HUGE_INT}', "edge into 1 needs a finite area"),
+    ('"alpha":0.5', f'"alpha":{HUGE_INT}', "alpha must be a finite number"),
+    ('"cost":null', f'"cost":-{HUGE_INT}', "cost must be a finite number"),
+], ids=["coords", "area", "alpha", "cost"])
+def test_network_json_huge_integer_is_input_error(old, new, message):
+    # float(int) overflows past 1.8e308; that is a malformed number, not a crash
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        network_from_json(two_nodes(old, new))
 
 
 def test_network_json_negative_area_is_structural_error():

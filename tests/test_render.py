@@ -22,6 +22,7 @@ from branchflow import (
     geo_embed,
     geo_project,
     load_cities_csv,
+    network_to_json,
     render_geojson,
     render_svg,
     sample_cities_path,
@@ -33,7 +34,12 @@ from branchflow.pipeline import EARTH_RADIUS_KM, _lon_lat_rows
 from branchflow.render import _great_circle_arcs
 from branchflow.seeding import substream
 
-from oracles import per_point_arc_points, per_point_geo_project
+from oracles import (
+    dict_geojson,
+    per_node_network_json,
+    per_point_arc_points,
+    per_point_geo_project,
+)
 
 
 def star_tree():
@@ -408,3 +414,87 @@ def test_geojson_rejects_arcs_between_huge_points():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ParameterError, match="too large"):
             render_geojson([huge])
+
+
+def center_tree():
+    return FlowTree(
+        coords=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        kind=["source", "target"],
+        parent=[-1, 0],
+        area=[1.0, 1.0],
+    )
+
+
+def overflowing_tree():
+    return FlowTree(
+        coords=[[0.0, 1.0, 0.0], [1e200, 0.0, 0.0]],
+        kind=["source", "target"],
+        parent=[-1, 0],
+        area=[1.0, 1.0],
+    )
+
+
+@pytest.mark.parametrize("bad", [center_tree, overflowing_tree])
+@pytest.mark.parametrize("render", [render_geojson, render_svg])
+def test_bad_tree_inside_a_forest_raises_as_when_alone(bad, render):
+    good = geo_edge_tree(30.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ParameterError) as alone:
+            render([bad()])
+        with pytest.raises(ParameterError) as inside:
+            render([good, bad(), star_tree(), good])
+    assert str(inside.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
+# the writers against the dict-built references
+
+
+LEVEL_TEXT = ['say "hi"', "Zürich", "東京", "back\\slash", "tab\tnew\nline", "\u2028", ""]
+levels_st = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.sampled_from(LEVEL_TEXT),
+    st.text(max_size=6),
+    st.dictionaries(
+        st.sampled_from(LEVEL_TEXT), st.one_of(st.integers(), st.text(max_size=4), st.floats()),
+        max_size=3,
+    ),
+)
+
+
+def random_tree(rng):
+    """A valid tree of 2 to 12 nodes, planar or on the sphere, with
+    zero-length edges and, on the sphere, edges across the antimeridian."""
+    n = int(rng.integers(2, 13))
+    parent = np.array([-1] + [int(rng.integers(0, i)) for i in range(1, n)])
+    leaf = np.ones(n, dtype=bool)
+    leaf[parent[1:]] = False
+    area = np.where(leaf, rng.uniform(0.01, 3.0, n), 0.0)
+    for i in range(n - 1, 0, -1):
+        area[parent[i]] += area[i]
+    kind = np.where(leaf, "target", "branch")
+    kind[0] = "source"
+    if rng.random() < 0.5:
+        coords = rng.uniform(-5.0, 5.0, (n, 2))
+    else:
+        lat = rng.uniform(-89.0, 89.0, n)
+        lon = np.where(rng.random(n) < 0.5, rng.choice([179.5, -179.5, 180.0, -180.0], n),
+                       rng.uniform(-180.0, 180.0, n))
+        coords = geo_embed(lat, lon) * rng.choice([1.0, 1.0, 0.5, 40.0], (n, 1))
+    for i in np.flatnonzero(rng.random(n) < 0.2)[1:]:   # zero-length edges
+        coords[i] = coords[parent[i]]
+    return FlowTree(coords, kind, parent, area)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.data())
+def test_writers_match_the_dict_built_references(seed, n_trees, data):
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng) for _ in range(n_trees)]
+    levels = data.draw(st.one_of(st.none(), st.lists(levels_st, min_size=n_trees,
+                                                     max_size=n_trees)))
+    assert render_geojson(trees, levels) == dict_geojson(trees, levels)
+    alpha = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+    for tree in trees:
+        for cost in (None, float(rng.uniform(0.0, 9.0))):
+            assert network_to_json(tree, alpha, cost) == per_node_network_json(tree, alpha, cost)
