@@ -29,6 +29,7 @@ from .core import (
     as_point,
     _as_point_array,
     _as_mass_vector,
+    _check_alpha,
     _child_groups,
     _outflow,
 )
@@ -154,8 +155,7 @@ def _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs):
 def _check_branch_args(s_i, s_j, alpha):
     if s_i <= 0 or s_j <= 0:
         raise ParameterError("sectional areas must be strictly positive")
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
 
 
 def _one_row(v_k, v_i, v_j, s_i, s_j, alpha):
@@ -224,8 +224,7 @@ def local_improvement(v_k, v_i, v_j, z, s_i, s_j, alpha) -> float:
 
 def star_cost(problem: OneToManyProblem, alpha: float) -> float:
     """Cost of wiring every target straight to the source."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     lengths = np.linalg.norm(problem.targets - problem.source, axis=1)
     return float(np.sum(problem.areas ** alpha * lengths))
 

@@ -37,7 +37,6 @@ from .io import (
 from .ot import SinkhornConfig, cost_matrix, plan_cost, solve_exact, solve_sinkhorn
 from .pipeline import (
     DEFAULT_POLE,
-    NetworkResult,
     dual_network,
     santa_pipeline,
     solve_network,
@@ -121,22 +120,17 @@ def _cmd_branch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _forest_manifest(result: NetworkResult, args: argparse.Namespace, files) -> dict:
-    rep = result.report
-    return {
-        "trees": [
-            {"file": name, "source": src, "star_cost": star, "bot_cost": bot}
-            for name, (src, star, bot) in zip(files, rep.per_source)
-        ],
-        "alpha": args.alpha,
-        "formula": args.formula,
-        "seed": args.seed,
-        "ot_mode": rep.ot_mode,
-        "threshold": rep.threshold,
-        "ot_cost": rep.ot_cost,
-        "star_cost": rep.star_cost,
-        "bot_cost": rep.bot_cost,
-    }
+def _write_forest(out: Path, trees, alpha, costs, rows, manifest: dict):
+    """Write each tree to ``tree_NNNN.json`` and a manifest listing the files.
+
+    Each manifest entry is the file's name followed by its ``rows`` entry;
+    the entries go to ``manifest["trees"]``, in that key's place if it has one.
+    """
+    files = [f"tree_{k:04d}.json" for k in range(len(trees))]
+    for name, tree, cost in zip(files, trees, costs):
+        _write_text(out / name, network_to_json(tree, alpha, cost))
+    manifest["trees"] = [{"file": name, **row} for name, row in zip(files, rows)]
+    _write_text(out / "manifest.json", json.dumps(manifest, separators=(",", ":")))
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
@@ -154,11 +148,16 @@ def _cmd_net(args: argparse.Namespace) -> int:
     print(f"bot cost {rep.bot_cost!r}")
     print(f"trees {len(result.trees)}")
     if args.out is not None:
-        files = [f"tree_{k:04d}.json" for k in range(len(result.trees))]
-        for name, tree, (_, _, bot) in zip(files, result.trees, rep.per_source):
-            _write_text(args.out / name, network_to_json(tree, args.alpha, bot))
-        manifest = _forest_manifest(result, args, files)
-        _write_text(args.out / "manifest.json", json.dumps(manifest, separators=(",", ":")))
+        rows = [{"source": src, "star_cost": star, "bot_cost": bot}
+                for src, star, bot in rep.per_source]
+        _write_forest(args.out, result.trees, args.alpha, [r["bot_cost"] for r in rows], rows, {
+            "trees": None,
+            "alpha": args.alpha,
+            "formula": args.formula,
+            "seed": args.seed,
+            **{key: getattr(rep, key)
+               for key in ("ot_mode", "threshold", "ot_cost", "star_cost", "bot_cost")},
+        })
         print(f"wrote {args.out / 'manifest.json'}")
     return 0
 
@@ -190,19 +189,14 @@ def _cmd_santa(args: argparse.Namespace) -> int:
         report.cities, (args.pole_lat, args.pole_lon), params, workers=args.workers
     )
     entries = list(network.all_trees())
-    costs = [bot_cost(tree, args.alpha) for _, _, tree in entries]
+    trees = [tree for _, _, tree in entries]
+    costs = [bot_cost(tree, args.alpha) for tree in trees]
     print(f"countries {len(network.countries)} trees {network.n_trees}")
     print(f"total cost {sum(costs)!r}")
     if args.out is not None:
-        files = [f"tree_{k:04d}.json" for k in range(len(entries))]
-        manifest_trees = []
-        for name, (level, label, tree), cost in zip(files, entries, costs):
-            _write_text(args.out / name, network_to_json(tree, args.alpha, cost))
-            manifest_trees.append(
-                {"file": name, "level": level, "label": label,
-                 "cost": cost, "n_nodes": tree.n_nodes}
-            )
-        manifest = {
+        rows = [{"level": level, "label": label, "cost": cost, "n_nodes": tree.n_nodes}
+                for (level, label, tree), cost in zip(entries, costs)]
+        _write_forest(args.out, trees, args.alpha, costs, rows, {
             "levels": ["global", "country", "regional"],
             "pole": [network.pole[0], network.pole[1]],
             "alpha": args.alpha,
@@ -211,12 +205,8 @@ def _cmd_santa(args: argparse.Namespace) -> int:
             "share_rule": "population-proportional",
             "n_cities": len(report.cities),
             "countries": list(network.countries),
-            "trees": manifest_trees,
-        }
-        _write_text(args.out / "manifest.json", json.dumps(manifest, separators=(",", ":")))
-        geo = render_geojson(
-            [tree for _, _, tree in entries], [level for level, _, _ in entries]
-        )
+        })
+        geo = render_geojson(trees, [level for level, _, _ in entries])
         _write_text(args.out / "network.geojson", geo)
         print(f"wrote {args.out / 'manifest.json'} and {args.out / 'network.geojson'}")
     return 0

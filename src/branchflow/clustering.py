@@ -139,9 +139,9 @@ def weighted_kmeans(
 
     if init is not None:
         centers = np.array(init, dtype=float)
-        if centers.shape != (k, pointset.dim):
+        if centers.shape != (k, pointset.dim) or not np.all(np.isfinite(centers)):
             raise ParameterError(
-                f"init must have shape ({k}, {pointset.dim}), got {centers.shape}"
+                f"init must be finite, of shape ({k}, {pointset.dim}), got shape {centers.shape}"
             )
     else:
         centers = _plus_plus_init(x, w, k, substream(seed, "kmeans-init"))

@@ -53,6 +53,11 @@ class InputError(BranchFlowError):
     """An input file is missing, unreadable, or malformed."""
 
 
+def _check_alpha(alpha: float):
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -266,14 +271,14 @@ class BotParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.formula not in ("interp", "power"):
             raise ParameterError(f"formula must be 'interp' or 'power', got {self.formula!r}")
-        if self.shift_norm < 0:
-            raise ParameterError("shift_norm must be nonnegative")
-        if self.shift_norm > 0 and self.shift_delta <= 0:
-            raise ParameterError("shift_delta must be positive when shift_norm > 0")
+        # each check is written so that NaN fails it
+        if not 0 <= self.shift_norm < np.inf:
+            raise ParameterError("shift_norm must be finite and nonnegative")
+        if self.shift_norm > 0 and not 0 < self.shift_delta < np.inf:
+            raise ParameterError("shift_delta must be finite and positive when shift_norm > 0")
 
 
 @dataclass(frozen=True)
@@ -396,12 +401,9 @@ def bot_cost(tree: FlowTree, alpha: float) -> float:
     ParameterError for ``alpha`` outside [0, 1]; the tree needs no check,
     since a FlowTree is valid by construction.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     child = np.flatnonzero(tree.parent >= 0)
-    seg = tree.coords[child] - tree.coords[tree.parent[child]]
-    lengths = np.linalg.norm(seg, axis=1)
-    return float(np.sum(tree.area[child] ** alpha * lengths))
+    return float(np.sum(tree.area[child] ** alpha * tree.edge_lengths()[child]))
 
 
 def subadditivity_gain(m1: float, m2: float, alpha: float) -> float:
@@ -411,6 +413,5 @@ def subadditivity_gain(m1: float, m2: float, alpha: float) -> float:
     """
     if m1 <= 0 or m2 <= 0:
         raise ParameterError("masses must be strictly positive")
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     return m1 ** alpha + m2 ** alpha - (m1 + m2) ** alpha

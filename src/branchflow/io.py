@@ -33,28 +33,28 @@ from .core import (
     bot_cost,
     validate_tree,  # noqa: F401  (bench/test_bench.py reads this binding)
 )
-from .ot import cost_matrix, plan_cost
+from .ot import cost_matrix, plan_cost, plan_to_assignments
 
 
 # ---------------------------------------------------------------------------
 # network JSON
 
 
+def _network_text(kinds, coords, edges, alpha: float, cost: float) -> str:
+    """Network JSON text of nodes given as kinds and coords, and (from, to, area) edges."""
+    nodes = [{"id": i, "kind": k, "coords": c} for i, (k, c) in enumerate(zip(kinds, coords))]
+    edges = [{"from": p, "to": i, "area": a} for p, i, a in edges]
+    doc = {"nodes": nodes, "edges": edges, "alpha": alpha, "cost": cost}
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def network_to_json(tree: FlowTree, alpha: float, cost: float | None = None) -> str:
     """Serialize a flow tree to the network JSON contract."""
     if cost is None:
         cost = bot_cost(tree, alpha)
-    nodes = [
-        {"id": i, "kind": k, "coords": c}
-        for i, (k, c) in enumerate(zip(tree.kind.tolist(), tree.coords.tolist()))
-    ]
     child = np.flatnonzero(tree.parent >= 0)
-    edges = [
-        {"from": p, "to": i, "area": a}
-        for p, i, a in zip(tree.parent[child].tolist(), child.tolist(), tree.area[child].tolist())
-    ]
-    doc = {"nodes": nodes, "edges": edges, "alpha": float(alpha), "cost": float(cost)}
-    return json.dumps(doc, separators=(",", ":"))
+    edges = zip(tree.parent[child].tolist(), child.tolist(), tree.area[child].tolist())
+    return _network_text(tree.kind.tolist(), tree.coords.tolist(), edges, float(alpha), float(cost))
 
 
 @dataclass(frozen=True)
@@ -166,23 +166,11 @@ def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:
     direct edge.  With several sources this is a forest, not a tree, so
     it is for inspection only and not readable by network_from_json.
     """
-    m, n = instance.n_sources, instance.n_targets
-    nodes = [
-        {"id": i, "kind": KIND_SOURCE, "coords": [float(c) for c in instance.sources[i]]}
-        for i in range(m)
-    ] + [
-        {"id": m + j, "kind": KIND_TARGET, "coords": [float(c) for c in instance.targets[j]]}
-        for j in range(n)
-    ]
-    edges = [
-        {"from": i, "to": m + j, "area": float(plan.gamma[i, j])}
-        for i in range(m)
-        for j in range(n)
-        if plan.gamma[i, j] > 0.0
-    ]
-    cost = plan_cost(plan, cost_matrix(instance))
-    doc = {"nodes": nodes, "edges": edges, "alpha": 1.0, "cost": cost}
-    return json.dumps(doc, separators=(",", ":"))
+    m = instance.n_sources
+    kinds = [KIND_SOURCE] * m + [KIND_TARGET] * instance.n_targets
+    coords = instance.sources.tolist() + instance.targets.tolist()
+    edges = [(i, m + j, a) for i, row in enumerate(plan_to_assignments(plan)) for j, a in row]
+    return _network_text(kinds, coords, edges, 1.0, plan_cost(plan, cost_matrix(instance)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +263,7 @@ def load_cities_csv(path) -> CityLoadReport:
     """
     path = Path(path)
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")  # skips an Excel BOM
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     with handle:

@@ -323,7 +323,7 @@ def solve_exact(instance: TransportInstance, c) -> TransportPlan:
     has at most n_sources + n_targets - 1 strictly positive entries and
     matches the marginals to well under 1e-9.
     """
-    gamma = transport_simplex(instance.p, instance.q, _check_cost(c, instance.n_sources, instance.n_targets))
+    gamma = transport_simplex(instance.p, instance.q, c)
     return TransportPlan(gamma, instance.p, instance.q)
 
 
@@ -345,11 +345,12 @@ class SinkhornConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.reg <= 0:
-            raise ParameterError("reg must be positive")
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
-        if self.max_iter < 1:
+        # each check is written so that NaN fails it
+        if not self.reg > 0:
+            raise ParameterError(f"reg must be positive, got {self.reg}")
+        if not self.tol > 0:
+            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not self.max_iter >= 1:
             raise ParameterError("max_iter must be at least 1")
 
 
@@ -416,8 +417,8 @@ def plan_to_assignments(plan: TransportPlan, threshold: float = 0.0) -> list[lis
     target ``j`` with sectional area ``gamma[i, j]``.  The mass dropped by
     thresholding is at most n_sources * n_targets * threshold.
     """
-    if threshold < 0:
-        raise ParameterError("threshold must be nonnegative")
+    if not threshold >= 0:   # NaN fails too
+        raise ParameterError(f"threshold must be nonnegative, got {threshold}")
     out: list[list[tuple[int, float]]] = []
     for row in plan.gamma:
         keep = np.flatnonzero(row > threshold)

@@ -25,7 +25,7 @@ from .core import (
     TransportPlan,
     bot_cost,
 )
-from .io import GeoCity, normalize_lon
+from .io import normalize_lon
 from .ot import (
     SinkhornConfig,
     cost_matrix,
@@ -231,10 +231,7 @@ def _lon_lat_rows(points: np.ndarray) -> np.ndarray:
     The clip, the degrees and the longitude wrap are numpy ops with the
     bits of their scalar forms.
     """
-    p = np.ascontiguousarray(points, dtype=float)
-    with np.errstate(over="ignore"):   # an overflowed norm is rejected below
-        norms = np.sqrt(np.vecdot(p, p))
-    p, norms = _check_norms(p, norms)
+    p, norms = _dot_norms(np.ascontiguousarray(points, dtype=float))
     q = p / norms[:, None]
     lat = np.degrees(list(map(math.asin, np.clip(q[:, 2], -1.0, 1.0).tolist())))
     lon = normalize_lon(np.degrees(list(map(math.atan2, q[:, 1].tolist(), q[:, 0].tolist()))))
@@ -247,6 +244,13 @@ def to_sphere(points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(pts, axis=-1, keepdims=True)
     pts, norms = _check_norms(pts, norms)
     return pts / norms
+
+
+def _dot_norms(points: np.ndarray) -> tuple:
+    """Row norms as ``sqrt(vecdot)``, checked by _check_norms: the points and their norms."""
+    with np.errstate(over="ignore"):   # an overflowed norm is rejected there
+        norms = np.sqrt(np.vecdot(points, points))
+    return _check_norms(points, norms)
 
 
 def _check_norms(points: np.ndarray, norms: np.ndarray) -> tuple:

@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError
-from .pipeline import EARTH_RADIUS_KM, _check_norms, _lon_lat_rows
+from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError, _check_alpha
+from .pipeline import EARTH_RADIUS_KM, _dot_norms, _lon_lat_rows
 
 MAX_SEGMENT_KM = 100.0
 _SVG_WIDTH = 800
@@ -54,8 +54,7 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
     empty forest yields a valid empty document.
     """
     trees = _check_trees(trees)
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
 
     # every sphere tree's nodes in one projection, split back per tree
     sphere = [t.coords for t in trees if t.dim == 3]
@@ -120,11 +119,8 @@ def _great_circle_arcs(u: np.ndarray, v: np.ndarray) -> list:
     at most 100 km.  An edge shorter than 1e-12 rad is drawn as two
     copies of its start point.
     """
-    with np.errstate(over="ignore"):   # an overflowed norm is rejected below
-        nu = np.sqrt(np.vecdot(u, u))
-        nv = np.sqrt(np.vecdot(v, v))
-    u, nu = _check_norms(u, nu)
-    v, nv = _check_norms(v, nv)
+    u, nu = _dot_norms(u)
+    v, nv = _dot_norms(v)
     cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
     if np.isnan(cos).any():
         raise ParameterError("coordinates too large to draw as great-circle arcs")

@@ -1,5 +1,6 @@
 """End-to-end command-line runs via main(argv)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -121,6 +122,8 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
     [
         (["branch", "--alpha", "2.0", "--n-targets", "5"], 2,
          "alpha must lie in [0, 1], got 2.0"),
+        (["branch", "--shift-norm", "nan", "--n-targets", "5"], 2,
+         "shift_norm must be finite and nonnegative"),
         (["santa", "--cities", "{tmp}/nope.csv"], 2,
          "cannot read {tmp}/nope.csv: [Errno 2] No such file or directory"),
         (["ot", "--ot-mode", "sinkhorn", "--lambda", "1e-9"], 3,
@@ -130,7 +133,7 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
         (["net", "--n-sources", "3", "--n-targets", "5", "--out", "{tmp}/exists.txt"], 2,
          "[Errno 17] File exists: '{tmp}/exists.txt'"),
     ],
-    ids=["parameter", "input", "convergence", "structural", "os"],
+    ids=["parameter", "nan-parameter", "input", "convergence", "structural", "os"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")
@@ -292,6 +295,24 @@ def test_net_repeat_runs_byte_identical(tmp_path, capsys):
     assert set(files1) == set(files2)
     assert "manifest.json" in files1
     assert files1 == files2
+
+
+# sha256 over every file (name, NUL, bytes, in name order) of a forest directory,
+# pinned so that any change to the tree files or manifests of either command shows
+@pytest.mark.parametrize("argv, n_files, digest", [
+    (["net", "--seed", "5", "--n-sources", "4", "--n-targets", "40"], 5,
+     "73834fb33a7b438ed437df9d22701ad3813942c81bb89b4a11495e0b5166ca53"),
+    (["santa", "--seed", "0"], 174,
+     "61bf36a35ac71b35c487a5f6f1eda4a3eb6ffc240f3ed50f764d185e90830043"),
+], ids=["net", "santa"])
+def test_forest_directory_bytes_pinned(tmp_path, capsys, argv, n_files, digest):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    files = read_dir(tmp_path / "out")
+    h = hashlib.sha256()
+    for name, data in files.items():
+        h.update(name.encode("utf-8") + b"\0" + data)
+    assert len(files) == n_files
+    assert h.hexdigest() == digest
 
 
 def test_net_manifest_consistent(tmp_path, capsys):

@@ -147,6 +147,14 @@ def test_kmeans_k_out_of_range():
         weighted_kmeans(ps, 3)
 
 
+def test_kmeans_rejects_non_finite_init():
+    pts = substream(7, "cloud").uniform(-5, 5, (20, 2))
+    init = np.tile(pts[0], (4, 1))
+    init[2, 1] = np.nan
+    with pytest.raises(ParameterError, match="init"):
+        weighted_kmeans(WeightedPointSet(pts, np.ones(20)), 4, init=init)
+
+
 def test_kmeans_repairs_empty_clusters():
     rng = substream(7, "cloud")
     pts = rng.uniform(-5, 5, (20, 2))

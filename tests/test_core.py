@@ -435,6 +435,18 @@ def test_bot_params_validation():
     BotParams(shift_norm=0.0, shift_delta=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"shift_norm": 0.01, "shift_delta": math.nan},
+    {"shift_norm": 0.01, "shift_delta": math.inf},
+    {"shift_norm": math.inf},
+    {"shift_norm": math.nan},
+    {"alpha": math.nan},
+], ids=["nan-delta", "inf-delta", "inf-norm", "nan-norm", "nan-alpha"])
+def test_bot_params_reject_non_finite(kwargs):
+    with pytest.raises(ParameterError):
+        BotParams(**kwargs)
+
+
 def test_flow_tree_helpers():
     tree = y_tree()
     assert tree.n_nodes == 4

@@ -314,6 +314,17 @@ def test_load_missing_column_diagnostics(tmp_path):
         load_cities_csv(path)
 
 
+def test_load_skips_utf8_bom(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a byte order mark
+    text = "city,country,lat,lng,population\nA,X,10.0,20.0,1000\n"
+    plain = write(tmp_path, "plain.csv", text)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    report = load_cities_csv(bom)
+    assert len(report.cities) == 1
+    assert report == load_cities_csv(plain)
+
+
 def test_load_short_rows_counted(tmp_path):
     path = write(
         tmp_path,

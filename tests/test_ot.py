@@ -386,6 +386,20 @@ def test_sinkhorn_config_validation():
         SinkhornConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("field", ["reg", "tol"])
+def test_sinkhorn_config_rejects_nan(field):
+    with pytest.raises(ParameterError, match=f"{field} must be positive"):
+        SinkhornConfig(**{field: math.nan})
+
+
+def test_assignments_reject_nan_threshold():
+    from branchflow.core import TransportPlan
+
+    plan = TransportPlan([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ParameterError, match="threshold"):
+        plan_to_assignments(plan, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # plan_to_assignments
 

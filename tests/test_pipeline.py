@@ -140,6 +140,12 @@ def test_sinkhorn_mode_thresholds_and_reports():
     assert empty.report.bot_cost == 0.0
 
 
+def test_solve_network_rejects_nan_threshold():
+    inst = random_instance(3, 4, 30)
+    with pytest.raises(ParameterError, match="threshold"):
+        solve_network(inst, BotParams(alpha=0.5), threshold=math.nan)
+
+
 def test_solve_network_rejects_unknown_mode():
     inst = random_instance(4, 2, 5)
     with pytest.raises(ParameterError):
