@@ -46,20 +46,15 @@ from .pipeline import (
 from .render import render_geojson, render_svg
 
 SEED_ENV = "BRANCHFLOW_SEED"
-WORKERS_ENV = "BRANCHFLOW_WORKERS"
 
 
-def _resolve(value, env: str, default=None):
-    """A flag's value, else the environment variable ``env``'s, else ``default``."""
-    if value is not None:
-        return int(value)
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
+def _resolve_seed(value) -> int:
+    """The ``--seed`` value, else the environment variable's, else 0."""
+    raw = os.environ.get(SEED_ENV, "0") if value is None else value
     try:
         return int(raw)
     except ValueError:
-        raise InputError(f"environment variable {env} must be an integer, got {raw!r}") from None
+        raise InputError(f"environment variable {SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +180,7 @@ def _cmd_santa(args: argparse.Namespace) -> int:
     if not report.cities:
         raise InputError(f"{path} contains no loadable cities")
     params = BotParams(alpha=args.alpha, formula=args.formula, seed=args.seed)
-    network = santa_pipeline(
-        report.cities, (args.pole_lat, args.pole_lon), params, workers=args.workers
-    )
+    network = santa_pipeline(report.cities, (args.pole_lat, args.pole_lon), params)
     entries = list(network.all_trees())
     trees = [tree for _, _, tree in entries]
     costs = [bot_cost(tree, args.alpha) for tree in trees]
@@ -333,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cities CSV (default: bundled 1000-city sample)")
     santa.add_argument("--pole-lat", type=float, default=DEFAULT_POLE[0])
     santa.add_argument("--pole-lon", type=float, default=DEFAULT_POLE[1])
-    santa.add_argument("--workers", type=int, default=None,
-                       help=f"country-level parallelism (default: ${WORKERS_ENV} or serial)")
     santa.add_argument("--out", type=Path, default=None,
                        help="directory for tree files, manifest.json, network.geojson")
 
@@ -356,9 +347,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = _resolve(getattr(args, "seed", None), SEED_ENV, 0)
-        if hasattr(args, "workers"):
-            args.workers = _resolve(args.workers, WORKERS_ENV)
+        args.seed = _resolve_seed(getattr(args, "seed", None))
         return _COMMANDS[args.subcommand](args)
     except (BranchFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, _as_point_array, _as_mass_vector, _freeze
+from .core import (
+    ParameterError,
+    _as_mass_vector,
+    _as_point_array,
+    _check_int,
+    _child_groups,
+    _freeze,
+    _outflow,
+)
 from .seeding import substream
 
 _KMEANS_TOL = 1e-9  # Lloyd stops once the objective improves by at most this
@@ -83,14 +91,21 @@ def weighted_centroid(points, weights=None) -> np.ndarray:
 
 def choose_k(n: int) -> int:
     """Default cluster count for n points: floor(sqrt(n)) + 1, capped at n."""
+    _check_int(n, "n")
     if n < 1:
         raise ParameterError("n must be at least 1")
     return min(math.isqrt(n) + 1, n)
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    # summed per coordinate in the pairing of einsum("nkd,nkd->nk"), (d0² + d2²) + d1² in
+    # 3-D and d0² + d1² in 2-D, which is the order that matches einsum bit for bit; the
+    # natural order (d0² + d1²) + d2² differs on about 23% of entries
+    sq = [points[:, j, None] - centers[None, :, j] for j in range(points.shape[1])]
+    sq = [np.multiply(d, d, out=d) for d in sq]   # in place: each (n, k) array is big
+    if len(sq) == 3:
+        sq[0] += sq[2]
+    return np.add(sq[0], sq[1], out=sq[0])
 
 
 def _plus_plus_init(points, weights, k, rng) -> np.ndarray:
@@ -148,7 +163,6 @@ def weighted_kmeans(
 
     prev = math.inf
     history: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
     for it in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centers)
         labels = np.argmin(d2, axis=1)
@@ -166,10 +180,9 @@ def weighted_kmeans(
                 centers[c] = x[j]
                 costs[j] = -1.0
 
-        for c in range(k):
-            members = labels == c
-            wc = w[members]
-            centers[c] = (wc[:, None] * x[members]).sum(axis=0) / wc.sum()
+        mass = _outflow(w, *_child_groups(labels))[:k]
+        for j in range(x.shape[1]):
+            centers[:, j] = np.bincount(labels, w * x[:, j], k) / mass
 
         diff = x - centers[labels]
         obj = float(np.sum(w * np.einsum("nd,nd->n", diff, diff)))

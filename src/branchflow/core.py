@@ -58,6 +58,12 @@ def _check_alpha(alpha: float):
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def _check_int(value, name: str):
+    """Reject non-integers, which a later int() would truncate or parse."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -272,6 +278,7 @@ class BotParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        _check_int(self.seed, "seed")
         if self.formula not in ("interp", "power"):
             raise ParameterError(f"formula must be 'interp' or 'power', got {self.formula!r}")
         # each check is written so that NaN fails it

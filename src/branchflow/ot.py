@@ -27,6 +27,7 @@ from .core import (
     ParameterError,
     TransportInstance,
     TransportPlan,
+    _check_int,
 )
 
 _log = logging.getLogger(__name__)
@@ -350,6 +351,7 @@ class SinkhornConfig:
             raise ParameterError(f"reg must be positive, got {self.reg}")
         if not self.tol > 0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
+        _check_int(self.max_iter, "max_iter")
         if not self.max_iter >= 1:
             raise ParameterError("max_iter must be at least 1")
 

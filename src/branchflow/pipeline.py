@@ -10,7 +10,6 @@ distorts lengths only at second order in the arc size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +22,8 @@ from .core import (
     ParameterError,
     TransportInstance,
     TransportPlan,
+    _child_groups,
+    _outflow,
     bot_cost,
 )
 from .io import normalize_lon
@@ -320,12 +321,12 @@ def _country_stage(xyz, pops, city_idx, seed_base, country):
     center = to_sphere(weighted_centroid(pts, w)[None, :])[0]
 
     k = choose_k(len(city_idx))
-    km = weighted_kmeans(
-        WeightedPointSet(pts, w), k, seed=substream_seed(seed_base, "regions", country)
-    )
+    km = weighted_kmeans(WeightedPointSet(pts, w), k,
+                         seed=substream_seed(seed_base, "regions", country))
     centers = to_sphere(km.centroids)
 
-    region_pops = np.array([w[km.labels == r].sum() for r in range(k)])
+    kids, bounds = _child_groups(km.labels)   # region r's cities: kids[bounds[r]:bounds[r + 1]]
+    region_pops = _outflow(w, kids, bounds)[:k]
     country_pop = float(w.sum())
 
     # country tree: national center feeding the regional centers
@@ -333,10 +334,10 @@ def _country_stage(xyz, pops, city_idx, seed_base, country):
     problems = [(f"country/{country}", OneToManyProblem(center, centers, region_shares))]
     members = []
     for r in range(k):
-        mask = km.labels == r
-        members.append(tuple(int(city_idx[t]) for t in np.flatnonzero(mask)))
-        areas = w[mask] / region_pops[r]
-        problems.append((f"region/{country}/{r}", OneToManyProblem(centers[r], pts[mask], areas)))
+        idx = kids[bounds[r]:bounds[r + 1]]
+        members.append(tuple(city_idx[idx].tolist()))
+        areas = w[idx] / region_pops[r]
+        problems.append((f"region/{country}/{r}", OneToManyProblem(centers[r], pts[idx], areas)))
     return center, country_pop, problems, tuple(members)
 
 
@@ -344,16 +345,13 @@ def santa_pipeline(
     cities,
     pole: tuple = DEFAULT_POLE,
     params: BotParams | None = None,
-    *,
-    workers: int | None = None,
 ) -> HierarchicalNetwork:
     """Build the full three-level delivery hierarchy over a city list.
 
-    Per country (processed independently, optionally in parallel): the
-    national center is the population-weighted centroid pushed onto the
-    sphere, and regional centers come from weighted K-means with
-    K = floor(sqrt(N)) + 1 capped at N.  Then every tree of every level
-    is built in one ``build_forest`` call, with branch points
+    Per country: the national center is the population-weighted centroid
+    pushed onto the sphere, and regional centers come from weighted
+    K-means with K = floor(sqrt(N)) + 1 capped at N.  Then every tree of
+    every level is built in one ``build_forest`` call, with branch points
     re-projected onto the sphere.  Leaf areas are population shares
     normalized per tree; the global tree splits unit mass between
     countries in proportion to population.
@@ -374,31 +372,21 @@ def santa_pipeline(
     countries = tuple(sorted(by_country))
 
     seed_base = params.seed
-
-    def stage(name):
-        return _country_stage(xyz, pops, np.array(by_country[name]), seed_base, name)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            staged = list(pool.map(stage, countries))
-    else:
-        staged = [stage(name) for name in countries]
-
-    centers = np.array([s[0] for s in staged])
-    country_pops = np.array([s[1] for s in staged])
+    centers, country_pops, problems, members = zip(*[
+        _country_stage(xyz, pops, np.array(by_country[name]), seed_base, name)
+        for name in countries])
+    country_pops = np.array(country_pops)
     shares = country_pops / country_pops.sum()
 
-    pole_point = geo_embed(*pole)
-    labelled = [lp for s in staged for lp in s[2]]
-    labelled.append(("global", OneToManyProblem(pole_point, centers, shares)))
+    labelled = [lp for ps in problems for lp in ps]
+    labelled.append(("global", OneToManyProblem(geo_embed(*pole), np.array(centers), shares)))
     subs = [replace(params, seed=substream_seed(seed_base, "tree", label)) for label, _ in labelled]
     results = build_forest([p for _, p in labelled], subs, post_point=to_sphere)
     trees = iter(r.tree for r in results)
-    country_trees = []
-    regional_trees = []
-    for s in staged:
+    country_trees, regional_trees = [], []
+    for m in members:
         country_trees.append(next(trees))
-        regional_trees.append(tuple(next(trees) for _ in s[3]))
+        regional_trees.append(tuple(next(trees) for _ in m))
 
     return HierarchicalNetwork(
         countries=countries,
@@ -406,7 +394,7 @@ def santa_pipeline(
         global_tree=results[-1].tree,
         country_trees=tuple(country_trees),
         regional_trees=tuple(regional_trees),
-        regional_members=tuple(s[3] for s in staged),
+        regional_members=members,
         params=params,
         pole=(float(pole[0]), float(pole[1])),
     )

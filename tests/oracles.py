@@ -3,7 +3,9 @@
 These deliberately avoid the library's solver code paths: the transport
 oracle enumerates spanning trees of the complete bipartite graph (every
 vertex of the transportation polytope is supported on one), and the
-clustering oracle brute-forces two-part splits.  The builder reference
+clustering oracle brute-forces two-part splits.  The K-means reference
+is the Lloyd loop with one boolean mask per cluster, as weighted_kmeans
+once ran it.  The builder reference
 is the plain full-scan loop over one tree, with the closed-form
 branch-point and gain arithmetic written per tree, as the library's
 one-tree loop once had it.  The sphere projection references
@@ -21,6 +23,7 @@ import math
 import numpy as np
 
 from branchflow.branching import GAIN_TOL, BuildEvent, BuildResult, star_cost
+from branchflow.clustering import _KMEANS_MAX_ITER, _KMEANS_TOL, KMeansResult, _plus_plus_init
 from branchflow.core import (
     CONSERVATION_RTOL,
     KIND_BRANCH,
@@ -165,6 +168,51 @@ def best_bipartition(points, weights):
             best_obj = obj
             best_lab = lab
     return best_obj, best_lab
+
+
+def masked_kmeans(pointset, k, *, seed=0, init=None):
+    """Weighted Lloyd iteration as weighted_kmeans once ran it: distances
+    from one (n, k, d) einsum, and each center moved to its cluster's
+    weighted mean through a boolean mask per cluster.  Seeding, the
+    empty-cluster refill and the stopping rule are the library's."""
+    x = pointset.points
+    w = pointset.weights
+    n = pointset.n_points
+    if init is not None:
+        centers = np.array(init, dtype=float)
+    else:
+        centers = _plus_plus_init(x, w, k, substream(seed, "kmeans-init"))
+    prev = math.inf
+    history = []
+    for it in range(1, _KMEANS_MAX_ITER + 1):
+        diff = x[:, None, :] - centers[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        labels = np.argmin(d2, axis=1)
+
+        counts = np.bincount(labels, minlength=k)
+        if (counts == 0).any():
+            costs = w * d2[np.arange(n), labels]
+            for c in np.flatnonzero(counts == 0):
+                movable = counts[labels] > 1
+                j = int(np.argmax(np.where(movable, costs, -1.0)))
+                counts[labels[j]] -= 1
+                counts[c] += 1
+                labels[j] = c
+                centers[c] = x[j]
+                costs[j] = -1.0
+
+        for c in range(k):
+            members = labels == c
+            wc = w[members]
+            centers[c] = (wc[:, None] * x[members]).sum(axis=0) / wc.sum()
+
+        diff = x - centers[labels]
+        obj = float(np.sum(w * np.einsum("nd,nd->n", diff, diff)))
+        history.append(obj)
+        if prev - obj <= _KMEANS_TOL:
+            break
+        prev = obj
+    return KMeansResult(centers, labels, history[-1], it, np.array(history))
 
 
 def _power_points(v_k, v_i, v_js, s_i, s_js, alpha):

@@ -357,17 +357,6 @@ def test_santa_small_csv_outputs(tmp_path, capsys):
     assert "global" in levels
 
 
-def test_santa_workers_env_matches_serial(tmp_path, monkeypatch, capsys):
-    csv = write_small_cities(tmp_path / "cities.csv")
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    monkeypatch.delenv("BRANCHFLOW_WORKERS", raising=False)
-    assert main(["santa", "--cities", str(csv), "--seed", "2", "--out", str(serial)]) == 0
-    monkeypatch.setenv("BRANCHFLOW_WORKERS", "2")
-    assert main(["santa", "--cities", str(csv), "--seed", "2", "--out", str(threaded)]) == 0
-    assert read_dir(serial) == read_dir(threaded)
-
-
 def test_render_on_net_directory(tmp_path, capsys):
     out = tmp_path / "net"
     assert main(["net", "--seed", "6", "--n-sources", "3",

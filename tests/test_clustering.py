@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchflow import (
     ParameterError,
@@ -12,7 +13,7 @@ from branchflow import (
 )
 from branchflow.seeding import substream
 
-from oracles import best_bipartition
+from oracles import best_bipartition, masked_kmeans
 
 
 def two_blobs(seed=0, per_side=5, spread=0.5):
@@ -68,6 +69,13 @@ def test_choose_k_values():
     assert choose_k(10) == 4
     assert choose_k(99) == 10
     assert choose_k(2) == 2  # clamped to the point count
+
+
+def test_choose_k_rejects_bad_counts():
+    with pytest.raises(ParameterError):
+        choose_k(0)
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        choose_k(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +173,44 @@ def test_kmeans_repairs_empty_clusters():
     assert len(np.unique(res.labels)) == 4
     assert np.isfinite(res.objective)
     assert np.all(np.diff(np.asarray(res.objective_history)) <= 1e-12)
+
+
+@st.composite
+def kmeans_cases(draw):
+    """A weighted point set, a k in [1, n] and an init: None (seeded
+    k-means++), a draw of the points themselves, or far-away centers that
+    leave all but one cluster empty, so the refill runs.  Grid points
+    are small integers, full of ties and duplicates; scaled by 0.1 their
+    exact ties become near-ties that rounding decides."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.sampled_from([2, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["grid", "scaled-grid", "uniform"]))
+    if kind != "uniform":
+        pts = rng.integers(-2, 3, (n, d)) * (1.0 if kind == "grid" else 0.1)
+        w = rng.integers(1, 4, n).astype(float)
+    else:
+        pts = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.integers(-3, 4)
+        w = rng.uniform(0.01, 1.0, n)
+    k = draw(st.integers(1, n))
+    init = draw(st.sampled_from(["seeded", "points", "far"]))
+    if init == "seeded":
+        centers = None
+    elif init == "points":
+        centers = pts[rng.integers(0, n, k)]
+    else:
+        centers = 1e3 + rng.uniform(0.0, 1.0, (k, d))
+    return WeightedPointSet(pts, w), k, seed, centers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kmeans_cases())
+def test_kmeans_matches_masked_reference(case):
+    ps, k, seed, init = case
+    got = weighted_kmeans(ps, k, seed=seed, init=init)
+    want = masked_kmeans(ps, k, seed=seed, init=init)
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.objective_history.tobytes() == want.objective_history.tobytes()
+    assert got.n_iter == want.n_iter

@@ -447,6 +447,17 @@ def test_bot_params_reject_non_finite(kwargs):
         BotParams(**kwargs)
 
 
+@pytest.mark.parametrize("seed", [1.5, math.nan, "3", 2.0], ids=["float", "nan", "str", "whole-float"])
+def test_bot_params_reject_non_integer_seed(seed):
+    # int() would build seed 1's tree from 1.5 and fail late on NaN
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        BotParams(seed=seed)
+
+
+def test_bot_params_accept_numpy_integer_seed():
+    assert BotParams(seed=np.int64(7)).seed == 7
+
+
 def test_flow_tree_helpers():
     tree = y_tree()
     assert tree.n_nodes == 4

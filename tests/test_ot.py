@@ -384,6 +384,8 @@ def test_sinkhorn_config_validation():
         SinkhornConfig(tol=0.0)
     with pytest.raises(ParameterError):
         SinkhornConfig(max_iter=0)
+    with pytest.raises(ParameterError, match="max_iter must be an integer"):
+        SinkhornConfig(max_iter=2.5)
 
 
 @pytest.mark.parametrize("field", ["reg", "tol"])

@@ -319,17 +319,6 @@ def test_hierarchy_single_city_country_degenerates():
         assert validate_tree(tree).ok
 
 
-def test_hierarchy_workers_match_serial():
-    cities = random_cities(2, 40, ["A", "B"])
-    serial = santa_pipeline(cities, params=BotParams(seed=9))
-    parallel = santa_pipeline(cities, params=BotParams(seed=9), workers=2)
-    for (l1, n1, t1), (l2, n2, t2) in zip(serial.all_trees(), parallel.all_trees()):
-        assert (l1, n1) == (l2, n2)
-        assert np.array_equal(t1.coords, t2.coords)
-        assert np.array_equal(t1.area, t2.area)
-        assert np.array_equal(t1.parent, t2.parent)
-
-
 def test_hierarchy_custom_pole():
     cities = random_cities(3, 10, ["A"])
     net = santa_pipeline(cities, pole=(80.0, 10.0))
