@@ -43,7 +43,7 @@ from .pipeline import (
     synthetic_instance,
     synthetic_problem,
 )
-from .render import render_geojson, render_svg
+from .render import _geojson_chunks, _svg_chunks
 
 SEED_ENV = "BRANCHFLOW_SEED"
 
@@ -61,12 +61,26 @@ def _resolve_seed(value) -> int:
 # subcommand bodies
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path: Path, text):
+    """Write a str, or an iterable of str pieces, to a file that ends with a newline.
+
+    The first piece is made before the file is opened and a later failure
+    removes the file, so that an error leaves no partial file.
+    """
+    pieces = iter((text,) if isinstance(text, str) else text)
+    last = next(pieces, "")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(last)
+            for last in filter(None, pieces):
+                fh.write(last)
+            if not last.endswith("\n"):
+                fh.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _make_out_dir(path):
@@ -199,8 +213,8 @@ def _cmd_santa(args: argparse.Namespace) -> int:
             "n_cities": len(report.cities),
             "countries": list(network.countries),
         })
-        geo = render_geojson(trees, [level for level, _, _ in entries])
-        _write_text(args.out / "network.geojson", geo)
+        _write_text(args.out / "network.geojson",
+                    _geojson_chunks(trees, [level for level, _, _ in entries]))
         print(f"wrote {args.out / 'manifest.json'} and {args.out / 'network.geojson'}")
     return 0
 
@@ -243,10 +257,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise ParameterError("render needs --svg and/or --geojson output paths")
     trees, levels = _load_forest(args.input)
     if args.svg is not None:
-        _write_text(args.svg, render_svg(trees, alpha=args.alpha))
+        _write_text(args.svg, _svg_chunks(trees, args.alpha))
         print(f"wrote {args.svg}")
     if args.geojson is not None:
-        _write_text(args.geojson, render_geojson(trees, levels))
+        _write_text(args.geojson, _geojson_chunks(trees, levels))
         print(f"wrote {args.geojson}")
     return 0
 
@@ -347,7 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = _resolve_seed(getattr(args, "seed", None))
+        if "seed" in args:   # render takes no seed
+            args.seed = _resolve_seed(args.seed)
         return _COMMANDS[args.subcommand](args)
     except (BranchFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

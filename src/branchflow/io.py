@@ -190,6 +190,11 @@ def normalize_lon(lon: float) -> float:
     return -((180.0 - lon) % 360.0 - 180.0)
 
 
+def _lat_ok(lat):
+    """Whether a latitude, or each one of an array, lies in [-90, 90]; NaN does not."""
+    return (-90.0 <= lat) & (lat <= 90.0)
+
+
 @dataclass(frozen=True)
 class GeoCity:
     """A named, populated place; longitude is normalized to (-180, 180]."""
@@ -202,7 +207,7 @@ class GeoCity:
 
     def __post_init__(self):
         lat, lon, pop = float(self.lat), float(self.lon), float(self.population)
-        if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
+        if not _lat_ok(lat):
             raise ParameterError(f"latitude must lie in [-90, 90], got {self.lat}")
         if not math.isfinite(lon):
             raise ParameterError("longitude must be finite")
@@ -245,7 +250,7 @@ def _parse_city_row(row: dict) -> tuple[GeoCity | None, str | None]:
         return None, "unparsable-number"
     if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(pop)):
         return None, "unparsable-number"
-    if not -90.0 <= lat <= 90.0:
+    if not _lat_ok(lat):
         return None, "latitude-out-of-range"
     if pop <= 0:
         return None, "nonpositive-population"

@@ -26,7 +26,7 @@ from .core import (
     _outflow,
     bot_cost,
 )
-from .io import normalize_lon
+from .io import _lat_ok, normalize_lon
 from .ot import (
     SinkhornConfig,
     cost_matrix,
@@ -205,7 +205,7 @@ def geo_embed(lat, lon) -> np.ndarray:
     """
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
-    ok = np.isfinite(lat) & (-90.0 <= lat) & (lat <= 90.0)
+    ok = _lat_ok(lat)
     if not ok.all():
         raise ParameterError(f"latitude must lie in [-90, 90], got {lat[~ok].flat[0]}")
     if not np.isfinite(lon).all():

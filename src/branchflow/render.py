@@ -5,9 +5,10 @@ a red dot per source and blue dots for targets.  GeoJSON emits one
 LineString per edge; edges of unit-sphere trees are subdivided into
 great-circle arcs of at most 100 km so they follow the globe on a map.
 
-Each renderer projects a whole forest at once: SVG every sphere node in
-one call, GeoJSON the arc sample points of every sphere edge in one
-broadcast of the slerp formula, whose norms and divisions are
+SVG projects every sphere node of a forest in one call.  GeoJSON checks
+the angle of every sphere edge in one call, then draws the arc sample
+points one block of about ``_ARC_BLOCK_POINTS`` at a time, each block in
+one broadcast of the slerp formula, whose norms and divisions are
 elementwise numpy ops with the bits of the one-point path.  sin, acos,
 asin and atan2 stay on libm through ``math``: numpy's vectorized
 versions differ from it in the last bit on some inputs (about 8% for
@@ -15,6 +16,9 @@ arcsin and arctan2 on an AVX-512 machine), as do ``norm(axis=1)`` and
 ``einsum`` norms, and either would change the coordinate bytes.  The
 GeoJSON text is written from templates, each number as its
 ``repr(float)``, which is how ``json`` writes a finite float.
+
+Both documents are made in pieces, which the public functions join and
+the CLI writes as they come.  Every check comes before the first piece.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError, _check_alp
 from .pipeline import EARTH_RADIUS_KM, _dot_norms, _lon_lat_rows
 
 MAX_SEGMENT_KM = 100.0
+_ARC_BLOCK_POINTS = 1 << 14   # about this many arc sample points are drawn at a time
 _SVG_WIDTH = 800
 _SVG_MARGIN = 0.05      # padding around the drawing, as a share of its larger span
 _STROKE_SCALE = 6.0     # stroke width of the thickest edge
@@ -53,6 +58,11 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
     Unit-sphere trees are drawn in equirectangular (lon, lat) axes; an
     empty forest yields a valid empty document.
     """
+    return "".join(_svg_chunks(trees, alpha))
+
+
+def _svg_chunks(trees, alpha):
+    """``render_svg`` in pieces: the header, each tree's edges, each tree's dots, the end."""
     trees = _check_trees(trees)
     _check_alpha(alpha)
 
@@ -74,6 +84,7 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
     span = span + 2 * pad
     scale = _SVG_WIDTH / float(span[0])
     height = max(1, int(round(float(span[1]) * scale)))
+    xy = [((p[:, 0] - lo[0]) * scale, height - (p[:, 1] - lo[1]) * scale) for p in planar]
 
     children = [np.flatnonzero(t.parent >= 0) for t in trees]
     max_w = 0.0
@@ -82,61 +93,63 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
             max_w = max(max_w, float((tree.area[child] ** alpha).max()))
     max_w = max(max_w, 1e-12)
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{height}" '
-        f'viewBox="0 0 {_SVG_WIDTH} {height}">',
-        f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>',
-    ]
-    dots = []
-    source_dot = f'" r="{1.6 * _POINT_RADIUS:.3f}" fill="#cc2222"/>'
-    target_dot = f'" r="{_POINT_RADIUS:.3f}" fill="#2255cc"/>'
-    for tree, pts, child in zip(trees, planar, children):
-        x = (pts[:, 0] - lo[0]) * scale
-        y = height - (pts[:, 1] - lo[1]) * scale
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{height}" '
+           f'viewBox="0 0 {_SVG_WIDTH} {height}">\n'
+           f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>')
+    for tree, (x, y), child in zip(trees, xy, children):
         head = tree.parent[child]
         # a scalar power per edge: the array power may round differently
         widths = [_STROKE_SCALE * a ** alpha / max_w for a in tree.area[child].tolist()]
-        lines += [
-            f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+        yield "".join([
+            f'\n<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
             f'stroke="#555555" stroke-width="{max(w, 0.3):.3f}" stroke-linecap="round"/>'
             for x1, y1, x2, y2, w in zip(x[head].tolist(), y[head].tolist(),
                                          x[child].tolist(), y[child].tolist(), widths)
-        ]
-        for k, xk, yk in zip(tree.kind.tolist(), x.tolist(), y.tolist()):
-            if k == KIND_SOURCE:
-                dots.append(f'<circle cx="{xk:.3f}" cy="{yk:.3f}{source_dot}')
-            elif k == KIND_TARGET:
-                dots.append(f'<circle cx="{xk:.3f}" cy="{yk:.3f}{target_dot}')
-    lines += dots
-    lines.append("</svg>")
-    return "\n".join(lines)
+        ])
+    source_dot = f'" r="{1.6 * _POINT_RADIUS:.3f}" fill="#cc2222"/>'
+    target_dot = f'" r="{_POINT_RADIUS:.3f}" fill="#2255cc"/>'
+    for tree, (x, y) in zip(trees, xy):
+        yield "".join([
+            f'\n<circle cx="{xk:.3f}" cy="{yk:.3f}{source_dot if k == KIND_SOURCE else target_dot}'
+            for k, xk, yk in zip(tree.kind.tolist(), x.tolist(), y.tolist())
+            if k == KIND_SOURCE or k == KIND_TARGET
+        ])
+    yield "\n</svg>"
 
 
-def _great_circle_arcs(u: np.ndarray, v: np.ndarray) -> list:
+def _great_circle_arcs(u: np.ndarray, v: np.ndarray):
     """Great-circle polylines from each row of u to the same row of v.
 
-    Returns one list of [lon, lat] positions per edge, with segments of
-    at most 100 km.  An edge shorter than 1e-12 rad is drawn as two
-    copies of its start point.
+    Returns an iterator over one list of [lon, lat] positions per edge,
+    with segments of at most 100 km.  An edge shorter than 1e-12 rad is
+    drawn as two copies of its start point.  The norms and angles are
+    checked in this call, the points drawn one block of edges at a time.
     """
     u, nu = _dot_norms(u)
     v, nv = _dot_norms(v)
     cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
     if np.isnan(cos).any():
         raise ParameterError("coordinates too large to draw as great-circle arcs")
-    omega = list(map(math.acos, cos.tolist()))
-    n_seg = np.array(
-        [max(1, math.ceil(w * EARTH_RADIUS_KM / MAX_SEGMENT_KM)) for w in omega], dtype=np.int64
+    omega = np.fromiter(map(math.acos, cos), float, cos.size)
+    n_seg = np.maximum(np.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1).astype(np.int64)
+    # a block holds the edges whose first sample point falls in one window of _ARC_BLOCK_POINTS
+    first = np.cumsum(n_seg + 1) - n_seg - 1
+    ends = [*(np.flatnonzero(np.diff(first // _ARC_BLOCK_POINTS)) + 1).tolist(), n_seg.size]
+    return itertools.chain.from_iterable(
+        _arc_block(u[a:b], v[a:b], omega[a:b], n_seg[a:b]) for a, b in zip([0, *ends], ends)
     )
 
+
+def _arc_block(u, v, omega, n_seg) -> list:
+    """The arcs of one block of edges, every sample point in one broadcast of the slerp."""
     # one row per sample point: its edge and t = s / n_seg, s = 0..n_seg
     ends = np.cumsum(n_seg + 1)
     edge = np.repeat(np.arange(n_seg.size), n_seg + 1)
     t = (np.arange(edge.size) - (ends - n_seg - 1)[edge]) / n_seg[edge]
-    w = np.array(omega)[edge]
+    w = omega[edge]
     sin_a = np.array(list(map(math.sin, ((1 - t) * w).tolist())))
     sin_b = np.array(list(map(math.sin, (t * w).tolist())))
-    sin_w = np.array(list(map(math.sin, omega)))[edge]
+    sin_w = np.array(list(map(math.sin, omega.tolist())))[edge]
     flat = w < 1e-12
     sin_w[flat] = 1.0
     ue = u[edge]
@@ -154,6 +167,11 @@ def render_geojson(trees, levels=None) -> str:
     arcs; planar trees emit their raw coordinates.  Tree, edge and arc
     point counts go to this module's logger at DEBUG.
     """
+    return "".join(_geojson_chunks(trees, levels))
+
+
+def _geojson_chunks(trees, levels):
+    """``render_geojson`` in pieces: the head, each tree's features, the tail."""
     trees = _check_trees(trees)
     if levels is None:
         levels = list(range(len(trees)))
@@ -162,19 +180,23 @@ def render_geojson(trees, levels=None) -> str:
         raise ParameterError("levels must have one entry per tree")
 
     children = [np.flatnonzero(t.parent >= 0) for t in trees]
-    # the arcs of every sphere edge of the forest, drawn in one call
-    sphere = [(t.coords[t.parent[c]], t.coords[c]) for t, c in zip(trees, children) if t.dim == 3]
-    arcs = iter(_great_circle_arcs(*map(np.concatenate, zip(*sphere))) if sphere else ())
+    # the arcs of every sphere edge of the forest, checked in one call
+    sphere = [(t, c) for t, c in zip(trees, children) if t.dim == 3]
+    arcs = iter(())
+    if sphere:
+        arcs = _great_circle_arcs(np.concatenate([t.coords[t.parent[c]] for t, c in sphere]),
+                                  np.concatenate([t.coords[c] for t, c in sphere]))
 
     # json writes a finite float as its repr, and every coordinate and area here is finite
-    features = []
-    n_points = 0
+    yield '{"type":"FeatureCollection","features":['
+    n_edges = n_points = 0
     for tree, child, level in zip(trees, children, levels):
         if tree.dim == 3:
             lines = itertools.islice(arcs, child.size)
         else:
             lines = zip(tree.coords[tree.parent[child]].tolist(), tree.coords[child].tolist())
         tail = ',"level":' + json.dumps(level, separators=(",", ":")) + "}}"
+        features = []
         for coords, area in zip(lines, tree.area[child].tolist()):
             n_points += len(coords)
             features.append(
@@ -182,9 +204,8 @@ def render_geojson(trees, levels=None) -> str:
                 + "],[".join([f"{x!r},{y!r}" for x, y in coords])
                 + ']]},"properties":{"area":' + repr(area) + tail
             )
-    del arcs   # the arc point lists, so that the join below does not hold them too
-    _log.debug(
-        "render_geojson: %d trees, %d edges, %d arc points",
-        len(trees), len(features), n_points,
-    )
-    return '{"type":"FeatureCollection","features":[' + ",".join(features) + "]}"
+        if features:
+            yield ("," if n_edges else "") + ",".join(features)
+            n_edges += len(features)
+    _log.debug("render_geojson: %d trees, %d edges, %d arc points", len(trees), n_edges, n_points)
+    yield "]}"

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from branchflow import cli
+from branchflow import FlowTree, cli, geo_embed, network_to_json, render_geojson, render_svg
 from branchflow.cli import build_parser, main
 from branchflow.io import network_from_json
+from branchflow.render import _geojson_chunks, _svg_chunks
 
 
 def read_dir(path):
@@ -179,6 +181,7 @@ def test_render_tree_at_sphere_center_exits_two(tmp_path, capsys, output):
     capsys.readouterr()
     assert main(["render", str(tree), output, str(tmp_path / "out")]) == 2
     assert "error: cannot project the sphere center" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("output", ["--geojson", "--svg"])
@@ -189,6 +192,7 @@ def test_render_tree_with_overflowing_norms_exits_two(tmp_path, capsys, output):
     err = capsys.readouterr().err
     assert err.startswith("error: coordinates too large")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("output", ["--geojson", "--svg"])
@@ -198,6 +202,7 @@ def test_render_huge_integer_coordinate_exits_two(tmp_path, capsys, output):
                          [[0.0, 1.0], [10**400, 0.0]], [(0, 1, 1.0)])
     assert main(["render", str(huge), output, str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: node 1 has a non-finite coordinate\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -211,6 +216,30 @@ def test_render_bad_second_tree_of_a_forest_exits_two(tmp_path, capsys, output, 
         write_network(tmp_path / name, ["source", "target"], coords, [(0, 1, 1.0)])
     assert main(["render", str(tmp_path), output, str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the angle passes its check, but a sample point near the antipode
+    # overflows its norm while the arcs are drawn, after the file was opened
+    good = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    bad = [[1e153, 0.0, 0.0], [-2e153, 1e140, 0.0]]
+    for name, coords in (("a.json", good), ("b.json", bad)):
+        write_network(tmp_path / name, ["source", "target"], coords, [(0, 1, 1.0)])
+    seen = []
+
+    def recording(pieces):
+        for piece in pieces:
+            seen.append(piece)
+            yield piece
+
+    write_text = cli._write_text
+    monkeypatch.setattr(cli, "_write_text", lambda path, text: write_text(path, recording(text)))
+    assert main(["render", str(tmp_path), "--geojson", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: coordinates too large to project onto the sphere\n"
+    assert seen == ['{"type":"FeatureCollection","features":[']
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -227,6 +256,18 @@ def test_render_malformed_manifest_exits_two(tmp_path, capsys, trees):
 def test_bad_seed_env_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BRANCHFLOW_SEED", "not-an-int")
     assert main(["branch", "--n-targets", "4"]) == 2
+    assert "BRANCHFLOW_SEED" in capsys.readouterr().err
+
+
+def test_bad_seed_env_is_ignored_by_render(tmp_path, monkeypatch, capsys):
+    # render takes no seed; santa, which does, still rejects the variable
+    tree = write_network(tmp_path / "t.json", ["source", "target"], [[0.0, 0.0], [1.0, 0.0]],
+                         [(0, 1, 1.0)])
+    monkeypatch.setenv("BRANCHFLOW_SEED", "abc")
+    assert main(["render", str(tree), "--svg", str(tmp_path / "x.svg")]) == 0
+    assert (tmp_path / "x.svg").is_file()
+    capsys.readouterr()
+    assert main(["santa", "--out", str(tmp_path / "santa")]) == 2
     assert "BRANCHFLOW_SEED" in capsys.readouterr().err
 
 
@@ -372,3 +413,65 @@ def test_render_on_net_directory(tmp_path, capsys):
     doc = json.loads(geo.read_text(encoding="utf-8"))
     assert doc["type"] == "FeatureCollection"
     assert len(doc["features"]) > 0
+
+
+# ---------------------------------------------------------------------------
+# the streamed files against the joined documents
+
+
+def sphere_star(rng, n):
+    """A source and n targets at random places on the sphere: edges of up to 202 arc points."""
+    lat = rng.uniform(-80.0, 80.0, n + 1)
+    lon = rng.uniform(-180.0, 180.0, n + 1)
+    return FlowTree(geo_embed(lat, lon), ["source"] + ["target"] * n, [-1] + [0] * n,
+                    [float(n)] + [1.0] * n)
+
+
+def planar_star(rng, n):
+    return FlowTree(rng.uniform(-3.0, 3.0, (n + 1, 2)), ["source"] + ["target"] * n,
+                    [-1] + [0] * n, [float(n)] + [1.0] * n)
+
+
+def forest(name):
+    rng = np.random.default_rng(12)
+    if name == "sphere":   # about 50k arc points: more than one arc block
+        return [sphere_star(rng, 60) for _ in range(8)]
+    if name == "planar":
+        return [planar_star(rng, n) for n in (1, 30, 4)]
+    return [sphere_star(rng, 3), planar_star(rng, 5), sphere_star(rng, 1), planar_star(rng, 2)]
+
+
+@pytest.mark.parametrize("name", ["sphere", "planar", "mixed"])
+def test_render_files_equal_the_joined_documents(tmp_path, capsys, caplog, name):
+    src = tmp_path / "in"
+    src.mkdir()
+    for k, tree in enumerate(forest(name)):
+        (src / f"tree_{k:04d}.json").write_text(network_to_json(tree, 0.5), encoding="utf-8")
+    svg, geo = tmp_path / "f.svg", tmp_path / "f.geojson"
+    with caplog.at_level(logging.DEBUG, logger="branchflow.render"):
+        assert main(["render", str(src), "--svg", str(svg), "--geojson", str(geo)]) == 0
+    logged = [r.getMessage() for r in caplog.records]
+
+    trees = [network_from_json(p.read_text(encoding="utf-8")).tree for p in sorted(src.iterdir())]
+    text = render_geojson(trees)
+    assert geo.read_bytes() == (text + "\n").encode("utf-8")
+    assert svg.read_bytes() == (render_svg(trees) + "\n").encode("utf-8")
+    features = json.loads(text)["features"]
+    n_points = sum(len(f["geometry"]["coordinates"]) for f in features)
+    assert logged == [f"render_geojson: {len(trees)} trees, {len(features)} edges, "
+                      f"{n_points} arc points"]
+
+
+def test_write_text_keeps_the_newline_rule_for_pieces(tmp_path):
+    cases = {
+        "empty-geojson": (_geojson_chunks([], None), render_geojson([]) + "\n"),
+        "empty-svg": (_svg_chunks([], 0.5), render_svg([]) + "\n"),
+        "no-pieces": (iter(()), "\n"),
+        "empty-pieces": (["", ""], "\n"),
+        "newline-then-empty": (["a\n", ""], "a\n"),
+        "newline-inside": (["a\n", "b"], "a\nb\n"),
+        "str": ("a\nb\n", "a\nb\n"),
+    }
+    for name, (text, expected) in cases.items():
+        cli._write_text(tmp_path / name, text)
+        assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name

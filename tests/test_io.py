@@ -24,7 +24,7 @@ from branchflow import (
 )
 from branchflow.core import TransportInstance, TransportPlan
 from branchflow.io import normalize_lon, plan_to_json
-from branchflow.pipeline import synthetic_problem
+from branchflow.pipeline import geo_embed, synthetic_problem
 
 
 def single_edge_tree():
@@ -294,6 +294,27 @@ def test_load_drop_reasons(tmp_path):
         "nonpositive-population": 1,
     }
     assert report.n_dropped == 4
+
+
+@pytest.mark.parametrize("lat", [-90.0, 90.0, -0.0, -90.5, 90.000001, 1e300,
+                                 float("inf"), float("-inf"), float("nan")])
+def test_latitude_rule_is_the_same_for_every_caller(tmp_path, lat):
+    # the loader, GeoCity and geo_embed accept exactly the latitudes in [-90, 90]
+    ok = -90.0 <= lat <= 90.0
+    report = load_cities_csv(write(tmp_path, "c.csv", f"city,country,lat,lng,population\n"
+                                                      f"A,X,{lat!r},20.0,100\n"))
+    if ok:
+        assert report.dropped == {} and report.cities[0].lat == lat
+        assert GeoCity("A", "X", lat, 20.0, 100.0).lat == lat
+        assert geo_embed([0.0, lat], [0.0, 20.0]).shape == (2, 3)
+        return
+    reason = "latitude-out-of-range" if np.isfinite(lat) else "unparsable-number"
+    assert report.dropped == {reason: 1}
+    message = f"latitude must lie in [-90, 90], got {lat}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        GeoCity("A", "X", lat, 20.0, 100.0)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        geo_embed([0.0, lat], [0.0, 20.0])
 
 
 def test_load_aliases_case_and_extras(tmp_path):

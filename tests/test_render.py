@@ -31,7 +31,7 @@ from branchflow import (
     to_sphere,
 )
 from branchflow.pipeline import EARTH_RADIUS_KM, _lon_lat_rows
-from branchflow.render import _great_circle_arcs
+from branchflow.render import _ARC_BLOCK_POINTS, _arc_block, _great_circle_arcs
 from branchflow.seeding import substream
 
 from oracles import (
@@ -58,6 +58,14 @@ def geo_edge_tree(lon_span=10.0):
         parent=[-1, 0],
         area=[1.0, 1.0],
     )
+
+
+def sphere_star(rng, n):
+    """A source and n targets at random places on the sphere: edges of up to 202 arc points."""
+    lat = rng.uniform(-80.0, 80.0, n + 1)
+    lon = rng.uniform(-180.0, 180.0, n + 1)
+    return FlowTree(geo_embed(lat, lon), ["source"] + ["target"] * n, [-1] + [0] * n,
+                    [float(n)] + [1.0] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +333,9 @@ def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed):
         expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
     except ParameterError:
         with pytest.raises(ParameterError):
-            _great_circle_arcs(u, v)
+            list(_great_circle_arcs(u, v))
         return
-    arcs = _great_circle_arcs(u, v)
+    arcs = list(_great_circle_arcs(u, v))
     assert [len(arc) for arc in arcs] == [len(arc) for arc in expected]
     for arc, ref in zip(arcs, expected):
         assert np.array_equal(bits(arc), bits(ref))
@@ -401,6 +409,43 @@ def test_geojson_logs_point_counts(caplog):
         "render_geojson: 2 trees, 3 edges, 17 arc points",
         "render_geojson: 0 trees, 0 edges, 0 arc points",
     ]
+
+
+def test_geojson_over_several_arc_blocks_matches_the_reference(monkeypatch):
+    """A sphere forest of several arc blocks, with trees across block boundaries."""
+    sizes = []
+
+    def arc_block(u, v, omega, n_seg):
+        sizes.append(int((n_seg + 1).sum()))
+        return _arc_block(u, v, omega, n_seg)
+
+    monkeypatch.setattr("branchflow.render._arc_block", arc_block)
+    rng = substream(7, "render", "blocks")
+    trees = [sphere_star(rng, 60) for _ in range(8)]
+    trees.insert(3, star_tree())
+    text = render_geojson(trees)
+    assert text == dict_geojson(trees)
+
+    # the arc points of each sphere edge, and the block window its first point falls in
+    points = [len(f["geometry"]["coordinates"]) for f in json.loads(text)["features"]]
+    per_tree = np.split(points, np.cumsum([t.n_nodes - 1 for t in trees])[:-1])
+    points = np.concatenate([p for p, t in zip(per_tree, trees) if t.dim == 3])
+    window = (np.cumsum(points) - points) // _ARC_BLOCK_POINTS
+    windows = [set(w.tolist()) for w in np.split(window, np.cumsum([60] * 8)[:-1])]
+    assert points.sum() > 2 * _ARC_BLOCK_POINTS
+    assert sum(len(w) > 1 for w in windows) >= 2   # trees that straddle a block boundary
+    assert sizes == np.bincount(window, points).astype(int).tolist()
+    assert max(sizes) < _ARC_BLOCK_POINTS + 202
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 150])
+def test_geojson_bytes_do_not_depend_on_the_arc_block(monkeypatch, block):
+    rng = substream(8, "render", "blocks")
+    trees = [random_tree(rng) for _ in range(10)] + [sphere_star(rng, 5), star_tree()]
+    expected = render_geojson(trees, list("abcdefghijkl"))
+    assert expected == dict_geojson(trees, list("abcdefghijkl"))
+    monkeypatch.setattr("branchflow.render._ARC_BLOCK_POINTS", block)
+    assert render_geojson(trees, list("abcdefghijkl")) == expected
 
 
 def test_geojson_rejects_arcs_between_huge_points():
