@@ -7,11 +7,11 @@ tie by lowest index so relabeling inputs relabels the plan and nothing
 else.
 
 The exact solver keeps its basis as a spanning tree of the m + n row and
-column nodes, rooted at row 0, with a parent, depth and dual per node.
-A pivot walks the entering cell's endpoints up to their common ancestor
-to find its cycle, and recomputes duals only on the subtree it cuts off
-and re-hangs (network simplex; Ahuja, Magnanti and Orlin, Network Flows,
-ch. 11).  The least-cost start always yields such a spanning tree.
+column nodes, rooted at row 0 (network simplex; Ahuja, Magnanti and
+Orlin, Network Flows, ch. 11).  A pivot re-hangs the subtree it cuts off
+by walking only that subtree's non-leaf nodes; one numpy gather then
+sets every leaf's dual from its parent's.  The least-cost start always
+yields such a spanning tree.
 """
 
 from __future__ import annotations
@@ -164,13 +164,13 @@ def _connected(adj) -> bool:
     return all(seen)
 
 
-def _hang(adj, c, m: int, top: int, parent, depth, dual) -> None:
-    """Set parent, depth and dual below ``top`` from its own three values.
+def _hang(internal, c, m: int, top: int, parent, depth, dual) -> None:
+    """Set parent, depth and dual of the non-leaf nodes below ``top``.
 
-    Walks the component of ``top`` away from ``parent[top]``, which must
-    be a tree; each node takes ``dual = c[cell] - dual[parent]`` for the
-    cell joining it to its parent, so a dual is the alternating sum of
-    costs on its root path.
+    Walks the non-leaf nodes of ``top``'s component away from
+    ``parent[top]``, over ``internal[node]``, the node's non-leaf
+    neighbours; each takes ``dual = c[cell] - dual[parent]`` for the cell
+    joining it to its parent.  Leaves take theirs from one gather after.
     """
     item = c.item
     stack = [top]
@@ -178,8 +178,8 @@ def _hang(adj, c, m: int, top: int, parent, depth, dual) -> None:
         node = stack.pop()
         up = parent[node]
         d = depth[node] + 1
-        du = dual[node]
-        for nb in adj[node]:
+        du = dual.item(node)
+        for nb in internal[node]:
             if nb != up:
                 parent[nb] = node
                 depth[nb] = d
@@ -194,18 +194,24 @@ def transport_simplex(p, q, c) -> np.ndarray:
     Returns a basic optimal solution: at most m + n - 1 strictly positive
     entries.  Entering variables use the most-negative-reduced-cost rule
     with lowest-index ties; after a stall of m + n degenerate pivots the
-    rule switches to Bland's to guarantee termination.
+    rule switches to Bland's to guarantee termination.  A cell enters only
+    when its reduced cost is below ``-_PRICE_TOL * max(1, max(c))``, so
+    the threshold scales with the costs' own rounding.
 
     The least-cost initial basis always spans all m + n row and column
-    nodes, and the basis is kept as a spanning tree rooted at row 0: each
-    node holds its parent, depth and dual (u for rows, v for columns, with
-    u[0] = 0).  A pivot finds its cycle by walking the entering cell's two
-    endpoints up to their common ancestor, cuts the leaving cell, re-hangs
-    the cut-off subtree from the entering endpoint inside it, and
-    recomputes depths and duals on that subtree only.  Every dual is the
-    same sum of costs along its root path as a full recomputation would
-    give, so the pivot sequence and the plan bytes do not depend on this
-    bookkeeping.  Pivot counts go to this module's logger at DEBUG.
+    nodes, and the basis is kept as a spanning tree rooted at row 0, with
+    one dual per node (u for rows, v for columns, with u[0] = 0) in the
+    array that pricing reads.  A leaf is a degree-1 node other than row 0;
+    its parent is its only neighbour, and its depth is its parent's plus
+    one.  Every other node keeps its parent and depth in lists, and the
+    set of its non-leaf neighbours.  A pivot finds its cycle by walking
+    the entering cell's two endpoints up to their common ancestor, cuts
+    the leaving cell, re-hangs the cut-off subtree from the entering
+    endpoint inside it and walks only that subtree's non-leaf nodes; then
+    one gather sets every leaf's dual from its parent's.  Every dual is
+    the same sum of costs along its root path as a full recomputation
+    would give, so the pivot sequence and the plan bytes do not depend on
+    this bookkeeping.  Pivot counts go to this module's logger at DEBUG.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -219,6 +225,8 @@ def transport_simplex(p, q, c) -> np.ndarray:
         raise ParameterError(
             f"infeasible marginals: sum(p)={p.sum()!r} != sum(q)={q.sum()!r}"
         )
+    # reduced costs carry rounding residue relative to the costs' scale
+    price_tol = _PRICE_TOL * max(1.0, float(c.max()))
 
     alloc = _initial_basis(p, q, c)
     size = m + n
@@ -228,30 +236,57 @@ def transport_simplex(p, q, c) -> np.ndarray:
         adj[m + j].add(i)
     if len(alloc) != size - 1 or not _connected(adj):
         raise ConvergenceError("initial basis is not a spanning tree of all rows and columns")
+
+    def is_leaf(x: int) -> bool:
+        return x != 0 and len(adj[x]) == 1
+
     parent = [0] * size
     depth = [0] * size
-    dual = [0.0] * size
-    _hang(adj, c, m, 0, parent, depth, dual)
+    dual = np.zeros(size)
+    # per leaf: its parent and the flat index of the cell joining them
+    leaf = np.zeros(size, dtype=bool)
+    leaf_up = np.zeros(size, dtype=np.intp)
+    leaf_cell = np.zeros(size, dtype=np.intp)
+
+    def settle(x: int) -> bool:
+        """Record whether ``x`` is a leaf now and, if so, its parent and cell."""
+        now = is_leaf(x)
+        leaf[x] = now
+        if now:
+            (up,) = adj[x]
+            parent[x] = leaf_up[x] = up
+            leaf_cell[x] = x * n + up - m if x < m else up * n + x - m
+        return now
+
+    def leaf_duals() -> None:
+        """The same subtraction _hang makes, for every leaf at once."""
+        leaves = np.flatnonzero(leaf)
+        dual[leaves] = c.take(leaf_cell[leaves]) - dual[leaf_up[leaves]]
+
+    for x in range(size):
+        settle(x)
+    internal = [{y for y in adj[x] if not is_leaf(y)} for x in range(size)]
+    _hang(internal, c, m, 0, parent, depth, dual)
+    leaf_duals()
 
     bland = False
     stalled = 0
     pivots = degenerate = 0
     max_pivots = 200 * size + 1000
-    reduced = np.empty_like(c)
+    reduced = np.empty((m, n))   # C order, so that ravel() is a view
     reduced_flat = reduced.ravel()
     for _ in range(max_pivots):
-        duals = np.array(dual)
         # reduced = c - u[:, None] - v[None, :], in one reused buffer
-        np.subtract(c, duals[:m, None], out=reduced)
-        np.subtract(reduced, duals[None, m:], out=reduced)
+        np.subtract(c, dual[:m, None], out=reduced)
+        np.subtract(reduced, dual[None, m:], out=reduced)
         if bland:
-            neg = reduced_flat < -_PRICE_TOL
+            neg = reduced_flat < -price_tol
             if not neg.any():
                 break
             flat = int(np.argmax(neg))
         else:
             flat = int(np.argmin(reduced_flat))
-            if reduced_flat[flat] >= -_PRICE_TOL:
+            if reduced_flat[flat] >= -price_tol:
                 break
         ei, ej = divmod(flat, n)
 
@@ -259,12 +294,18 @@ def transport_simplex(p, q, c) -> np.ndarray:
         # entering cell.  Walking from ei, the path's cells alternate
         # -theta, +theta; the -theta ones are those below a row node on
         # ei's side and those below a column node on ej's side.  Each
-        # -theta cell is recorded with the side it lies on.
+        # -theta cell is recorded with the side it lies on.  Only the
+        # two endpoints can be leaves, since every node above them is a
+        # parent; a leaf's depth is taken here, for the walk and the re-hang.
         minus: list[tuple[tuple[int, int], bool]] = []
         plus: list[tuple[int, int]] = []
         a, b = ei, m + ej
+        for x in (a, b):
+            if is_leaf(x):
+                depth[x] = depth[parent[x]] + 1
+        da, db = depth[a], depth[b]
         while a != b:
-            on_row_side = depth[a] >= depth[b]
+            on_row_side = da >= db
             node = a if on_row_side else b
             up = parent[node]
             cell = (node, up - m) if node < m else (up, node - m)
@@ -273,9 +314,9 @@ def transport_simplex(p, q, c) -> np.ndarray:
             else:
                 plus.append(cell)
             if on_row_side:
-                a = up
+                a, da = up, da - 1
             else:
-                b = up
+                b, db = up, db - 1
         theta = min(alloc[cell] for cell, _ in minus)
         leaving, on_row_side = min(entry for entry in minus if alloc[entry[0]] == theta)
 
@@ -284,20 +325,42 @@ def transport_simplex(p, q, c) -> np.ndarray:
         for cell in plus:
             alloc[cell] += theta
         alloc[(ei, ej)] = theta
+        del alloc[leaving]
+        li, lj = leaving[0], m + leaving[1]
+        was_leaf = {x: is_leaf(x) for x in (ei, m + ej, li, lj)}
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
-        del alloc[leaving]
-        adj[leaving[0]].discard(m + leaving[1])
-        adj[m + leaving[1]].discard(leaving[0])
+        adj[li].discard(lj)
+        adj[lj].discard(li)
+
+        # Only the four endpoints change degree.  Keep every node's set of
+        # non-leaf neighbours: drop the leaving cell, tell the neighbours
+        # of an endpoint that turned leaf or non-leaf, add the entering cell.
+        internal[li].discard(lj)
+        internal[lj].discard(li)
+        for x, was in was_leaf.items():
+            now = settle(x)
+            if now != was:
+                for y in adj[x]:
+                    if now:
+                        internal[y].discard(x)
+                    else:
+                        internal[y].add(x)
+        if not is_leaf(m + ej):
+            internal[ei].add(m + ej)
+        if not is_leaf(ei):
+            internal[m + ej].add(ei)
 
         # The subtree cut off below the leaving cell holds the entering
         # endpoint on the leaving cell's side; hang it from the other
-        # endpoint and refresh that subtree.
+        # endpoint, which is never a leaf, and refresh that subtree.
         inner, outer = (ei, m + ej) if on_row_side else (m + ej, ei)
         parent[inner] = outer
-        depth[inner] = depth[outer] + 1
-        dual[inner] = c.item(ei, ej) - dual[outer]
-        _hang(adj, c, m, inner, parent, depth, dual)
+        if not is_leaf(inner):
+            depth[inner] = depth[outer] + 1
+            dual[inner] = c.item(ei, ej) - dual.item(outer)
+            _hang(internal, c, m, inner, parent, depth, dual)
+        leaf_duals()
 
         pivots += 1
         if theta > 0:
@@ -391,21 +454,24 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     err = np.inf
     converged = False
     n_iter = 0
-    for n_iter in range(1, cfg.max_iter + 1):
-        Kv = K @ v
-        u = p / Kv
-        Ktu = K.T @ u
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
-            raise ConvergenceError(
-                "scaling factors overflowed; increase reg"
-            )
-        col_err = float(np.abs(v * Ktu - q).sum())
-        row_err = float(np.abs(u * Kv - p).sum())
-        err = max(row_err, col_err)
-        if err < cfg.tol:
-            converged = True
-            break
-        v = q / Ktu
+    # an overflowing factor is caught by the finiteness check below, so
+    # numpy's warnings on the way there are noise
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n_iter in range(1, cfg.max_iter + 1):
+            Kv = K @ v
+            u = p / Kv
+            Ktu = K.T @ u
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
+                raise ConvergenceError(
+                    "scaling factors overflowed; increase reg"
+                )
+            col_err = float(np.abs(v * Ktu - q).sum())
+            row_err = float(np.abs(u * Kv - p).sum())
+            err = max(row_err, col_err)
+            if err < cfg.tol:
+                converged = True
+                break
+            v = q / Ktu
 
     gamma = u[:, None] * K * v[None, :]
     plan = TransportPlan(gamma, p, q)

@@ -13,7 +13,10 @@ project one point at a time, as the renderer once did, and the tree
 validation reference checks one node at a time, as validate_tree once
 did.  The writer references build the GeoJSON and network JSON documents
 as dicts, one edge and one node at a time, and leave the text to
-``json.dumps``, as the library's writers once did.
+``json.dumps``, as the library's writers once did.  The simplex
+reference re-hangs every node of a cut-off subtree, leaves included, and
+copies the duals into a fresh array for every pricing, as
+transport_simplex once did.
 """
 
 import itertools
@@ -30,6 +33,7 @@ from branchflow.core import (
     KIND_SOURCE,
     KIND_TARGET,
     KINDS,
+    ConvergenceError,
     FlowTree,
     ParameterError,
     ValidationReport,
@@ -37,6 +41,14 @@ from branchflow.core import (
     bot_cost,
 )
 from branchflow.io import normalize_lon
+from branchflow.ot import (
+    _FEAS_TOL,
+    _PRICE_TOL,
+    _check_cost,
+    _connected,
+    _initial_basis,
+    _rebuild_from_basis,
+)
 from branchflow.pipeline import EARTH_RADIUS_KM
 from branchflow.render import MAX_SEGMENT_KM
 from branchflow.seeding import random_direction, substream
@@ -139,6 +151,126 @@ def exact_ot_oracle(p, q, c, feas_tol=1e-12):
     feasible = (flows >= -feas_tol).all(axis=1)
     costs = (np.maximum(flows, 0.0) * c.ravel()[idx]).sum(axis=1)
     return float(costs[feasible].min())
+
+
+def _full_hang(adj, c, m, top, parent, depth, dual):
+    """Set parent, depth and dual of every node below ``top``, leaves included."""
+    item = c.item
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        up = parent[node]
+        d = depth[node] + 1
+        du = dual[node]
+        for nb in adj[node]:
+            if nb != up:
+                parent[nb] = node
+                depth[nb] = d
+                cost = item(node, nb - m) if node < m else item(nb, node - m)
+                dual[nb] = cost - du
+                stack.append(nb)
+
+
+def full_walk_simplex(p, q, c):
+    """Transportation simplex that re-hangs whole subtrees, and its pivot line.
+
+    The same start, pricing rule, pivot tie-breaks, threshold and final
+    rebuild as ``transport_simplex``; only the dual bookkeeping differs.
+    Returns the plan and the DEBUG line the library logs for the solve.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    m, n = p.shape[0], q.shape[0]
+    c = _check_cost(c, m, n)
+    if m == 0 or n == 0:
+        raise ParameterError("need at least one supply and one demand")
+    if np.any(p <= 0) or np.any(q <= 0):
+        raise ParameterError("supplies and demands must be strictly positive")
+    if abs(p.sum() - q.sum()) > _FEAS_TOL:
+        raise ParameterError(
+            f"infeasible marginals: sum(p)={p.sum()!r} != sum(q)={q.sum()!r}"
+        )
+    price_tol = _PRICE_TOL * max(1.0, float(c.max()))
+
+    alloc = _initial_basis(p, q, c)
+    size = m + n
+    adj = [set() for _ in range(size)]
+    for (i, j) in alloc:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    if len(alloc) != size - 1 or not _connected(adj):
+        raise ConvergenceError("initial basis is not a spanning tree of all rows and columns")
+    parent = [0] * size
+    depth = [0] * size
+    dual = [0.0] * size
+    _full_hang(adj, c, m, 0, parent, depth, dual)
+
+    bland = False
+    stalled = 0
+    pivots = degenerate = 0
+    for _ in range(200 * size + 1000):
+        duals = np.array(dual)
+        reduced = (c - duals[:m, None] - duals[None, m:]).ravel()
+        if bland:
+            neg = reduced < -price_tol
+            if not neg.any():
+                break
+            flat = int(np.argmax(neg))
+        else:
+            flat = int(np.argmin(reduced))
+            if reduced[flat] >= -price_tol:
+                break
+        ei, ej = divmod(flat, n)
+
+        minus, plus = [], []
+        a, b = ei, m + ej
+        while a != b:
+            on_row_side = depth[a] >= depth[b]
+            node = a if on_row_side else b
+            up = parent[node]
+            cell = (node, up - m) if node < m else (up, node - m)
+            if (node < m) == on_row_side:
+                minus.append((cell, on_row_side))
+            else:
+                plus.append(cell)
+            if on_row_side:
+                a = up
+            else:
+                b = up
+        theta = min(alloc[cell] for cell, _ in minus)
+        leaving, on_row_side = min(entry for entry in minus if alloc[entry[0]] == theta)
+
+        for cell, _ in minus:
+            alloc[cell] -= theta
+        for cell in plus:
+            alloc[cell] += theta
+        alloc[(ei, ej)] = theta
+        adj[ei].add(m + ej)
+        adj[m + ej].add(ei)
+        del alloc[leaving]
+        adj[leaving[0]].discard(m + leaving[1])
+        adj[m + leaving[1]].discard(leaving[0])
+
+        inner, outer = (ei, m + ej) if on_row_side else (m + ej, ei)
+        parent[inner] = outer
+        depth[inner] = depth[outer] + 1
+        dual[inner] = c.item(ei, ej) - dual[outer]
+        _full_hang(adj, c, m, inner, parent, depth, dual)
+
+        pivots += 1
+        if theta > 0:
+            stalled = 0
+        else:
+            degenerate += 1
+            stalled += 1
+            if stalled > size:
+                bland = True
+    else:
+        raise ConvergenceError("transportation simplex exceeded its pivot budget")
+
+    line = (f"transport_simplex {m}x{n}: {pivots} pivots, {degenerate} degenerate, "
+            f"bland switch {'yes' if bland else 'no'}")
+    return _rebuild_from_basis(adj, p, q, m, n), line
 
 
 def best_bipartition(points, weights):

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from branchflow import ot
 from branchflow.ot import _initial_basis, transport_simplex
 from branchflow.seeding import substream
 
-from oracles import exact_ot_oracle
+from oracles import exact_ot_oracle, full_walk_simplex
 
 
 def random_instance(seed, m, n):
@@ -291,12 +292,88 @@ def test_exact_is_optimal_and_basic_on_tied_instances(instance):
 
 def test_exact_logs_pivot_counts(caplog):
     with caplog.at_level(logging.DEBUG, logger="branchflow.ot"):
-        transport_simplex(*_golden_problem("bland-9x9"))
-        transport_simplex(*_golden_problem("planar-20x200"))
+        for name in ("bland-9x9", "planar-20x200", "planar-50x1000", "int-grid-16x64"):
+            transport_simplex(*_golden_problem(name))
     assert [r.getMessage() for r in caplog.records] == [
         "transport_simplex 9x9: 22 pivots, 20 degenerate, bland switch yes",
         "transport_simplex 20x200: 163 pivots, 0 degenerate, bland switch no",
+        "transport_simplex 50x1000: 1197 pivots, 0 degenerate, bland switch no",
+        "transport_simplex 16x64: 20 pivots, 17 degenerate, bland switch no",
     ]
+
+
+@st.composite
+def simplex_instances(draw):
+    """Planar instances of every shape class, and tied ones either way up."""
+    shape = draw(st.sampled_from(["wide", "tall", "1x1", "1xn", "mx1", "tied"]))
+    if shape == "tied":
+        p, q, c = draw(tied_instances())
+        return (q, p, c.T) if draw(st.booleans()) else (p, q, c)
+    m, n = {
+        "wide": (draw(st.integers(2, 12)), draw(st.integers(13, 40))),
+        "tall": (draw(st.integers(13, 40)), draw(st.integers(2, 12))),
+        "1x1": (1, 1),
+        "1xn": (1, draw(st.integers(2, 30))),
+        "mx1": (draw(st.integers(2, 30)), 1),
+    }[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, ys = rng.random((m, 2)), rng.random((n, 2))
+    c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2) * draw(st.sampled_from([1.0, 3.0]))
+    p, q = 1.0 - rng.random(m), 1.0 - rng.random(n)
+    return p / p.sum(), q / q.sum(), c
+
+
+def _solve_and_log(solve, p, q, c):
+    """The solver's plan bytes or error, and the pivot line it logged or returned."""
+    lines = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("branchflow.ot")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        out = solve(p, q, c)
+    except Exception as exc:  # compared with the reference's error below
+        return (type(exc), str(exc)), lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    if isinstance(out, tuple):
+        out, line = out
+        lines.append(line)
+    return out.tobytes(), lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(simplex_instances())
+def test_exact_matches_the_full_walk_reference_bitwise(instance):
+    # the leaf gather and non-leaf walk must reproduce every dual, so the
+    # same pivots, the same plan bytes and the same errors
+    assert _solve_and_log(transport_simplex, *instance) == \
+        _solve_and_log(full_walk_simplex, *instance)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+def test_exact_plan_does_not_depend_on_the_cost_scale(scale):
+    # the benchmark's net-exact seed 0, instance 0: at these scales an
+    # absolute price threshold lets a basic cell's rounding residue pass
+    # for a negative reduced cost, and the cycle walk fails with KeyError
+    rng = np.random.default_rng([0, 0, zlib.crc32(b"transport")])
+    xs, ys = jittered_grid(rng, 10, 5), jittered_grid(rng, 40, 25)
+    p, q = 1.0 - rng.random(50), 1.0 - rng.random(1000)
+    inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
+    c = cost_matrix(inst)
+    unit = transport_simplex(inst.p, inst.q, c)
+    assert transport_simplex(inst.p, inst.q, c * scale).tobytes() == unit.tobytes()
+
+
+def test_exact_plan_does_not_depend_on_the_cost_layout():
+    # c.T of another problem is Fortran-ordered; a pricing buffer shaped
+    # like it has no flat view, and pricing a stale copy is suboptimal
+    p, q, c = _golden_problem("planar-20x200")
+    want = transport_simplex(p, q, c)
+    assert np.array_equal(transport_simplex(p, q, np.asfortranarray(c)), want)
 
 
 def test_exact_label_equivariance_is_bitwise():
@@ -367,6 +444,18 @@ def test_sinkhorn_underflow_raises_convergence_error():
     c = np.array([[0.0, 1e-9], [1.0, 1.0]])
     with pytest.raises(ConvergenceError, match="reg"):
         solve_sinkhorn(inst, c, SinkhornConfig(reg=1e-4))
+
+
+@pytest.mark.parametrize("seed", [10, 15])
+def test_sinkhorn_overflow_raises_without_warnings(seed):
+    # pytest turns any RuntimeWarning into an error, so a warning numpy
+    # prints on the way to the overflow would replace ConvergenceError
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.random((6, 2)), rng.random((60, 2))
+    p, q = 1.0 - rng.random(6), 1.0 - rng.random(60)
+    inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        solve_sinkhorn(inst, cost_matrix(inst), SinkhornConfig(reg=1e-3))
 
 
 def test_sinkhorn_iteration_cap_flags_nonconvergence():
