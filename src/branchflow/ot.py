@@ -2,16 +2,23 @@
 
 Two routes to a coupling between weighted sources and targets: an exact
 transportation-simplex solver and entropically regularized matrix
-scaling.  Both are deterministic; the exact solver breaks every pivot
-tie by lowest index so relabeling inputs relabels the plan and nothing
-else.
+scaling.  Both are deterministic: the same inputs give the same bytes.
+
+The exact solver's plan bytes depend only on its final basis, which
+``_rebuild_from_basis`` turns into allocations by order-independent
+sums.  So when the optimum is unique, any pivot rule, and any relabeling
+of sources or targets, gives the same bytes.  A tied optimum is not
+unique: the optimal basis reached, and so the plan, can change with the
+pivot rule or with the order of the inputs.
 
 The exact solver keeps its basis as a spanning tree of the m + n row and
 column nodes, rooted at row 0 (network simplex; Ahuja, Magnanti and
-Orlin, Network Flows, ch. 11).  A pivot re-hangs the subtree it cuts off
-by walking only that subtree's non-leaf nodes; one numpy gather then
-sets every leaf's dual from its parent's.  The least-cost start always
-yields such a spanning tree.
+Orlin, Network Flows, ch. 11).  Pricing searches blocks of whole rows in
+turn and enters the best cell of the first block that holds an improving
+one (block search; Grigoriadis 1986).  A pivot re-hangs the subtree it
+cuts off by walking only that subtree's non-leaf nodes; one numpy
+gather then sets every leaf's dual from its parent's.  The least-cost
+start always yields such a spanning tree.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ _log = logging.getLogger(__name__)
 
 _FEAS_TOL = 1e-9      # allowed |sum(p) - sum(q)|
 _PRICE_TOL = 1e-11    # reduced-cost threshold for entering variables
+_PRICE_BLOCKS = 16    # at most 16 pricing blocks, each of ceil(m / 16) whole rows
 
 
 def cost_matrix(instance: TransportInstance) -> np.ndarray:
@@ -49,6 +57,23 @@ def _check_cost(c, m: int, n: int) -> np.ndarray:
     if not np.all(np.isfinite(c)) or np.any(c < 0):
         raise ParameterError("cost entries must be finite and nonnegative")
     return c
+
+
+def _check_masses(p: np.ndarray, q: np.ndarray) -> None:
+    """Supplies and demands must be finite, strictly positive and balanced.
+
+    Each check is written so that NaN fails it.
+    """
+    if p.shape[0] == 0 or q.shape[0] == 0:
+        raise ParameterError("need at least one supply and one demand")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ParameterError("supplies and demands must be finite")
+    if not (np.all(p > 0) and np.all(q > 0)):
+        raise ParameterError("supplies and demands must be strictly positive")
+    if not abs(p.sum() - q.sum()) <= _FEAS_TOL:
+        raise ParameterError(
+            f"infeasible marginals: sum(p)={p.sum()!r} != sum(q)={q.sum()!r}"
+        )
 
 
 def plan_cost(plan: TransportPlan, c) -> float:
@@ -192,11 +217,19 @@ def transport_simplex(p, q, c) -> np.ndarray:
     """Minimum-cost coupling of supplies ``p`` onto demands ``q``.
 
     Returns a basic optimal solution: at most m + n - 1 strictly positive
-    entries.  Entering variables use the most-negative-reduced-cost rule
-    with lowest-index ties; after a stall of m + n degenerate pivots the
-    rule switches to Bland's to guarantee termination.  A cell enters only
-    when its reduced cost is below ``-_PRICE_TOL * max(1, max(c))``, so
-    the threshold scales with the costs' own rounding.
+    entries.  Supplies and demands must be finite, strictly positive and
+    balanced to ``_FEAS_TOL``.  Pricing is block search over blocks of
+    ceil(m / ``_PRICE_BLOCKS``) whole rows, at most ``_PRICE_BLOCKS`` of
+    them: starting from the block of the last entering cell, the blocks are
+    priced in turn, and the most negative cell of the first block that
+    holds one enters, ties going to the lowest index.  The solve ends
+    when a whole cycle of blocks finds no entering cell.  After a stall of
+    m + n degenerate pivots the rule switches to Bland's (the lowest
+    eligible index over every cell) to guarantee termination.  A cell
+    enters only when its reduced cost is below
+    ``-_PRICE_TOL * max(1, max(c))``, so the threshold scales with the
+    costs' own rounding.  The plan bytes depend only on the final basis,
+    so a unique optimum gives the same bytes as any other pivot rule.
 
     The least-cost initial basis always spans all m + n row and column
     nodes, and the basis is kept as a spanning tree rooted at row 0, with
@@ -217,14 +250,7 @@ def transport_simplex(p, q, c) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     m, n = p.shape[0], q.shape[0]
     c = _check_cost(c, m, n)
-    if m == 0 or n == 0:
-        raise ParameterError("need at least one supply and one demand")
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise ParameterError("supplies and demands must be strictly positive")
-    if abs(p.sum() - q.sum()) > _FEAS_TOL:
-        raise ParameterError(
-            f"infeasible marginals: sum(p)={p.sum()!r} != sum(q)={q.sum()!r}"
-        )
+    _check_masses(p, q)
     # reduced costs carry rounding residue relative to the costs' scale
     price_tol = _PRICE_TOL * max(1.0, float(c.max()))
 
@@ -269,25 +295,44 @@ def transport_simplex(p, q, c) -> np.ndarray:
     _hang(internal, c, m, 0, parent, depth, dual)
     leaf_duals()
 
+    # Pricing reads the reduced costs c - u[:, None] - v[None, :] of one
+    # block of whole rows at a time, into one reused block buffer; u and v
+    # are views of dual, so every pricing reads the current duals.
+    rows = -(-m // _PRICE_BLOCKS)
+    buf = np.empty((rows, n))
+    u, v = dual[:m, None], dual[None, m:]
+    blocks = [(lo * n, c[lo:lo + rows], u[lo:lo + rows], buf[:m - lo])
+              for lo in range(0, m, rows)]
+    n_blocks = len(blocks)
+    start = 0
+
+    def entering() -> int:
+        """Flat index of the entering cell, or -1 when no cell improves.
+
+        Under Bland's rule the blocks are visited from row 0, and the
+        first eligible cell of the first block holding one enters.
+        """
+        nonlocal start
+        first = 0 if bland else start
+        for k in range(first, first + n_blocks):
+            k %= n_blocks
+            at0, cb, ub, rb = blocks[k]
+            np.subtract(cb, ub, out=rb)
+            np.subtract(rb, v, out=rb)
+            at = int(np.argmax(rb < -price_tol)) if bland else int(rb.argmin())
+            if rb.item(at) < -price_tol:
+                start = k
+                return at0 + at
+        return -1
+
     bland = False
     stalled = 0
     pivots = degenerate = 0
     max_pivots = 200 * size + 1000
-    reduced = np.empty((m, n))   # C order, so that ravel() is a view
-    reduced_flat = reduced.ravel()
     for _ in range(max_pivots):
-        # reduced = c - u[:, None] - v[None, :], in one reused buffer
-        np.subtract(c, dual[:m, None], out=reduced)
-        np.subtract(reduced, dual[None, m:], out=reduced)
-        if bland:
-            neg = reduced_flat < -price_tol
-            if not neg.any():
-                break
-            flat = int(np.argmax(neg))
-        else:
-            flat = int(np.argmin(reduced_flat))
-            if reduced_flat[flat] >= -price_tol:
-                break
+        flat = entering()
+        if flat < 0:
+            break
         ei, ej = divmod(flat, n)
 
         # Cycle: the tree path from row ei to column ej, closed by the
@@ -412,8 +457,8 @@ class SinkhornConfig:
         # each check is written so that NaN fails it
         if not self.reg > 0:
             raise ParameterError(f"reg must be positive, got {self.reg}")
-        if not self.tol > 0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
         _check_int(self.max_iter, "max_iter")
         if not self.max_iter >= 1:
             raise ParameterError("max_iter must be at least 1")

@@ -15,8 +15,10 @@ did.  The writer references build the GeoJSON and network JSON documents
 as dicts, one edge and one node at a time, and leave the text to
 ``json.dumps``, as the library's writers once did.  The simplex
 reference re-hangs every node of a cut-off subtree, leaves included, and
-copies the duals into a fresh array for every pricing, as
-transport_simplex once did.
+builds the whole reduced-cost matrix from a fresh copy of the duals for
+every pricing, as transport_simplex once did; it then walks that matrix
+in the library's row blocks, or takes its most negative cell, the
+Dantzig rule transport_simplex once used.
 """
 
 import itertools
@@ -42,9 +44,10 @@ from branchflow.core import (
 )
 from branchflow.io import normalize_lon
 from branchflow.ot import (
-    _FEAS_TOL,
+    _PRICE_BLOCKS,
     _PRICE_TOL,
     _check_cost,
+    _check_masses,
     _connected,
     _initial_basis,
     _rebuild_from_basis,
@@ -171,25 +174,42 @@ def _full_hang(adj, c, m, top, parent, depth, dual):
                 stack.append(nb)
 
 
-def full_walk_simplex(p, q, c):
+def _block_entering(reduced, price_tol, start):
+    """Block search over row blocks of ceil(m / _PRICE_BLOCKS) rows.
+
+    From block ``start`` on, cyclically, the most negative cell of the
+    first block holding a cell below the threshold.  Returns the flat
+    index, or -1, and the block it came from.
+    """
+    m, n = reduced.shape
+    rows = math.ceil(m / _PRICE_BLOCKS)
+    n_blocks = math.ceil(m / rows)
+    for step in range(n_blocks):
+        k = (start + step) % n_blocks
+        block = reduced[k * rows:(k + 1) * rows]
+        at = int(np.argmin(block))
+        if block.flat[at] < -price_tol:
+            return k * rows * n + at, k
+    return -1, start
+
+
+def full_walk_simplex(p, q, c, pricing="block"):
     """Transportation simplex that re-hangs whole subtrees, and its pivot line.
 
-    The same start, pricing rule, pivot tie-breaks, threshold and final
-    rebuild as ``transport_simplex``; only the dual bookkeeping differs.
+    With ``pricing="block"``, the same start, pricing rule, pivot
+    tie-breaks, threshold and final rebuild as ``transport_simplex``; only
+    the dual bookkeeping and the way the reduced costs are laid out
+    differ.  ``pricing="dantzig"`` enters the most negative cell of the
+    whole matrix instead.  Both switch to Bland's rule after a stall.
     Returns the plan and the DEBUG line the library logs for the solve.
     """
+    if pricing not in ("block", "dantzig"):
+        raise ValueError(f"unknown pricing {pricing!r}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     m, n = p.shape[0], q.shape[0]
     c = _check_cost(c, m, n)
-    if m == 0 or n == 0:
-        raise ParameterError("need at least one supply and one demand")
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise ParameterError("supplies and demands must be strictly positive")
-    if abs(p.sum() - q.sum()) > _FEAS_TOL:
-        raise ParameterError(
-            f"infeasible marginals: sum(p)={p.sum()!r} != sum(q)={q.sum()!r}"
-        )
+    _check_masses(p, q)
     price_tol = _PRICE_TOL * max(1.0, float(c.max()))
 
     alloc = _initial_basis(p, q, c)
@@ -208,18 +228,21 @@ def full_walk_simplex(p, q, c):
     bland = False
     stalled = 0
     pivots = degenerate = 0
+    start = 0
     for _ in range(200 * size + 1000):
         duals = np.array(dual)
-        reduced = (c - duals[:m, None] - duals[None, m:]).ravel()
+        reduced = c - duals[:m, None] - duals[None, m:]
         if bland:
-            neg = reduced < -price_tol
-            if not neg.any():
-                break
-            flat = int(np.argmax(neg))
+            neg = (reduced < -price_tol).ravel()
+            flat = int(np.argmax(neg)) if neg.any() else -1
+        elif pricing == "block":
+            flat, start = _block_entering(reduced, price_tol, start)
         else:
             flat = int(np.argmin(reduced))
-            if reduced[flat] >= -price_tol:
-                break
+            if reduced.flat[flat] >= -price_tol:
+                flat = -1
+        if flat < 0:
+            break
         ei, ej = divmod(flat, n)
 
         minus, plus = [], []

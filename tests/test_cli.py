@@ -146,6 +146,12 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     assert err.count("\n") == 1
 
 
+def test_net_sinkhorn_infinite_tol_exits_two(capsys):
+    argv = ["net", "--ot-mode", "sinkhorn", "--tol", "inf", "--n-sources", "3", "--n-targets", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: tol must be positive and finite, got inf\n"
+
+
 @pytest.mark.parametrize("command", [
     ["net", "--n-sources", "3", "--n-targets", "5"],
     ["dual", "--n-targets", "5"],

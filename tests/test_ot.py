@@ -141,8 +141,10 @@ def test_exact_rejects_unbalanced_raw_marginals():
         transport_simplex([], [], np.ones((0, 0)))
 
 
-# 9x9 assignment with costs in {0, 1, 2}: the most-negative rule stalls
-# for more than m + n degenerate pivots, so the solve ends under Bland's rule
+# 9x9 assignment with costs in {0, 1, 2}: the most-negative rule over all
+# cells stalled here for more than m + n degenerate pivots and ended under
+# Bland's rule; block search, which starts from the last entering block,
+# does not stall here
 BLAND_COST = [
     [1, 1, 1, 0, 1, 0, 2, 1, 1],
     [1, 2, 1, 0, 1, 1, 1, 0, 0],
@@ -153,6 +155,35 @@ BLAND_COST = [
     [0, 0, 1, 2, 0, 0, 0, 2, 2],
     [1, 2, 1, 2, 2, 2, 1, 0, 2],
     [0, 2, 1, 2, 2, 1, 2, 2, 0],
+]
+
+# 23x23 assignment with 0/1 costs, one row a string: block search stalls
+# here for more than m + n degenerate pivots, so the solve ends under
+# Bland's rule
+BLAND_ROWS = [
+    "10000000100001101011101",
+    "00010001111111101011101",
+    "10101101010100000111011",
+    "10011000111001111011011",
+    "00011010011001011101101",
+    "10100010100010110001011",
+    "10100001001101111010001",
+    "10100101011110001101000",
+    "00011010110001011110011",
+    "01000010010000001111010",
+    "01101001100110100010111",
+    "10100001000010011111100",
+    "01010010110110111100100",
+    "00101000111101010101111",
+    "11011011100000000101000",
+    "00011000011011001000111",
+    "01010110111010000110011",
+    "11111010110101000011100",
+    "00100011111011010010001",
+    "00000010000101101011001",
+    "01010101110110011100011",
+    "01001110100100001000011",
+    "11010101100110111011100",
 ]
 
 
@@ -169,6 +200,8 @@ def _golden_problem(name):
         ys = rng.integers(0, 4, (64, 2)).astype(float)
         c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
         return np.full(16, 1 / 16), np.full(64, 1 / 64), c
+    if name == "bland-23x23":
+        return np.ones(23), np.ones(23), np.array([list(r) for r in BLAND_ROWS], dtype=float)
     assert name == "bland-9x9"
     return np.ones(9), np.ones(9), np.array(BLAND_COST, dtype=float)
 
@@ -176,7 +209,8 @@ def _golden_problem(name):
 @pytest.mark.parametrize("name, digest", [
     ("planar-20x200", "4b6145c24788f08cae84ee387efc112c13c388857cb88ba35d616fb012f1b3bd"),
     ("planar-50x1000", "89734b2b8029c8a8a79e8cfb68f61882135e5d045332d675a44342d9924287a5"),
-    ("int-grid-16x64", "224cff16c88eff427448eb7c537af5324fb2bcaae9780f7144f0bb3f509506b0"),
+    # tied optimum: the pivot rule picks which optimal vertex (checked below)
+    ("int-grid-16x64", "70183227316c13765b7807b0bcdb7479345c113b879ff64376f97c948da0f7c6"),
     ("bland-9x9", "f9ebf1e1fe1f5bfba634a7d05cfae25d14ea731f92b84e82fa7d1a35c2203d49"),
 ])
 def test_exact_plan_bytes_are_pinned(name, digest):
@@ -227,6 +261,24 @@ def test_exact_matches_highs_at_50x1000():
     inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
     c = cost_matrix(inst)
     check_against_highs(inst.p, inst.q, c, transport_simplex(inst.p, inst.q, c), 1e-9)
+
+
+def test_exact_tied_int_grid_plan_is_optimal():
+    # its optimum is not unique, so its pinned bytes name one optimal
+    # vertex of several; HiGHS confirms that vertex is optimal
+    p, q, c = _golden_problem("int-grid-16x64")
+    check_against_highs(p, q, c, transport_simplex(p, q, c), 1e-12)
+
+
+def test_exact_plan_bytes_are_pinned_at_100x2000():
+    # a unique optimum: these are the bytes the Dantzig rule gave too
+    rng = substream(1, "ot-test", "jittered-grid")
+    xs, ys = jittered_grid(rng, 10, 10), jittered_grid(rng, 50, 40)
+    p, q = 1.0 - rng.random(100), 1.0 - rng.random(2000)
+    inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
+    gamma = transport_simplex(inst.p, inst.q, cost_matrix(inst))
+    assert hashlib.sha256(gamma.tobytes()).hexdigest() == \
+        "4be49aa6ba8d2ee91990465b836c3560cec6772bd098c7865d87ea90978cd959"
 
 
 # 5x15 uniform-mass instances whose least-cost start used to close the last
@@ -295,20 +347,15 @@ def test_exact_logs_pivot_counts(caplog):
         for name in ("bland-9x9", "planar-20x200", "planar-50x1000", "int-grid-16x64"):
             transport_simplex(*_golden_problem(name))
     assert [r.getMessage() for r in caplog.records] == [
-        "transport_simplex 9x9: 22 pivots, 20 degenerate, bland switch yes",
-        "transport_simplex 20x200: 163 pivots, 0 degenerate, bland switch no",
-        "transport_simplex 50x1000: 1197 pivots, 0 degenerate, bland switch no",
-        "transport_simplex 16x64: 20 pivots, 17 degenerate, bland switch no",
+        "transport_simplex 9x9: 12 pivots, 9 degenerate, bland switch no",
+        "transport_simplex 20x200: 235 pivots, 0 degenerate, bland switch no",
+        "transport_simplex 50x1000: 1557 pivots, 0 degenerate, bland switch no",
+        "transport_simplex 16x64: 22 pivots, 18 degenerate, bland switch no",
     ]
 
 
-@st.composite
-def simplex_instances(draw):
-    """Planar instances of every shape class, and tied ones either way up."""
-    shape = draw(st.sampled_from(["wide", "tall", "1x1", "1xn", "mx1", "tied"]))
-    if shape == "tied":
-        p, q, c = draw(tied_instances())
-        return (q, p, c.T) if draw(st.booleans()) else (p, q, c)
+def _planar_instance(draw, shape):
+    """A random planar instance of one shape class; its optimum is unique."""
     m, n = {
         "wide": (draw(st.integers(2, 12)), draw(st.integers(13, 40))),
         "tall": (draw(st.integers(13, 40)), draw(st.integers(2, 12))),
@@ -321,6 +368,24 @@ def simplex_instances(draw):
     c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2) * draw(st.sampled_from([1.0, 3.0]))
     p, q = 1.0 - rng.random(m), 1.0 - rng.random(n)
     return p / p.sum(), q / q.sum(), c
+
+
+PLANAR_SHAPES = ["wide", "tall", "1x1", "1xn", "mx1"]
+
+
+@st.composite
+def simplex_instances(draw):
+    """Planar instances of every shape class, and tied ones either way up."""
+    shape = draw(st.sampled_from(PLANAR_SHAPES + ["tied"]))
+    if shape == "tied":
+        p, q, c = draw(tied_instances())
+        return (q, p, c.T) if draw(st.booleans()) else (p, q, c)
+    return _planar_instance(draw, shape)
+
+
+@st.composite
+def planar_instances(draw):
+    return _planar_instance(draw, draw(st.sampled_from(PLANAR_SHAPES)))
 
 
 def _solve_and_log(solve, p, q, c):
@@ -352,6 +417,45 @@ def test_exact_matches_the_full_walk_reference_bitwise(instance):
     # same pivots, the same plan bytes and the same errors
     assert _solve_and_log(transport_simplex, *instance) == \
         _solve_and_log(full_walk_simplex, *instance)
+
+
+def test_exact_switches_to_blands_rule_after_a_stall():
+    p, q, c = _golden_problem("bland-23x23")
+    plan, lines = _solve_and_log(transport_simplex, p, q, c)
+    assert lines == ["transport_simplex 23x23: 53 pivots, 52 degenerate, bland switch yes"]
+    assert (plan, lines) == _solve_and_log(full_walk_simplex, p, q, c)
+    check_against_highs(p, q, c, np.frombuffer(plan).reshape(23, 23), 1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(planar_instances())
+def test_exact_plan_bytes_do_not_depend_on_the_pivot_rule(instance):
+    # a unique optimum is one basis, and the plan bytes depend on the
+    # final basis alone: block search must write what Dantzig's rule wrote
+    want, _ = full_walk_simplex(*instance, pricing="dantzig")
+    assert transport_simplex(*instance).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("solve", [transport_simplex, full_walk_simplex])
+def test_exact_rejects_nan_demand(solve):
+    # a NaN in q used to come back as a plan of NaNs
+    with pytest.raises(ParameterError, match="must be finite"):
+        solve([0.5, 0.5], [0.5, math.nan], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("solve", [transport_simplex, full_walk_simplex])
+def test_exact_rejects_nan_supply(solve):
+    # a NaN in p used to give NaN entries (as here), a ConvergenceError or
+    # a bare ValueError, depending on the costs
+    with pytest.raises(ParameterError, match="must be finite"):
+        solve([math.nan, 0.5], [0.5, 0.5], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("solve", [transport_simplex, full_walk_simplex])
+def test_exact_rejects_infinite_masses(solve):
+    # inf masses used to raise a bare ValueError from fsum, after warnings
+    with pytest.raises(ParameterError, match="must be finite"):
+        solve([math.inf, 0.5], [math.inf, 0.5], np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
@@ -481,6 +585,13 @@ def test_sinkhorn_config_validation():
 def test_sinkhorn_config_rejects_nan(field):
     with pytest.raises(ParameterError, match=f"{field} must be positive"):
         SinkhornConfig(**{field: math.nan})
+
+
+def test_sinkhorn_config_rejects_infinite_tol():
+    # tol bounds the marginal errors at exit; an infinite one used to stop
+    # after one iteration and flag that iterate as converged
+    with pytest.raises(ParameterError, match="tol must be positive and finite, got inf"):
+        SinkhornConfig(tol=math.inf)
 
 
 def test_assignments_reject_nan_threshold():
