@@ -18,7 +18,9 @@ reference re-hangs every node of a cut-off subtree, leaves included, and
 builds the whole reduced-cost matrix from a fresh copy of the duals for
 every pricing, as transport_simplex once did; it then walks that matrix
 in the library's row blocks, or takes its most negative cell, the
-Dantzig rule transport_simplex once used.
+Dantzig rule transport_simplex once used.  The Sinkhorn reference checks
+both factors for finiteness and computes both marginal errors on every
+iteration, as solve_sinkhorn once did.
 """
 
 import itertools
@@ -38,12 +40,14 @@ from branchflow.core import (
     ConvergenceError,
     FlowTree,
     ParameterError,
+    TransportPlan,
     ValidationReport,
     Violation,
     bot_cost,
 )
 from branchflow.io import normalize_lon
 from branchflow.ot import (
+    SinkhornResult,
     _PRICE_BLOCKS,
     _PRICE_TOL,
     _check_cost,
@@ -294,6 +298,51 @@ def full_walk_simplex(p, q, c, pricing="block"):
     line = (f"transport_simplex {m}x{n}: {pivots} pivots, {degenerate} degenerate, "
             f"bland switch {'yes' if bland else 'no'}")
     return _rebuild_from_basis(adj, p, q, m, n), line
+
+
+def reference_sinkhorn(instance, c, cfg):
+    """Sinkhorn scaling with every check on every iteration.
+
+    The same kernel, iteration, stopping rule and errors as
+    ``solve_sinkhorn``, but both factors are tested for finiteness and
+    both marginal L1 errors are computed on every iteration.
+    """
+    c = _check_cost(c, instance.n_sources, instance.n_targets)
+    p, q = instance.p, instance.q
+
+    cmax = float(c.max())
+    chat = c / cmax if cmax > 0 else c
+    K = np.exp(-chat / cfg.reg)
+    if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
+        raise ConvergenceError(
+            "scaling kernel underflowed to zero rows/columns; increase reg"
+        )
+
+    v = np.ones_like(q)
+    u = np.ones_like(p)
+    err = np.inf
+    converged = False
+    n_iter = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n_iter in range(1, cfg.max_iter + 1):
+            Kv = K @ v
+            u = p / Kv
+            Ktu = K.T @ u
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
+                raise ConvergenceError(
+                    "scaling factors overflowed; increase reg"
+                )
+            col_err = float(np.abs(v * Ktu - q).sum())
+            row_err = float(np.abs(u * Kv - p).sum())
+            err = max(row_err, col_err)
+            if err < cfg.tol:
+                converged = True
+                break
+            v = q / Ktu
+
+    gamma = u[:, None] * K * v[None, :]
+    plan = TransportPlan(gamma, p, q)
+    return SinkhornResult(plan, n_iter, err, converged)
 
 
 def best_bipartition(points, weights):

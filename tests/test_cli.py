@@ -349,9 +349,11 @@ def test_net_repeat_runs_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("argv, n_files, digest", [
     (["net", "--seed", "5", "--n-sources", "4", "--n-targets", "40"], 5,
      "73834fb33a7b438ed437df9d22701ad3813942c81bb89b4a11495e0b5166ca53"),
+    (["net", "--ot-mode", "sinkhorn", "--seed", "5", "--n-sources", "4", "--n-targets", "40"], 5,
+     "d28951d91d213e0e9775a6742ee96cfc86109bd7f789c403454bd8f109ec2bc5"),
     (["santa", "--seed", "0"], 174,
      "61bf36a35ac71b35c487a5f6f1eda4a3eb6ffc240f3ed50f764d185e90830043"),
-], ids=["net", "santa"])
+], ids=["net", "net-sinkhorn", "santa"])
 def test_forest_directory_bytes_pinned(tmp_path, capsys, argv, n_files, digest):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     files = read_dir(tmp_path / "out")

@@ -24,7 +24,7 @@ from branchflow import ot
 from branchflow.ot import _initial_basis, transport_simplex
 from branchflow.seeding import substream
 
-from oracles import exact_ot_oracle, full_walk_simplex
+from oracles import exact_ot_oracle, full_walk_simplex, reference_sinkhorn
 
 
 def random_instance(seed, m, n):
@@ -187,12 +187,14 @@ BLAND_ROWS = [
 ]
 
 
+def _golden_planar(name):
+    m, n = {"planar-20x200": (20, 200), "planar-50x1000": (50, 1000)}[name]
+    return random_instance(m, m, n)
+
+
 def _golden_problem(name):
-    if name == "planar-20x200":
-        inst = random_instance(20, 20, 200)
-        return inst.p, inst.q, cost_matrix(inst)
-    if name == "planar-50x1000":
-        inst = random_instance(50, 50, 1000)
+    if name.startswith("planar-"):
+        inst = _golden_planar(name)
         return inst.p, inst.q, cost_matrix(inst)
     if name == "int-grid-16x64":
         rng = np.random.default_rng(3)
@@ -354,15 +356,19 @@ def test_exact_logs_pivot_counts(caplog):
     ]
 
 
-def _planar_instance(draw, shape):
-    """A random planar instance of one shape class; its optimum is unique."""
-    m, n = {
+def _planar_shape(draw, shape):
+    return {
         "wide": (draw(st.integers(2, 12)), draw(st.integers(13, 40))),
         "tall": (draw(st.integers(13, 40)), draw(st.integers(2, 12))),
         "1x1": (1, 1),
         "1xn": (1, draw(st.integers(2, 30))),
         "mx1": (draw(st.integers(2, 30)), 1),
     }[shape]
+
+
+def _planar_instance(draw, shape):
+    """A random planar instance of one shape class; its optimum is unique."""
+    m, n = _planar_shape(draw, shape)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs, ys = rng.random((m, 2)), rng.random((n, 2))
     c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2) * draw(st.sampled_from([1.0, 3.0]))
@@ -560,6 +566,59 @@ def test_sinkhorn_overflow_raises_without_warnings(seed):
     inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
     with pytest.raises(ConvergenceError, match="overflowed"):
         solve_sinkhorn(inst, cost_matrix(inst), SinkhornConfig(reg=1e-3))
+
+
+def _sinkhorn_outcome(solve, instance, cfg):
+    """Plan bytes, iterations, error bits and flag, or the error message."""
+    try:
+        res = solve(instance, cost_matrix(instance), cfg)
+    except ConvergenceError as exc:
+        return str(exc)
+    return res.plan.gamma.tobytes(), res.n_iter, repr(res.marginal_error), res.converged
+
+
+@pytest.mark.parametrize("name, cfg, digest, n_iter, error", [
+    ("planar-20x200", SinkhornConfig(reg=0.01),
+     "58ca2be520d510c36524f836a37dd7f423a599331e4f4ddb47089aa463b1de09", 623,
+     "9.79102463168069e-10"),
+    ("planar-50x1000", SinkhornConfig(reg=1.5e-3),
+     "ce68fb5a145c3ee5fe2966c62b5d8fd378aa109b5103720e83accae74da99317", 7415,
+     "9.986686674292537e-10"),
+    # stopped by the cap: the error is that of the last iterate
+    ("planar-20x200", SinkhornConfig(reg=0.01, max_iter=2),
+     "aff1dce8059468ec65842bc2841386e3766dd43184459a7cfde23b21295d480d", 2,
+     "0.6712387115979769"),
+], ids=["20x200", "50x1000", "20x200-cap"])
+def test_sinkhorn_plan_bytes_are_pinned(name, cfg, digest, n_iter, error):
+    """Plan bytes, iteration count and error bits on fixed instances."""
+    gamma, iters, err, converged = _sinkhorn_outcome(solve_sinkhorn, _golden_planar(name), cfg)
+    assert hashlib.sha256(gamma).hexdigest() == digest
+    assert (iters, err, converged) == (n_iter, error, cfg.max_iter > 2)
+
+
+@st.composite
+def sinkhorn_cases(draw):
+    """A small random planar instance and settings from tiny tol to tight caps."""
+    m, n = _planar_shape(draw, draw(st.sampled_from(PLANAR_SHAPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = 1.0 - rng.random(m), 1.0 - rng.random(n)
+    inst = TransportInstance(rng.random((m, 2)), rng.random((n, 2)), p / p.sum(), q / q.sum())
+    cfg = SinkhornConfig(
+        reg=draw(st.sampled_from([1e-3, 3e-3, 1e-2, 0.1])),
+        # below the row error's rounding floor, the column error alone
+        # can pass the tolerance
+        tol=draw(st.sampled_from([1e-9, 1e-15, 1e-17, 1e-300])),
+        max_iter=draw(st.sampled_from([1, 3, 50, 2000])),
+    )
+    return inst, cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sinkhorn_cases())
+def test_sinkhorn_matches_the_every_iteration_reference_bitwise(case):
+    # the gated finiteness test and the lazy row error must not change a
+    # plan byte, an iteration count, an error bit or a raised message
+    assert _sinkhorn_outcome(solve_sinkhorn, *case) == _sinkhorn_outcome(reference_sinkhorn, *case)
 
 
 def test_sinkhorn_iteration_cap_flags_nonconvergence():
