@@ -94,13 +94,14 @@ def _sinkhorn_config(args: argparse.Namespace) -> SinkhornConfig:
 
 
 def _cmd_ot(args: argparse.Namespace) -> int:
+    cfg = _sinkhorn_config(args)
     instance = synthetic_instance(args.seed, args.n_sources, args.n_targets)
     c = cost_matrix(instance)
     if args.ot_mode == "exact":
         plan = solve_exact(instance, c)
         print(f"ot cost {plan_cost(plan, c)!r} (exact)")
     else:
-        res = solve_sinkhorn(instance, c, _sinkhorn_config(args))
+        res = solve_sinkhorn(instance, c, cfg)
         plan = res.plan
         print(f"ot cost {plan_cost(plan, c)!r} (sinkhorn)")
         print(f"iterations {res.n_iter} converged {res.converged} "

@@ -479,8 +479,16 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     K = exp(-c / (reg * max(c))) until both marginal L1 errors drop below
     ``cfg.tol``.  The last operation is always the row scaling, so row
     sums match ``p`` to machine precision.  Exhausting ``max_iter``
-    returns the best iterate flagged as non-converged; a kernel that
-    degenerates to zero rows or columns raises ConvergenceError.
+    returns the last iterate and its error, flagged as non-converged; a
+    kernel that degenerates to zero rows or columns, or scaling factors
+    that overflow, raise ConvergenceError.
+
+    One iteration costs two mat-vecs, two divisions and one L1
+    reduction, the column error.  A finite column error implies a finite
+    ``K' u``, and a finite ``sum(u)`` a finite ``u``, so the elementwise
+    finiteness test runs only when one of the two is not finite.  The
+    row error is computed only when the column error is below ``tol``
+    (or NaN), since the exit test needs both below it.
     """
     cfg = cfg or SinkhornConfig()
     c = _check_cost(c, instance.n_sources, instance.n_targets)
@@ -495,10 +503,8 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
         )
 
     v = np.ones_like(q)
-    u = np.ones_like(p)
-    err = np.inf
+    resid = np.empty_like(q)
     converged = False
-    n_iter = 0
     # an overflowing factor is caught by the finiteness check below, so
     # numpy's warnings on the way there are noise
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -506,17 +512,24 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
             Kv = K @ v
             u = p / Kv
             Ktu = K.T @ u
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
-                raise ConvergenceError(
-                    "scaling factors overflowed; increase reg"
-                )
-            col_err = float(np.abs(v * Ktu - q).sum())
-            row_err = float(np.abs(u * Kv - p).sum())
-            err = max(row_err, col_err)
-            if err < cfg.tol:
-                converged = True
-                break
+            np.multiply(v, Ktu, out=resid)
+            np.subtract(resid, q, out=resid)
+            col_err = float(np.abs(resid, out=resid).sum())
+            if not (math.isfinite(col_err) and math.isfinite(float(u.sum()))):
+                if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
+                    raise ConvergenceError(
+                        "scaling factors overflowed; increase reg"
+                    )
+            # written so that NaN passes: max(row_err, nan) is row_err
+            if not col_err >= cfg.tol:
+                row_err = float(np.abs(u * Kv - p).sum())
+                if max(row_err, col_err) < cfg.tol:
+                    converged = True
+                    break
             v = q / Ktu
+        else:  # the cap: report the last iterate's error
+            row_err = float(np.abs(u * Kv - p).sum())
+    err = max(row_err, col_err)
 
     gamma = u[:, None] * K * v[None, :]
     plan = TransportPlan(gamma, p, q)

@@ -152,6 +152,20 @@ def test_net_sinkhorn_infinite_tol_exits_two(capsys):
     assert capsys.readouterr().err == "error: tol must be positive and finite, got inf\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "sinkhorn"])
+@pytest.mark.parametrize("option, message", [
+    (["--tol", "nan"], "tol must be positive and finite, got nan"),
+    (["--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["--lambda", "0"], "reg must be positive, got 0.0"),
+], ids=["tol-nan", "tol-inf", "lambda-zero"])
+def test_ot_rejects_bad_sinkhorn_options_in_either_mode(capsys, mode, option, message):
+    # checked before the mode branch, as net checks them
+    assert main(["ot", "--ot-mode", mode, "--n-sources", "3", "--n-targets", "5"] + option) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["net", "--n-sources", "3", "--n-targets", "5"],
     ["dual", "--n-targets", "5"],

@@ -623,10 +623,14 @@ def test_sinkhorn_matches_the_every_iteration_reference_bitwise(case):
 
 def test_sinkhorn_iteration_cap_flags_nonconvergence():
     inst = random_instance(6, 5, 5)
-    res = solve_sinkhorn(inst, cost_matrix(inst), SinkhornConfig(reg=0.01, max_iter=2))
+    cfg = SinkhornConfig(reg=0.01, max_iter=2)
+    res = solve_sinkhorn(inst, cost_matrix(inst), cfg)
     assert not res.converged
     assert res.n_iter == 2
     assert res.marginal_error > 0
+    # the last iterate's error, not the best one's
+    ref = reference_sinkhorn(inst, cost_matrix(inst), cfg)
+    assert repr(res.marginal_error) == repr(ref.marginal_error)
 
 
 def test_sinkhorn_config_validation():
