@@ -7,13 +7,14 @@ nearest outward, and insert a branch node at the closed-form optimum of
 the local cost whenever that strictly lowers the total.  Merged nodes
 are permanently retired, so the loop is a greedy search with a tabu
 list and finishes after exactly N iterations.  Independent trees are
-grown together, one iteration per lockstep step, so that numpy's
-per-call overhead is paid once per step rather than once per tree.
+grown together, one iteration per lockstep step: the pick, the scan and
+the bookkeeping of a step are array passes over all the trees, so that
+numpy's per-call overhead is paid once per step rather than once per
+tree.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 
@@ -238,8 +239,7 @@ _BLOCK_CELLS = 4096  # bound on trees x widest tree in one lockstep block
 class _Tree:
     """The per-tree part of a lockstep build, kept in Python."""
 
-    __slots__ = ("problem", "n", "off", "params", "eps", "heap", "count",
-                 "cost", "trace", "events", "evals", "near_merges", "result")
+    __slots__ = ("problem", "n", "params", "eps", "near_merges", "result")
 
     def __init__(self, problem, params, eps):
         d = problem.dim
@@ -254,10 +254,6 @@ class _Tree:
         self.n = problem.n_targets
         self.params = params
         self.eps = eps
-        self.count = self.n + 1
-        self.events = []
-        self.evals = 0
-        self.near_merges = 0
 
 
 def _least_per_tree(tb, *keys):
@@ -281,9 +277,14 @@ def _grow_block(trees, nearest_only, post_point):
     one selectable node, so tree b runs for exactly n_b steps and the
     trees still running at a step are a prefix of the block.  Node data
     of all trees sit in flat arrays at per-tree offsets.  The selectable
-    nodes of tree b sit compacted in row b of NaN-padded (B, W) planes,
-    one per coordinate, and NaN cells drop out of every comparison.
-    Returns the number of far-band scans.
+    nodes of tree b sit compacted in row b of (B, W) planes: their ids,
+    one NaN-padded plane per coordinate, whose NaN cells drop out of
+    every comparison, and their distances to the source, -inf padded.
+    A step picks, per running tree, the cell of largest distance, the
+    lower id on ties, and does all of its bookkeeping as array passes
+    over the block; each tree's events and trace are assembled from the
+    per-step records once the block is done.  Returns the number of
+    far-band scans.
     """
     params = trees[0].params
     alpha = params.alpha
@@ -293,88 +294,83 @@ def _grow_block(trees, nearest_only, post_point):
     W = trees[0].n
     d = trees[0].problem.dim
 
-    sizes = [t.n for t in trees]
-    caps = [2 * n + 1 for n in sizes]
-    offs = np.cumsum([0] + caps[:-1]).tolist()
-    total = sum(caps)
+    sizes = np.array([t.n for t in trees])
+    caps = 2 * sizes + 1
+    offs = np.cumsum(caps) - caps
+    total = int(caps.sum())
     pos = np.zeros((total, d))
     area = np.zeros(total)
-    parent = [0] * total   # per-tree ids; targets start on the source
+    parent = np.zeros(total, dtype=np.int64)   # per-tree ids; targets start on the source
     # fixed when a node is inserted: area ** alpha, and that times the
     # distance to the source, the node's direct-edge cost
     wa = np.zeros(total)
     before = np.zeros(total)
-    # the selectable nodes of tree b: ids[b, :m] at positions live[:, b, :m];
-    # slot[k] is k's flat cell b * W + index there, or -1 once k is retired
-    live = np.full((d, B, W), np.nan)
-    ids = np.zeros((B, W), dtype=np.int64)
-    cells = live.reshape(d, B * W)
-    flat_ids = ids.reshape(B * W)
-    slot = [-1] * total
+    # the selectable nodes of tree b: flat_ids[b * W:][:m] at positions
+    # live[:, b, :m] and at distances rad[b, :m] from the source
+    planes = np.full((d + 1, B, W), np.nan)
+    planes[d] = -np.inf
+    live, rad = planes[:d], planes[d]
+    pad = planes[:, :1, 0].copy()   # an empty cell
+    cells = planes.reshape(d + 1, B * W)
+    flat_ids = np.zeros(B * W, dtype=np.int64)
     for b, t in enumerate(trees):
         problem = t.problem
         n = t.n
-        o = t.off = offs[b]
+        o = int(offs[b])
         tgt = slice(o + 1, o + n + 1)
         pos[o] = problem.source
         pos[tgt] = problem.targets
         area[tgt] = problem.areas
         parent[o] = -1
-        r0 = _row_norms(pos[tgt] - pos[o])
+        rad[b, :n] = _row_norms(pos[tgt] - pos[o])
         wa[tgt] = area[tgt] ** alpha
-        before[tgt] = wa[tgt] * r0
-        t.cost = float(np.sum(before[tgt]))   # star_cost's arithmetic
-        t.trace = [t.cost]
+        before[tgt] = wa[tgt] * rad[b, :n]
         live[:, b, :n] = pos[tgt].T
-        ids[b, :n] = np.arange(o + 1, o + n + 1)
-        slot[tgt] = range(b * W, b * W + n)
-        # farthest first, lower id on ties; retired partners are skipped on pop
-        t.heap = list(zip((-r0).tolist(), range(o + 1, o + n + 1)))
-        heapq.heapify(t.heap)
+        flat_ids[b * W:b * W + n] = np.arange(o + 1, o + n + 1)
     v0 = pos[offs]
     eps = np.array([t.eps for t in trees]) if trees[0].eps is not None else None
-    size_arr = np.array(sizes)
-    last_cell = np.arange(B) * W + size_arr - 1
+    row_start = np.arange(B) * W
+    last_cell = row_start + sizes - 1
+    # running[s]: how many trees have more than s targets, a prefix of the block
+    running = (B - np.searchsorted(sizes[::-1], np.arange(W + _NEAR_BAND + 1),
+                                   side="right")).tolist()
+    count = sizes + 1           # nodes of each tree so far
+    evals = np.zeros(B, dtype=np.int64)
+    far_merges = np.zeros(B, dtype=np.int64)
+    # per step and tree: the picked node's flat id, and the partner's
+    # flat id and the gain of a merge (0 and 0.0 on a retirement)
+    picked = np.zeros((W, B), dtype=np.int64)
+    partner = np.zeros((W, B), dtype=np.int64)
+    gain_at = np.zeros((W, B))
     work = np.empty((d, B, W))
     far_scans = 0
-    nact = B
 
     for step in range(W):
-        while sizes[nact - 1] <= step:
-            nact -= 1
-        # pop each running tree's farthest selectable node, and retire it
+        nact, nscan = running[step], running[step + 1]
+        # pick each running tree's farthest selectable node, and retire it
         # by moving the tree's last selectable node into its cell
-        gi = []
-        for t in trees[:nact]:
-            g = heapq.heappop(t.heap)[1]
-            while slot[g] < 0:
-                g = heapq.heappop(t.heap)[1]
-            gi.append(g)
-        c_i = np.array([slot[g] for g in gi])
+        r = rad[:nact, :W - step]
+        c_i = row_start[:nact] + r.argmax(axis=1)
+        ties = r == cells[d, c_i][:, None]
+        if np.count_nonzero(ties) > nact:
+            tb, col = ties.nonzero()
+            c_i = row_start[tb] + col
+            c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
+        gi = picked[step, :nact] = flat_ids[c_i]
         c_last = last_cell[:nact] - step
-        moved = flat_ids[c_last]
-        flat_ids[c_i] = moved
+        flat_ids[c_i] = flat_ids[c_last]
         cells[:, c_i] = cells[:, c_last]
-        cells[:, c_last] = np.nan
-        for g, c, k in zip(gi, c_i.tolist(), moved.tolist()):
-            slot[k] = c
-            slot[g] = -1
+        cells[:, c_last] = pad
 
         # the trees with selectable nodes left scan them; the others retire
-        nscan = nact
-        while nscan and sizes[nscan - 1] <= step + 1:
-            nscan -= 1
-        merges = {}
         if nscan:
-            width = sizes[0] - step - 1
-            n_live = size_arr[:nscan] - (step + 1)
-            gs = np.array(gi[:nscan])
-            vi = pos[gs]
+            width = W - step - 1
+            vi = pos[gi[:nscan]]
             x = np.subtract(live[:, :nscan, :width], vi.T[:, :, None],
                             out=work[:, :nscan, :width])
             dist = _coord_norms(x)
             flat_dist = dist.reshape(-1)
-            s_i = area[gs]
+            s_i = area[gi[:nscan]]
             w_i = np.array([s ** alpha for s in s_i.tolist()])
             dv = v0[:nscan] - vi
             before_i = w_i * np.sqrt(np.vecdot(dv, dv))
@@ -396,7 +392,7 @@ def _grow_block(trees, nearest_only, post_point):
                 """Evaluate the candidates; per tree, the improving one of
                 least (distance, id)."""
                 k = flat_ids[c]
-                v_j = cells[:, c].T
+                v_j = cells[:d, c].T
                 # one tree's values broadcast; several are gathered per candidate
                 v_k, v_i, s_ic, w_ic, bef, prod_c, *shift = (
                     per_tree if nscan == 1 else [a[tb] for a in per_tree]
@@ -427,72 +423,65 @@ def _grow_block(trees, nearest_only, post_point):
             elif width > _NEAR_BAND:
                 cut = np.partition(dist, _NEAR_BAND - 1, axis=1)[:, _NEAR_BAND - 1]
                 # the trees with at most _NEAR_BAND selectable nodes, a suffix
-                small = nscan
-                while small and sizes[small - 1] - step - 1 <= _NEAR_BAND:
-                    small -= 1
-                cut[small:] = np.inf
+                cut[running[step + 1 + _NEAR_BAND]:] = np.inf
                 tb, f, c = candidates(dist <= cut[:, None])
             else:
                 tb, f, c = candidates(dist == dist)
-            evals = np.bincount(tb, minlength=nscan)
+            scanned = np.bincount(tb, minlength=nscan)
             bands = [scan(tb, f, c)]
-            missed = evals < n_live
+            missed = scanned < sizes[:nscan] - (step + 1)
             missed[bands[0][0]] = False
             if not nearest_only and missed.any():
                 far_scans += int(np.count_nonzero(missed))
                 tb, f, c = candidates((dist > cut[:, None]) & missed[:, None])
-                evals += np.bincount(tb, minlength=nscan)
+                scanned += np.bincount(tb, minlength=nscan)
                 bands.append(scan(tb, f, c))
-            for t, e in zip(trees, evals.tolist()):
-                t.evals += e
-            for b in bands[0][0].tolist():
-                trees[b].near_merges += 1
+            evals[:nscan] += scanned
 
             # each merge retires the partner and puts the branch node in its cell
-            for mb, j, c, z, s_m, gains, w_m, r_z in bands:
+            for far, (mb, j, c, z, s_m, gains, w_m, r_z) in enumerate(bands):
                 if not mb.size:
                     continue
-                mb = mb.tolist()
-                new = np.array([trees[b].off + trees[b].count for b in mb])
+                if far:
+                    far_merges[mb] += 1
+                own = count[mb]
+                new = offs[mb] + own
                 flat_ids[c] = new
-                cells[:, c] = z.T
+                cells[:d, c] = z.T
+                cells[d, c] = r_z
                 pos[new] = z
                 area[new] = s_m
                 wa[new] = w_m
                 before[new] = w_m * r_z
-                for b, k, g, cell, r, gain in zip(
-                    mb, j.tolist(), new.tolist(), c.tolist(), r_z.tolist(), gains.tolist()
-                ):
-                    t = trees[b]
-                    parent[gi[b]] = parent[k] = g - t.off
-                    slot[k] = -1
-                    slot[g] = cell
-                    heapq.heappush(t.heap, (-r, g))
-                    t.count += 1
-                    merges[b] = (k, g, gain)
+                parent[gi[mb]] = parent[j] = own
+                count[mb] = own + 1
+                partner[step, mb] = j
+                gain_at[step, mb] = gains
 
-        for b, (t, g) in enumerate(zip(trees, gi)):
-            o = t.off
-            if b in merges:
-                k, g_b, gain = merges[b]
-                t.cost -= gain
-                t.trace.append(t.cost)
-                t.events.append(BuildEvent(step, g - o, k - o, g_b - o, gain, t.cost))
-            else:
-                t.events.append(BuildEvent(step, g - o, None, None, 0.0, t.cost))
-
-    for t in trees:
-        o, n, count = t.off, t.n, t.count
-        kind = np.empty(count, dtype="U6")
+    for b, t in enumerate(trees):
+        o, n, m = int(offs[b]), t.n, int(count[b])
+        kind = np.empty(m, dtype="U6")
         kind[0] = KIND_SOURCE
         kind[1:n + 1] = KIND_TARGET
         kind[n + 1:] = KIND_BRANCH
-        par = np.array(parent[o:o + count])
-        a = area[o:o + count]
+        par = parent[o:o + m]
+        a = area[o:o + m]
         a[0] = _outflow(a, *_child_groups(par))[0]
-        tree = FlowTree(pos[o:o + count], kind, par, a)
-        t.result = BuildResult(tree, np.array(t.trace), tuple(t.events), t.evals, t.eps)
-        t.heap = t.trace = t.events = None
+        tree = FlowTree(pos[o:o + m], kind, par, a)
+        # the star cost (star_cost's arithmetic), then the gains taken off
+        # in order, as cumsum adds; -0.0 leaves a retirement's cost as it is
+        star = np.sum(before[o + 1:o + n + 1])
+        cost = np.cumsum(np.concatenate(([star], -gain_at[:n, b])))
+        merged = partner[:n, b] > o   # a partner's flat id is above its source's
+        rows = zip(merged.tolist(), (picked[:n, b] - o).tolist(), (partner[:n, b] - o).tolist(),
+                   (n + np.cumsum(merged)).tolist(), gain_at[:n, b].tolist(), cost[1:].tolist())
+        events = tuple(
+            BuildEvent(s, i, k, g, x, c) if merge else BuildEvent(s, i, None, None, x, c)
+            for s, (merge, i, k, g, x, c) in enumerate(rows)
+        )
+        trace = np.concatenate((cost[:1], cost[1:][merged]))
+        t.result = BuildResult(tree, trace, events, int(evals[b]), t.eps)
+        t.near_merges = m - n - 1 - int(far_merges[b])
     return far_scans
 
 
@@ -527,11 +516,11 @@ def _grow(problems, params, eps, nearest_only, post_point):
             start += len(block)
 
     for t in trees:
-        merges = t.count - t.n - 1
+        merges = t.result.tree.n_nodes - t.n - 1
         _log.debug(
             "build_one_to_many N=%d: %d iterations, %d merges, %d retirements, "
             "%d candidate evals, %d merges in the near band",
-            t.n, t.n, merges, t.n - merges, t.evals, t.near_merges,
+            t.n, t.n, merges, t.n - merges, t.result.candidate_evals, t.near_merges,
         )
     return [t.result for t in trees], counts
 
@@ -564,9 +553,10 @@ def build_forest(
     in input order.  Trees are grouped by dimension, formula, alpha and
     shift settings, sorted by size, and cut into blocks of at most
     ``_BLOCK_CELLS`` padded cells (one tree always fits).  Each lockstep
-    step pops and retires one node per running tree in Python, then runs
-    the distance pass, the near-band cut, the candidate evaluation and
-    the least-(distance, id) pick as one numpy pass over the block.
+    step picks every running tree's farthest node from a plane of source
+    distances and retires it, then runs the distance pass, the near-band
+    cut, the candidate evaluation, the least-(distance, id) choice and
+    the merge bookkeeping, each as one numpy pass over the block.
     ``post_point`` sees the candidates of several trees at once, so it
     must act row by row.  One DEBUG line per call on this module's
     logger gives the trees, blocks, lockstep steps, padded cells and

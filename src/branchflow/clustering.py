@@ -17,7 +17,7 @@ from .core import (
     ParameterError,
     _as_mass_vector,
     _as_point_array,
-    _check_int,
+    _check_count,
     _child_groups,
     _freeze,
     _outflow,
@@ -91,9 +91,7 @@ def weighted_centroid(points, weights=None) -> np.ndarray:
 
 def choose_k(n: int) -> int:
     """Default cluster count for n points: floor(sqrt(n)) + 1, capped at n."""
-    _check_int(n, "n")
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    _check_count(n, "n")
     return min(math.isqrt(n) + 1, n)
 
 

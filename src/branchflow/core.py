@@ -64,6 +64,13 @@ def _check_int(value, name: str):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_count(value, name: str):
+    """Reject anything but an integer of at least 1."""
+    _check_int(value, name)
+    if value < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

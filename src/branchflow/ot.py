@@ -34,7 +34,7 @@ from .core import (
     ParameterError,
     TransportInstance,
     TransportPlan,
-    _check_int,
+    _check_count,
 )
 
 _log = logging.getLogger(__name__)
@@ -459,9 +459,7 @@ class SinkhornConfig:
             raise ParameterError(f"reg must be positive, got {self.reg}")
         if not 0 < self.tol < math.inf:
             raise ParameterError(f"tol must be positive and finite, got {self.tol}")
-        _check_int(self.max_iter, "max_iter")
-        if not self.max_iter >= 1:
-            raise ParameterError("max_iter must be at least 1")
+        _check_count(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)

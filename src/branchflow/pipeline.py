@@ -22,6 +22,7 @@ from .core import (
     ParameterError,
     TransportInstance,
     TransportPlan,
+    _check_count,
     _child_groups,
     _outflow,
     bot_cost,
@@ -175,6 +176,7 @@ def _positive_masses(rng, n: int) -> np.ndarray:
 def synthetic_problem(seed: int, n_targets: int, d: int = 2) -> OneToManyProblem:
     """Seeded one-to-many problem: source at the origin, targets uniform
     in [-1, 1]^d, areas positive random normalized to total 1."""
+    _check_count(n_targets, "n_targets")
     if d not in (2, 3):
         raise ParameterError(f"d must be 2 or 3, got {d}")
     targets = substream(seed, "single", "positions").uniform(-1.0, 1.0, (n_targets, d))
@@ -184,6 +186,8 @@ def synthetic_problem(seed: int, n_targets: int, d: int = 2) -> OneToManyProblem
 
 def synthetic_instance(seed: int, n_sources: int, n_targets: int) -> TransportInstance:
     """Seeded planar transport instance with uniform positions and random masses."""
+    _check_count(n_sources, "n_sources")
+    _check_count(n_targets, "n_targets")
     sources = substream(seed, "multi", "source-positions").uniform(-1.0, 1.0, (n_sources, 2))
     targets = substream(seed, "multi", "target-positions").uniform(-1.0, 1.0, (n_targets, 2))
     p = _positive_masses(substream(seed, "multi", "p"), n_sources)
@@ -361,6 +365,7 @@ def santa_pipeline(
         raise ParameterError("at least one city is required")
     if params is None:
         params = BotParams()
+    pole_xyz = geo_embed(*pole)   # a bad pole fails before any K-means
 
     pops = np.array([c.population for c in cities])
     # GeoCity longitudes are normalized already; normalize_lon keeps their bits
@@ -379,7 +384,7 @@ def santa_pipeline(
     shares = country_pops / country_pops.sum()
 
     labelled = [lp for ps in problems for lp in ps]
-    labelled.append(("global", OneToManyProblem(geo_embed(*pole), np.array(centers), shares)))
+    labelled.append(("global", OneToManyProblem(pole_xyz, np.array(centers), shares)))
     subs = [replace(params, seed=substream_seed(seed_base, "tree", label)) for label, _ in labelled]
     results = build_forest([p for _, p in labelled], subs, post_point=to_sphere)
     trees = iter(r.tree for r in results)

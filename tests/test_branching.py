@@ -494,13 +494,26 @@ def test_builder_bytes_are_pinned(name, digest):
 # the lazy nearest-first scan against the full-scan reference
 
 
+def ring_targets(rng, n, d):
+    """n integer points drawn with repetition from those at one distance
+    from the origin: the 12 with x^2 + y^2 = 25 in 2-D, the 30 with
+    x^2 + y^2 + z^2 = 9 in 3-D.  Every first pick is a tie that only the
+    id order resolves, and duplicates tie at distance 0 in the scan."""
+    r2 = 25 if d == 2 else 9
+    k = math.isqrt(r2)
+    grid = np.stack(np.meshgrid(*[np.arange(-k, k + 1)] * d), axis=-1).reshape(-1, d)
+    ring = grid[np.sum(grid * grid, axis=1) == r2]
+    assert len(ring) == (12 if d == 2 else 30)
+    return ring[rng.integers(0, len(ring), n)].astype(float)
+
+
 @st.composite
 def small_builds(draw):
     """Small problems full of ties: grid or collinear points, equal areas."""
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["grid", "collinear", "uniform", "huddle"]))
+    layout = draw(st.sampled_from(["grid", "collinear", "uniform", "huddle", "ring"]))
     if layout == "grid":
         targets = rng.integers(-3, 4, (n, d)).astype(float)
     elif layout == "collinear":
@@ -508,11 +521,13 @@ def small_builds(draw):
         targets[:, 0] = rng.integers(-8, 9, n)
     elif layout == "uniform":
         targets = rng.uniform(-1.0, 1.0, (n, d))
+    elif layout == "ring":
+        targets = ring_targets(rng, n, d)
     else:  # half the targets at the source: near neighbors that do not pay
         targets = rng.uniform(-1.0, 1.0, (n, d))
         targets[: n // 2] = rng.normal(0.0, 0.03, (n // 2, d))
     source = np.zeros(d) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, d)
-    if layout == "huddle":
+    if layout in ("huddle", "ring"):
         source = np.zeros(d)
     areas = np.full(n, 1.0 / n) if draw(st.booleans()) else rng.uniform(0.01, 1.0, n) ** 3
     params = BotParams(
@@ -612,17 +627,21 @@ def forests(draw):
         d = own["d"]
         n = draw(st.one_of(st.just(1), st.integers(1, 40)))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        layout = draw(st.sampled_from(["grid", "collinear", "uniform", "huddle"]))
+        layout = draw(st.sampled_from(["grid", "collinear", "uniform", "huddle", "ring"]))
         if layout == "grid":
             targets = rng.integers(-3, 4, (n, d)).astype(float)
         elif layout == "collinear":
             targets = np.zeros((n, d))
             targets[:, 0] = rng.integers(-8, 9, n)
+        elif layout == "ring":
+            targets = ring_targets(rng, n, d)
         else:
             targets = rng.uniform(-1.0, 1.0, (n, d))
             if layout == "huddle":
                 targets[: n // 2] = rng.normal(0.0, 0.03, (n // 2, d))
         source = np.zeros(d) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, d)
+        if layout == "ring":
+            source = np.zeros(d)
         areas = np.full(n, 1.0 / n) if draw(st.booleans()) else rng.uniform(0.01, 1.0, n) ** 3
         problems.append(OneToManyProblem(source, targets, areas))
         params.append(BotParams(alpha=own["alpha"], formula=own["formula"],

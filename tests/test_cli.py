@@ -134,8 +134,15 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
          "invalid flow tree: node 1 carries 0.5 but sends 0.0"),
         (["net", "--n-sources", "3", "--n-targets", "5", "--out", "{tmp}/exists.txt"], 2,
          "[Errno 17] File exists: '{tmp}/exists.txt'"),
+        (["net", "--n-sources", "-1"], 2, "n_sources must be at least 1, got -1"),
+        (["net", "--n-sources", "0"], 2, "n_sources must be at least 1, got 0"),
+        (["branch", "--n-targets", "-5"], 2, "n_targets must be at least 1, got -5"),
+        (["ot", "--n-targets", "-2"], 2, "n_targets must be at least 1, got -2"),
+        (["dual", "--n-targets", "-1"], 2, "n_targets must be at least 1, got -1"),
     ],
-    ids=["parameter", "nan-parameter", "input", "convergence", "structural", "os"],
+    ids=["parameter", "nan-parameter", "input", "convergence", "structural", "os",
+         "net-negative-sources", "net-zero-sources", "branch-negative-targets",
+         "ot-negative-targets", "dual-negative-targets"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")

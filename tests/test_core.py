@@ -1,5 +1,6 @@
 """Domain types, cost functional, and structural validation."""
 
+import ast
 import math
 import os
 import subprocess
@@ -494,3 +495,14 @@ def test_invalid_tree_rejected_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["1", "conservation"]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so the package enforces its rules with real checks
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(branchflow.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import branchflow.core
+import branchflow.pipeline
 from branchflow import (
     BotParams,
     GeoCity,
@@ -22,7 +23,7 @@ from branchflow import (
     solve_network,
     validate_tree,
 )
-from branchflow.clustering import choose_k
+from branchflow.clustering import choose_k, weighted_kmeans
 from branchflow.pipeline import DEFAULT_POLE, EARTH_RADIUS_KM, to_sphere
 from branchflow.seeding import substream
 
@@ -324,6 +325,19 @@ def test_hierarchy_custom_pole():
     net = santa_pipeline(cities, pole=(80.0, 10.0))
     assert net.pole == (80.0, 10.0)
     assert np.allclose(net.global_tree.coords[0], geo_embed(80.0, 10.0), atol=1e-15)
+
+
+def test_hierarchy_rejects_a_bad_pole_before_any_kmeans(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return weighted_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(branchflow.pipeline, "weighted_kmeans", counting)
+    with pytest.raises(ParameterError, match="latitude"):
+        santa_pipeline(random_cities(3, 40, ["A", "B"]), pole=(95.0, 0.0))
+    assert calls == []
 
 
 def test_hierarchy_rejects_empty_city_list():
