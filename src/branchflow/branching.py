@@ -62,6 +62,16 @@ class OneToManyProblem:
             raise ParameterError("at least one target is required")
         if np.any(self.areas <= 0):
             raise ParameterError("areas must be strictly positive")
+        # the builder squares coordinate differences; the squared diagonal
+        # of the box around the source and targets bounds every one of
+        # them, the targets' squared distances to the source included
+        lo = np.minimum(self.targets.min(axis=0), self.source)
+        hi = np.maximum(self.targets.max(axis=0), self.source)
+        with np.errstate(over="ignore"):   # an overflow is rejected below
+            span = hi - lo
+            diag2 = np.add.reduce(span * span)
+        if not np.isfinite(diag2):
+            raise ParameterError("coordinates too far apart: squared distances overflow")
 
     @property
     def n_targets(self) -> int:

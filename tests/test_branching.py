@@ -359,6 +359,35 @@ def test_build_empty_targets_rejected():
         OneToManyProblem([0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_problem_rejects_coordinates_whose_squares_overflow(scale):
+    # the builder used to overflow squaring these, warn, and return an
+    # inf trace; pytest turns such a warning into an error
+    targets = random_problem(0, 30).targets * scale
+    with pytest.raises(ParameterError, match="squared distances overflow"):
+        OneToManyProblem([0.0, 0.0], targets, np.full(30, 1 / 30))
+
+
+def test_problem_rejects_targets_whose_mutual_distance_overflows():
+    # each target's squared distance to the source, 1.44e308, is finite
+    with pytest.raises(ParameterError, match="squared distances overflow"):
+        OneToManyProblem([0.0, 0.0], [[1.2e154, 0.0], [-1.2e154, 0.0]], [0.5, 0.5])
+
+
+def test_build_near_1e150_is_the_unit_build_scaled():
+    unit = random_problem(0, 30)
+    params = BotParams(alpha=0.5)
+    want = build_one_to_many(unit, params)
+    # a power of two scales every coordinate, length, gain and cost exactly
+    s = 2.0**498   # about 8.2e149
+    got = build_one_to_many(OneToManyProblem(unit.source, unit.targets * s, unit.areas), params)
+    assert np.array_equal(got.tree.parent, want.tree.parent)
+    assert np.array_equal(got.tree.coords, want.tree.coords * s)
+    assert np.array_equal(got.trace, want.trace * s)
+    big = build_one_to_many(OneToManyProblem(unit.source, unit.targets * 1e150, unit.areas), params)
+    assert np.all(np.isfinite(big.trace)) and np.all(np.diff(big.trace) < 0)
+
+
 def test_build_nearest_only_variant():
     problem = random_problem(20, 40)
     result = build_one_to_many(problem, BotParams(alpha=0.5), nearest_only=True)

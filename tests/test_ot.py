@@ -559,13 +559,17 @@ def test_sinkhorn_underflow_raises_convergence_error():
 @pytest.mark.parametrize("seed", [10, 15])
 def test_sinkhorn_overflow_raises_without_warnings(seed):
     # pytest turns any RuntimeWarning into an error, so a warning numpy
-    # prints on the way to the overflow would replace ConvergenceError
+    # prints on the way to the overflow would replace ConvergenceError.
+    # Only a non-finite column error runs the elementwise test; it must
+    # raise on the iteration the every-iteration reference raises on.
     rng = np.random.default_rng(seed)
     xs, ys = rng.random((6, 2)), rng.random((60, 2))
     p, q = 1.0 - rng.random(6), 1.0 - rng.random(60)
     inst = TransportInstance(xs, ys, p / p.sum(), q / q.sum())
-    with pytest.raises(ConvergenceError, match="overflowed"):
-        solve_sinkhorn(inst, cost_matrix(inst), SinkhornConfig(reg=1e-3))
+    cfg = SinkhornConfig(reg=1e-3)
+    want = "scaling factors overflowed; increase reg"
+    assert _sinkhorn_outcome(reference_sinkhorn, inst, cfg) == want
+    assert _sinkhorn_outcome(solve_sinkhorn, inst, cfg) == want
 
 
 def _sinkhorn_outcome(solve, instance, cfg):
@@ -619,6 +623,32 @@ def test_sinkhorn_matches_the_every_iteration_reference_bitwise(case):
     # the gated finiteness test and the lazy row error must not change a
     # plan byte, an iteration count, an error bit or a raised message
     assert _sinkhorn_outcome(solve_sinkhorn, *case) == _sinkhorn_outcome(reference_sinkhorn, *case)
+
+
+def test_sinkhorn_plan_does_not_depend_on_the_cost_layout():
+    # a Fortran-ordered kernel once summed the mat-vecs in another order
+    inst, cfg = _golden_planar("planar-20x200"), SinkhornConfig(reg=0.01)
+    c = cost_matrix(inst)
+    wide = np.zeros((c.shape[0], 2 * c.shape[1]))
+    wide[:, ::2] = c
+    shifted = ot._aligned_empty((c.size + 2,))[2:].reshape(c.shape)   # 16 bytes past a cache line
+    shifted[...] = c
+    want = solve_sinkhorn(inst, c, cfg)
+    for view in (np.asfortranarray(c), wide[:, ::2], shifted):
+        got = solve_sinkhorn(inst, view, cfg)
+        assert got.plan.gamma.tobytes() == want.plan.gamma.tobytes()
+        assert (got.n_iter, repr(got.marginal_error)) == (want.n_iter, repr(want.marginal_error))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 1001), (16, 1024), (50, 1000), (300, 700)])
+def test_aligned_empty_is_c_ordered_on_a_cache_line(shape):
+    # 16 x 1024 doubles is glibc malloc's default mmap threshold, 128 KiB:
+    # the smaller shapes come from the heap, the rest (with the 64 spare
+    # bytes) from mmap
+    a = ot._aligned_empty(shape)
+    assert a.shape == shape and a.dtype == np.float64
+    assert a.flags.c_contiguous and a.flags.writeable
+    assert a.ctypes.data % 64 == 0
 
 
 def test_sinkhorn_iteration_cap_flags_nonconvergence():
