@@ -16,6 +16,7 @@ tree.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,11 @@ class OneToManyProblem:
             raise ParameterError("areas must be strictly positive")
         # the builder squares coordinate differences; the squared diagonal
         # of the box around the source and targets bounds every one of
-        # them, the targets' squared distances to the source included
-        lo = np.minimum(self.targets.min(axis=0), self.source)
-        hi = np.maximum(self.targets.max(axis=0), self.source)
-        with np.errstate(over="ignore"):   # an overflow is rejected below
-            span = hi - lo
-            diag2 = np.add.reduce(span * span)
-        if not np.isfinite(diag2):
+        # them, the targets' squared distances to the source included.
+        # Python floats overflow to inf without numpy's warnings.
+        lo = np.minimum(self.targets.min(axis=0), self.source).tolist()
+        hi = np.maximum(self.targets.max(axis=0), self.source).tolist()
+        if not math.isfinite(sum((h - l) * (h - l) for l, h in zip(lo, hi))):
             raise ParameterError("coordinates too far apart: squared distances overflow")
 
     @property
