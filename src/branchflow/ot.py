@@ -499,7 +499,7 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     ``K`` is computed elementwise into a C-ordered buffer on a 64-byte
     boundary, whatever the layout of ``c``: the mat-vecs' summation
     order follows the kernel's layout, and their speed its alignment.
-    The loop allocates nothing; every vector is written in place.
+    The loop writes every vector into a buffer allocated once.
 
     One iteration costs two mat-vecs, two divisions and one L1
     reduction, the column error.  A finite column error means every
@@ -519,8 +519,9 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
 
     cmax = float(c.max())
     K = _aligned_empty((m, n))
-    # -(c / cmax) / reg, one exact division at a time, then exp on the
-    # contiguous buffer: the bits of exp(-chat / reg) for any layout of c
+    # -(c / cmax) / reg with the bits of exp(-chat / reg) for any layout
+    # of c: each division is correctly rounded, and exp runs on one
+    # contiguous buffer
     np.divide(c, cmax if cmax > 0 else 1.0, out=K)
     np.divide(K, -cfg.reg, out=K)
     np.exp(K, out=K)
