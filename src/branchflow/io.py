@@ -4,7 +4,11 @@ The network JSON layout is the package's bit-exact interchange contract:
 an object with "nodes" (id, kind, coords), "edges" (from, to, area),
 "alpha" and "cost", fields always in that order, nodes ordered by id and
 edges by their "to" endpoint.  Writing the same tree twice yields
-byte-identical text.
+byte-identical text.  The writer formats blocks of rows of the node and
+edge arrays through ``%``-templates, so no dict per node is built; every
+number is finite and written as ``repr`` of a Python int or float, the
+text ``json`` writes.  ``network_to_json`` raises ParameterError for an
+alpha outside [0, 1] and for a cost that is not finite.
 """
 
 from __future__ import annotations
@@ -28,33 +32,64 @@ from .core import (
     StructuralError,
     TransportInstance,
     TransportPlan,
+    _check_alpha,
     _child_groups,
     _outflow,
     bot_cost,
     validate_tree,  # noqa: F401  (bench/test_bench.py reads this binding)
 )
-from .ot import cost_matrix, plan_cost, plan_to_assignments
+from .ot import cost_matrix, plan_cost
 
 
 # ---------------------------------------------------------------------------
 # network JSON
 
 
-def _network_text(kinds, coords, edges, alpha: float, cost: float) -> str:
-    """Network JSON text of nodes given as kinds and coords, and (from, to, area) edges."""
-    nodes = [{"id": i, "kind": k, "coords": c} for i, (k, c) in enumerate(zip(kinds, coords))]
-    edges = [{"from": p, "to": i, "area": a} for p, i, a in edges]
-    doc = {"nodes": nodes, "edges": edges, "alpha": alpha, "cost": cost}
-    return json.dumps(doc, separators=(",", ":"))
+# rows formatted per block: bounds the Python ints, floats and strs alive at once
+_ROW_BLOCK = 2048
+
+
+def _append_rows(parts: list[str], template: str, columns: list[np.ndarray]):
+    """Append the rows of ``columns``, formatted with ``template`` and comma
+    separated, to ``parts``: one string per block of rows."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        if lo:
+            parts.append(",")
+        rows = zip(*(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))
+        parts.append(",".join([template % row for row in rows]))
+
+
+def _network_text(kind, coords, src, dst, area, alpha: float, cost: float) -> str:
+    """Network JSON text of nodes (kind, coords) and edges src -> dst carrying area.
+
+    Every number is written by ``%d`` or ``%r``, which give the text
+    ``json`` gives for an int and for a finite float; a non-finite cost
+    raises ParameterError, since NaN and Infinity are not JSON.
+    """
+    alpha, cost = float(alpha), float(cost)
+    if not math.isfinite(cost):
+        raise ParameterError(f"cost must be a finite number, got {cost}")
+    node = '{"id":%d,"kind":"%s","coords":[' + ",".join(["%r"] * coords.shape[1]) + "]}"
+    parts = ['{"nodes":[']
+    _append_rows(parts, node, [np.arange(len(kind)), kind, *coords.T])
+    parts.append('],"edges":[')
+    _append_rows(parts, '{"from":%d,"to":%d,"area":%r}', [src, dst, area])
+    parts.append('],"alpha":%r,"cost":%r}' % (alpha, cost))
+    return "".join(parts)
 
 
 def network_to_json(tree: FlowTree, alpha: float, cost: float | None = None) -> str:
-    """Serialize a flow tree to the network JSON contract."""
+    """Serialize a flow tree to the network JSON contract.
+
+    Raises ParameterError for ``alpha`` outside [0, 1] and for a cost,
+    given or computed, that is not finite.
+    """
+    _check_alpha(alpha)
     if cost is None:
         cost = bot_cost(tree, alpha)
     child = np.flatnonzero(tree.parent >= 0)
-    edges = zip(tree.parent[child].tolist(), child.tolist(), tree.area[child].tolist())
-    return _network_text(tree.kind.tolist(), tree.coords.tolist(), edges, float(alpha), float(cost))
+    return _network_text(tree.kind, tree.coords, tree.parent[child], child, tree.area[child],
+                         alpha, cost)
 
 
 @dataclass(frozen=True)
@@ -167,10 +202,11 @@ def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:
     it is for inspection only and not readable by network_from_json.
     """
     m = instance.n_sources
-    kinds = [KIND_SOURCE] * m + [KIND_TARGET] * instance.n_targets
-    coords = instance.sources.tolist() + instance.targets.tolist()
-    edges = [(i, m + j, a) for i, row in enumerate(plan_to_assignments(plan)) for j, a in row]
-    return _network_text(kinds, coords, edges, 1.0, plan_cost(plan, cost_matrix(instance)))
+    kind = np.repeat([KIND_SOURCE, KIND_TARGET], [m, instance.n_targets])
+    coords = np.concatenate((instance.sources, instance.targets))
+    i, j = np.nonzero(plan.gamma > 0)   # row-major: by source, then by target
+    return _network_text(kind, coords, i, m + j, plan.gamma[i, j], 1.0,
+                         plan_cost(plan, cost_matrix(instance)))
 
 
 # ---------------------------------------------------------------------------

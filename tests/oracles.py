@@ -11,9 +11,9 @@ branch-point and gain arithmetic written per tree, as the library's
 one-tree loop once had it.  The sphere projection references
 project one point at a time, as the renderer once did, and the tree
 validation reference checks one node at a time, as validate_tree once
-did.  The writer references build the GeoJSON and network JSON documents
-as dicts, one edge and one node at a time, and leave the text to
-``json.dumps``, as the library's writers once did.  The simplex
+did.  The writer references build the GeoJSON, network JSON and plan
+JSON documents as dicts, one edge and one node at a time, and leave the
+text to ``json.dumps``, as the library's writers once did.  The simplex
 reference re-hangs every node of a cut-off subtree, leaves included, and
 builds the whole reduced-cost matrix from a fresh copy of the duals for
 every pricing, as transport_simplex once did; it then walks that matrix
@@ -55,6 +55,9 @@ from branchflow.ot import (
     _connected,
     _initial_basis,
     _rebuild_from_basis,
+    cost_matrix,
+    plan_cost,
+    plan_to_assignments,
 )
 from branchflow.pipeline import EARTH_RADIUS_KM
 from branchflow.render import MAX_SEGMENT_KM
@@ -617,6 +620,19 @@ def per_node_network_json(tree, alpha, cost=None):
         if tree.parent[i] >= 0
     ]
     doc = {"nodes": nodes, "edges": edges, "alpha": float(alpha), "cost": float(cost)}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def dict_plan_json(instance, plan):
+    """Plan JSON text of a transport plan, one dict per node and per positive entry."""
+    m = instance.n_sources
+    kinds = [KIND_SOURCE] * m + [KIND_TARGET] * instance.n_targets
+    coords = instance.sources.tolist() + instance.targets.tolist()
+    nodes = [{"id": i, "kind": k, "coords": c} for i, (k, c) in enumerate(zip(kinds, coords))]
+    edges = [{"from": i, "to": m + j, "area": a}
+             for i, row in enumerate(plan_to_assignments(plan)) for j, a in row]
+    doc = {"nodes": nodes, "edges": edges, "alpha": 1.0,
+           "cost": plan_cost(plan, cost_matrix(instance))}
     return json.dumps(doc, separators=(",", ":"))
 
 

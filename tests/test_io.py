@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +19,18 @@ from branchflow import (
     ParameterError,
     StructuralError,
     build_forest,
+    build_one_to_many,
     load_cities_csv,
     network_from_json,
     network_to_json,
     sample_cities_path,
 )
 from branchflow.core import TransportInstance, TransportPlan
-from branchflow.io import normalize_lon, plan_to_json
-from branchflow.pipeline import geo_embed, synthetic_problem
+from branchflow.io import _ROW_BLOCK, normalize_lon, plan_to_json
+from branchflow.ot import SinkhornConfig, cost_matrix, solve_exact, solve_sinkhorn
+from branchflow.pipeline import geo_embed, synthetic_instance, synthetic_problem
+
+from oracles import dict_plan_json, per_node_network_json
 
 
 def single_edge_tree():
@@ -114,6 +120,53 @@ def test_network_json_rejects_invalid_tree():
         )
     (bad,) = excinfo.value.report.violations
     assert (bad.kind, bad.nodes, bad.residual) == ("conservation", (0,), 0.5)
+
+
+def huge_edge_tree():
+    # a valid tree whose cost, |edge| = 1e200 * sqrt(2) squared first, overflows
+    return FlowTree(coords=[[0.0, 0.0], [1e200, 1e200]], kind=["source", "target"],
+                    parent=[-1, 0], area=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("tree, alpha, cost", [
+    (single_edge_tree, 5.0, 1.0), (single_edge_tree, math.nan, 1.0),
+    (single_edge_tree, 0.5, math.nan), (single_edge_tree, 0.5, math.inf),
+    (single_edge_tree, 0.5, -math.inf), (huge_edge_tree, 0.5, None),
+])
+def test_network_json_rejects_what_the_reader_rejects(tree, alpha, cost):
+    # an alpha outside [0, 1] and a NaN or infinite cost would make a
+    # document that network_from_json refuses, or that is not JSON at all
+    with np.errstate(over="ignore"), pytest.raises(ParameterError):
+        network_to_json(tree(), alpha, cost)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, _ROW_BLOCK])
+def test_json_bytes_do_not_depend_on_the_row_block(monkeypatch, block):
+    trees = [build_one_to_many(synthetic_problem(seed, n, d), BotParams(alpha=0.5)).tree
+             for seed, n, d in [(4, 1, 2), (5, 9, 2), (6, 1, 3), (7, 8, 3)]]
+    inst = synthetic_instance(8, 3, 7)
+    c = cost_matrix(inst)
+    plans = [solve_exact(inst, c), solve_sinkhorn(inst, c, SinkhornConfig(reg=0.05)).plan]
+    assert np.all(plans[1].gamma > 0)   # Sinkhorn rows are dense
+    monkeypatch.setattr("branchflow.io._ROW_BLOCK", block)
+    for tree in trees:
+        assert network_to_json(tree, 0.5) == per_node_network_json(tree, 0.5)
+    for plan in plans:
+        assert plan_to_json(inst, plan) == dict_plan_json(inst, plan)
+
+
+def test_network_json_peak_memory_stays_within_four_times_the_text():
+    # per block of rows the writer holds only that block's Python objects;
+    # the rest of the peak is the block strings and the text they join into
+    tree = build_one_to_many(synthetic_problem(0, 4000), BotParams(alpha=0.5)).tree
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = network_to_json(tree, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text), (peak, len(text))
 
 
 TWO_NODES = (
