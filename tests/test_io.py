@@ -123,7 +123,7 @@ def test_network_json_rejects_invalid_tree():
 
 
 def huge_edge_tree():
-    # a valid tree whose cost, |edge| = 1e200 * sqrt(2) squared first, overflows
+    # a valid tree whose edge length overflows: its squared length is beyond the float range
     return FlowTree(coords=[[0.0, 0.0], [1e200, 1e200]], kind=["source", "target"],
                     parent=[-1, 0], area=[1.0, 1.0])
 
