@@ -64,7 +64,7 @@ from .pipeline import (
 )
 from .io import (
     CityLoadReport,
-    GeoCity,
+    CityTable,
     NetworkDocument,
     load_cities_csv,
     network_from_json,
@@ -83,9 +83,9 @@ __all__ = [
     "BuildEvent",
     "BuildResult",
     "CityLoadReport",
+    "CityTable",
     "ConvergenceError",
     "FlowTree",
-    "GeoCity",
     "HierarchicalNetwork",
     "InputError",
     "KMeansResult",

@@ -229,7 +229,7 @@ def _load_forest(path: Path):
                 doc = json.loads(manifest.read_text(encoding="utf-8"))
                 # KeyError/TypeError: no "trees" list, or an entry without a "file" name
                 entries = [(path / item["file"], item.get("level")) for item in doc["trees"]]
-            except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise InputError(f"cannot read manifest {manifest}: {exc!r}") from None
         else:
             names = sorted(p for p in path.glob("*.json"))
@@ -245,7 +245,7 @@ def _load_forest(path: Path):
     for k, (file, level) in enumerate(entries):
         try:
             text = file.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {file}: {exc}") from None
         doc = network_from_json(text)
         trees.append(doc.tree)

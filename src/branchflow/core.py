@@ -262,7 +262,8 @@ class FlowTree:
         lengths = np.zeros(self.n_nodes)
         child = np.flatnonzero(self.parent >= 0)
         seg = self.coords[child] - self.coords[self.parent[child]]
-        lengths[child] = np.linalg.norm(seg, axis=1)
+        with np.errstate(over="ignore"):   # a length beyond the float range is inf
+            lengths[child] = np.linalg.norm(seg, axis=1)
         return lengths
 
 

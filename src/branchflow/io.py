@@ -9,6 +9,8 @@ edge arrays through ``%``-templates, so no dict per node is built; every
 number is finite and written as ``repr`` of a Python int or float, the
 text ``json`` writes.  ``network_to_json`` raises ParameterError for an
 alpha outside [0, 1] and for a cost that is not finite.
+
+A cities CSV loads into a CityTable, each drop rule run once on whole columns.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -232,31 +236,24 @@ def _lat_ok(lat):
 
 
 @dataclass(frozen=True)
-class GeoCity:
-    """A named, populated place; longitude is normalized to (-180, 180]."""
+class CityTable:
+    """Cities as columns of tuples, one entry per city in each: ``name``
+    and ``country`` hold str, ``lat``, ``lon`` and ``population`` float.
+    Tuples keep equality well defined; santa_pipeline checks the rules."""
 
-    name: str
-    country: str
-    lat: float
-    lon: float
-    population: float
+    name: tuple
+    country: tuple
+    lat: tuple
+    lon: tuple
+    population: tuple
 
-    def __post_init__(self):
-        lat, lon, pop = float(self.lat), float(self.lon), float(self.population)
-        if not _lat_ok(lat):
-            raise ParameterError(f"latitude must lie in [-90, 90], got {self.lat}")
-        if not math.isfinite(lon):
-            raise ParameterError("longitude must be finite")
-        if not (math.isfinite(pop) and pop > 0):
-            raise ParameterError(f"population must be positive, got {self.population}")
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", normalize_lon(lon))
-        object.__setattr__(self, "population", pop)
+    def __len__(self) -> int:
+        return len(self.name)
 
 
 @dataclass(frozen=True)
 class CityLoadReport:
-    cities: tuple
+    cities: CityTable
     n_rows: int
     dropped: dict
 
@@ -271,26 +268,51 @@ class CityLoadReport:
         return ", ".join(parts)
 
 
-def _parse_city_row(row: dict) -> tuple[GeoCity | None, str | None]:
-    raw = {}
-    for field in _CITY_ALIASES:
-        value = row.get(field)
-        if value is None or value.strip() == "":
-            return None, f"missing-{field}"
-        raw[field] = value.strip()
+def _city_columns(path: Path, header: list | None) -> list:
+    """The index of each required column, in ``_CITY_ALIASES`` order."""
+    if header is None:
+        raise InputError(f"{path} is empty")
+    lower = [h.strip().lower() for h in header]
+    found = [[lower.index(a) for a in aliases if a in lower] for aliases in _CITY_ALIASES.values()]
+    missing = [f"{field} (accepted: {', '.join(aliases)})"
+               for (field, aliases), cols in zip(_CITY_ALIASES.items(), found) if not cols]
+    if missing:
+        raise InputError(f"{path} is missing required columns: {'; '.join(missing)}; "
+                         f"found header {header!r}")
+    return [cols[0] for cols in found]
+
+
+def _float_or_nan(text: str) -> float:
     try:
-        lat = float(raw["lat"])
-        lon = float(raw["lng"])
-        pop = float(raw["population"])
+        return float(text)
     except ValueError:
-        return None, "unparsable-number"
-    if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(pop)):
-        return None, "unparsable-number"
-    if not _lat_ok(lat):
-        return None, "latitude-out-of-range"
-    if pop <= 0:
-        return None, "nonpositive-population"
-    return GeoCity(raw["city"], raw["country"], lat, lon, pop), None
+        return math.nan
+
+
+# rows per block: a block reuses the memory the one before it freed
+_CITY_BLOCK = 4096
+
+
+def _city_block(block: list, cols: list) -> tuple:
+    """The five column lists of the cities a block of rows keeps, and its drops per reason."""
+    width = max(cols) + 1
+    rows = [cells for cells in block if len(cells) >= width]
+    columns = [[cells[c].strip() for cells in rows] for c in cols]
+    lat, lon, pop = (np.array([_float_or_nan(t) for t in column], dtype=float)
+                     for column in columns[2:])
+    rules = {f"missing-{field}": np.array([not text for text in column], dtype=bool)
+             for field, column in zip(_CITY_ALIASES, columns)}
+    rules["unparsable-number"] = ~(np.isfinite(lat) & np.isfinite(lon) & np.isfinite(pop))
+    rules["latitude-out-of-range"] = ~_lat_ok(lat)
+    rules["nonpositive-population"] = pop <= 0
+    dropped = Counter({"short-row": len(block) - len(rows)})
+    keep = np.ones(len(rows), dtype=bool)
+    for reason, bad in rules.items():   # a row counts under the first rule it breaks
+        dropped[reason] = int(np.count_nonzero(bad & keep))
+        keep &= ~bad
+    kept = keep.tolist()
+    return [list(compress(columns[0], kept)), list(compress(columns[1], kept)),
+            lat[keep].tolist(), normalize_lon(lon[keep]).tolist(), pop[keep].tolist()], dropped
 
 
 def load_cities_csv(path) -> CityLoadReport:
@@ -298,55 +320,28 @@ def load_cities_csv(path) -> CityLoadReport:
 
     Header names are case-insensitive and common aliases (name, lon,
     longitude, latitude, pop) are accepted; extra columns are ignored.
-    Rows with missing fields, unparsable numbers, out-of-range latitudes
-    or nonpositive populations are dropped and counted per reason.
-    Missing files or missing required columns raise InputError.
+    Short rows, then rows with missing fields, unparsable or non-finite
+    numbers, out-of-range latitudes or nonpositive populations are
+    dropped and counted per reason, in that order.  Longitudes are wrapped
+    into (-180, 180].  Unreadable files and missing columns raise InputError.
     """
     path = Path(path)
+    blocks = []
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")  # skips an Excel BOM
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as handle:  # skips an Excel BOM
+            reader = csv.reader(handle)
+            cols = _city_columns(path, next(reader, None))
+            rows = filter(None, reader)   # a blank line is no row
+            while not blocks or len(block) == _CITY_BLOCK:   # until a block comes back short
+                block = list(islice(rows, _CITY_BLOCK))
+                blocks.append(_city_block(block, cols))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path} is empty") from None
 
-        lower = [h.strip().lower() for h in header]
-        col_of: dict[str, int] = {}
-        missing = []
-        for field, aliases in _CITY_ALIASES.items():
-            for alias in aliases:
-                if alias in lower:
-                    col_of[field] = lower.index(alias)
-                    break
-            else:
-                missing.append(f"{field} (accepted: {', '.join(aliases)})")
-        if missing:
-            raise InputError(
-                f"{path} is missing required columns: {'; '.join(missing)}; "
-                f"found header {header!r}"
-            )
-
-        cities = []
-        dropped: dict[str, int] = {}
-        n_rows = 0
-        width = max(col_of.values()) + 1
-        for cells in reader:
-            if not cells:
-                continue
-            n_rows += 1
-            if len(cells) < width:
-                dropped["short-row"] = dropped.get("short-row", 0) + 1
-                continue
-            record, reason = _parse_city_row({f: cells[c] for f, c in col_of.items()})
-            if record is None:
-                dropped[reason] = dropped.get(reason, 0) + 1
-            else:
-                cities.append(record)
-    return CityLoadReport(tuple(cities), n_rows, dropped)
+    columns, counts = zip(*blocks)
+    cities = CityTable(*(tuple(chain.from_iterable(parts)) for parts in zip(*columns)))
+    dropped = dict(sum(counts, Counter()))   # + drops zero counts
+    return CityLoadReport(cities, len(cities) + sum(dropped.values()), dropped)
 
 
 def sample_cities_path() -> Path:

@@ -27,7 +27,7 @@ from .core import (
     _outflow,
     bot_cost,
 )
-from .io import _lat_ok, normalize_lon
+from .io import CityTable, _lat_ok, normalize_lon
 from .ot import (
     SinkhornConfig,
     cost_matrix,
@@ -289,8 +289,8 @@ def _check_norms(points: np.ndarray, norms: np.ndarray) -> tuple:
 class HierarchicalNetwork:
     """Three tree levels: pole to countries, country to regions, region to cities.
 
-    ``regional_members[c][r]`` lists indices into the input city list, so
-    membership of every city in exactly one regional tree is checkable.
+    ``regional_members[c][r]`` lists indices of rows of the city table,
+    so membership of every city in exactly one regional tree is checkable.
     Leaf areas are population shares normalized within each tree.
     """
 
@@ -346,11 +346,11 @@ def _country_stage(xyz, pops, city_idx, seed_base, country):
 
 
 def santa_pipeline(
-    cities,
+    cities: CityTable,
     pole: tuple = DEFAULT_POLE,
     params: BotParams | None = None,
 ) -> HierarchicalNetwork:
-    """Build the full three-level delivery hierarchy over a city list.
+    """Build the full three-level delivery hierarchy over a city table.
 
     Per country: the national center is the population-weighted centroid
     pushed onto the sphere, and regional centers come from weighted
@@ -358,28 +358,31 @@ def santa_pipeline(
     every level is built in one ``build_forest`` call, with branch points
     re-projected onto the sphere.  Leaf areas are population shares
     normalized per tree; the global tree splits unit mass between
-    countries in proportion to population.
+    countries in proportion to population.  Inputs are checked before K-means.
     """
-    cities = list(cities)
-    if not cities:
+    if not len(cities):
         raise ParameterError("at least one city is required")
+    if {len(column) for column in vars(cities).values()} != {len(cities)}:
+        raise ParameterError("every column of the city table needs one entry per city")
     if params is None:
         params = BotParams()
-    pole_xyz = geo_embed(*pole)   # a bad pole fails before any K-means
+    pole_xyz = geo_embed(*pole)
+    # a loaded table's longitudes are normalized already; normalize_lon keeps their bits
+    xyz = geo_embed(cities.lat, cities.lon)
+    pops = np.array(cities.population, dtype=float)
+    bad = ~(np.isfinite(pops) & (pops > 0))
+    if bad.any():
+        raise ParameterError(f"population must be positive, got {pops[bad][0]}")
 
-    pops = np.array([c.population for c in cities])
-    # GeoCity longitudes are normalized already; normalize_lon keeps their bits
-    xyz = geo_embed([c.lat for c in cities], [c.lon for c in cities])
-
-    by_country: dict[str, list[int]] = {}
-    for i, city in enumerate(cities):
-        by_country.setdefault(city.country, []).append(i)
-    countries = tuple(sorted(by_country))
+    countries = tuple(sorted(set(cities.country)))
+    code = {name: c for c, name in enumerate(countries)}
+    # country c's cities, in row order: kids[bounds[c]:bounds[c + 1]]
+    kids, bounds = _child_groups(np.array([code[name] for name in cities.country]))
 
     seed_base = params.seed
     centers, country_pops, problems, members = zip(*[
-        _country_stage(xyz, pops, np.array(by_country[name]), seed_base, name)
-        for name in countries])
+        _country_stage(xyz, pops, kids[bounds[c]:bounds[c + 1]], seed_base, name)
+        for c, name in enumerate(countries)])
     country_pops = np.array(country_pops)
     shares = country_pops / country_pops.sum()
 

@@ -20,9 +20,11 @@ every pricing, as transport_simplex once did; it then walks that matrix
 in the library's row blocks, or takes its most negative cell, the
 Dantzig rule transport_simplex once used.  The Sinkhorn reference checks
 both factors for finiteness and computes both marginal errors on every
-iteration, as solve_sinkhorn once did.
+iteration, as solve_sinkhorn once did.  The cities CSV reference parses
+and checks one row at a time, as load_cities_csv once did.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -45,7 +47,7 @@ from branchflow.core import (
     Violation,
     bot_cost,
 )
-from branchflow.io import normalize_lon
+from branchflow.io import _CITY_ALIASES, CityLoadReport, CityTable, normalize_lon
 from branchflow.ot import (
     SinkhornResult,
     _PRICE_BLOCKS,
@@ -746,3 +748,58 @@ def per_node_validate_tree(tree, demands=None):
                                    f"but was assigned {demand}"))
 
     return ValidationReport(tuple(v))
+
+
+# ---------------------------------------------------------------------------
+# per-row cities CSV loading
+
+
+def _per_row_city(row):
+    """One row's (name, country, lat, lon, population), or None, and its drop reason."""
+    raw = {}
+    for field in _CITY_ALIASES:
+        value = row.get(field)
+        if value is None or value.strip() == "":
+            return None, f"missing-{field}"
+        raw[field] = value.strip()
+    try:
+        lat = float(raw["lat"])
+        lon = float(raw["lng"])
+        pop = float(raw["population"])
+    except ValueError:
+        return None, "unparsable-number"
+    if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(pop)):
+        return None, "unparsable-number"
+    if not -90.0 <= lat <= 90.0:
+        return None, "latitude-out-of-range"
+    if pop <= 0:
+        return None, "nonpositive-population"
+    return (raw["city"], raw["country"], lat, normalize_lon(lon), pop), None
+
+
+def per_row_load_cities(path):
+    """The cities CSV at ``path``, whose header names every required
+    column, loaded and checked one row at a time."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        lower = [h.strip().lower() for h in next(reader)]
+        col_of = {field: lower.index(next(a for a in aliases if a in lower))
+                  for field, aliases in _CITY_ALIASES.items()}
+        width = max(col_of.values()) + 1
+        cities = []
+        dropped = {}
+        n_rows = 0
+        for cells in reader:
+            if not cells:
+                continue
+            n_rows += 1
+            if len(cells) < width:
+                city, reason = None, "short-row"
+            else:
+                city, reason = _per_row_city({f: cells[c] for f, c in col_of.items()})
+            if city is None:
+                dropped[reason] = dropped.get(reason, 0) + 1
+            else:
+                cities.append(city)
+    columns = tuple(zip(*cities)) or ((),) * len(_CITY_ALIASES)
+    return CityLoadReport(CityTable(*columns), n_rows, dropped)

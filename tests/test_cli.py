@@ -139,14 +139,30 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
         (["branch", "--n-targets", "-5"], 2, "n_targets must be at least 1, got -5"),
         (["ot", "--n-targets", "-2"], 2, "n_targets must be at least 1, got -2"),
         (["dual", "--n-targets", "-1"], 2, "n_targets must be at least 1, got -1"),
+        (["santa", "--cities", "{tmp}/latin1.csv"], 2,
+         "cannot read {tmp}/latin1.csv: 'utf-8' codec can't decode byte 0xfc"),
+        (["santa", "--cities", "{tmp}/long.csv"], 2,
+         "cannot read {tmp}/long.csv: field larger than field limit (131072)"),
+        (["render", "{tmp}/latin1.json", "--svg", "{tmp}/out.svg"], 2,
+         "cannot read {tmp}/latin1.json: 'utf-8' codec can't decode byte 0xfc"),
+        (["render", "{tmp}/forest", "--svg", "{tmp}/out.svg"], 2,
+         "cannot read manifest {tmp}/forest/manifest.json: UnicodeDecodeError('utf-8'"),
     ],
     ids=["parameter", "nan-parameter", "input", "convergence", "structural", "os",
          "net-negative-sources", "net-zero-sources", "branch-negative-targets",
-         "ot-negative-targets", "dual-negative-targets"],
+         "ot-negative-targets", "dual-negative-targets", "latin1-cities", "long-field-cities",
+         "latin1-tree", "latin1-manifest"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")
     (tmp_path / "exists.txt").write_text("a regular file\n", encoding="utf-8")
+    header = "city,country,lat,lng,population\n"
+    (tmp_path / "latin1.csv").write_bytes((header + "Z\u00fcrich,CH,47.4,8.5,400000\n").encode("latin-1"))
+    (tmp_path / "long.csv").write_text(header + "A,X,1.0,2.0," + "1" * 131073 + "\n",
+                                       encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes('{"nodes":[{"kind":"s\u00fc"}]}'.encode("latin-1"))
+    (tmp_path / "forest").mkdir()
+    (tmp_path / "forest" / "manifest.json").write_bytes('{"trees":["\u00fc"]}'.encode("latin-1"))
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(tmp=tmp_path))

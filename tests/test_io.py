@@ -1,11 +1,14 @@
 """Network JSON round-tripping, longitude handling, and the cities loader."""
 
+import csv
 import importlib.util
+import io
 import json
 import math
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from branchflow import (
     BotParams,
+    CityTable,
     FlowTree,
-    GeoCity,
     InputError,
     ParameterError,
     StructuralError,
@@ -24,13 +27,14 @@ from branchflow import (
     network_from_json,
     network_to_json,
     sample_cities_path,
+    santa_pipeline,
 )
 from branchflow.core import TransportInstance, TransportPlan
-from branchflow.io import _ROW_BLOCK, normalize_lon, plan_to_json
+from branchflow.io import _CITY_ALIASES, _CITY_BLOCK, _ROW_BLOCK, normalize_lon, plan_to_json
 from branchflow.ot import SinkhornConfig, cost_matrix, solve_exact, solve_sinkhorn
 from branchflow.pipeline import geo_embed, synthetic_instance, synthetic_problem
 
-from oracles import dict_plan_json, per_node_network_json
+from oracles import dict_plan_json, per_node_network_json, per_row_load_cities
 
 
 def single_edge_tree():
@@ -135,8 +139,9 @@ def huge_edge_tree():
 ])
 def test_network_json_rejects_what_the_reader_rejects(tree, alpha, cost):
     # an alpha outside [0, 1] and a NaN or infinite cost would make a
-    # document that network_from_json refuses, or that is not JSON at all
-    with np.errstate(over="ignore"), pytest.raises(ParameterError):
+    # document that network_from_json refuses, or that is not JSON at all;
+    # an edge length beyond the float range gives no numpy overflow warning
+    with pytest.raises(ParameterError):
         network_to_json(tree(), alpha, cost)
 
 
@@ -276,7 +281,7 @@ def test_plan_to_json_direct_edges():
 
 
 # ---------------------------------------------------------------------------
-# longitude and GeoCity
+# longitude
 
 
 def test_normalize_lon_wrapping():
@@ -286,17 +291,6 @@ def test_normalize_lon_wrapping():
     assert normalize_lon(181.0) == -179.0
     assert normalize_lon(540.0) == 180.0
     assert normalize_lon(-200.0) == 160.0
-
-
-def test_geocity_normalizes_and_validates():
-    city = GeoCity("a", "b", 10.0, 200.0, 5.0)
-    assert city.lon == -160.0
-    with pytest.raises(ParameterError):
-        GeoCity("a", "b", 95.0, 0.0, 5.0)
-    with pytest.raises(ParameterError):
-        GeoCity("a", "b", 0.0, 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        GeoCity("a", "b", 0.0, float("inf"), 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +316,11 @@ def test_load_well_formed(tmp_path):
     assert len(report.cities) == 3
     assert report.n_rows == 3
     assert report.n_dropped == 0
-    assert report.cities[0].name == "A"
-    assert report.cities[0].country == "X"
+    assert report.cities.name == ("A", "B", "C")
+    assert report.cities.country == ("X", "X", "Y")
+    assert report.cities.lat == (10.0, -5.0, 40.0)
+    assert report.cities.lon == (20.0, 30.0, -70.0)
+    assert report.cities.population == (1000.0, 2000.0, 500.0)
     assert "3 cities" in report.summary()
 
 
@@ -352,20 +349,21 @@ def test_load_drop_reasons(tmp_path):
 @pytest.mark.parametrize("lat", [-90.0, 90.0, -0.0, -90.5, 90.000001, 1e300,
                                  float("inf"), float("-inf"), float("nan")])
 def test_latitude_rule_is_the_same_for_every_caller(tmp_path, lat):
-    # the loader, GeoCity and geo_embed accept exactly the latitudes in [-90, 90]
+    # the loader, santa_pipeline and geo_embed accept exactly the latitudes in [-90, 90]
     ok = -90.0 <= lat <= 90.0
     report = load_cities_csv(write(tmp_path, "c.csv", f"city,country,lat,lng,population\n"
                                                       f"A,X,{lat!r},20.0,100\n"))
+    table = CityTable(("A",), ("X",), (lat,), (20.0,), (100.0,))
     if ok:
-        assert report.dropped == {} and report.cities[0].lat == lat
-        assert GeoCity("A", "X", lat, 20.0, 100.0).lat == lat
+        assert report.dropped == {} and report.cities.lat == (lat,)
+        assert santa_pipeline(table).countries == ("X",)
         assert geo_embed([0.0, lat], [0.0, 20.0]).shape == (2, 3)
         return
     reason = "latitude-out-of-range" if np.isfinite(lat) else "unparsable-number"
     assert report.dropped == {reason: 1}
     message = f"latitude must lie in [-90, 90], got {lat}"
     with pytest.raises(ParameterError, match=re.escape(message)):
-        GeoCity("A", "X", lat, 20.0, 100.0)
+        santa_pipeline(table)
     with pytest.raises(ParameterError, match=re.escape(message)):
         geo_embed([0.0, lat], [0.0, 20.0])
 
@@ -379,7 +377,7 @@ def test_load_aliases_case_and_extras(tmp_path):
     )
     report = load_cities_csv(path)
     assert len(report.cities) == 1
-    assert report.cities[0].lon == -160.0  # normalized, not dropped
+    assert report.cities.lon == (-160.0,)  # normalized, not dropped
 
 
 def test_load_missing_column_diagnostics(tmp_path):
@@ -415,14 +413,59 @@ def test_load_unreadable_path(tmp_path):
         load_cities_csv(tmp_path / "nope.csv")
 
 
+# field texts that sit on the edge of a drop rule, or of float()'s text rules
+_EDGE_NUMBERS = ["", " ", "\t", "nan", "-inf", "inf", "1_000", "\u0661\u0662", "0x10", "zap",
+                 " 12.5 ", "-0.0", "90", "-90", "90.000001", "-90.000001", "0", "-3",
+                 "540", "-180", "1e400"]
+_numbers = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats(-100.0, 100.0).map(repr),
+                     st.floats().map(repr), st.integers(-10**6, 10**6).map(str))
+_texts = st.one_of(st.sampled_from(["A", "b c", "Z\u00fcrich"]),
+                   st.text(alphabet='aZ \u00e9,"\n', max_size=4))
+
+
+@st.composite
+def cities_csv_bytes(draw):
+    """A cities CSV with random header aliases, case, extra columns and
+    column order, and rows that are blank, short or full, with or without a BOM."""
+    header = [draw(st.sampled_from(aliases)) for aliases in _CITY_ALIASES.values()]
+    header = [draw(st.sampled_from([h, h.upper(), f" {h.title()} "])) for h in header]
+    header += [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(header))))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([header[i] for i in order])
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(_texts), draw(_texts), draw(_numbers), draw(_numbers), draw(_numbers)]
+        row += [draw(_texts) for _ in header[5:]]
+        row = [row[i] for i in order]
+        writer.writerow(row[:draw(st.one_of(st.just(len(row)), st.integers(0, len(row))))])
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=cities_csv_bytes(), block=st.sampled_from([1, 2, 3, _CITY_BLOCK]))
+def test_load_matches_the_per_row_reference(tmp_path_factory, data, block):
+    path = tmp_path_factory.mktemp("cities") / "c.csv"
+    path.write_bytes(data)
+    with mock.patch("branchflow.io._CITY_BLOCK", block):
+        got = load_cities_csv(path)
+    want = per_row_load_cities(path)
+    assert (got.n_rows, got.dropped, got.summary()) == (want.n_rows, want.dropped, want.summary())
+    assert got.cities.name == want.cities.name
+    assert got.cities.country == want.cities.country
+    for column in ("lat", "lon", "population"):
+        # repr tells -0.0 from 0.0 and a numpy float from a Python one
+        assert list(map(repr, getattr(got.cities, column))) == \
+            list(map(repr, getattr(want.cities, column)))
+
+
 def test_bundled_sample_dataset():
     path = sample_cities_path()
     report = load_cities_csv(path)
     assert len(report.cities) == 1000
     assert report.n_dropped == 0
-    countries = {c.country for c in report.cities}
-    assert len(countries) == 20
-    assert min(c.population for c in report.cities) > 0
+    assert len(set(report.cities.country)) == 20
+    assert min(report.cities.population) > 0
 
 
 def load_sample_tool():
@@ -447,7 +490,7 @@ def test_sample_tool_writes_any_size_and_rejects_too_few(tmp_path):
     report = load_cities_csv(out)
     assert len(report.cities) == 2500
     assert report.n_dropped == 0
-    assert len({c.country for c in report.cities}) == 20
+    assert len(set(report.cities.country)) == 20
     with pytest.raises(SystemExit) as exc:
         tool.main(["--n-cities", "59", "--out", str(tmp_path / "small.csv")])
     assert exc.value.code == 2

@@ -1,6 +1,8 @@
 """Two-stage network solving, dual trees, spherical geometry, hierarchy."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import branchflow.core
 import branchflow.pipeline
 from branchflow import (
     BotParams,
-    GeoCity,
+    CityTable,
     OneToManyProblem,
     ParameterError,
     TransportInstance,
@@ -39,18 +41,16 @@ def random_instance(seed, m, n):
 
 def random_cities(seed, n, countries):
     rng = substream(seed, "cities")
-    out = []
+    rows = []
     for i in range(n):
-        out.append(
-            GeoCity(
-                name=f"city{i}",
-                country=countries[i % len(countries)],
-                lat=float(rng.uniform(-60, 70)),
-                lon=float(rng.uniform(-179, 179)),
-                population=float(rng.lognormal(10, 1)),
-            )
-        )
-    return out
+        rows.append((
+            f"city{i}",
+            countries[i % len(countries)],
+            float(rng.uniform(-60, 70)),
+            float(rng.uniform(-179, 179)),
+            float(rng.lognormal(10, 1)),
+        ))
+    return CityTable(*zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +281,16 @@ def test_hierarchy_structure_and_coverage():
     assert net.pole == DEFAULT_POLE
 
     # population-proportional top-level shares
-    pops = np.array([c.population for c in cities])
+    pops = np.array(cities.population)
+    country = np.array(cities.country)
     for ci, name in enumerate(net.countries):
-        expected = sum(c.population for c in cities if c.country == name) / pops.sum()
+        expected = pops[country == name].sum() / pops.sum()
         assert net.shares[ci] == pytest.approx(expected, rel=1e-12)
 
     # every city in exactly one regional tree
     seen = []
     for ci, name in enumerate(net.countries):
-        n_cities = sum(1 for c in cities if c.country == name)
+        n_cities = int(np.sum(country == name))
         assert len(net.regional_trees[ci]) == choose_k(n_cities)
         for members in net.regional_members[ci]:
             seen.extend(members)
@@ -307,7 +308,7 @@ def test_hierarchy_structure_and_coverage():
 
 
 def test_hierarchy_single_city_country_degenerates():
-    cities = [GeoCity("only", "Z", 10.0, 20.0, 1000.0)]
+    cities = CityTable(("only",), ("Z",), (10.0,), (20.0,), (1000.0,))
     net = santa_pipeline(cities)
     assert net.countries == ("Z",)
     assert net.global_tree.n_nodes == 2
@@ -340,9 +341,43 @@ def test_hierarchy_rejects_a_bad_pole_before_any_kmeans(monkeypatch):
     assert calls == []
 
 
-def test_hierarchy_rejects_empty_city_list():
-    with pytest.raises(ParameterError):
-        santa_pipeline([])
+def test_hierarchy_rejects_empty_city_table():
+    with pytest.raises(ParameterError, match="at least one city"):
+        santa_pipeline(CityTable((), (), (), (), ()))
+
+
+def test_hierarchy_normalizes_a_hand_built_longitude():
+    # a table is plain columns; the pipeline wraps 200 degrees to -160
+    wrapped = santa_pipeline(CityTable(("a",), ("Z",), (10.0,), (200.0,), (5.0,)))
+    plain = santa_pipeline(CityTable(("a",), ("Z",), (10.0,), (-160.0,), (5.0,)))
+    assert np.array_equal(wrapped.regional_trees[0][0].coords, plain.regional_trees[0][0].coords)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("lat", 95.0, "latitude must lie in [-90, 90], got 95.0"),
+    ("lon", math.inf, "longitude must be finite"),
+    ("population", 0.0, "population must be positive, got 0.0"),
+    ("population", -3.0, "population must be positive, got -3.0"),
+    ("population", math.nan, "population must be positive, got nan"),
+    ("population", math.inf, "population must be positive, got inf"),
+    ("country", None, "every column of the city table needs one entry per city"),
+])
+def test_hierarchy_checks_the_table_before_any_kmeans(monkeypatch, column, value, message):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return weighted_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(branchflow.pipeline, "weighted_kmeans", counting)
+    cities = random_cities(3, 40, ["A", "B"])
+    if value is None:   # one entry short
+        bad = getattr(cities, column)[:-1]
+    else:               # the last city breaks the rule
+        bad = getattr(cities, column)[:-1] + (value,)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        santa_pipeline(replace(cities, **{column: bad}))
+    assert calls == []
 
 
 def test_earth_radius_constant():
