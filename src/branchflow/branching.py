@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ GAIN_TOL = 1e-12  # a merge must beat this to be accepted
 _NEAR_BAND = 16   # nearest candidates scanned before the scan widens to all
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneToManyProblem:
     """One source feeding N targets with prescribed sectional areas."""
 
@@ -83,9 +84,7 @@ class OneToManyProblem:
 
 @dataclass(frozen=True, slots=True)
 class BuildEvent:
-    """One iteration of the builder: either a merge or a retirement.
-
-    Slotted: a forest build holds every tree's events at once."""
+    """One iteration of the builder: either a merge or a retirement."""
 
     step: int
     picked: int               # farthest selectable node i
@@ -95,20 +94,29 @@ class BuildEvent:
     cost: float               # network cost after this iteration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuildResult:
-    """A built tree with its cost trace and per-iteration events.
+    """A built tree with its cost trace and per-iteration record.
 
-    ``candidate_evals`` counts the branch points the scan evaluated:
-    the nearest few neighbors per merge, every remaining selectable
-    node per retirement (and per merge found beyond the nearest few).
+    ``steps`` holds the ``BuildEvent`` fields after ``step``, an array
+    each, partner and branch -1 on a retirement; ``events`` is made from
+    them on first read.  ``candidate_evals`` counts the branch points the
+    scan evaluated: the nearest few neighbors per merge, every remaining
+    selectable node per retirement (and per merge beyond the nearest few).
     """
 
     tree: FlowTree
     trace: np.ndarray         # cost before any merge, then after each merge
-    events: tuple[BuildEvent, ...]
+    steps: tuple              # (picked, partner, branch, gain, cost) arrays
     candidate_evals: int
     eps: np.ndarray | None    # frozen shift vector actually used
+
+    @cached_property
+    def events(self) -> tuple[BuildEvent, ...]:
+        return tuple(
+            BuildEvent(s, i, j, k, g, c) if j >= 0 else BuildEvent(s, i, None, None, g, c)
+            for s, (i, j, k, g, c) in enumerate(zip(*(col.tolist() for col in self.steps)))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def _grow_block(trees, nearest_only, post_point):
     every comparison, and their distances to the source, -inf padded.
     A step picks, per running tree, the cell of largest distance, the
     lower id on ties, and does all of its bookkeeping as array passes
-    over the block; each tree's events and trace are assembled from the
+    over the block; each tree's steps and trace are cut from the
     per-step records once the block is done.  Returns the number of
     far-band scans.
     """
@@ -482,14 +490,10 @@ def _grow_block(trees, nearest_only, post_point):
         star = np.sum(before[o + 1:o + n + 1])
         cost = np.cumsum(np.concatenate(([star], -gain_at[:n, b])))
         merged = partner[:n, b] > o   # a partner's flat id is above its source's
-        rows = zip(merged.tolist(), (picked[:n, b] - o).tolist(), (partner[:n, b] - o).tolist(),
-                   (n + np.cumsum(merged)).tolist(), gain_at[:n, b].tolist(), cost[1:].tolist())
-        events = tuple(
-            BuildEvent(s, i, k, g, x, c) if merge else BuildEvent(s, i, None, None, x, c)
-            for s, (merge, i, k, g, x, c) in enumerate(rows)
-        )
+        steps = (picked[:n, b] - o, np.where(merged, partner[:n, b] - o, -1),
+                 np.where(merged, n + np.cumsum(merged), -1), gain_at[:n, b].copy(), cost[1:])
         trace = np.concatenate((cost[:1], cost[1:][merged]))
-        t.result = BuildResult(tree, trace, events, int(evals[b]), t.eps)
+        t.result = BuildResult(tree, trace, steps, int(evals[b]), t.eps)
         t.near_merges = m - n - 1 - int(far_merges[b])
     return far_scans
 

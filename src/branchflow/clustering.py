@@ -28,7 +28,7 @@ _KMEANS_TOL = 1e-9  # Lloyd stops once the objective improves by at most this
 _KMEANS_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedPointSet:
     """Points with strictly positive weights, e.g. cities with populations."""
 
@@ -54,7 +54,7 @@ class WeightedPointSet:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMeansResult:
     centroids: np.ndarray
     labels: np.ndarray

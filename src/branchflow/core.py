@@ -122,7 +122,7 @@ def _outflow(area: np.ndarray, kids: np.ndarray, bounds: np.ndarray) -> np.ndarr
     return np.add.reduceat(vals, starts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportInstance:
     """Discrete transport instance: weighted source and target points.
 
@@ -171,7 +171,7 @@ class TransportInstance:
         return self.sources.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Nonnegative coupling matrix with prescribed row and column masses."""
 
@@ -198,7 +198,7 @@ class TransportPlan:
         return row, col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTree:
     """Rooted flow network: one source, target leaves, free branch nodes.
 

@@ -225,22 +225,31 @@ def geo_project(point) -> tuple:
     return lat, lon
 
 
+_BLOCK = 2048   # rows, arc points or edges at a time: bounds the Python floats alive at once
+
+
 def _lon_lat_rows(points: np.ndarray) -> np.ndarray:
     """Renormalize each row of an (n, 3) array to the unit sphere: (n, 2) [lon, lat] degrees.
 
-    The norms and the division are batched; ``np.vecdot`` runs the same
-    BLAS dot per row as a 1-D ``np.linalg.norm``, so each row gets the
-    bits of a one-point projection.  asin and atan2 are ``math``'s, mapped
-    over the columns: numpy's vectorized arcsin and arctan2 differ from
-    libm in the last bit on some inputs, which would change output bytes.
-    The clip, the degrees and the longitude wrap are numpy ops with the
-    bits of their scalar forms.
+    The rows are projected ``_BLOCK`` at a time, the norms and the
+    division of a block batched; ``np.vecdot`` runs the same BLAS dot per
+    row as a 1-D ``np.linalg.norm``, so each row gets the bits of a
+    one-point projection.  asin and atan2 are ``math``'s, mapped over the
+    columns: numpy's vectorized arcsin and arctan2 differ from libm in
+    the last bit on some inputs, which would change output bytes.  The
+    clip, the degrees and the longitude wrap are numpy ops with the bits
+    of their scalar forms.
     """
-    p, norms = _dot_norms(np.ascontiguousarray(points, dtype=float))
-    q = p / norms[:, None]
-    lat = np.degrees(list(map(math.asin, np.clip(q[:, 2], -1.0, 1.0).tolist())))
-    lon = normalize_lon(np.degrees(list(map(math.atan2, q[:, 1].tolist(), q[:, 0].tolist()))))
-    return np.column_stack([lon, lat])
+    points = np.ascontiguousarray(points, dtype=float)
+    rows = np.empty((len(points), 2))
+    for a in range(0, len(points), _BLOCK):
+        p, norms = _dot_norms(points[a:a + _BLOCK])
+        q = p / norms[:, None]
+        lat = map(math.asin, np.clip(q[:, 2], -1.0, 1.0).tolist())
+        lon = map(math.atan2, q[:, 1].tolist(), q[:, 0].tolist())
+        rows[a:a + _BLOCK, 0] = normalize_lon(np.degrees(list(lon)))
+        rows[a:a + _BLOCK, 1] = np.degrees(list(lat))
+    return rows
 
 
 def to_sphere(points: np.ndarray) -> np.ndarray:

@@ -5,17 +5,18 @@ a red dot per source and blue dots for targets.  GeoJSON emits one
 LineString per edge; edges of unit-sphere trees are subdivided into
 great-circle arcs of at most 100 km so they follow the globe on a map.
 
-SVG projects every sphere node of a forest in one call.  GeoJSON checks
-the angle of every sphere edge in one call, then draws the arc sample
-points one block of about ``_ARC_BLOCK_POINTS`` at a time, each block in
-one broadcast of the slerp formula, whose norms and divisions are
-elementwise numpy ops with the bits of the one-point path.  sin, acos,
-asin and atan2 stay on libm through ``math``: numpy's vectorized
-versions differ from it in the last bit on some inputs (about 8% for
-arcsin and arctan2 on an AVX-512 machine), as do ``norm(axis=1)`` and
-``einsum`` norms, and either would change the coordinate bytes.  The
-GeoJSON text is written from templates, each number as its
-``repr(float)``, which is how ``json`` writes a finite float.
+SVG projects the sphere nodes ``_BLOCK`` at a time.  GeoJSON checks the
+angles of the sphere edges ``_BLOCK`` at a time, keeping each edge's
+angle and segment count, then draws the arc sample points in blocks of
+about ``_BLOCK``, each in one broadcast of the slerp formula, whose
+norms and divisions are elementwise numpy ops with the bits of the
+one-point path.  sin, acos, asin and atan2 stay on libm through
+``math``: numpy's vectorized versions differ from it in the last bit on
+some inputs (about 8% for arcsin and arctan2 on an AVX-512 machine), as
+do ``norm(axis=1)`` and ``einsum`` norms, and either would change the
+coordinate bytes.  Text goes through ``%`` templates: a block's GeoJSON
+features in one operation, numbers by ``%r`` (the ``repr(float)`` that
+``json`` writes for a finite float), and SVG rows by ``%.3f``.
 
 Both documents are made in pieces, which the public functions join and
 the CLI writes as they come.  Every check comes before the first piece.
@@ -23,7 +24,7 @@ the CLI writes as they come.  Every check comes before the first piece.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import logging
 import math
@@ -31,14 +32,17 @@ import math
 import numpy as np
 
 from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError, _check_alpha
-from .pipeline import EARTH_RADIUS_KM, _dot_norms, _lon_lat_rows
+from .pipeline import _BLOCK, EARTH_RADIUS_KM, _dot_norms, _lon_lat_rows
 
 MAX_SEGMENT_KM = 100.0
-_ARC_BLOCK_POINTS = 1 << 14   # about this many arc sample points are drawn at a time
 _SVG_WIDTH = 800
 _SVG_MARGIN = 0.05      # padding around the drawing, as a share of its larger span
 _STROKE_SCALE = 6.0     # stroke width of the thickest edge
 _POINT_RADIUS = 3.0     # target dot radius; source dots are 1.6 times larger
+_LINE = ('\n<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+         'stroke="#555555" stroke-width="%.3f" stroke-linecap="round"/>')
+_DOTS = {KIND_SOURCE: f'" r="{1.6 * _POINT_RADIUS:.3f}" fill="#cc2222"/>',
+         KIND_TARGET: f'" r="{_POINT_RADIUS:.3f}" fill="#2255cc"/>'}
 
 _log = logging.getLogger(__name__)
 
@@ -62,7 +66,7 @@ def render_svg(trees, *, alpha: float = 0.5) -> str:
 
 
 def _svg_chunks(trees, alpha):
-    """``render_svg`` in pieces: the header, each tree's edges, each tree's dots, the end."""
+    """``render_svg`` in pieces: the header, blocks of edges, blocks of dots, the end."""
     trees = _check_trees(trees)
     _check_alpha(alpha)
 
@@ -71,13 +75,8 @@ def _svg_chunks(trees, alpha):
     sizes = np.cumsum([len(c) for c in sphere])[:-1]
     rows = iter(np.split(_lon_lat_rows(np.concatenate(sphere)), sizes) if sphere else ())
     planar = [next(rows) if t.dim == 3 else t.coords for t in trees]
-    if planar:
-        allpts = np.vstack(planar)
-        lo = allpts.min(axis=0)
-        hi = allpts.max(axis=0)
-    else:
-        lo = np.zeros(2)
-        hi = np.ones(2)
+    lo = np.min([p.min(axis=0) for p in planar] or [np.zeros(2)], axis=0)
+    hi = np.max([p.max(axis=0) for p in planar] or [np.ones(2)], axis=0)
     span = np.maximum(hi - lo, 1e-9)
     pad = _SVG_MARGIN * float(span.max())
     lo = lo - pad
@@ -87,61 +86,62 @@ def _svg_chunks(trees, alpha):
     xy = [((p[:, 0] - lo[0]) * scale, height - (p[:, 1] - lo[1]) * scale) for p in planar]
 
     children = [np.flatnonzero(t.parent >= 0) for t in trees]
-    max_w = 0.0
-    for tree, child in zip(trees, children):
-        if child.size:
-            max_w = max(max_w, float((tree.area[child] ** alpha).max()))
-    max_w = max(max_w, 1e-12)
+    max_w = max([float((t.area[c] ** alpha).max()) for t, c in zip(trees, children) if c.size]
+                + [1e-12])
 
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{height}" '
            f'viewBox="0 0 {_SVG_WIDTH} {height}">\n'
            f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>')
     for tree, (x, y), child in zip(trees, xy, children):
-        head = tree.parent[child]
-        # a scalar power per edge: the array power may round differently
-        widths = [_STROKE_SCALE * a ** alpha / max_w for a in tree.area[child].tolist()]
-        yield "".join([
-            f'\n<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
-            f'stroke="#555555" stroke-width="{max(w, 0.3):.3f}" stroke-linecap="round"/>'
-            for x1, y1, x2, y2, w in zip(x[head].tolist(), y[head].tolist(),
-                                         x[child].tolist(), y[child].tolist(), widths)
-        ])
-    source_dot = f'" r="{1.6 * _POINT_RADIUS:.3f}" fill="#cc2222"/>'
-    target_dot = f'" r="{_POINT_RADIUS:.3f}" fill="#2255cc"/>'
+        for c in np.split(child, range(_BLOCK, child.size, _BLOCK)):
+            head = tree.parent[c]
+            # a scalar power per edge: the array power may round differently
+            widths = [max(_STROKE_SCALE * a ** alpha / max_w, 0.3) for a in tree.area[c].tolist()]
+            rows = zip(x[head].tolist(), y[head].tolist(), x[c].tolist(), y[c].tolist(), widths)
+            yield "".join([_LINE % row for row in rows])
     for tree, (x, y) in zip(trees, xy):
-        yield "".join([
-            f'\n<circle cx="{xk:.3f}" cy="{yk:.3f}{source_dot if k == KIND_SOURCE else target_dot}'
-            for k, xk, yk in zip(tree.kind.tolist(), x.tolist(), y.tolist())
-            if k == KIND_SOURCE or k == KIND_TARGET
-        ])
+        dot = np.flatnonzero((tree.kind == KIND_SOURCE) | (tree.kind == KIND_TARGET))
+        for k in np.split(dot, range(_BLOCK, dot.size, _BLOCK)):
+            rows = zip(x[k].tolist(), y[k].tolist(), map(_DOTS.get, tree.kind[k].tolist()))
+            yield "".join(['\n<circle cx="%.3f" cy="%.3f%s' % row for row in rows])
     yield "\n</svg>"
 
 
-def _great_circle_arcs(u: np.ndarray, v: np.ndarray):
-    """Great-circle polylines from each row of u to the same row of v.
+def _great_circle_arcs(n: int, endpoints):
+    """Great-circle polylines along n edges, in segments of at most 100 km.
 
-    Returns an iterator over one list of [lon, lat] positions per edge,
-    with segments of at most 100 km.  An edge shorter than 1e-12 rad is
-    drawn as two copies of its start point.  The norms and angles are
-    checked in this call, the points drawn one block of edges at a time.
+    ``endpoints(a, b)`` gives the (b - a, 3) start and end points of
+    edges a..b-1.  This call checks all norms and angles, ``_BLOCK``
+    edges at a time, and returns the segment counts and an iterator over
+    blocks of the edges whose first point falls in one window of
+    ``_BLOCK`` points: (a, b, [lon, lat] rows of the n_seg + 1 points of
+    each edge a..b-1).  The norms are row-wise, so the bits are the
+    check's.  An edge under 1e-12 rad is two copies of its start point.
     """
-    u, nu = _dot_norms(u)
-    v, nv = _dot_norms(v)
-    cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
-    if np.isnan(cos).any():
-        raise ParameterError("coordinates too large to draw as great-circle arcs")
-    omega = np.fromiter(map(math.acos, cos), float, cos.size)
-    n_seg = np.maximum(np.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1).astype(np.int64)
-    # a block holds the edges whose first sample point falls in one window of _ARC_BLOCK_POINTS
-    first = np.cumsum(n_seg + 1) - n_seg - 1
-    ends = [*(np.flatnonzero(np.diff(first // _ARC_BLOCK_POINTS)) + 1).tolist(), n_seg.size]
-    return itertools.chain.from_iterable(
-        _arc_block(u[a:b], v[a:b], omega[a:b], n_seg[a:b]) for a, b in zip([0, *ends], ends)
-    )
+    omega = np.empty(n)
+    n_seg = np.empty(n, dtype=np.int64)
+    starts, total, window = [], 0, -1   # the blocks' first edges; points and window so far
+    for a in range(0, n, _BLOCK):
+        (u, nu), (v, nv) = map(_dot_norms, endpoints(a, min(a + _BLOCK, n)))
+        cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
+        if np.isnan(cos).any():
+            raise ParameterError("coordinates too large to draw as great-circle arcs")
+        w, k = omega[a:a + _BLOCK], n_seg[a:a + _BLOCK]
+        w[:] = list(map(math.acos, cos.tolist()))
+        k[:] = np.maximum(np.ceil(w * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1)
+        first = (total + np.cumsum(k + 1) - k - 1) // _BLOCK
+        starts += (a + np.flatnonzero(np.diff(first, prepend=window))).tolist()
+        total, window = total + int(k.sum()) + k.size, first[-1]
+
+    blocks = ((a, b, _arc_block(*endpoints(a, b), omega[a:b], n_seg[a:b]))
+              for a, b in zip(starts, starts[1:] + [n]))
+    return n_seg, blocks
 
 
-def _arc_block(u, v, omega, n_seg) -> list:
-    """The arcs of one block of edges, every sample point in one broadcast of the slerp."""
+def _arc_block(u, v, omega, n_seg) -> np.ndarray:
+    """The arcs of one block of edges, every sample point in one broadcast
+    of the slerp: their (P, 2) [lon, lat] rows, n_seg + 1 per edge."""
+    (u, _), (v, _) = map(_dot_norms, (u, v))
     # one row per sample point: its edge and t = s / n_seg, s = 0..n_seg
     ends = np.cumsum(n_seg + 1)
     edge = np.repeat(np.arange(n_seg.size), n_seg + 1)
@@ -155,8 +155,7 @@ def _arc_block(u, v, omega, n_seg) -> list:
     ue = u[edge]
     pts = (sin_a[:, None] * ue + sin_b[:, None] * v[edge]) / sin_w[:, None]
     pts[flat] = ue[flat]
-    rows = _lon_lat_rows(pts).tolist()
-    return [rows[e - k - 1:e] for e, k in zip(ends.tolist(), n_seg.tolist())]
+    return _lon_lat_rows(pts)
 
 
 def render_geojson(trees, levels=None) -> str:
@@ -171,41 +170,58 @@ def render_geojson(trees, levels=None) -> str:
 
 
 def _geojson_chunks(trees, levels):
-    """``render_geojson`` in pieces: the head, each tree's features, the tail."""
+    """``render_geojson`` in pieces: the head, the features of each run of
+    a tree's edges that falls in one arc block or one block of
+    ``_BLOCK`` planar edges, the tail."""
     trees = _check_trees(trees)
-    if levels is None:
-        levels = list(range(len(trees)))
-    levels = list(levels)
+    levels = list(range(len(trees)) if levels is None else levels)
     if len(levels) != len(trees):
         raise ParameterError("levels must have one entry per tree")
 
     children = [np.flatnonzero(t.parent >= 0) for t in trees]
-    # the arcs of every sphere edge of the forest, checked in one call
-    sphere = [(t, c) for t, c in zip(trees, children) if t.dim == 3]
-    arcs = iter(())
-    if sphere:
-        arcs = _great_circle_arcs(np.concatenate([t.coords[t.parent[c]] for t, c in sphere]),
-                                  np.concatenate([t.coords[c] for t, c in sphere]))
+    # the sphere edges, tree by tree: sphere[s] holds edges starts[s]..starts[s + 1] - 1
+    sphere = [(t, c) for t, c in zip(trees, children) if t.dim == 3 and c.size]
+    starts = np.cumsum([0] + [c.size for _, c in sphere])
+
+    def endpoints(a, b):
+        lo, hi = np.searchsorted(starts, [a, b - 1], side="right").tolist()
+        ks = [(t, c[max(a - o, 0):b - o]) for (t, c), o in zip(sphere[lo - 1:hi], starts[lo - 1:])]
+        return (np.concatenate([t.coords[t.parent[k]] for t, k in ks]),
+                np.concatenate([t.coords[k] for t, k in ks]))
+
+    n_seg, blocks = _great_circle_arcs(int(starts[-1]), endpoints)
+
+    @functools.cache
+    def feature(n_points):
+        return ('{"type":"Feature","geometry":{"type":"LineString","coordinates":[['
+                + "],[".join(["%r,%r"] * n_points) + ']]},"properties":{"area":%r')
 
     # json writes a finite float as its repr, and every coordinate and area here is finite
     yield '{"type":"FeatureCollection","features":['
     n_edges = n_points = 0
+    b = e = 0   # the arc block ends before sphere edge b; xy holds its points from edge e on
     for tree, child, level in zip(trees, children, levels):
-        if tree.dim == 3:
-            lines = itertools.islice(arcs, child.size)
-        else:
-            lines = zip(tree.coords[tree.parent[child]].tolist(), tree.coords[child].tolist())
-        tail = ',"level":' + json.dumps(level, separators=(",", ":")) + "}}"
-        features = []
-        for coords, area in zip(lines, tree.area[child].tolist()):
-            n_points += len(coords)
-            features.append(
-                '{"type":"Feature","geometry":{"type":"LineString","coordinates":[['
-                + "],[".join([f"{x!r},{y!r}" for x, y in coords])
-                + ']]},"properties":{"area":' + repr(area) + tail
-            )
-        if features:
-            yield ("," if n_edges else "") + ",".join(features)
-            n_edges += len(features)
+        # a level is manifest text: its % signs are escaped for the template
+        tail = (',"level":' + json.dumps(level, separators=(",", ":")) + "}}").replace("%", "%%")
+        lo = 0
+        while lo < child.size:
+            if tree.dim == 3:
+                if e == b:
+                    _, b, xy = next(blocks)
+                hi = min(child.size, lo + b - e)
+                count = n_seg[e:e + hi - lo] + 1
+                points, xy = np.split(xy, [count.sum()])
+                e += hi - lo
+            else:
+                hi = min(child.size, lo + _BLOCK)
+                k = child[lo:hi]
+                points = np.stack([tree.coords[tree.parent[k]], tree.coords[k]], axis=1)
+                count = np.full(hi - lo, 2)
+            values = np.insert(points.ravel(), 2 * np.cumsum(count), tree.area[child[lo:hi]])
+            template = (tail + ",").join([feature(c) for c in count.tolist()]) + tail
+            yield ("," if n_edges else "") + template % tuple(values.tolist())
+            n_edges += hi - lo
+            n_points += int(count.sum())
+            lo = hi
     _log.debug("render_geojson: %d trees, %d edges, %d arc points", len(trees), n_edges, n_points)
     yield "]}"

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from branchflow.branching import GAIN_TOL, BuildEvent, BuildResult, star_cost
+from branchflow.branching import GAIN_TOL, BuildResult, star_cost
 from branchflow.clustering import _KMEANS_MAX_ITER, _KMEANS_TOL, KMeansResult, _plus_plus_init
 from branchflow.core import (
     CONSERVATION_RTOL,
@@ -486,9 +486,8 @@ def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point
     v0 = pos[0]
     cost = star_cost(problem, alpha)
     trace = [cost]
-    events = []
+    steps = []   # per iteration: picked, partner, branch, gain, cost
     evals = 0
-    step = 0
     while True:
         sel = np.flatnonzero(selectable[:count])
         if sel.size == 0:
@@ -531,15 +530,15 @@ def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point
             count += 1
             cost -= gain
             trace.append(cost)
-            events.append(BuildEvent(step, i, j, b, gain, cost))
+            steps.append((i, j, b, gain, cost))
         else:
             selectable[i] = False
-            events.append(BuildEvent(step, i, None, None, 0.0, cost))
-        step += 1
+            steps.append((i, -1, -1, 0.0, cost))
 
     kind = np.array(["source"] + ["target"] * n + ["branch"] * (count - n - 1))
     tree = FlowTree(pos[:count], kind, parent[:count], area[:count])
-    return BuildResult(tree, np.array(trace), tuple(events), evals, eps)
+    columns = tuple(np.array(column) for column in zip(*steps))
+    return BuildResult(tree, np.array(trace), columns, evals, eps)
 
 
 # ---------------------------------------------------------------------------

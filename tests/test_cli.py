@@ -443,6 +443,15 @@ def test_santa_small_csv_outputs(tmp_path, capsys):
     assert "global" in levels
 
 
+def test_render_reproduces_the_santa_geojson(tmp_path, capsys):
+    # the tree reader, the manifest's levels and the writer together
+    out = tmp_path / "santa"
+    assert main(["santa", "--seed", "0", "--out", str(out)]) == 0
+    geo = tmp_path / "render.geojson"
+    assert main(["render", str(out), "--geojson", str(geo)]) == 0
+    assert geo.read_bytes() == (out / "network.geojson").read_bytes()
+
+
 def test_render_on_net_directory(tmp_path, capsys):
     out = tmp_path / "net"
     assert main(["net", "--seed", "6", "--n-sources", "3",

@@ -1,6 +1,7 @@
 """Domain types, cost functional, and structural validation."""
 
 import ast
+import copy
 import math
 import os
 import subprocess
@@ -16,18 +17,24 @@ import branchflow
 from branchflow import (
     BotParams,
     FlowTree,
+    OneToManyProblem,
     ParameterError,
     StructuralError,
     TransportInstance,
     TransportPlan,
+    WeightedPointSet,
     bot_cost,
+    build_one_to_many,
+    cost_matrix,
     load_cities_csv,
     network_from_json,
     network_to_json,
     sample_cities_path,
     santa_pipeline,
+    solve_exact,
     subadditivity_gain,
     validate_tree,
+    weighted_kmeans,
 )
 from oracles import per_node_children, per_node_validate_tree
 
@@ -506,3 +513,28 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity():
+    # a field-wise == would compare arrays as a tuple and raise; these go by identity,
+    # and np.array_equal compares their fields by value
+    inst = TransportInstance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+                             [0.5, 0.5], [0.2, 0.3, 0.5])
+    problem = OneToManyProblem([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0])
+    points = WeightedPointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]], [1, 2, 1, 1])
+    build = build_one_to_many(problem, BotParams(alpha=0.5))
+    objects = [inst, solve_exact(inst, cost_matrix(inst)), problem, points,
+               weighted_kmeans(points, 2), build, build.tree, single_edge_tree()]
+    assert {type(x).__name__ for x in objects} == {
+        "TransportInstance", "TransportPlan", "OneToManyProblem", "WeightedPointSet",
+        "KMeansResult", "BuildResult", "FlowTree"}
+    for x in objects:
+        twin = copy.deepcopy(x)
+        assert x == x
+        assert x != twin
+        assert hash(x) == hash(x) and hash(twin) != hash(x)
+        assert len({x, twin, x}) == 2
+    tree = build.tree
+    twin = copy.deepcopy(tree)
+    assert all(np.array_equal(getattr(tree, f), getattr(twin, f))
+               for f in ("coords", "kind", "parent", "area"))

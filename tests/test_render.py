@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -31,7 +32,9 @@ from branchflow import (
     to_sphere,
 )
 from branchflow.pipeline import EARTH_RADIUS_KM, _lon_lat_rows
-from branchflow.render import _ARC_BLOCK_POINTS, _arc_block, _great_circle_arcs
+from branchflow.render import (
+    _BLOCK, _arc_block, _geojson_chunks, _great_circle_arcs, _svg_chunks,
+)
 from branchflow.seeding import substream
 
 from oracles import (
@@ -320,22 +323,39 @@ def test_batched_projection_matches_per_point_bitwise(pts):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(sphere_points(), st.integers(0, 2**32 - 1))
-def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed):
+@given(sphere_points(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, _BLOCK]))
+def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed, block):
     """Each edge keeps its point count and its [lon, lat] bits, zero-length
-    edges, antipodes and rescaled copies of one direction included."""
+    edges, antipodes and rescaled copies of one direction included, at
+    any block size."""
     rng = np.random.default_rng(seed)
     n = len(pts)
     u = pts[rng.integers(0, n, 2 * n)]
     v = pts[rng.integers(0, n, 2 * n)]
     v[::4] = u[::4] * rng.choice([1.0, 2.5, 1e-3, -1.0], (len(u[::4]), 1))
-    try:
-        expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
-    except ParameterError:
-        with pytest.raises(ParameterError):
-            list(_great_circle_arcs(u, v))
-        return
-    arcs = list(_great_circle_arcs(u, v))
+
+    def endpoints(a, b):
+        return u[a:b], v[a:b]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("branchflow.render._BLOCK", block)
+        mp.setattr("branchflow.pipeline._BLOCK", block)
+        try:
+            expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                n_seg, blocks = _great_circle_arcs(len(u), endpoints)
+                list(blocks)
+            return
+        n_seg, blocks = _great_circle_arcs(len(u), endpoints)
+        edges = 0
+        rows = []
+        for a, b, xy in blocks:
+            assert a == edges and b > a and len(xy) == (n_seg[a:b] + 1).sum()
+            edges = b
+            rows.append(xy)
+    assert edges == len(u)
+    arcs = np.split(np.concatenate(rows), np.cumsum(n_seg + 1)[:-1])
     assert [len(arc) for arc in arcs] == [len(arc) for arc in expected]
     for arc, ref in zip(arcs, expected):
         assert np.array_equal(bits(arc), bits(ref))
@@ -430,22 +450,65 @@ def test_geojson_over_several_arc_blocks_matches_the_reference(monkeypatch):
     points = [len(f["geometry"]["coordinates"]) for f in json.loads(text)["features"]]
     per_tree = np.split(points, np.cumsum([t.n_nodes - 1 for t in trees])[:-1])
     points = np.concatenate([p for p, t in zip(per_tree, trees) if t.dim == 3])
-    window = (np.cumsum(points) - points) // _ARC_BLOCK_POINTS
+    window = (np.cumsum(points) - points) // _BLOCK
     windows = [set(w.tolist()) for w in np.split(window, np.cumsum([60] * 8)[:-1])]
-    assert points.sum() > 2 * _ARC_BLOCK_POINTS
+    assert points.sum() > 2 * _BLOCK
     assert sum(len(w) > 1 for w in windows) >= 2   # trees that straddle a block boundary
     assert sizes == np.bincount(window, points).astype(int).tolist()
-    assert max(sizes) < _ARC_BLOCK_POINTS + 202
+    assert max(sizes) < _BLOCK + 202
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 150])
 def test_geojson_bytes_do_not_depend_on_the_arc_block(monkeypatch, block):
     rng = substream(8, "render", "blocks")
     trees = [random_tree(rng) for _ in range(10)] + [sphere_star(rng, 5), star_tree()]
-    expected = render_geojson(trees, list("abcdefghijkl"))
-    assert expected == dict_geojson(trees, list("abcdefghijkl"))
-    monkeypatch.setattr("branchflow.render._ARC_BLOCK_POINTS", block)
-    assert render_geojson(trees, list("abcdefghijkl")) == expected
+    # levels become part of a % template: their own % signs must come out as written
+    levels = list("abcdefghi") + ["50%", "%s", "%%r"]
+    expected = dict_geojson(trees, levels)
+    assert render_geojson(trees, levels) == expected
+    svg = render_svg(trees)
+    monkeypatch.setattr("branchflow.render._BLOCK", block)
+    monkeypatch.setattr("branchflow.pipeline._BLOCK", block)
+    assert render_geojson(trees, levels) == expected
+    assert render_svg(trees) == svg
+
+
+def near_star(rng, n):
+    """A source and n targets within 4 degrees of it: edges of a few arc points."""
+    lat = rng.uniform(-60.0, 60.0) + rng.uniform(-4.0, 4.0, n + 1)
+    lon = rng.uniform(-180.0, 180.0) + rng.uniform(-4.0, 4.0, n + 1)
+    return FlowTree(geo_embed(lat, lon), ["source"] + ["target"] * n, [-1] + [0] * n,
+                    [float(n)] + [1.0] * n)
+
+
+def traced_peak(pieces):
+    """Peak traced memory while the pieces are made and dropped one by one."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in pieces:
+            pass
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_peak_memory_grows_only_by_per_edge_and_per_node_arrays(monkeypatch):
+    # the Python floats and strings of a block do not grow with the forest.  What
+    # may is 8-byte entries: per edge its child index, arc angle and segment count,
+    # and one spare for the per-tree lists; per node, for SVG, its gathered
+    # coordinates (3), their [lon, lat] row (2), its x and y (2) and a child index
+    monkeypatch.setattr("branchflow.render._BLOCK", 256)
+    monkeypatch.setattr("branchflow.pipeline._BLOCK", 256)
+    rng = substream(9, "render", "memory")
+    forest = [near_star(rng, 200) for _ in range(4)]
+    nodes = sum(t.n_nodes for t in forest)
+    edges = nodes - len(forest)
+    geo = [traced_peak(_geojson_chunks(f, None)) for f in (forest, forest * 4)]
+    svg = [traced_peak(_svg_chunks(f, 0.5)) for f in (forest, forest * 4)]
+    assert min(nodes, edges) > 2 * 256   # every block is full in both forests
+    assert geo[1] - geo[0] <= 3 * edges * 4 * 8, geo
+    assert svg[1] - svg[0] <= 3 * nodes * 8 * 8, svg
 
 
 def test_geojson_rejects_arcs_between_huge_points():
