@@ -41,7 +41,7 @@ from .seeding import random_direction, substream
 _log = logging.getLogger(__name__)
 
 GAIN_TOL = 1e-12  # a merge must beat this to be accepted
-_NEAR_BAND = 16   # nearest candidates scanned before the scan widens to all
+_NEAR_BAND = 16   # nearest candidates scanned, if the nearest does not pay, before all
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +101,9 @@ class BuildResult:
     ``steps`` holds the ``BuildEvent`` fields after ``step``, an array
     each, partner and branch -1 on a retirement; ``events`` is made from
     them on first read.  ``candidate_evals`` counts the branch points the
-    scan evaluated: the nearest few neighbors per merge, every remaining
-    selectable node per retirement (and per merge beyond the nearest few).
+    scan evaluated: one per scan whose nearest neighbor pays, the nearest
+    few when a merge lies beyond it, every remaining selectable node per
+    retirement (and per merge beyond the nearest few).
     """
 
     tree: FlowTree
@@ -300,8 +301,10 @@ def _grow_block(trees, nearest_only, post_point):
     A step picks, per running tree, the cell of largest distance, the
     lower id on ties, and does all of its bookkeeping as array passes
     over the block; each tree's steps and trace are cut from the
-    per-step records once the block is done.  Returns the number of
-    far-band scans.
+    per-step records once the block is done.  The scan widens in rings:
+    each tree's nearest node, the rest of the near band where it does
+    not pay, the far band where that finds no merge.  Returns the number
+    of scans the nearest settled and of far-band scans.
     """
     params = trees[0].params
     alpha = params.alpha
@@ -352,7 +355,7 @@ def _grow_block(trees, nearest_only, post_point):
     running = (B - np.searchsorted(sizes[::-1], np.arange(W + _NEAR_BAND + 1),
                                    side="right")).tolist()
     count = sizes + 1           # nodes of each tree so far
-    evals = np.zeros(B, dtype=np.int64)
+    evals = sizes - 1           # ring 1 evaluates one branch point per scan
     far_merges = np.zeros(B, dtype=np.int64)
     # per step and tree: the picked node's flat id, and the partner's
     # flat id and the gain of a merge (0 and 0.0 on a retirement)
@@ -360,7 +363,7 @@ def _grow_block(trees, nearest_only, post_point):
     partner = np.zeros((W, B), dtype=np.int64)
     gain_at = np.zeros((W, B))
     work = np.empty((d, B, W))
-    far_scans = 0
+    settled = far_scans = 0     # scans ring 1 settles by a merge, far-band scans
 
     for step in range(W):
         nact, nscan = running[step], running[step + 1]
@@ -405,9 +408,9 @@ def _grow_block(trees, nearest_only, post_point):
                 tb = f // width
                 return tb, f, f + tb * (W - width)
 
-            def scan(tb, f, c):
-                """Evaluate the candidates; per tree, the improving one of
-                least (distance, id)."""
+            def scan(tb, f, c, several):
+                """Evaluate the candidates; the improving ones, or per tree the
+                one of least (distance, id) if a tree may have ``several``."""
                 k = flat_ids[c]
                 v_j = cells[:d, c].T
                 # one tree's values broadcast; several are gathered per candidate
@@ -428,38 +431,48 @@ def _grow_block(trees, nearest_only, post_point):
                     zs = post_point(zs)
                 gains, r_z = _gains(bef, w_ic, w_j, w_m, before[k], v_k, v_i, v_j, zs)
                 h = (gains > GAIN_TOL).nonzero()[0]
-                h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
+                if several:
+                    h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
                 return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
 
-            # the near band holds every candidate at most as far as the
-            # _NEAR_BAND-th nearest; the rest are scanned only if none pays
-            if nearest_only:
-                tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
+            # ring 1: each tree's nearest node, the lower id on ties; if it
+            # pays, it is the least (distance, id) improving candidate
+            tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
+            if tb.size > nscan:
                 near = _least_per_tree(tb, flat_ids[c])
                 tb, f, c = tb[near], f[near], c[near]
-            elif width > _NEAR_BAND:
-                cut = np.partition(dist, _NEAR_BAND - 1, axis=1)[:, _NEAR_BAND - 1]
-                # the trees with at most _NEAR_BAND selectable nodes, a suffix
-                cut[running[step + 1 + _NEAR_BAND]:] = np.inf
-                tb, f, c = candidates(dist <= cut[:, None])
-            else:
-                tb, f, c = candidates(dist == dist)
-            scanned = np.bincount(tb, minlength=nscan)
-            bands = [scan(tb, f, c)]
-            missed = scanned < sizes[:nscan] - (step + 1)
-            missed[bands[0][0]] = False
-            if not nearest_only and missed.any():
-                far_scans += int(np.count_nonzero(missed))
-                tb, f, c = candidates((dist > cut[:, None]) & missed[:, None])
-                scanned += np.bincount(tb, minlength=nscan)
-                bands.append(scan(tb, f, c))
-            evals[:nscan] += scanned
+            bands = [scan(tb, f, c, False)]
+            settled += bands[0][0].size
+            # ring 2, for the trees whose nearest did not pay: the rest of
+            # the near band, every node at most as far as the _NEAR_BAND-th
+            # nearest; ring 3, the far band, for those still without a merge
+            if not nearest_only and bands[0][0].size < nscan:
+                missed = sizes[:nscan] > step + 2   # a node beyond the nearest
+                missed[bands[0][0]] = False
+                cut = np.full(nscan, np.inf)
+                # the trees with more than _NEAR_BAND selectable nodes, a prefix
+                wide = missed[:running[step + 1 + _NEAR_BAND]].nonzero()[0]
+                if wide.size:
+                    cut[wide] = np.partition(dist[wide], _NEAR_BAND - 1, axis=1)[:, _NEAR_BAND - 1]
+                mask = (dist <= cut[:, None]) & missed[:, None]
+                mask.reshape(-1)[f] = False         # ring 1 evaluated these
+                tb, f, c = candidates(mask)
+                scanned = np.bincount(tb, minlength=nscan)
+                bands.append(scan(tb, f, c, True))
+                missed &= scanned < sizes[:nscan] - (step + 2)
+                missed[bands[1][0]] = False
+                if missed.any():
+                    far_scans += int(np.count_nonzero(missed))
+                    tb, f, c = candidates((dist > cut[:, None]) & missed[:, None])
+                    scanned += np.bincount(tb, minlength=nscan)
+                    bands.append(scan(tb, f, c, True))
+                evals[:nscan] += scanned
 
             # each merge retires the partner and puts the branch node in its cell
-            for far, (mb, j, c, z, s_m, gains, w_m, r_z) in enumerate(bands):
+            for ring, (mb, j, c, z, s_m, gains, w_m, r_z) in enumerate(bands):
                 if not mb.size:
                     continue
-                if far:
+                if ring == 2:
                     far_merges[mb] += 1
                 own = count[mb]
                 new = offs[mb] + own
@@ -495,7 +508,7 @@ def _grow_block(trees, nearest_only, post_point):
         trace = np.concatenate((cost[:1], cost[1:][merged]))
         t.result = BuildResult(tree, trace, steps, int(evals[b]), t.eps)
         t.near_merges = m - n - 1 - int(far_merges[b])
-    return far_scans
+    return settled, far_scans
 
 
 def _grow(problems, params, eps, nearest_only, post_point):
@@ -515,14 +528,17 @@ def _grow(problems, params, eps, nearest_only, post_point):
         shift = None if t.eps is None else p.shift_delta
         key = (t.problem.dim, p.formula, p.alpha, t.eps is not None, shift)
         groups.setdefault(key, []).append(t)
-    counts = {"blocks": 0, "steps": 0, "cells": 0, "far": 0}
+    counts = {"blocks": 0, "steps": 0, "cells": 0, "settled": 0, "scans": 0, "far": 0}
     for group in groups.values():
         group.sort(key=lambda t: -t.n)
         start = 0
         while start < len(group):
             width = group[start].n
             block = group[start:start + max(1, _BLOCK_CELLS // width)]
-            counts["far"] += _grow_block(block, nearest_only, post_point)
+            settled, far = _grow_block(block, nearest_only, post_point)
+            counts["settled"] += settled
+            counts["far"] += far
+            counts["scans"] += sum(t.n for t in block) - len(block)
             counts["blocks"] += 1
             counts["steps"] += width
             counts["cells"] += len(block) * width
@@ -567,19 +583,22 @@ def build_forest(
     shift settings, sorted by size, and cut into blocks of at most
     ``_BLOCK_CELLS`` padded cells (one tree always fits).  Each lockstep
     step picks every running tree's farthest node from a plane of source
-    distances and retires it, then runs the distance pass, the near-band
-    cut, the candidate evaluation, the least-(distance, id) choice and
-    the merge bookkeeping, each as one numpy pass over the block.
-    ``post_point`` sees the candidates of several trees at once, so it
-    must act row by row.  One DEBUG line per call on this module's
-    logger gives the trees, blocks, lockstep steps, padded cells and
-    far-band scans, after each tree's own ``build_one_to_many`` line.
+    distances and retires it, then runs the distance pass, the evaluation
+    of each tree's nearest node (the lower id on ties) and the merge
+    bookkeeping, each as one numpy pass over the block; only the trees
+    whose nearest does not pay go on to the near-band cut and the far
+    band.  ``post_point`` sees the candidates of several trees at once,
+    so it must act row by row.  One DEBUG line per call on this module's
+    logger gives the trees, blocks, lockstep steps, padded cells, the
+    tree scans settled by a merge with the nearest, and far-band scans,
+    after each tree's own ``build_one_to_many`` line.
     """
     results, c = _grow(problems, params, eps, nearest_only, post_point)
     _log.debug(
         "build_forest: %d trees in %d blocks, %d lockstep steps, %d padded cells, "
-        "%d far-band scans",
-        len(results), c["blocks"], c["steps"], c["cells"], c["far"],
+        "%d of %d tree scans settled by the nearest, %d far-band scans",
+        len(results), c["blocks"], c["steps"], c["cells"],
+        c["settled"], c["scans"], c["far"],
     )
     return results
 
@@ -597,10 +616,11 @@ def build_one_to_many(
     A forest of one: see ``build_forest``.  Each build logs its counts
     at DEBUG as ``build_one_to_many N=...``.
 
-    The scan evaluates the nearest few neighbors first and the rest only
-    when none of those improves, so ``candidate_evals`` counts the
-    branch points actually evaluated: about a constant per merge, all
-    other selectable nodes per retirement.
+    The scan evaluates the nearest neighbor first, the nearest few only
+    when it does not improve, and the rest only when none of those
+    improves, so ``candidate_evals`` counts the branch points actually
+    evaluated: mostly one per merge, all other selectable nodes per
+    retirement.
 
     ``eps`` overrides the frozen shift vector (otherwise drawn once from
     ``params.seed`` when ``params.shift_norm > 0``); ``nearest_only``

@@ -91,7 +91,8 @@ def solve_network(
     decomposes it into one one-to-many problem per source, with the
     plan's coupling entries as target areas, and builds a branched tree
     for each.  Sources whose every coupling falls below ``threshold``
-    get no tree.
+    get no tree; a threshold that drops every coupling raises
+    ``ParameterError``.
     """
     if ot_mode not in OT_MODES:
         raise ParameterError(f"ot_mode must be one of {OT_MODES}, got {ot_mode!r}")
@@ -110,6 +111,9 @@ def solve_network(
         sink_conv = res.converged
 
     assignments = plan_to_assignments(plan, threshold)
+    if not any(assignments):
+        raise ParameterError(f"threshold {threshold} drops every plan entry; "
+                             f"the largest is {float(plan.gamma.max())}")
     problems = []
     source_index = []
     for i, assignment in enumerate(assignments):

@@ -614,6 +614,34 @@ def test_build_far_band_merge_matches_full_scan(seed, formula):
     assert np.array_equal(got.tree.coords, want.tree.coords)
 
 
+def assert_matches_full_scan(result, problem, params):
+    want = full_scan_build(problem, params)
+    assert result.events == want.events
+    assert result.trace.tobytes() == want.trace.tobytes()
+    assert result.tree.coords.tobytes() == want.tree.coords.tobytes()
+
+
+def test_build_nearest_tie_goes_on_to_the_higher_id():
+    """The first pick, target 2 at (-3, -3), has targets 3 and 4 both at
+    distance sqrt(17).  The nearest scan takes target 3, the lower id,
+    which does not pay; the wider scan must still reach target 4."""
+    problem = OneToManyProblem([0.0, 0.0], [[-1.0, 1.0], [-3.0, -3.0], [-2.0, 1.0], [1.0, -4.0]],
+                               np.array([12.0, 8.0, 4.0, 1.0]) / 20)
+    params = BotParams(alpha=0.25)
+    v_i = problem.targets[1]
+    dist = np.linalg.norm(problem.targets[2:] - v_i, axis=1)
+    assert dist[0] == dist[1] < np.linalg.norm(problem.targets[0] - v_i)
+    for j in (3, 4):
+        gain = local_improvement(problem.source, v_i, problem.targets[j - 1],
+                                 branch_point_interp(problem.source, v_i, problem.targets[j - 1],
+                                                     0.4, problem.areas[j - 1], 0.25),
+                                 0.4, problem.areas[j - 1], 0.25)
+        assert (gain > branching.GAIN_TOL) == (j == 4)
+    result = build_one_to_many(problem, params)
+    assert (result.events[0].picked, result.events[0].partner) == (2, 4)
+    assert_matches_full_scan(result, problem, params)
+
+
 def test_build_logs_scan_counts(caplog):
     with caplog.at_level(logging.DEBUG, logger="branchflow.branching"):
         build_one_to_many(narrow_problem(), BotParams(alpha=0.5))
@@ -623,7 +651,7 @@ def test_build_logs_scan_counts(caplog):
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
         "1 candidate evals, 1 merges in the near band",
         "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
-        "369 candidate evals, 26 merges in the near band",
+        "101 candidate evals, 26 merges in the near band",
     ]
 
 
@@ -769,12 +797,36 @@ def test_forest_logs_one_summary_after_the_tree_lines(caplog):
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
         "1 candidate evals, 1 merges in the near band",
         "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
-        "369 candidate evals, 26 merges in the near band",
+        "101 candidate evals, 26 merges in the near band",
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
         "1 candidate evals, 1 merges in the near band",
         "build_forest: 3 trees in 2 blocks, 33 lockstep steps, 35 padded cells, "
-        "2 far-band scans",
+        "26 of 32 tree scans settled by the nearest, 2 far-band scans",
     ]
+
+
+def test_forest_widens_the_scan_for_one_tree_of_a_block(caplog):
+    """At the first step the nearest node pays for the first and third
+    trees but not for the second, whose wider scan then merges: the
+    lockstep block runs the wider scan for one tree of three."""
+    layouts = [
+        ([[0, 1], [2, -3], [-7, 6], [9, -5], [-4, 7]], [4, 3, 8, 3, 4]),
+        ([[0, -2], [-3, 1], [5, 6], [1, 6], [-3, -1]], [8, 2, 3, 2, 5]),
+        ([[-2, -1], [-1, 2], [-2, 0], [-5, -9], [5, -8], [-4, 0]], [5, 2, 9, 7, 9, 1]),
+    ]
+    problems = [OneToManyProblem([0.0, 0.0], np.array(t) / 10, np.array(a) / 10)
+                for t, a in layouts]
+    params = BotParams(alpha=0.5)
+    with caplog.at_level(logging.DEBUG, logger="branchflow.branching"):
+        got = build_forest(problems, [params] * 3)
+    assert caplog.records[-1].getMessage() == (
+        "build_forest: 3 trees in 1 blocks, 6 lockstep steps, 18 padded cells, "
+        "6 of 13 tree scans settled by the nearest, 0 far-band scans"
+    )
+    for problem, result in zip(problems, got):
+        alone = build_one_to_many(problem, params)
+        assert tree_bytes(result, 0.5) == tree_bytes(alone, 0.5)
+        assert_matches_full_scan(result, problem, params)
 
 
 def test_forest_checks_its_arguments():

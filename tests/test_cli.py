@@ -147,11 +147,16 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
          "cannot read {tmp}/latin1.json: 'utf-8' codec can't decode byte 0xfc"),
         (["render", "{tmp}/forest", "--svg", "{tmp}/out.svg"], 2,
          "cannot read manifest {tmp}/forest/manifest.json: UnicodeDecodeError('utf-8'"),
+        (["net", "--n-sources", "3", "--n-targets", "5", "--threshold", "1"], 2,
+         "threshold 1.0 drops every plan entry; the largest is 0.29872"),
+        (["net", "--n-sources", "3", "--n-targets", "5", "--threshold", "1",
+          "--ot-mode", "sinkhorn"], 2,
+         "threshold 1.0 drops every plan entry; the largest is 0.29872"),
     ],
     ids=["parameter", "nan-parameter", "input", "convergence", "structural", "os",
          "net-negative-sources", "net-zero-sources", "branch-negative-targets",
          "ot-negative-targets", "dual-negative-targets", "latin1-cities", "long-field-cities",
-         "latin1-tree", "latin1-manifest"],
+         "latin1-tree", "latin1-manifest", "net-threshold-exact", "net-threshold-sinkhorn"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")

@@ -135,10 +135,9 @@ def test_sinkhorn_mode_thresholds_and_reports():
     for tree in res.trees:
         assert float(tree.area[tree.kind == "target"].min()) > 1e-8
 
-    # a huge threshold silences every coupling and yields an empty forest
-    empty = solve_network(inst, BotParams(alpha=0.5), ot_mode="sinkhorn", threshold=10.0)
-    assert empty.trees == ()
-    assert empty.report.bot_cost == 0.0
+    # a threshold that silences every coupling leaves nothing to build
+    with pytest.raises(ParameterError, match="threshold 10.0 drops every plan entry"):
+        solve_network(inst, BotParams(alpha=0.5), ot_mode="sinkhorn", threshold=10.0)
 
 
 def test_solve_network_rejects_nan_threshold():
