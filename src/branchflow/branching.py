@@ -2,15 +2,15 @@
 
 A star network (every target wired straight to the source) is improved
 by repeatedly merging the two flows that pay off most: pick the
-selectable node farthest from the source, scan its neighbors from
-nearest outward, and insert a branch node at the closed-form optimum of
-the local cost whenever that strictly lowers the total.  Merged nodes
-are permanently retired, so the loop is a greedy search with a tabu
-list and finishes after exactly N iterations.  Independent trees are
-grown together, one iteration per lockstep step: the pick, the scan and
-the bookkeeping of a step are array passes over all the trees, so that
-numpy's per-call overhead is paid once per step rather than once per
-tree.
+selectable node farthest from the source and insert a branch node at
+the closed-form optimum of the local cost with its nearest neighbor
+that strictly lowers the total; the nearest is evaluated first, the
+others only if it does not pay.  Merged nodes are permanently retired,
+so the loop is a greedy search with a tabu list and finishes after
+exactly N iterations.  Independent trees are grown together, one
+iteration per lockstep step: the pick, the scan and the bookkeeping of
+a step are array passes over all the trees, so that numpy's per-call
+overhead is paid once per step rather than once per tree.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .seeding import random_direction, substream
 _log = logging.getLogger(__name__)
 
 GAIN_TOL = 1e-12  # a merge must beat this to be accepted
-_NEAR_BAND = 16   # nearest candidates scanned, if the nearest does not pay, before all
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +100,8 @@ class BuildResult:
     ``steps`` holds the ``BuildEvent`` fields after ``step``, an array
     each, partner and branch -1 on a retirement; ``events`` is made from
     them on first read.  ``candidate_evals`` counts the branch points the
-    scan evaluated: one per scan whose nearest neighbor pays, the nearest
-    few when a merge lies beyond it, every remaining selectable node per
-    retirement (and per merge beyond the nearest few).
+    scan evaluated: one per scan whose nearest neighbor pays, every
+    remaining selectable node otherwise.
     """
 
     tree: FlowTree
@@ -257,7 +255,7 @@ _BLOCK_CELLS = 4096  # bound on trees x widest tree in one lockstep block
 class _Tree:
     """The per-tree part of a lockstep build, kept in Python."""
 
-    __slots__ = ("problem", "n", "params", "eps", "near_merges", "result")
+    __slots__ = ("problem", "n", "params", "eps", "result")
 
     def __init__(self, problem, params, eps):
         d = problem.dim
@@ -268,6 +266,8 @@ class _Tree:
             eps = np.asarray(eps, dtype=float)
             if eps.shape != (d,):
                 raise ParameterError("eps must have the same dimension as the points")
+            if not 0 < params.shift_delta < np.inf:
+                raise ParameterError("shift_delta must be finite and positive for a shift")
         self.problem = problem
         self.n = problem.n_targets
         self.params = params
@@ -301,10 +301,9 @@ def _grow_block(trees, nearest_only, post_point):
     A step picks, per running tree, the cell of largest distance, the
     lower id on ties, and does all of its bookkeeping as array passes
     over the block; each tree's steps and trace are cut from the
-    per-step records once the block is done.  The scan widens in rings:
-    each tree's nearest node, the rest of the near band where it does
-    not pay, the far band where that finds no merge.  Returns the number
-    of scans the nearest settled and of far-band scans.
+    per-step records once the block is done.  The scan widens once: each
+    tree's nearest node, then every other node where that does not pay.
+    Returns the number of scans the nearest settled and of widened scans.
     """
     params = trees[0].params
     alpha = params.alpha
@@ -352,141 +351,129 @@ def _grow_block(trees, nearest_only, post_point):
     row_start = np.arange(B) * W
     last_cell = row_start + sizes - 1
     # running[s]: how many trees have more than s targets, a prefix of the block
-    running = (B - np.searchsorted(sizes[::-1], np.arange(W + _NEAR_BAND + 1),
-                                   side="right")).tolist()
+    running = (B - np.searchsorted(sizes[::-1], np.arange(W + 1), side="right")).tolist()
     count = sizes + 1           # nodes of each tree so far
     evals = sizes - 1           # ring 1 evaluates one branch point per scan
-    far_merges = np.zeros(B, dtype=np.int64)
     # per step and tree: the picked node's flat id, and the partner's
     # flat id and the gain of a merge (0 and 0.0 on a retirement)
     picked = np.zeros((W, B), dtype=np.int64)
     partner = np.zeros((W, B), dtype=np.int64)
     gain_at = np.zeros((W, B))
     work = np.empty((d, B, W))
-    settled = far_scans = 0     # scans ring 1 settles by a merge, far-band scans
+    settled = widened = 0       # scans ring 1 settles by a merge, scans ring 2 runs
 
-    for step in range(W):
-        nact, nscan = running[step], running[step + 1]
-        # pick each running tree's farthest selectable node, and retire it
-        # by moving the tree's last selectable node into its cell
-        r = rad[:nact, :W - step]
-        c_i = row_start[:nact] + r.argmax(axis=1)
-        ties = r == cells[d, c_i][:, None]
-        if np.count_nonzero(ties) > nact:
-            tb, col = ties.nonzero()
-            c_i = row_start[tb] + col
-            c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
-        gi = picked[step, :nact] = flat_ids[c_i]
-        c_last = last_cell[:nact] - step
-        flat_ids[c_i] = flat_ids[c_last]
-        cells[:, c_i] = cells[:, c_last]
-        cells[:, c_last] = pad
+    # a shifted branch point far enough out overflows to inf; its gain is
+    # then -inf, so it cannot pay, and numpy need not warn about it
+    with np.errstate(over="ignore"):
+        for step in range(W):
+            nact, nscan = running[step], running[step + 1]
+            # pick each running tree's farthest selectable node, and retire it
+            # by moving the tree's last selectable node into its cell
+            r = rad[:nact, :W - step]
+            c_i = row_start[:nact] + r.argmax(axis=1)
+            ties = r == cells[d, c_i][:, None]
+            if np.count_nonzero(ties) > nact:
+                tb, col = ties.nonzero()
+                c_i = row_start[tb] + col
+                c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
+            gi = picked[step, :nact] = flat_ids[c_i]
+            c_last = last_cell[:nact] - step
+            flat_ids[c_i] = flat_ids[c_last]
+            cells[:, c_i] = cells[:, c_last]
+            cells[:, c_last] = pad
 
-        # the trees with selectable nodes left scan them; the others retire
-        if nscan:
-            width = W - step - 1
-            vi = pos[gi[:nscan]]
-            x = np.subtract(live[:, :nscan, :width], vi.T[:, :, None],
-                            out=work[:, :nscan, :width])
-            dist = _coord_norms(x)
-            flat_dist = dist.reshape(-1)
-            s_i = area[gi[:nscan]]
-            w_i = np.array([s ** alpha for s in s_i.tolist()])
-            dv = v0[:nscan] - vi
-            before_i = w_i * np.sqrt(np.vecdot(dv, dv))
-            # w_i * v_i or s_i * v_i: the picked node's term of the formula
-            prod = (w_i if power else s_i)[:, None] * vi
-            per_tree = [v0[:nscan], vi, s_i, w_i, before_i, prod]
-            if eps is not None:
-                per_tree.append(eps[:nscan])
+            # the trees with selectable nodes left scan them; the others retire
+            if nscan:
+                width = W - step - 1
+                vi = pos[gi[:nscan]]
+                x = np.subtract(live[:, :nscan, :width], vi.T[:, :, None],
+                                out=work[:, :nscan, :width])
+                dist = _coord_norms(x)
+                flat_dist = dist.reshape(-1)
+                s_i = area[gi[:nscan]]
+                w_i = np.array([s ** alpha for s in s_i.tolist()])
+                dv = v0[:nscan] - vi
+                before_i = w_i * np.sqrt(np.vecdot(dv, dv))
+                # w_i * v_i or s_i * v_i: the picked node's term of the formula
+                prod = (w_i if power else s_i)[:, None] * vi
+                per_tree = [v0[:nscan], vi, s_i, w_i, before_i, prod]
+                if eps is not None:
+                    per_tree.append(eps[:nscan])
 
-            def candidates(mask):
-                """The cells of ``mask``: tree, index into dist, flat cell."""
-                f = mask.reshape(-1).nonzero()[0]
-                if nscan == 1:
-                    return np.zeros(f.size, dtype=np.intp), f, f
-                tb = f // width
-                return tb, f, f + tb * (W - width)
+                def candidates(mask):
+                    """The cells of ``mask``: tree, index into dist, flat cell."""
+                    f = mask.reshape(-1).nonzero()[0]
+                    if nscan == 1:
+                        return np.zeros(f.size, dtype=np.intp), f, f
+                    tb = f // width
+                    return tb, f, f + tb * (W - width)
 
-            def scan(tb, f, c, several):
-                """Evaluate the candidates; the improving ones, or per tree the
-                one of least (distance, id) if a tree may have ``several``."""
-                k = flat_ids[c]
-                v_j = cells[:d, c].T
-                # one tree's values broadcast; several are gathered per candidate
-                v_k, v_i, s_ic, w_ic, bef, prod_c, *shift = (
-                    per_tree if nscan == 1 else [a[tb] for a in per_tree]
-                )
-                s_j = area[k]
-                w_j = wa[k]
-                s_m = s_ic + s_j
-                w_m = s_m ** alpha
-                if power:
-                    zs = _power_points(prod_c, w_ic, v_j, w_j, v_k, w_m)
-                else:
-                    zs = _interp_points(prod_c, v_j, s_j, s_m, v_k, alpha)
-                if shift:
-                    zs = zs + shift[0] / (s_m + delta)[:, None]
-                if post_point is not None:
-                    zs = post_point(zs)
-                gains, r_z = _gains(bef, w_ic, w_j, w_m, before[k], v_k, v_i, v_j, zs)
-                h = (gains > GAIN_TOL).nonzero()[0]
-                if several:
-                    h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
-                return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
+                def scan(tb, f, c, several):
+                    """Evaluate the candidates; the improving ones, or per tree the
+                    one of least (distance, id) if a tree may have ``several``."""
+                    k = flat_ids[c]
+                    v_j = cells[:d, c].T
+                    # one tree's values broadcast; several are gathered per candidate
+                    v_k, v_i, s_ic, w_ic, bef, prod_c, *shift = (
+                        per_tree if nscan == 1 else [a[tb] for a in per_tree]
+                    )
+                    s_j = area[k]
+                    w_j = wa[k]
+                    s_m = s_ic + s_j
+                    w_m = s_m ** alpha
+                    if power:
+                        zs = _power_points(prod_c, w_ic, v_j, w_j, v_k, w_m)
+                    else:
+                        zs = _interp_points(prod_c, v_j, s_j, s_m, v_k, alpha)
+                    if shift:
+                        zs = zs + shift[0] / (s_m + delta)[:, None]
+                    if post_point is not None:
+                        zs = post_point(zs)
+                    gains, r_z = _gains(bef, w_ic, w_j, w_m, before[k], v_k, v_i, v_j, zs)
+                    h = (gains > GAIN_TOL).nonzero()[0]
+                    if several:
+                        h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
+                    return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
 
-            # ring 1: each tree's nearest node, the lower id on ties; if it
-            # pays, it is the least (distance, id) improving candidate
-            tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
-            if tb.size > nscan:
-                near = _least_per_tree(tb, flat_ids[c])
-                tb, f, c = tb[near], f[near], c[near]
-            bands = [scan(tb, f, c, False)]
-            settled += bands[0][0].size
-            # ring 2, for the trees whose nearest did not pay: the rest of
-            # the near band, every node at most as far as the _NEAR_BAND-th
-            # nearest; ring 3, the far band, for those still without a merge
-            if not nearest_only and bands[0][0].size < nscan:
-                missed = sizes[:nscan] > step + 2   # a node beyond the nearest
-                missed[bands[0][0]] = False
-                cut = np.full(nscan, np.inf)
-                # the trees with more than _NEAR_BAND selectable nodes, a prefix
-                wide = missed[:running[step + 1 + _NEAR_BAND]].nonzero()[0]
-                if wide.size:
-                    cut[wide] = np.partition(dist[wide], _NEAR_BAND - 1, axis=1)[:, _NEAR_BAND - 1]
-                mask = (dist <= cut[:, None]) & missed[:, None]
-                mask.reshape(-1)[f] = False         # ring 1 evaluated these
-                tb, f, c = candidates(mask)
-                scanned = np.bincount(tb, minlength=nscan)
-                bands.append(scan(tb, f, c, True))
-                missed &= scanned < sizes[:nscan] - (step + 2)
-                missed[bands[1][0]] = False
-                if missed.any():
-                    far_scans += int(np.count_nonzero(missed))
-                    tb, f, c = candidates((dist > cut[:, None]) & missed[:, None])
-                    scanned += np.bincount(tb, minlength=nscan)
-                    bands.append(scan(tb, f, c, True))
-                evals[:nscan] += scanned
+                # ring 1: each tree's nearest node, the lower id on ties; if it
+                # pays, it is the least (distance, id) improving candidate
+                tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
+                if tb.size > nscan:
+                    near = _least_per_tree(tb, flat_ids[c])
+                    tb, f, c = tb[near], f[near], c[near]
+                rings = [scan(tb, f, c, False)]
+                settled += rings[0][0].size
+                # ring 2, for the trees whose nearest did not pay and that have
+                # another selectable node: every other node, of which the least
+                # (distance, id) improving one
+                if not nearest_only and rings[0][0].size < nscan:
+                    missed = sizes[:nscan] > step + 2   # a node beyond the nearest
+                    missed[rings[0][0]] = False
+                    if missed.any():
+                        widened += int(np.count_nonzero(missed))
+                        mask = ~np.isnan(dist) & missed[:, None]
+                        mask.reshape(-1)[f] = False     # ring 1 evaluated these
+                        tb, f, c = candidates(mask)
+                        evals[:nscan] += np.bincount(tb, minlength=nscan)
+                        rings.append(scan(tb, f, c, True))
 
-            # each merge retires the partner and puts the branch node in its cell
-            for ring, (mb, j, c, z, s_m, gains, w_m, r_z) in enumerate(bands):
-                if not mb.size:
-                    continue
-                if ring == 2:
-                    far_merges[mb] += 1
-                own = count[mb]
-                new = offs[mb] + own
-                flat_ids[c] = new
-                cells[:d, c] = z.T
-                cells[d, c] = r_z
-                pos[new] = z
-                area[new] = s_m
-                wa[new] = w_m
-                before[new] = w_m * r_z
-                parent[gi[mb]] = parent[j] = own
-                count[mb] = own + 1
-                partner[step, mb] = j
-                gain_at[step, mb] = gains
+                # each merge retires the partner and puts the branch node in its cell
+                for mb, j, c, z, s_m, gains, w_m, r_z in rings:
+                    if not mb.size:
+                        continue
+                    own = count[mb]
+                    new = offs[mb] + own
+                    flat_ids[c] = new
+                    cells[:d, c] = z.T
+                    cells[d, c] = r_z
+                    pos[new] = z
+                    area[new] = s_m
+                    wa[new] = w_m
+                    before[new] = w_m * r_z
+                    parent[gi[mb]] = parent[j] = own
+                    count[mb] = own + 1
+                    partner[step, mb] = j
+                    gain_at[step, mb] = gains
 
     for b, t in enumerate(trees):
         o, n, m = int(offs[b]), t.n, int(count[b])
@@ -507,8 +494,7 @@ def _grow_block(trees, nearest_only, post_point):
                  np.where(merged, n + np.cumsum(merged), -1), gain_at[:n, b].copy(), cost[1:])
         trace = np.concatenate((cost[:1], cost[1:][merged]))
         t.result = BuildResult(tree, trace, steps, int(evals[b]), t.eps)
-        t.near_merges = m - n - 1 - int(far_merges[b])
-    return settled, far_scans
+    return settled, widened
 
 
 def _grow(problems, params, eps, nearest_only, post_point):
@@ -528,16 +514,16 @@ def _grow(problems, params, eps, nearest_only, post_point):
         shift = None if t.eps is None else p.shift_delta
         key = (t.problem.dim, p.formula, p.alpha, t.eps is not None, shift)
         groups.setdefault(key, []).append(t)
-    counts = {"blocks": 0, "steps": 0, "cells": 0, "settled": 0, "scans": 0, "far": 0}
+    counts = {"blocks": 0, "steps": 0, "cells": 0, "settled": 0, "scans": 0, "widened": 0}
     for group in groups.values():
         group.sort(key=lambda t: -t.n)
         start = 0
         while start < len(group):
             width = group[start].n
             block = group[start:start + max(1, _BLOCK_CELLS // width)]
-            settled, far = _grow_block(block, nearest_only, post_point)
+            settled, widened = _grow_block(block, nearest_only, post_point)
             counts["settled"] += settled
-            counts["far"] += far
+            counts["widened"] += widened
             counts["scans"] += sum(t.n for t in block) - len(block)
             counts["blocks"] += 1
             counts["steps"] += width
@@ -548,8 +534,8 @@ def _grow(problems, params, eps, nearest_only, post_point):
         merges = t.result.tree.n_nodes - t.n - 1
         _log.debug(
             "build_one_to_many N=%d: %d iterations, %d merges, %d retirements, "
-            "%d candidate evals, %d merges in the near band",
-            t.n, t.n, merges, t.n - merges, t.result.candidate_evals, t.near_merges,
+            "%d candidate evals",
+            t.n, t.n, merges, t.n - merges, t.result.candidate_evals,
         )
     return [t.result for t in trees], counts
 
@@ -586,19 +572,19 @@ def build_forest(
     distances and retires it, then runs the distance pass, the evaluation
     of each tree's nearest node (the lower id on ties) and the merge
     bookkeeping, each as one numpy pass over the block; only the trees
-    whose nearest does not pay go on to the near-band cut and the far
-    band.  ``post_point`` sees the candidates of several trees at once,
-    so it must act row by row.  One DEBUG line per call on this module's
+    whose nearest does not pay go on to evaluate all their other nodes.
+    ``post_point`` sees the candidates of several trees at once, so it
+    must act row by row.  One DEBUG line per call on this module's
     logger gives the trees, blocks, lockstep steps, padded cells, the
-    tree scans settled by a merge with the nearest, and far-band scans,
+    tree scans settled by a merge with the nearest, and widened scans,
     after each tree's own ``build_one_to_many`` line.
     """
     results, c = _grow(problems, params, eps, nearest_only, post_point)
     _log.debug(
         "build_forest: %d trees in %d blocks, %d lockstep steps, %d padded cells, "
-        "%d of %d tree scans settled by the nearest, %d far-band scans",
+        "%d of %d tree scans settled by the nearest, %d widened scans",
         len(results), c["blocks"], c["steps"], c["cells"],
-        c["settled"], c["scans"], c["far"],
+        c["settled"], c["scans"], c["widened"],
     )
     return results
 
@@ -616,11 +602,10 @@ def build_one_to_many(
     A forest of one: see ``build_forest``.  Each build logs its counts
     at DEBUG as ``build_one_to_many N=...``.
 
-    The scan evaluates the nearest neighbor first, the nearest few only
-    when it does not improve, and the rest only when none of those
-    improves, so ``candidate_evals`` counts the branch points actually
-    evaluated: mostly one per merge, all other selectable nodes per
-    retirement.
+    The scan evaluates the nearest neighbor first and the rest only when
+    it does not improve, so ``candidate_evals`` counts the branch points
+    actually evaluated: mostly one per merge, all other selectable nodes
+    per retirement.
 
     ``eps`` overrides the frozen shift vector (otherwise drawn once from
     ``params.seed`` when ``params.shift_norm > 0``); ``nearest_only``

@@ -483,6 +483,8 @@ def pinned_build(name):
     if name == "nearest-only-4000":
         params = BotParams(alpha=0.5, seed=3)
         return [build_one_to_many(synthetic_problem(3, 4000), params, nearest_only=True)], 0.5
+    if name == "interp-4000-alpha-0.95":
+        return [build_one_to_many(synthetic_problem(5, 4000), BotParams(alpha=0.95, seed=5))], 0.95
     if name == "interp-3d-1000":
         params = BotParams(alpha=0.25, seed=4)
         return [build_one_to_many(synthetic_problem(4, 1000, d=3), params)], 0.25
@@ -509,6 +511,7 @@ def pinned_build(name):
     ("power-4000", "a54a5fb929d771c94ee0dc22d692b519c0d1d2a577fb08d5748a483d97b44d0d"),
     ("shift-4000", "6cb9d7f7b2692fea29a12a62e627616c92e9008cd16fd26da5d6cc063470ecda"),
     ("nearest-only-4000", "3746805315b26ef1ea807a9b4ab0ef45c4c2707ab84b8e4c522b28734f5151b0"),
+    ("interp-4000-alpha-0.95", "f7e020268972e83a356e665c3c3748aa606a28a2d903c1aa5d769918773e90ff"),
     ("interp-3d-1000", "6e84f49205b72d2472fb792fb6073d97e2bd4334c3225c1f7a8ac5f333d28959"),
     ("grid-interp", "915e9e9096f0a4f9fe1194c16d8de0a82f2ab1cc906ee40367efb8b6719f1d1a"),
     ("grid-power", "b4213b0737fc6b4afca06769b975231d5baca59f9daa7c89db7f17bf6e99a6bc"),
@@ -649,9 +652,9 @@ def test_build_logs_scan_counts(caplog):
         build_one_to_many(problem, BotParams(alpha=alpha))
     assert [r.getMessage() for r in caplog.records] == [
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
-        "1 candidate evals, 1 merges in the near band",
+        "1 candidate evals",
         "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
-        "101 candidate evals, 26 merges in the near band",
+        "116 candidate evals",
     ]
 
 
@@ -768,10 +771,7 @@ def test_batched_reductions_match_the_one_tree_forms_bitwise(batch):
         flat = branching._row_norms(legs)
         for leg, got in zip(legs, flat):
             assert got.tobytes() == np.linalg.norm(leg, axis=1).tobytes()
-        # the near-band cut and the nearest distance, NaN padding dropped
-        if width > branching._NEAR_BAND and n > branching._NEAR_BAND:
-            kth = np.partition(dist, branching._NEAR_BAND - 1, axis=1)[b, branching._NEAR_BAND - 1]
-            assert kth == np.partition(dist[b, :n], branching._NEAR_BAND - 1)[branching._NEAR_BAND - 1]
+        # the nearest distance, NaN padding dropped
         assert np.fmin.reduce(dist, axis=1)[b] == dist[b, :n].min()
     # the picked node's edge to its source: one 1-D norm per tree
     picked = np.array([r[-1] for r in rows])
@@ -795,13 +795,13 @@ def test_forest_logs_one_summary_after_the_tree_lines(caplog):
         )
     assert [r.getMessage() for r in caplog.records] == [
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
-        "1 candidate evals, 1 merges in the near band",
+        "1 candidate evals",
         "build_one_to_many N=31: 31 iterations, 27 merges, 4 retirements, "
-        "101 candidate evals, 26 merges in the near band",
+        "116 candidate evals",
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
-        "1 candidate evals, 1 merges in the near band",
+        "1 candidate evals",
         "build_forest: 3 trees in 2 blocks, 33 lockstep steps, 35 padded cells, "
-        "26 of 32 tree scans settled by the nearest, 2 far-band scans",
+        "26 of 32 tree scans settled by the nearest, 5 widened scans",
     ]
 
 
@@ -821,7 +821,7 @@ def test_forest_widens_the_scan_for_one_tree_of_a_block(caplog):
         got = build_forest(problems, [params] * 3)
     assert caplog.records[-1].getMessage() == (
         "build_forest: 3 trees in 1 blocks, 6 lockstep steps, 18 padded cells, "
-        "6 of 13 tree scans settled by the nearest, 0 far-band scans"
+        "6 of 13 tree scans settled by the nearest, 4 widened scans"
     )
     for problem, result in zip(problems, got):
         alone = build_one_to_many(problem, params)
@@ -838,3 +838,10 @@ def test_forest_checks_its_arguments():
         build_forest([problem], [BotParams()], eps=[None, None])
     with pytest.raises(ParameterError, match="same dimension"):
         build_forest([problem], [BotParams()], eps=[np.zeros(3)])
+    # an explicit eps uses the shift even at shift_norm 0, so shift_delta is checked
+    for delta in (-0.5, 0.0, np.nan, np.inf):
+        params = BotParams(shift_delta=delta)
+        with pytest.raises(ParameterError, match="shift_delta must be finite and positive"):
+            build_one_to_many(synthetic_problem(0, 30), params, eps=np.array([0.1, 0.1]))
+        with pytest.raises(ParameterError, match="shift_delta must be finite and positive"):
+            build_forest([problem], [params], eps=[np.zeros(2)])

@@ -174,6 +174,17 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, norm", [("branch", "1e200"), ("dual", "1e308")])
+def test_huge_shift_builds_the_star_without_warnings(capsys, command, norm):
+    """A branch point shifted that far overflows and cannot pay: no merge,
+    and no numpy warning on the way."""
+    assert main([command, "--shift-norm", norm, "--n-targets", "20"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "branch":
+        assert "branches 0 " in out
+
+
 def test_net_sinkhorn_infinite_tol_exits_two(capsys):
     argv = ["net", "--ot-mode", "sinkhorn", "--tol", "inf", "--n-sources", "3", "--n-targets", "20"]
     assert main(argv) == 2
