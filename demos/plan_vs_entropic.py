@@ -60,7 +60,7 @@ def main() -> int:
         print(f"  {reg:<8g} {cost:.6f}  {gap:8.3%}  {res.n_iter}")
 
     if args.out is not None:
-        args.out.write_text(plan_to_json(instance, exact), encoding="utf-8")
+        args.out.write_text(plan_to_json(instance, exact, base), encoding="utf-8")
         print(f"\nwrote {args.out}")
     return 0
 

@@ -170,8 +170,8 @@ def _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs):
 
 
 def _check_branch_args(s_i, s_j, alpha):
-    if s_i <= 0 or s_j <= 0:
-        raise ParameterError("sectional areas must be strictly positive")
+    if not (0 < s_i < math.inf and 0 < s_j < math.inf):
+        raise ParameterError("sectional areas must be finite and strictly positive")
     _check_alpha(alpha)
 
 
@@ -213,8 +213,8 @@ def branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha, eps, delta) -> np.ndarr
     thick trunks are rigid, thin twigs bend.  A zero ``eps`` reduces to
     the unshifted formula exactly.
     """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ParameterError("delta must be finite and positive")
     z = branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha)
     eps = np.asarray(eps, dtype=float)
     if eps.shape != z.shape:
@@ -252,6 +252,13 @@ def star_cost(problem: OneToManyProblem, alpha: float) -> float:
 _BLOCK_CELLS = 4096  # bound on trees x widest tree in one lockstep block
 
 
+def _frozen_shift(params, dim, *labels):
+    """A build's frozen displacement: a random direction from the sub-seed of
+    ``labels``, scaled to ``shift_norm``; None when that is 0."""
+    if params.shift_norm > 0:
+        return random_direction(substream(params.seed, *labels), dim) * params.shift_norm
+
+
 class _Tree:
     """The per-tree part of a lockstep build, kept in Python."""
 
@@ -259,9 +266,8 @@ class _Tree:
 
     def __init__(self, problem, params, eps):
         d = problem.dim
-        if eps is None and params.shift_norm > 0:
-            rng = substream(params.seed, "branch-shift")
-            eps = random_direction(rng, d) * params.shift_norm
+        if eps is None:
+            eps = _frozen_shift(params, d, "branch-shift")
         if eps is not None:
             eps = np.asarray(eps, dtype=float)
             if eps.shape != (d,):
@@ -277,8 +283,6 @@ class _Tree:
 def _least_per_tree(tb, *keys):
     """Positions in the sorted tree indices ``tb`` of each tree's least
     entry by ``keys``, most significant first; one per tree, in tree order."""
-    if tb.size and tb[0] == tb[-1]:   # tb is sorted: one tree
-        return np.lexsort(keys[::-1])[:1]
     order = np.lexsort(keys[::-1] + (tb,))
     t = tb[order]
     first = np.empty(t.size, dtype=bool)

@@ -97,17 +97,15 @@ def _cmd_ot(args: argparse.Namespace) -> int:
     cfg = _sinkhorn_config(args)
     instance = synthetic_instance(args.seed, args.n_sources, args.n_targets)
     c = cost_matrix(instance)
-    if args.ot_mode == "exact":
-        plan = solve_exact(instance, c)
-        print(f"ot cost {plan_cost(plan, c)!r} (exact)")
-    else:
-        res = solve_sinkhorn(instance, c, cfg)
-        plan = res.plan
-        print(f"ot cost {plan_cost(plan, c)!r} (sinkhorn)")
+    res = solve_sinkhorn(instance, c, cfg) if args.ot_mode == "sinkhorn" else None
+    plan = solve_exact(instance, c) if res is None else res.plan
+    cost = plan_cost(plan, c)
+    print(f"ot cost {cost!r} ({args.ot_mode})")
+    if res is not None:
         print(f"iterations {res.n_iter} converged {res.converged} "
               f"marginal error {res.marginal_error!r}")
     if args.out is not None:
-        _write_text(args.out, plan_to_json(instance, plan))
+        _write_text(args.out, plan_to_json(instance, plan, cost))
         print(f"wrote {args.out}")
     return 0
 
@@ -270,9 +268,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(sub, *, alpha: float):
+def _add_seed(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help=f"random seed (default: ${SEED_ENV} or 0)")
+
+
+def _add_common(sub, *, alpha: float):
+    _add_seed(sub)
     sub.add_argument("--alpha", type=float, default=alpha,
                      help=f"cost exponent in [0, 1] (default {alpha})")
     sub.add_argument("--formula", choices=("interp", "power"), default="interp",
@@ -288,9 +290,6 @@ def _add_sinkhorn(sub):
                      help="marginal L1 convergence threshold (default 1e-9)")
     sub.add_argument("--max-iter", type=int, default=100_000,
                      help="scaling iteration cap (default 100000)")
-    sub.add_argument("--threshold", type=float, default=None,
-                     help="drop plan entries at or below this before branching "
-                          "(default 0 exact, 1e-8 sinkhorn)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="subcommand", required=True)
 
     ot = commands.add_parser("ot", help="solve one seeded transport instance")
-    _add_common(ot, alpha=1.0)
+    _add_seed(ot)
     _add_sinkhorn(ot)
     ot.add_argument("--n-sources", type=int, default=3)
     ot.add_argument("--n-targets", type=int, default=4)
@@ -321,6 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     net = commands.add_parser("net", help="plan an instance, then branch every source")
     _add_common(net, alpha=0.25)
     _add_sinkhorn(net)
+    net.add_argument("--threshold", type=float, default=None,
+                     help="drop plan entries at or below this before branching "
+                          "(default 0 exact, 1e-8 sinkhorn)")
     net.add_argument("--n-sources", type=int, default=50)
     net.add_argument("--n-targets", type=int, default=1000)
     net.add_argument("--out", type=Path, default=None,

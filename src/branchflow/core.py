@@ -119,7 +119,9 @@ def _outflow(area: np.ndarray, kids: np.ndarray, bounds: np.ndarray) -> np.ndarr
     starts = bounds[:-1] + np.arange(bounds.size - 1)
     vals = np.zeros(kids.size + starts.size)
     vals[np.delete(np.arange(vals.size), starts)] = area[kids]
-    return np.add.reduceat(vals, starts)
+    # an inf sum fails FlowTree's finite check or the conservation check: no warning
+    with np.errstate(over="ignore"):
+        return np.add.reduceat(vals, starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +428,7 @@ def subadditivity_gain(m1: float, m2: float, alpha: float) -> float:
 
     Strictly positive for alpha in [0, 1); exactly zero at alpha = 1.
     """
-    if m1 <= 0 or m2 <= 0:
-        raise ParameterError("masses must be strictly positive")
+    if not (0 < m1 < np.inf and 0 < m2 < np.inf):
+        raise ParameterError("masses must be finite and strictly positive")
     _check_alpha(alpha)
     return m1 ** alpha + m2 ** alpha - (m1 + m2) ** alpha

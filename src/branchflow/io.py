@@ -42,7 +42,6 @@ from .core import (
     bot_cost,
     validate_tree,  # noqa: F401  (bench/test_bench.py reads this binding)
 )
-from .ot import cost_matrix, plan_cost
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +197,8 @@ def network_from_json(text: str) -> NetworkDocument:
     return NetworkDocument(FlowTree(np.array(rows, dtype=float), kind, parent, area), alpha, cost)
 
 
-def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:
-    """Debug view of a transport plan in the network JSON edge shape.
+def plan_to_json(instance: TransportInstance, plan: TransportPlan, cost: float) -> str:
+    """Debug view of a transport plan and its ``cost`` in the network JSON edge shape.
 
     Sources and targets become nodes, every positive coupling entry a
     direct edge.  With several sources this is a forest, not a tree, so
@@ -209,8 +208,7 @@ def plan_to_json(instance: TransportInstance, plan: TransportPlan) -> str:
     kind = np.repeat([KIND_SOURCE, KIND_TARGET], [m, instance.n_targets])
     coords = np.concatenate((instance.sources, instance.targets))
     i, j = np.nonzero(plan.gamma > 0)   # row-major: by source, then by target
-    return _network_text(kind, coords, i, m + j, plan.gamma[i, j], 1.0,
-                         plan_cost(plan, cost_matrix(instance)))
+    return _network_text(kind, coords, i, m + j, plan.gamma[i, j], 1.0, cost)
 
 
 # ---------------------------------------------------------------------------

@@ -521,9 +521,11 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     K = _aligned_empty((m, n))
     # -(c / cmax) / reg with the bits of exp(-chat / reg) for any layout
     # of c: each division is correctly rounded, and exp runs on one
-    # contiguous buffer
+    # contiguous buffer.  A subnormal reg overflows the quotient to -inf,
+    # whose exp 0 the zero-row check below reports: the warning is noise
     np.divide(c, cmax if cmax > 0 else 1.0, out=K)
-    np.divide(K, -cfg.reg, out=K)
+    with np.errstate(over="ignore"):
+        np.divide(K, -cfg.reg, out=K)
     np.exp(K, out=K)
     if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
         raise ConvergenceError(

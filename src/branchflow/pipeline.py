@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branching import OneToManyProblem, build_forest
+from .branching import OneToManyProblem, _frozen_shift, build_forest
 from .clustering import WeightedPointSet, choose_k, weighted_centroid, weighted_kmeans
 from .core import (
     BotParams,
@@ -36,7 +36,7 @@ from .ot import (
     solve_exact,
     solve_sinkhorn,
 )
-from .seeding import random_direction, substream, substream_seed
+from .seeding import substream, substream_seed
 
 OT_MODES = ("exact", "sinkhorn")
 # dense regularized plans need trimming before decomposition; exact plans do not
@@ -156,13 +156,7 @@ def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:
     branch nodes come apart, more so on thin edges than on thick ones.
     With ``shift_norm = 0`` both builds coincide exactly.
     """
-    eps = []
-    for role in ("artery", "vein"):
-        if params.shift_norm > 0:
-            rng = substream(params.seed, "dual", role)
-            eps.append(random_direction(rng, problem.dim) * params.shift_norm)
-        else:
-            eps.append(None)
+    eps = [_frozen_shift(params, problem.dim, "dual", role) for role in ("artery", "vein")]
     return tuple(r.tree for r in build_forest([problem, problem], [params, params], eps=eps))
 
 

@@ -77,10 +77,13 @@ def _svg_chunks(trees, alpha):
     planar = [next(rows) if t.dim == 3 else t.coords for t in trees]
     lo = np.min([p.min(axis=0) for p in planar] or [np.zeros(2)], axis=0)
     hi = np.max([p.max(axis=0) for p in planar] or [np.ones(2)], axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    pad = _SVG_MARGIN * float(span.max())
-    lo = lo - pad
-    span = span + 2 * pad
+    with np.errstate(over="ignore"):   # a box past the float range is rejected below
+        span = np.maximum(hi - lo, 1e-9)
+        pad = _SVG_MARGIN * float(span.max())
+        lo = lo - pad
+        span = span + 2 * pad
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(span))):
+        raise ParameterError("coordinates too large to draw: the drawing box overflows")
     scale = _SVG_WIDTH / float(span[0])
     height = max(1, int(round(float(span[1]) * scale)))
     xy = [((p[:, 0] - lo[0]) * scale, height - (p[:, 1] - lo[1]) * scale) for p in planar]

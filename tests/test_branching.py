@@ -114,6 +114,16 @@ def test_branch_point_rejects_bad_areas():
         branch_point_power([0, 0], [1, 0], [0, 1], 0.0, 1.0, 0.5)
     with pytest.raises(ParameterError):
         branch_point_interp([0, 0], [1, 0], [0, 1], 1.0, -1.0, 0.5)
+    # NaN and inf areas fail the check too, rather than giving NaN or a warning
+    points = ([0, 0], [1, 0], [0, 1])
+    for bad in (math.nan, math.inf):
+        for s_i, s_j in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ParameterError):
+                branch_point_power(*points, s_i, s_j, 0.5)
+            with pytest.raises(ParameterError):
+                branch_point_interp(*points, s_i, s_j, 0.5)
+            with pytest.raises(ParameterError):
+                local_improvement(*points, [0.5, 0.5], s_i, s_j, 0.5)
 
 
 def test_shifted_zero_eps_matches_interp():
@@ -147,8 +157,9 @@ def test_shifted_large_areas_are_rigid():
 
 
 def test_shifted_validates_delta_and_eps_shape():
-    with pytest.raises(ParameterError):
-        branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, np.zeros(2), 0.0)
+    for delta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="delta must be finite and positive"):
+            branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, np.zeros(2), delta)
     with pytest.raises(ParameterError):
         branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, np.zeros(3), 0.01)
 

@@ -76,11 +76,18 @@ def test_parser_defaults_dual():
     assert args.shift_delta == 0.01
 
 
-def test_parser_defaults_ot():
+def test_parser_defaults_ot(capsys):
     args = build_parser().parse_args(["ot"])
-    assert args.alpha == 1.0
     assert args.n_sources == 3
     assert args.n_targets == 4
+    assert not {"alpha", "formula", "threshold"} & set(vars(args))
+    # ot plans only: nothing reads a tree option there, so argparse refuses one
+    for option in (["--alpha", "0.5"], ["--formula", "power"], ["--threshold", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["ot"] + option)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert build_parser().parse_args(["net", "--threshold", "0"]).threshold == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +137,11 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
          "cannot read {tmp}/nope.csv: [Errno 2] No such file or directory"),
         (["ot", "--ot-mode", "sinkhorn", "--lambda", "1e-9"], 3,
          "scaling kernel underflowed to zero rows/columns; increase reg"),
+        (["ot", "--ot-mode", "sinkhorn", "--lambda", "1e-320"], 3,
+         "scaling kernel underflowed to zero rows/columns; increase reg"),
+        (["net", "--ot-mode", "sinkhorn", "--lambda", "1e-320", "--n-sources", "3",
+          "--n-targets", "5"], 3,
+         "scaling kernel underflowed to zero rows/columns; increase reg"),
         (["render", "{tmp}/bad.json", "--svg", "{tmp}/out.svg"], 4,
          "invalid flow tree: node 1 carries 0.5 but sends 0.0"),
         (["net", "--n-sources", "3", "--n-targets", "5", "--out", "{tmp}/exists.txt"], 2,
@@ -152,11 +164,19 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
         (["net", "--n-sources", "3", "--n-targets", "5", "--threshold", "1",
           "--ot-mode", "sinkhorn"], 2,
          "threshold 1.0 drops every plan entry; the largest is 0.29872"),
+        (["render", "{tmp}/wide.json", "--svg", "{tmp}/out.svg"], 2,
+         "coordinates too large to draw: the drawing box overflows"),
+        (["render", "{tmp}/source-outflow.json", "--svg", "{tmp}/out.svg"], 2,
+         "area contains non-finite entries"),
+        (["render", "{tmp}/branch-outflow.json", "--svg", "{tmp}/out.svg"], 4,
+         "invalid flow tree: node 1 carries 1e+308 but sends inf (residual -inf)"),
     ],
-    ids=["parameter", "nan-parameter", "input", "convergence", "structural", "os",
+    ids=["parameter", "nan-parameter", "input", "convergence", "ot-subnormal-lambda",
+         "net-subnormal-lambda", "structural", "os",
          "net-negative-sources", "net-zero-sources", "branch-negative-targets",
          "ot-negative-targets", "dual-negative-targets", "latin1-cities", "long-field-cities",
-         "latin1-tree", "latin1-manifest", "net-threshold-exact", "net-threshold-sinkhorn"],
+         "latin1-tree", "latin1-manifest", "net-threshold-exact", "net-threshold-sinkhorn",
+         "svg-box-overflow", "source-outflow-overflow", "branch-outflow-overflow"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")
@@ -168,10 +188,66 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     (tmp_path / "latin1.json").write_bytes('{"nodes":[{"kind":"s\u00fc"}]}'.encode("latin-1"))
     (tmp_path / "forest").mkdir()
     (tmp_path / "forest" / "manifest.json").write_bytes('{"trees":["\u00fc"]}'.encode("latin-1"))
+    # a drawing box, a source's outflow and a branch node's outflow past the float range
+    write_network(tmp_path / "wide.json", ["source", "target"],
+                  [[-1e308, 0.0], [1e308, 0.0]], [(0, 1, 1.0)])
+    write_network(tmp_path / "source-outflow.json", ["source", "target", "target"],
+                  [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 1e308), (0, 2, 1e308)])
+    write_network(tmp_path / "branch-outflow.json", ["source", "branch", "target", "target"],
+                  [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]],
+                  [(0, 1, 1e308), (1, 2, 1e308), (1, 3, 1e308)])
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(tmp=tmp_path))
     assert err.count("\n") == 1
+    assert not (tmp_path / "out.svg").exists()
+
+
+# every numeric flag of the solving commands, each on a small run of its command
+_SMALL_RUNS = [
+    (["ot", "--n-sources", "3", "--n-targets", "4"],
+     ["--seed", "--lambda", "--tol", "--max-iter", "--n-sources", "--n-targets"]),
+    (["branch", "--n-targets", "6"],
+     ["--seed", "--alpha", "--n-targets", "--d", "--shift-norm", "--shift-delta"]),
+    (["net", "--n-sources", "3", "--n-targets", "8"],
+     ["--seed", "--alpha", "--lambda", "--tol", "--max-iter", "--threshold", "--n-sources",
+      "--n-targets"]),
+    (["dual", "--n-targets", "6"],
+     ["--seed", "--alpha", "--n-targets", "--d", "--shift-norm", "--shift-delta"]),
+    (["santa"], ["--seed", "--alpha", "--pole-lat", "--pole-lon"]),
+]
+_MODES = {"ot": ["exact", "sinkhorn"], "net": ["exact", "sinkhorn"]}
+_BOUNDARY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e-320"]
+_BOUNDARY_CASES = [
+    pytest.param(base + (["--ot-mode", mode] if mode else []) + [flag, value],
+                 id="-".join(filter(None, [base[0], mode])) + f"{flag}={value}")
+    for base, flags in _SMALL_RUNS
+    for mode in _MODES.get(base[0], [None])
+    for flag in flags
+    for value in _BOUNDARY_VALUES
+]
+
+
+@pytest.mark.parametrize("argv", _BOUNDARY_CASES)
+def test_numeric_flags_at_boundary_values_end_cleanly(capsys, argv):
+    """Each value either runs or is refused with one error line and exit
+    2, 3 or 4: no traceback and no numpy warning (the suite makes a
+    RuntimeWarning an error)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's refusal: usage lines, then one error line
+        err = capsys.readouterr().err
+        assert exc.code == 2
+        assert err.splitlines()[-1].startswith(f"branchflow {argv[0]}: error: ")
+        assert err.count("error:") == 1
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, norm", [("branch", "1e200"), ("dual", "1e308")])

@@ -397,6 +397,11 @@ def test_subadditivity_rejects_nonpositive_masses():
         subadditivity_gain(0.0, 1.0, 0.5)
     with pytest.raises(ParameterError):
         subadditivity_gain(1.0, -2.0, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            subadditivity_gain(bad, 1.0, 0.5)
+        with pytest.raises(ParameterError):
+            subadditivity_gain(1.0, bad, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from branchflow import (
 )
 from branchflow.core import TransportInstance, TransportPlan
 from branchflow.io import _CITY_ALIASES, _CITY_BLOCK, _ROW_BLOCK, normalize_lon, plan_to_json
-from branchflow.ot import SinkhornConfig, cost_matrix, solve_exact, solve_sinkhorn
+from branchflow.ot import SinkhornConfig, cost_matrix, plan_cost, solve_exact, solve_sinkhorn
 from branchflow.pipeline import geo_embed, synthetic_instance, synthetic_problem
 
 from oracles import dict_plan_json, per_node_network_json, per_row_load_cities
@@ -157,7 +157,7 @@ def test_json_bytes_do_not_depend_on_the_row_block(monkeypatch, block):
     for tree in trees:
         assert network_to_json(tree, 0.5) == per_node_network_json(tree, 0.5)
     for plan in plans:
-        assert plan_to_json(inst, plan) == dict_plan_json(inst, plan)
+        assert plan_to_json(inst, plan, plan_cost(plan, c)) == dict_plan_json(inst, plan)
 
 
 def test_network_json_peak_memory_stays_within_four_times_the_text():
@@ -274,7 +274,7 @@ def test_plan_to_json_direct_edges():
         [0.6, 0.4],
     )
     plan = TransportPlan([[0.3, 0.0], [0.3, 0.4]], [0.3, 0.7], [0.6, 0.4])
-    payload = json.loads(plan_to_json(inst, plan))
+    payload = json.loads(plan_to_json(inst, plan, plan_cost(plan, cost_matrix(inst))))
     assert len(payload["edges"]) == 3
     areas = sorted(e["area"] for e in payload["edges"])
     assert areas == [0.3, 0.3, 0.4]
