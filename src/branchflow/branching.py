@@ -33,8 +33,7 @@ from .core import (
     _as_point_array,
     _as_mass_vector,
     _check_alpha,
-    _child_groups,
-    _outflow,
+    _sourced_tree,
 )
 from .seeding import random_direction, substream
 
@@ -485,10 +484,7 @@ def _grow_block(trees, nearest_only, post_point):
         kind[0] = KIND_SOURCE
         kind[1:n + 1] = KIND_TARGET
         kind[n + 1:] = KIND_BRANCH
-        par = parent[o:o + m]
-        a = area[o:o + m]
-        a[0] = _outflow(a, *_child_groups(par))[0]
-        tree = FlowTree(pos[o:o + m], kind, par, a)
+        tree = _sourced_tree(pos[o:o + m], kind, parent[o:o + m], area[o:o + m])
         # the star cost (star_cost's arithmetic), then the gains taken off
         # in order, as cumsum adds; -0.0 leaves a retirement's cost as it is
         star = np.sum(before[o + 1:o + n + 1])

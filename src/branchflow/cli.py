@@ -34,9 +34,10 @@ from .io import (
     plan_to_json,
     sample_cities_path,
 )
-from .ot import SinkhornConfig, cost_matrix, plan_cost, solve_exact, solve_sinkhorn
+from .ot import SinkhornConfig
 from .pipeline import (
     DEFAULT_POLE,
+    _plan,
     dual_network,
     santa_pipeline,
     solve_network,
@@ -96,10 +97,7 @@ def _sinkhorn_config(args: argparse.Namespace) -> SinkhornConfig:
 def _cmd_ot(args: argparse.Namespace) -> int:
     cfg = _sinkhorn_config(args)
     instance = synthetic_instance(args.seed, args.n_sources, args.n_targets)
-    c = cost_matrix(instance)
-    res = solve_sinkhorn(instance, c, cfg) if args.ot_mode == "sinkhorn" else None
-    plan = solve_exact(instance, c) if res is None else res.plan
-    cost = plan_cost(plan, c)
+    plan, cost, res = _plan(instance, args.ot_mode, cfg)
     print(f"ot cost {cost!r} ({args.ot_mode})")
     if res is not None:
         print(f"iterations {res.n_iter} converged {res.converged} "
@@ -227,7 +225,8 @@ def _load_forest(path: Path):
                 doc = json.loads(manifest.read_text(encoding="utf-8"))
                 # KeyError/TypeError: no "trees" list, or an entry without a "file" name
                 entries = [(path / item["file"], item.get("level")) for item in doc["trees"]]
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError,
+                    TypeError) as exc:
                 raise InputError(f"cannot read manifest {manifest}: {exc!r}") from None
         else:
             names = sorted(p for p in path.glob("*.json"))
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
         if "seed" in args:   # render takes no seed
             args.seed = _resolve_seed(args.seed)
         return _COMMANDS[args.subcommand](args)
-    except (BranchFlowError, OSError) as exc:
+    except (BranchFlowError, OSError, MemoryError) as exc:   # MemoryError: sizes too large
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError):
             return 3

@@ -44,6 +44,9 @@ class WeightedPointSet:
             raise ParameterError("at least one point is required")
         if np.any(self.weights <= 0):
             raise ParameterError("weights must be strictly positive")
+        with np.errstate(over="ignore"):   # a sum past the float range is rejected here
+            if not np.isfinite(self.weights.sum()):
+                raise ParameterError("weights must have a finite sum")
 
     @property
     def n_points(self) -> int:
@@ -83,10 +86,15 @@ def weighted_centroid(points, weights=None) -> np.ndarray:
     w = _as_mass_vector(weights, "weights")
     if w.shape[0] != pts.shape[0]:
         raise ParameterError("weights must have one entry per point")
-    total = w.sum()
-    if total <= 0:
-        raise ParameterError("total weight must be positive")
-    return (w[:, None] * pts).sum(axis=0) / total
+    # sums past the float range are rejected below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w.sum()
+        if not 0 < total < np.inf:
+            raise ParameterError(f"total weight must be finite and positive, got {total}")
+        centroid = (w[:, None] * pts).sum(axis=0) / total
+    if not np.all(np.isfinite(centroid)):
+        raise ParameterError("the weighted centroid is past the float range")
+    return centroid
 
 
 def choose_k(n: int) -> int:
@@ -156,9 +164,19 @@ def weighted_kmeans(
             raise ParameterError(
                 f"init must be finite, of shape ({k}, {pointset.dim}), got shape {centers.shape}"
             )
-    else:
-        centers = _plus_plus_init(x, w, k, substream(seed, "kmeans-init"))
 
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if init is None:
+                centers = _plus_plus_init(x, w, k, substream(seed, "kmeans-init"))
+            return _lloyd(x, w, k, centers)
+    except FloatingPointError:   # sums of weight times squared distance past the float range
+        raise ParameterError("weights times squared distances overflow the float range") from None
+
+
+def _lloyd(x, w, k, centers) -> KMeansResult:
+    """Lloyd rounds from ``centers``, as weighted_kmeans describes them."""
+    n = x.shape[0]
     prev = math.inf
     history: list[float] = []
     for it in range(1, _KMEANS_MAX_ITER + 1):
@@ -175,7 +193,6 @@ def weighted_kmeans(
                 counts[labels[j]] -= 1
                 counts[c] += 1
                 labels[j] = c
-                centers[c] = x[j]
                 costs[j] = -1.0
 
         mass = _outflow(w, *_child_groups(labels))[:k]

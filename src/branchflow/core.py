@@ -65,10 +65,13 @@ def _check_int(value, name: str):
 
 
 def _check_count(value, name: str):
-    """Reject anything but an integer of at least 1."""
+    """Reject anything but an integer from 1 to the largest count whose
+    array of 64-byte rows numpy can still size."""
     _check_int(value, name)
     if value < 1:
         raise ParameterError(f"{name} must be at least 1, got {value}")
+    if value > (limit := np.iinfo(np.intp).max // 64):
+        raise ParameterError(f"{name} must be at most {limit}, got {value}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -408,6 +411,15 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
                                f"target {node} carries {area[node]} but was assigned {demand}"))
 
     return ValidationReport(tuple(v))
+
+
+def _sourced_tree(coords, kind: np.ndarray, parent: np.ndarray, area: np.ndarray) -> FlowTree:
+    """The FlowTree with each source row of ``area`` set, in place and in id
+    order (a source may feed another), to that source's outflow."""
+    groups = _child_groups(parent)
+    for s in np.flatnonzero(kind == KIND_SOURCE):
+        area[s] = _outflow(area, *groups)[s]
+    return FlowTree(coords, kind, parent, area)
 
 
 def bot_cost(tree: FlowTree, alpha: float) -> float:

@@ -37,8 +37,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _check_alpha,
-    _child_groups,
-    _outflow,
+    _sourced_tree,
     bot_cost,
     validate_tree,  # noqa: F401  (bench/test_bench.py reads this binding)
 )
@@ -48,18 +47,15 @@ from .core import (
 # network JSON
 
 
-# rows formatted per block: bounds the Python ints, floats and strs alive at once
-_ROW_BLOCK = 2048
+_BLOCK = 2048   # rows, arc points or edges at a time: bounds the Python objects alive at once
 
 
-def _append_rows(parts: list[str], template: str, columns: list[np.ndarray]):
-    """Append the rows of ``columns``, formatted with ``template`` and comma
-    separated, to ``parts``: one string per block of rows."""
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        if lo:
-            parts.append(",")
-        rows = zip(*(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))
-        parts.append(",".join([template % row for row in rows]))
+def _row_blocks(template: str, columns: list[np.ndarray], sep: str = ","):
+    """The rows of ``columns``, formatted with ``template`` and joined by
+    ``sep``: one string per block of rows, each after the first led by ``sep``."""
+    for lo in range(0, len(columns[0]), _BLOCK):
+        rows = zip(*(c[lo:lo + _BLOCK].tolist() for c in columns))
+        yield (sep if lo else "") + sep.join([template % row for row in rows])
 
 
 def _network_text(kind, coords, src, dst, area, alpha: float, cost: float) -> str:
@@ -74,9 +70,9 @@ def _network_text(kind, coords, src, dst, area, alpha: float, cost: float) -> st
         raise ParameterError(f"cost must be a finite number, got {cost}")
     node = '{"id":%d,"kind":"%s","coords":[' + ",".join(["%r"] * coords.shape[1]) + "]}"
     parts = ['{"nodes":[']
-    _append_rows(parts, node, [np.arange(len(kind)), kind, *coords.T])
+    parts.extend(_row_blocks(node, [np.arange(len(kind)), kind, *coords.T]))
     parts.append('],"edges":[')
-    _append_rows(parts, '{"from":%d,"to":%d,"area":%r}', [src, dst, area])
+    parts.extend(_row_blocks('{"from":%d,"to":%d,"area":%r}', [src, dst, area]))
     parts.append('],"alpha":%r,"cost":%r}' % (alpha, cost))
     return "".join(parts)
 
@@ -125,7 +121,7 @@ def network_from_json(text: str) -> NetworkDocument:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("network document must be a JSON object")
@@ -187,14 +183,9 @@ def network_from_json(text: str) -> NetworkDocument:
             raise InputError(f"edge into {dst} needs a finite area")
         area[dst] = a
 
-    kind = np.array(kind)
-    parent = np.array(parent, dtype=np.int64)
-    area = np.array(area, dtype=float)
-    groups = _child_groups(parent)
-    for s in np.flatnonzero(kind == KIND_SOURCE):  # in id order, as a source may feed another
-        area[s] = _outflow(area, *groups)[s]
-
-    return NetworkDocument(FlowTree(np.array(rows, dtype=float), kind, parent, area), alpha, cost)
+    tree = _sourced_tree(np.array(rows, dtype=float), np.array(kind),
+                         np.array(parent, dtype=np.int64), np.array(area, dtype=float))
+    return NetworkDocument(tree, alpha, cost)
 
 
 def plan_to_json(instance: TransportInstance, plan: TransportPlan, cost: float) -> str:

@@ -27,7 +27,7 @@ from .core import (
     _outflow,
     bot_cost,
 )
-from .io import CityTable, _lat_ok, normalize_lon
+from .io import _BLOCK, CityTable, _lat_ok, normalize_lon
 from .ot import (
     SinkhornConfig,
     cost_matrix,
@@ -72,9 +72,16 @@ class NetworkReport:
 @dataclass(frozen=True)
 class NetworkResult:
     trees: tuple
-    source_index: tuple
     plan: TransportPlan
     report: NetworkReport
+
+
+def _plan(instance: TransportInstance, ot_mode: str, cfg: SinkhornConfig | None) -> tuple:
+    """Stage one: the plan, its cost, and the Sinkhorn result (None in exact mode)."""
+    c = cost_matrix(instance)
+    res = solve_sinkhorn(instance, c, cfg) if ot_mode == "sinkhorn" else None
+    plan = solve_exact(instance, c) if res is None else res.plan
+    return plan, plan_cost(plan, c), res
 
 
 def solve_network(
@@ -99,17 +106,7 @@ def solve_network(
     if threshold is None:
         threshold = DEFAULT_THRESHOLD[ot_mode]
 
-    c = cost_matrix(instance)
-    sink_iters = None
-    sink_conv = None
-    if ot_mode == "exact":
-        plan = solve_exact(instance, c)
-    else:
-        res = solve_sinkhorn(instance, c, cfg)
-        plan = res.plan
-        sink_iters = res.n_iter
-        sink_conv = res.converged
-
+    plan, ot_cost, res = _plan(instance, ot_mode, cfg)
     assignments = plan_to_assignments(plan, threshold)
     if not any(assignments):
         raise ParameterError(f"threshold {threshold} drops every plan entry; "
@@ -137,15 +134,15 @@ def solve_network(
 
     report = NetworkReport(
         ot_mode=ot_mode,
-        ot_cost=plan_cost(plan, c),
+        ot_cost=ot_cost,
         star_cost=total_star,
         bot_cost=total_bot,
         threshold=threshold,
         per_source=tuple(per_source),
-        sinkhorn_iterations=sink_iters,
-        sinkhorn_converged=sink_conv,
+        sinkhorn_iterations=None if res is None else res.n_iter,
+        sinkhorn_converged=None if res is None else res.converged,
     )
-    return NetworkResult(tuple(r.tree for r in results), tuple(source_index), plan, report)
+    return NetworkResult(tuple(r.tree for r in results), plan, report)
 
 
 def dual_network(problem: OneToManyProblem, params: BotParams) -> tuple:
@@ -223,9 +220,6 @@ def geo_project(point) -> tuple:
     return lat, lon
 
 
-_BLOCK = 2048   # rows, arc points or edges at a time: bounds the Python floats alive at once
-
-
 def _lon_lat_rows(points: np.ndarray) -> np.ndarray:
     """Renormalize each row of an (n, 3) array to the unit sphere: (n, 2) [lon, lat] degrees.
 
@@ -253,7 +247,8 @@ def _lon_lat_rows(points: np.ndarray) -> np.ndarray:
 def to_sphere(points: np.ndarray) -> np.ndarray:
     """Radially push an (n, 3) array of points onto the unit sphere."""
     pts = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):   # an overflowed norm is rejected by _check_norms
+        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
     pts, norms = _check_norms(pts, norms)
     return pts / norms
 
@@ -380,6 +375,9 @@ def santa_pipeline(
     bad = ~(np.isfinite(pops) & (pops > 0))
     if bad.any():
         raise ParameterError(f"population must be positive, got {pops[bad][0]}")
+    with np.errstate(over="ignore"):   # a total past the float range is rejected here
+        if not np.isfinite(pops.sum()):
+            raise ParameterError("the total population must be finite")
 
     countries = tuple(sorted(set(cities.country)))
     code = {name: c for c, name in enumerate(countries)}

@@ -32,7 +32,8 @@ import math
 import numpy as np
 
 from .core import KIND_SOURCE, KIND_TARGET, FlowTree, ParameterError, _check_alpha
-from .pipeline import _BLOCK, EARTH_RADIUS_KM, _dot_norms, _lon_lat_rows
+from .io import _BLOCK, _row_blocks
+from .pipeline import EARTH_RADIUS_KM, _dot_norms, _lon_lat_rows
 
 MAX_SEGMENT_KM = 100.0
 _SVG_WIDTH = 800
@@ -96,17 +97,14 @@ def _svg_chunks(trees, alpha):
            f'viewBox="0 0 {_SVG_WIDTH} {height}">\n'
            f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>')
     for tree, (x, y), child in zip(trees, xy, children):
-        for c in np.split(child, range(_BLOCK, child.size, _BLOCK)):
-            head = tree.parent[c]
-            # a scalar power per edge: the array power may round differently
-            widths = [max(_STROKE_SCALE * a ** alpha / max_w, 0.3) for a in tree.area[c].tolist()]
-            rows = zip(x[head].tolist(), y[head].tolist(), x[c].tolist(), y[c].tolist(), widths)
-            yield "".join([_LINE % row for row in rows])
+        head = tree.parent[child]
+        # a scalar power per edge: the array power may round differently
+        widths = [max(_STROKE_SCALE * a ** alpha / max_w, 0.3) for a in tree.area[child].tolist()]
+        yield from _row_blocks(_LINE, [x[head], y[head], x[child], y[child], np.array(widths)], "")
     for tree, (x, y) in zip(trees, xy):
         dot = np.flatnonzero((tree.kind == KIND_SOURCE) | (tree.kind == KIND_TARGET))
-        for k in np.split(dot, range(_BLOCK, dot.size, _BLOCK)):
-            rows = zip(x[k].tolist(), y[k].tolist(), map(_DOTS.get, tree.kind[k].tolist()))
-            yield "".join(['\n<circle cx="%.3f" cy="%.3f%s' % row for row in rows])
+        tails = np.where(tree.kind[dot] == KIND_SOURCE, _DOTS[KIND_SOURCE], _DOTS[KIND_TARGET])
+        yield from _row_blocks('\n<circle cx="%.3f" cy="%.3f%s', [x[dot], y[dot], tails], "")
     yield "\n</svg>"
 
 

@@ -1,11 +1,18 @@
 """End-to-end command-line runs via main(argv)."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import logging
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchflow import FlowTree, cli, geo_embed, network_to_json, render_geojson, render_svg
 from branchflow.cli import build_parser, main
@@ -30,15 +37,19 @@ def write_small_cities(path, n_per_country=8):
     return path
 
 
-def write_network(path, kinds, coords, edges):
-    """One network JSON file; ``edges`` holds (from, to, area) triples."""
-    doc = {
+def network_doc(kinds, coords, edges):
+    """A network JSON document; ``edges`` holds (from, to, area) triples."""
+    return {
         "nodes": [{"id": i, "kind": k, "coords": c} for i, (k, c) in enumerate(zip(kinds, coords))],
         "edges": [{"from": a, "to": b, "area": s} for a, b, s in edges],
         "alpha": 0.5,
         "cost": None,
     }
-    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def write_network(path, kinds, coords, edges):
+    """One network JSON file; ``edges`` holds (from, to, area) triples."""
+    path.write_text(json.dumps(network_doc(kinds, coords, edges)), encoding="utf-8")
     return path
 
 
@@ -170,13 +181,25 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
          "area contains non-finite entries"),
         (["render", "{tmp}/branch-outflow.json", "--svg", "{tmp}/out.svg"], 4,
          "invalid flow tree: node 1 carries 1e+308 but sends inf (residual -inf)"),
+        (["render", "{tmp}/deep.json", "--svg", "{tmp}/out.svg"], 2,
+         "not valid JSON: maximum recursion depth exceeded"),
+        (["render", "{tmp}/deep", "--svg", "{tmp}/out.svg"], 2,
+         "cannot read manifest {tmp}/deep/manifest.json: RecursionError('maximum recursion depth"),
+        (["ot", "--n-targets", "4611686018427387904"], 2,
+         "n_targets must be at most 144115188075855871, got 4611686018427387904"),
+        (["ot", "--n-targets", "1125899906842624"], 2, "Unable to allocate 16.0 PiB"),
+        (["santa", "--cities", "{tmp}/huge.csv"], 2, "the total population must be finite"),
+        (["santa", "--cities", "{tmp}/far.csv"], 2,
+         "weights times squared distances overflow the float range"),
     ],
     ids=["parameter", "nan-parameter", "input", "convergence", "ot-subnormal-lambda",
          "net-subnormal-lambda", "structural", "os",
          "net-negative-sources", "net-zero-sources", "branch-negative-targets",
          "ot-negative-targets", "dual-negative-targets", "latin1-cities", "long-field-cities",
          "latin1-tree", "latin1-manifest", "net-threshold-exact", "net-threshold-sinkhorn",
-         "svg-box-overflow", "source-outflow-overflow", "branch-outflow-overflow"],
+         "svg-box-overflow", "source-outflow-overflow", "branch-outflow-overflow",
+         "deep-tree", "deep-manifest", "ot-huge-count", "ot-unallocatable-count",
+         "huge-total-population", "kmeans-overflow"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")
@@ -196,6 +219,16 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_network(tmp_path / "branch-outflow.json", ["source", "branch", "target", "target"],
                   [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]],
                   [(0, 1, 1e308), (1, 2, 1e308), (1, 3, 1e308)])
+    # JSON nested past the recursion limit, as a tree file and as a manifest's "trees"
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    (tmp_path / "deep").mkdir()
+    (tmp_path / "deep" / "manifest.json").write_text(
+        '{"trees":' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+    # populations whose sum, or whose K-means weighted squared distances, pass the float range
+    (tmp_path / "huge.csv").write_text(header + "A,X,10,20,1e308\nB,X,-10,-160,1e308\n",
+                                       encoding="utf-8")
+    (tmp_path / "far.csv").write_text(header + "A,X,10,20,8e307\nB,X,-10,-160,8e307\n",
+                                      encoding="utf-8")
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(tmp=tmp_path))
@@ -217,7 +250,9 @@ _SMALL_RUNS = [
     (["santa"], ["--seed", "--alpha", "--pole-lat", "--pole-lon"]),
 ]
 _MODES = {"ot": ["exact", "sinkhorn"], "net": ["exact", "sinkhorn"]}
-_BOUNDARY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e-320"]
+# the last three: past int64, past numpy's array size limit, and 16 PiB of float pairs
+_BOUNDARY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e-320",
+                    "99999999999999999999", "4611686018427387904", "1125899906842624"]
 _BOUNDARY_CASES = [
     pytest.param(base + (["--ot-mode", mode] if mode else []) + [flag, value],
                  id="-".join(filter(None, [base[0], mode])) + f"{flag}={value}")
@@ -621,3 +656,136 @@ def test_write_text_keeps_the_newline_rule_for_pieces(tmp_path):
     for name, (text, expected) in cases.items():
         cli._write_text(tmp_path / name, text)
         assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+_ODD_VALUES = [None, True, "x", "", [], {}, -1, 0, 3, 2.5, 1e308, -1e308, 5e-324, 10**400,
+               "source", "branch", [0.0], [1.0, 2.0, 3.0, 4.0], [[1]]]
+_TREES = [  # a planar tree and a unit-sphere tree, the second drawn as great-circle arcs
+    network_doc(["source", "target", "target"], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                [(0, 1, 0.5), (0, 2, 0.5)]),
+    network_doc(["source", "branch", "target", "target"],
+                [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5)]),
+]
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+@st.composite
+def _mistyped_json(draw, doc):
+    """JSON text of ``doc`` with at most one value replaced or one key dropped."""
+    doc = copy.deepcopy(doc)   # drawn values are shared: never change one in place
+    places = []   # (container, key) of every value in doc
+
+    def walk(value):
+        for key in (value if isinstance(value, dict) else range(len(value))):
+            places.append((value, key))
+            if isinstance(value[key], (dict, list)):
+                walk(value[key])
+
+    walk(doc)
+    if places and draw(st.booleans()):
+        container, key = draw(st.sampled_from(places))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+    return json.dumps(doc)
+
+
+@st.composite
+def _file_bytes(draw, text):
+    """``text`` as UTF-8, then at most one corruption: truncated, a BOM, a
+    Latin-1 letter, a stray byte or a NUL, or the whole text nested deep."""
+    data = text.encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data if draw(st.booleans()) else draw(st.sampled_from([
+        data[:at], b"\xef\xbb\xbf" + data, data[:at] + "ü".encode("latin-1") + data[at:],
+        data[:at] + b"\xff" + data[at:], data[:at] + b"\0" + data[at:],
+        _nested(draw(st.sampled_from([3, 900, 200_000]))).encode("ascii"),
+    ]))
+
+
+@st.composite
+def render_inputs(draw):
+    """Files for ``render``: one tree file, or a directory with or without a manifest."""
+    files = {}
+    for k in range(draw(st.integers(0, 2))):
+        doc = draw(st.sampled_from(_TREES))
+        files[f"tree_{k:04d}.json"] = draw(_file_bytes(draw(_mistyped_json(doc))))
+    layout = draw(st.sampled_from(["file", "directory", "manifest"]))
+    if layout == "file" and files:
+        return {"input": files.popitem()[1]}
+    if layout == "manifest":
+        entry = st.one_of(
+            st.fixed_dictionaries(
+                {"file": st.sampled_from([*files, "missing.json", ""])},
+                optional={"level": st.sampled_from(_ODD_VALUES + ["%s", "deep"])}),
+            st.sampled_from(_ODD_VALUES))
+        manifest = {"trees": draw(st.lists(entry, max_size=3)), "alpha": 0.5}
+        text = draw(_mistyped_json(manifest)).replace('"deep"', _nested(900))   # a deep level
+        files["manifest.json"] = draw(_file_bytes(text))
+    return files
+
+
+@st.composite
+def cities_inputs(draw):
+    """A cities CSV: a header with or without every column, rows with
+    missing, mistyped or extreme fields, then one corruption."""
+    header = draw(st.sampled_from(["city,country,lat,lng,population",
+                                   "Name,Country,Latitude,Longitude,Pop", "city,country,lat,lng",
+                                   "city,lat,lng,population", ""]))
+    odd = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e308", "-5", "0", "1e-320", "91",
+                           "-90", "180", '"quoted, field"', '"open'])
+    rows = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(st.sampled_from(["A1", "B1"])), draw(st.sampled_from(["X", "Y"])),
+                 draw(st.sampled_from(["10", "-10", "89.5"])),
+                 draw(st.sampled_from(["20", "-160", "135.25"])),
+                 draw(st.sampled_from(["1000", "250000", "8e307"]))]
+        change = draw(st.sampled_from(["none", "field", "short"]))
+        if change == "field":
+            cells[draw(st.integers(0, 4))] = draw(odd)
+        rows.append(",".join(cells[:3] if change == "short" else cells))
+    return draw(_file_bytes("\n".join(rows) + "\n"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(render_inputs(), cities_inputs()))
+def test_malformed_input_files_end_cleanly(files):
+    """``render`` and ``santa --cities`` on a malformed file either run or
+    exit 2, 3 or 4 with one error line, no numpy warning and no output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        if isinstance(files, bytes):
+            (tmp / "cities.csv").write_bytes(files)
+            argv = ["santa", "--cities", str(tmp / "cities.csv"), "--out", str(out)]
+        else:
+            target = tmp / "input" if "input" in files else tmp / "forest"
+            if "input" in files:
+                target.write_bytes(files["input"])
+            else:
+                target.mkdir()
+                for name, data in files.items():
+                    (target / name).write_bytes(data)
+            out.mkdir()
+            argv = ["render", str(target), "--svg", str(out / "f.svg"),
+                    "--geojson", str(out / "f.geojson")]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not [p for p in out.rglob("*") if p.is_file()], err

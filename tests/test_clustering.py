@@ -57,6 +57,18 @@ def test_pointset_validation():
         WeightedPointSet([[0.0, 0.0]], [0.0])
     with pytest.raises(ParameterError):
         WeightedPointSet([[0.0, 0.0]], [1.0, 2.0])
+    with pytest.raises(ParameterError, match="weights must have a finite sum"):
+        WeightedPointSet([[0.0, 0.0], [1.0, 0.0]], [1e308, 1e308])
+
+
+def test_sums_past_the_float_range_are_rejected():
+    with pytest.raises(ParameterError, match="total weight must be finite and positive, got inf"):
+        weighted_centroid([[0.0, 0.0], [1.0, 0.0]], [1e308, 1e308])
+    with pytest.raises(ParameterError, match="weighted centroid is past the float range"):
+        weighted_centroid([[1e300, 0.0], [1.0, 0.0]], [1e300, 1.0])
+    # a finite sum, but weight times squared distance overflows in the seeding
+    with pytest.raises(ParameterError, match="weights times squared distances overflow"):
+        weighted_kmeans(WeightedPointSet([[0.0, 0.0], [2.0, 0.0]], [8e307, 8e307]), 2)
 
 
 # ---------------------------------------------------------------------------

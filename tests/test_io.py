@@ -30,7 +30,7 @@ from branchflow import (
     santa_pipeline,
 )
 from branchflow.core import TransportInstance, TransportPlan
-from branchflow.io import _CITY_ALIASES, _CITY_BLOCK, _ROW_BLOCK, normalize_lon, plan_to_json
+from branchflow.io import _CITY_ALIASES, _BLOCK, _CITY_BLOCK, normalize_lon, plan_to_json
 from branchflow.ot import SinkhornConfig, cost_matrix, plan_cost, solve_exact, solve_sinkhorn
 from branchflow.pipeline import geo_embed, synthetic_instance, synthetic_problem
 
@@ -145,7 +145,7 @@ def test_network_json_rejects_what_the_reader_rejects(tree, alpha, cost):
         network_to_json(tree(), alpha, cost)
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, _ROW_BLOCK])
+@pytest.mark.parametrize("block", [1, 2, 3, _BLOCK])
 def test_json_bytes_do_not_depend_on_the_row_block(monkeypatch, block):
     trees = [build_one_to_many(synthetic_problem(seed, n, d), BotParams(alpha=0.5)).tree
              for seed, n, d in [(4, 1, 2), (5, 9, 2), (6, 1, 3), (7, 8, 3)]]
@@ -153,7 +153,7 @@ def test_json_bytes_do_not_depend_on_the_row_block(monkeypatch, block):
     c = cost_matrix(inst)
     plans = [solve_exact(inst, c), solve_sinkhorn(inst, c, SinkhornConfig(reg=0.05)).plan]
     assert np.all(plans[1].gamma > 0)   # Sinkhorn rows are dense
-    monkeypatch.setattr("branchflow.io._ROW_BLOCK", block)
+    monkeypatch.setattr("branchflow.io._BLOCK", block)
     for tree in trees:
         assert network_to_json(tree, 0.5) == per_node_network_json(tree, 0.5)
     for plan in plans:

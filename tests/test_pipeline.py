@@ -62,7 +62,7 @@ def test_single_source_reduces_to_direct_build():
     params = BotParams(alpha=0.4)
     res = solve_network(inst, params)
     assert len(res.trees) == 1
-    assert res.source_index == (0,)
+    assert [i for i, _, _ in res.report.per_source] == [0]
 
     problem = OneToManyProblem(inst.sources[0], inst.targets, inst.q)
     direct = build_one_to_many(problem, params)
@@ -100,8 +100,7 @@ def test_forest_report_is_consistent():
     assert res.report.threshold == 0.0
     assert res.report.sinkhorn_iterations is None
 
-    stars = [s for _, s, _ in res.report.per_source]
-    bots = [b for _, _, b in res.report.per_source]
+    sources, stars, bots = zip(*res.report.per_source)
     assert res.report.star_cost == pytest.approx(sum(stars), rel=1e-12)
     assert res.report.bot_cost == pytest.approx(sum(bots), rel=1e-12)
     assert res.report.bot_cost < res.report.star_cost
@@ -110,7 +109,7 @@ def test_forest_report_is_consistent():
     recomputed = sum(bot_cost(t, 0.25) for t in res.trees)
     assert res.report.bot_cost == pytest.approx(recomputed, rel=1e-12)
 
-    for tree, i in zip(res.trees, res.source_index):
+    for tree, i in zip(res.trees, sources):
         assert validate_tree(tree).ok
         assert np.array_equal(tree.coords[0], inst.sources[i])
         targets = tree.kind == "target"
@@ -118,7 +117,7 @@ def test_forest_report_is_consistent():
 
     # every target's full mass is distributed across the forest
     placed = np.zeros(inst.n_targets)
-    for tree, i in zip(res.trees, res.source_index):
+    for tree, i in zip(res.trees, sources):
         for node in np.flatnonzero(tree.kind == "target"):
             j = int(np.argmin(np.linalg.norm(inst.targets - tree.coords[node], axis=1)))
             placed[j] += tree.area[node]
@@ -377,6 +376,12 @@ def test_hierarchy_checks_the_table_before_any_kmeans(monkeypatch, column, value
     with pytest.raises(ParameterError, match=re.escape(message)):
         santa_pipeline(replace(cities, **{column: bad}))
     assert calls == []
+
+
+def test_hierarchy_rejects_a_total_population_past_the_float_range():
+    cities = CityTable(("a", "b"), ("Z", "Z"), (10.0, -10.0), (20.0, -160.0), (1e308, 1e308))
+    with pytest.raises(ParameterError, match="the total population must be finite"):
+        santa_pipeline(cities)
 
 
 def test_earth_radius_constant():
