@@ -23,9 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    KIND_BRANCH,
-    KIND_SOURCE,
-    KIND_TARGET,
+    KINDS,
     BotParams,
     FlowTree,
     ParameterError,
@@ -33,7 +31,7 @@ from .core import (
     _as_point_array,
     _as_mass_vector,
     _check_alpha,
-    _sourced_tree,
+    _sourced_forest,
 )
 from .seeding import random_direction, substream
 
@@ -290,7 +288,7 @@ def _least_per_tree(tb, *keys):
     return order[first]
 
 
-def _grow_block(trees, nearest_only, post_point):
+def _grow_block(trees, post_point):
     """Build the trees of one block in lockstep, one iteration per step.
 
     ``trees`` are sorted by size, largest first, and share dimension,
@@ -306,7 +304,9 @@ def _grow_block(trees, nearest_only, post_point):
     over the block; each tree's steps and trace are cut from the
     per-step records once the block is done.  The scan widens once: each
     tree's nearest node, then every other node where that does not pay.
-    Returns the number of scans the nearest settled and of widened scans.
+    The block is finalised at once: one gather of the used rows, one
+    ``_sourced_forest`` call and one cumsum for the cost traces.  Returns
+    the number of scans the nearest settled and of widened scans.
     """
     params = trees[0].params
     alpha = params.alpha
@@ -327,6 +327,7 @@ def _grow_block(trees, nearest_only, post_point):
     # distance to the source, the node's direct-edge cost
     wa = np.zeros(total)
     before = np.zeros(total)
+    star = np.zeros(B)   # each star cost, with star_cost's arithmetic
     # the selectable nodes of tree b: flat_ids[b * W:][:m] at positions
     # live[:, b, :m] and at distances rad[b, :m] from the source
     planes = np.full((d + 1, B, W), np.nan)
@@ -347,6 +348,7 @@ def _grow_block(trees, nearest_only, post_point):
         rad[b, :n] = _row_norms(pos[tgt] - pos[o])
         wa[tgt] = area[tgt] ** alpha
         before[tgt] = wa[tgt] * rad[b, :n]
+        star[b] = np.sum(before[tgt])
         live[:, b, :n] = pos[tgt].T
         flat_ids[b * W:b * W + n] = np.arange(o + 1, o + n + 1)
     v0 = pos[offs]
@@ -449,7 +451,7 @@ def _grow_block(trees, nearest_only, post_point):
                 # ring 2, for the trees whose nearest did not pay and that have
                 # another selectable node: every other node, of which the least
                 # (distance, id) improving one
-                if not nearest_only and rings[0][0].size < nscan:
+                if rings[0][0].size < nscan:
                     missed = sizes[:nscan] > step + 2   # a node beyond the nearest
                     missed[rings[0][0]] = False
                     if missed.any():
@@ -478,26 +480,31 @@ def _grow_block(trees, nearest_only, post_point):
                     partner[step, mb] = j
                     gain_at[step, mb] = gains
 
-    for b, t in enumerate(trees):
-        o, n, m = int(offs[b]), t.n, int(count[b])
-        kind = np.empty(m, dtype="U6")
-        kind[0] = KIND_SOURCE
-        kind[1:n + 1] = KIND_TARGET
-        kind[n + 1:] = KIND_BRANCH
-        tree = _sourced_tree(pos[o:o + m], kind, parent[o:o + m], area[o:o + m])
-        # the star cost (star_cost's arithmetic), then the gains taken off
-        # in order, as cumsum adds; -0.0 leaves a retirement's cost as it is
-        star = np.sum(before[o + 1:o + n + 1])
-        cost = np.cumsum(np.concatenate(([star], -gain_at[:n, b])))
-        merged = partner[:n, b] > o   # a partner's flat id is above its source's
-        steps = (picked[:n, b] - o, np.where(merged, partner[:n, b] - o, -1),
-                 np.where(merged, n + np.cumsum(merged), -1), gain_at[:n, b].copy(), cost[1:])
-        trace = np.concatenate((cost[:1], cost[1:][merged]))
-        t.result = BuildResult(tree, trace, steps, int(evals[b]), t.eps)
+    # every tree's used rows and kinds, gathered once: local id 0 is the
+    # source, 1..n the targets, the rest branch nodes
+    local = np.arange(total) - np.repeat(offs, caps)
+    used = local < np.repeat(count, caps)
+    kind = np.array(KINDS)[np.where(local > np.repeat(sizes, caps), 2, local > 0)[used]]
+    coords = np.split(pos[used], np.cumsum(count)[:-1])
+    built = _sourced_forest(coords, kind, parent[used], area[used])
+    # per tree: the star cost, then the gains taken off in order, as cumsum
+    # adds; -0.0 leaves a retirement's cost as it is
+    cost = np.cumsum(np.vstack((star, -gain_at)), axis=0).T.copy()
+    # each tree's steps in a row, with ids local to the tree
+    picked, partner = (np.ascontiguousarray(a.T) - offs[:, None] for a in (picked, partner))
+    merged = partner > 0   # a merge partner's id is above its source's
+    steps = (picked, np.where(merged, partner, -1),
+             np.where(merged, sizes[:, None] + np.cumsum(merged, axis=1), -1),
+             np.ascontiguousarray(gain_at.T), cost[:, 1:])
+    traces = np.split(cost[np.column_stack((np.ones(B, dtype=bool), merged))],
+                      np.cumsum(count - sizes)[:-1])
+    for b, (t, tree, trace) in enumerate(zip(trees, built, traces)):
+        t.result = BuildResult(tree, trace, tuple(col[b, :t.n] for col in steps),
+                               int(evals[b]), t.eps)
     return settled, widened
 
 
-def _grow(problems, params, eps, nearest_only, post_point):
+def _grow(problems, params, eps, post_point):
     """Build every problem's tree; returns the results in input order and
     the counts of the lockstep run."""
     problems = list(problems)
@@ -521,7 +528,7 @@ def _grow(problems, params, eps, nearest_only, post_point):
         while start < len(group):
             width = group[start].n
             block = group[start:start + max(1, _BLOCK_CELLS // width)]
-            settled, widened = _grow_block(block, nearest_only, post_point)
+            settled, widened = _grow_block(block, post_point)
             counts["settled"] += settled
             counts["widened"] += widened
             counts["scans"] += sum(t.n for t in block) - len(block)
@@ -545,7 +552,6 @@ def build_forest(
     params,
     *,
     eps=None,
-    nearest_only: bool = False,
     post_point=None,
 ) -> list[BuildResult]:
     """Grow one branched flow tree per problem, all trees in lockstep.
@@ -573,13 +579,15 @@ def build_forest(
     of each tree's nearest node (the lower id on ties) and the merge
     bookkeeping, each as one numpy pass over the block; only the trees
     whose nearest does not pay go on to evaluate all their other nodes.
-    ``post_point`` sees the candidates of several trees at once, so it
-    must act row by row.  One DEBUG line per call on this module's
+    Each block's trees are then checked together, once, in whole-array
+    passes, and a tree that fails raises its FlowTree construction's
+    error.  ``post_point`` sees the candidates of several trees at once,
+    so it must act row by row.  One DEBUG line per call on this module's
     logger gives the trees, blocks, lockstep steps, padded cells, the
     tree scans settled by a merge with the nearest, and widened scans,
     after each tree's own ``build_one_to_many`` line.
     """
-    results, c = _grow(problems, params, eps, nearest_only, post_point)
+    results, c = _grow(problems, params, eps, post_point)
     _log.debug(
         "build_forest: %d trees in %d blocks, %d lockstep steps, %d padded cells, "
         "%d of %d tree scans settled by the nearest, %d widened scans",
@@ -594,7 +602,6 @@ def build_one_to_many(
     params: BotParams,
     *,
     eps: np.ndarray | None = None,
-    nearest_only: bool = False,
     post_point=None,
 ) -> BuildResult:
     """Grow a branched flow tree over one source and its targets.
@@ -608,11 +615,10 @@ def build_one_to_many(
     per retirement.
 
     ``eps`` overrides the frozen shift vector (otherwise drawn once from
-    ``params.seed`` when ``params.shift_norm > 0``); ``nearest_only``
-    restricts the scan to the single nearest neighbor; ``post_point``
-    maps candidate branch points (an (n, dim) array, a subset of the
-    neighbors) before they are evaluated, e.g. to re-project them onto a
-    sphere.  It must act row by row, and sees only the candidates the
+    ``params.seed`` when ``params.shift_norm > 0``); ``post_point`` maps
+    candidate branch points (an (n, dim) array, a subset of the
+    neighbors) before they are evaluated, e.g. to re-project them onto
+    a sphere.  It must act row by row, and sees only the candidates the
     scan reaches.
     """
-    return _grow([problem], [params], [eps], nearest_only, post_point)[0][0]
+    return _grow([problem], [params], [eps], post_point)[0][0]

@@ -28,8 +28,8 @@ from .core import (
     bot_cost,
 )
 from .io import (
+    _read_networks,
     load_cities_csv,
-    network_from_json,
     network_to_json,
     plan_to_json,
     sample_cities_path,
@@ -238,16 +238,15 @@ def _load_forest(path: Path):
     else:
         raise InputError(f"{path} does not exist")
 
-    trees, levels = [], []
-    for k, (file, level) in enumerate(entries):
-        try:
-            text = file.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {file}: {exc}") from None
-        doc = network_from_json(text)
-        trees.append(doc.tree)
-        levels.append(level if level is not None else k)
-    return trees, levels
+    def texts():
+        for file, _ in entries:
+            try:
+                yield file.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"cannot read {file}: {exc}") from None
+
+    levels = [k if level is None else level for k, (_, level) in enumerate(entries)]
+    return [doc.tree for doc in _read_networks(texts())], levels
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

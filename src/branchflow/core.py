@@ -213,7 +213,10 @@ class FlowTree:
     conservation rule: its area equals the sum of its children's areas.
 
     Every instance is valid: construction runs validate_tree and raises
-    StructuralError, carrying the report, on any violation.
+    StructuralError, carrying the report, on any violation.  The builder
+    and the forest loader check a whole forest at once instead
+    (``_sourced_forest``), and make the trees that pass without a
+    second check.
     """
 
     coords: np.ndarray
@@ -328,6 +331,43 @@ class ValidationReport:
         return "; ".join(v.message for v in self.violations)
 
 
+def _forest_links(parent: np.ndarray, starts: np.ndarray) -> tuple:
+    """Each node's parent as a forest-wide id, -1 where its local id lies
+    outside its tree, and the children grouped by that (``_child_groups``)."""
+    sizes = np.diff(starts)
+    inside = (parent >= 0) & (parent < np.repeat(sizes, sizes))
+    up = np.where(inside, parent + np.repeat(starts[:-1], sizes), -1)
+    return (up, *_child_groups(up))
+
+
+def _check_forest(kind, parent, area, starts, links=None) -> tuple:
+    """The node rules of validate_tree, as whole-array passes over a forest.
+
+    Tree t holds nodes ``starts[t]:starts[t + 1]`` of the flat arrays, its
+    parent ids local to it; ``links`` is ``_forest_links`` if the caller
+    has it.  Returns the per-node masks in validate_tree's order (bad
+    kind, source with a parent, orphan or own parent, on or leading into a
+    cycle, nonpositive area, target with children, unbalanced), then each
+    node's outflow and each tree's source count.
+    """
+    n = kind.shape[0]
+    up, kids, bounds = _forest_links(parent, starts) if links is None else links
+    is_source, is_target, is_branch = (kind == k for k in KINDS)
+    # Pointer doubling: after k rounds hop[i] is 2**k parents up from i, or
+    # n once i's chain has ended, which a chain does within n steps if ever.
+    hop = np.append(np.where(up >= 0, up, n), n)
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    outflow = _outflow(area, kids, bounds)
+    with np.errstate(invalid="ignore"):   # inf - inf: FlowTree rejects an inf area
+        unbalanced = (is_source | is_branch) & (
+            np.abs(area - outflow) > CONSERVATION_RTOL * np.maximum(1.0, np.abs(area)))
+    return (~(is_source | is_target | is_branch), is_source & (parent != -1),
+            ~is_source & ((up < 0) | (up == np.arange(n))), hop[:n] < n,
+            ~is_source & ~(area > 0), is_target & (bounds[1:] > bounds[:-1]), unbalanced,
+            outflow, np.diff(np.searchsorted(np.flatnonzero(is_source), starts)))
+
+
 def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) -> ValidationReport:
     """Check a flow tree against the node balance rules.
 
@@ -337,43 +377,38 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
     ``demands`` maps target ids to their assigned areas, those are checked
     too.  Diagnostics are returned, never raised.
 
-    FlowTree construction already runs this check; call it directly to
-    check ``demands``.  Each check is a whole-array pass; apart from the
-    log2(n) pointer-doubling rounds, Python loops run only per violation,
+    FlowTree construction already runs this check, and the builder and
+    the forest loader run it once over a whole forest; call it directly
+    to check ``demands``.  The rules are ``_check_forest``'s whole-array
+    passes over a forest of one; Python loops run only per violation,
     per node on or leading into a cycle, and per ``demands`` entry.
     """
     v: list[Violation] = []
     n = tree.n_nodes
     kind, parent, area = tree.kind, tree.parent, tree.area
-    is_source, is_target, is_branch = (kind == k for k in KINDS)
-    nonsource = ~is_source
+    (bad_kind, source_parent, orphan, cyclic, nonpositive, fed, unbalanced, outflow,
+     _) = _check_forest(kind, parent, area, np.array([0, n]))
 
-    for i in np.flatnonzero(~(is_source | is_target | is_branch)):
+    for i in np.flatnonzero(bad_kind):
         v.append(Violation("bad-kind", (int(i),), None, f"node {i} has unknown kind {kind[i]!r}"))
-    src = np.flatnonzero(is_source)
+    src = np.flatnonzero(kind == KIND_SOURCE)
     if src.size != 1:
         v.append(Violation("source-count", tuple(src.tolist()), None,
                            f"expected exactly one source node, found {src.size}"))
-    for s in src[parent[src] != -1]:
+    for s in np.flatnonzero(source_parent):
         v.append(Violation("source-parent", (int(s),), None,
                            f"source node {s} must not have a parent"))
 
-    linked = (parent >= 0) & (parent < n)
-    for i in np.flatnonzero(nonsource & (~linked | (parent == np.arange(n)))):
-        if linked[i]:
+    for i in np.flatnonzero(orphan):
+        if parent[i] == i:
             v.append(Violation("cycle", (int(i),), None, f"node {i} is its own parent"))
         else:
             v.append(Violation("orphan", (int(i),), None, f"node {i} has no valid parent"))
 
-    # Pointer doubling: after k rounds hop[i] is 2**k parents up from i, or
-    # n once i's chain has ended, which a chain does within n steps if ever.
-    hop = np.append(np.where(linked, parent, n), n)
-    for _ in range(n.bit_length()):
-        hop = hop[hop]
     # Walk the endless chains in id order; a walk that runs back into
     # itself names a new cycle, from the node where it entered it.
     walk_of: dict[int, int] = {}
-    for start in np.flatnonzero(hop[:n] < n).tolist():
+    for start in np.flatnonzero(cyclic).tolist():
         chain, node = [], start
         while node not in walk_of:
             walk_of[node] = start
@@ -383,22 +418,17 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
             cyc = chain[chain.index(node):]
             v.append(Violation("cycle", tuple(cyc), None, f"nodes {cyc} form a cycle"))
 
-    for i in np.flatnonzero(nonsource & ~(area > 0)):
+    for i in np.flatnonzero(nonpositive):
         v.append(Violation("nonpositive-area", (int(i),), float(area[i]),
                            f"node {i} carries nonpositive area {area[i]}"))
 
-    kids, bounds = _child_groups(parent)
-    outflow = _outflow(area, kids, bounds)
-    residual = area - outflow
-    fed = is_target & (bounds[1:] > bounds[:-1])
-    tol = CONSERVATION_RTOL * np.maximum(1.0, np.abs(area))
-    for i in np.flatnonzero(fed | (is_source | is_branch) & (np.abs(residual) > tol)):
+    for i in np.flatnonzero(fed | unbalanced):
         if fed[i]:
-            ks = kids[bounds[i]:bounds[i + 1]].tolist()
+            ks = np.flatnonzero(parent == i).tolist()
             v.append(Violation("target-not-leaf", (int(i), *ks), None,
                                f"target node {i} has children {ks}"))
         else:
-            r = float(residual[i])
+            r = float(area[i] - outflow[i])
             v.append(Violation("conservation", (int(i),), r, f"node {i} carries {area[i]} "
                                f"but sends {float(outflow[i])} (residual {r:.3g})"))
 
@@ -413,13 +443,46 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
     return ValidationReport(tuple(v))
 
 
-def _sourced_tree(coords, kind: np.ndarray, parent: np.ndarray, area: np.ndarray) -> FlowTree:
-    """The FlowTree with each source row of ``area`` set, in place and in id
-    order (a source may feed another), to that source's outflow."""
-    groups = _child_groups(parent)
-    for s in np.flatnonzero(kind == KIND_SOURCE):
-        area[s] = _outflow(area, *groups)[s]
-    return FlowTree(coords, kind, parent, area)
+def _checked_tree(coords, kind, parent, area) -> FlowTree:
+    """A FlowTree of frozen arrays that the forest check passed, made without a second check."""
+    tree = object.__new__(FlowTree)
+    vars(tree).update(coords=coords, kind=kind, parent=parent, area=area)
+    return tree
+
+
+def _sourced_forest(coords: list, kind: np.ndarray, parent: np.ndarray,
+                    area: np.ndarray) -> list[FlowTree]:
+    """The FlowTrees of a forest: tree t has the float coordinates
+    ``coords[t]`` and, in order, its rows of the flat str ``kind``, int64
+    ``parent`` (ids local to the tree) and float ``area``.
+
+    One grouping sets each source row of ``area``, in place and in id
+    order (a source may feed another), to its outflow, and then feeds one
+    check of the frozen arrays.  A tree that passes every check of
+    FlowTree is made from slices of them; the first that fails, in input
+    order, is built by FlowTree itself, which raises its error.
+    """
+    if not coords:
+        return []
+    starts = np.cumsum([0] + [len(c) for c in coords])
+    links = _forest_links(parent, starts)
+    src = np.flatnonzero(kind == KIND_SOURCE)
+    while src.size:   # each tree's first source not yet set, in all trees at once
+        first = src[np.unique(np.searchsorted(starts, src, "right"), return_index=True)[1]]
+        area[first] = _outflow(area, *links[1:])[first]
+        src = np.setdiff1d(src, first, assume_unique=True)
+    for a in (kind, parent, area, *coords):
+        _freeze(a)
+
+    *masks, _, n_sources = _check_forest(kind, parent, area, starts, links)
+    ok = (n_sources == 1) & [c.ndim == 2 and c.shape[1] in (2, 3) for c in coords]
+    bad = np.flatnonzero(np.logical_or.reduce(masks) | ~np.isfinite(area))
+    ok[np.searchsorted(starts, bad, "right") - 1] = False
+    bad = np.flatnonzero(~np.isfinite(np.concatenate([c.reshape(-1) for c in coords])))
+    ok[np.searchsorted(np.cumsum([c.size for c in coords]), bad, "right")] = False
+    bounds = starts.tolist()
+    return [(_checked_tree if good else FlowTree)(c, kind[a:b], parent[a:b], area[a:b])
+            for c, good, a, b in zip(coords, ok.tolist(), bounds, bounds[1:])]
 
 
 def bot_cost(tree: FlowTree, alpha: float) -> float:

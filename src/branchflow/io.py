@@ -37,7 +37,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _check_alpha,
-    _sourced_tree,
+    _sourced_forest,
     bot_cost,
     validate_tree,  # noqa: F401  (bench/test_bench.py reads this binding)
 )
@@ -112,13 +112,9 @@ def _as_number(value, message) -> float:
     return float(value)
 
 
-def network_from_json(text: str) -> NetworkDocument:
-    """Parse network JSON back into a flow tree.
-
-    Malformed documents raise InputError; well-formed documents that do
-    not describe a valid single-source tree raise StructuralError, from
-    the FlowTree construction that validates them.
-    """
+def _parse_network(text: str) -> tuple:
+    """A network JSON document's (coords, kind, parent, area, alpha, cost),
+    before the structural check; a node with no incoming edge has area 0."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
@@ -183,9 +179,33 @@ def network_from_json(text: str) -> NetworkDocument:
             raise InputError(f"edge into {dst} needs a finite area")
         area[dst] = a
 
-    tree = _sourced_tree(np.array(rows, dtype=float), np.array(kind),
-                         np.array(parent, dtype=np.int64), np.array(area, dtype=float))
-    return NetworkDocument(tree, alpha, cost)
+    return (np.array(rows, dtype=float), np.array(kind), np.array(parent, dtype=np.int64),
+            np.array(area, dtype=float), alpha, cost)
+
+
+def _read_networks(texts) -> list[NetworkDocument]:
+    """The documents of network JSON texts, their trees checked as one
+    forest (``_sourced_forest``).  When a text fails to read or parse, the
+    trees before it are checked first, so the first bad text decides the error."""
+    parsed = []
+    try:
+        for text in texts:
+            parsed.append(_parse_network(text))
+    finally:
+        if parsed:
+            coords, kind, parent, area, alpha, cost = zip(*parsed)
+            trees = _sourced_forest(list(coords), *map(np.concatenate, (kind, parent, area)))
+    return list(map(NetworkDocument, trees, alpha, cost)) if parsed else []
+
+
+def network_from_json(text: str) -> NetworkDocument:
+    """Parse network JSON back into a flow tree.
+
+    Malformed documents raise InputError; well-formed documents that do
+    not describe a valid single-source tree raise StructuralError, from
+    the FlowTree construction that validates them.
+    """
+    return _read_networks([text])[0]
 
 
 def plan_to_json(instance: TransportInstance, plan: TransportPlan, cost: float) -> str:

@@ -319,9 +319,20 @@ class HierarchicalNetwork:
         return 1 + len(self.country_trees) + sum(len(t) for t in self.regional_trees)
 
 
-def _country_stage(xyz, pops, city_idx, seed_base, country):
+def _shares(pops, total, name):
+    """``pops / total``; a share that underflows to 0 raises ParameterError,
+    with ``name(i)`` naming the first such entry i."""
+    shares = pops / total
+    if not shares.all():
+        raise ParameterError(f"the population share of {name(int(np.argmin(shares)))} "
+                             "underflows to 0")
+    return shares
+
+
+def _country_stage(xyz, pops, city_idx, seed_base, country, names):
     """National center, regional centers, and the tree problems of one
-    country: its country tree first, then one per region, each labelled."""
+    country: its country tree first, then one per region, each labelled.
+    ``names`` holds every city's name."""
     pts = xyz[city_idx]
     w = pops[city_idx]
     center = to_sphere(weighted_centroid(pts, w)[None, :])[0]
@@ -335,14 +346,18 @@ def _country_stage(xyz, pops, city_idx, seed_base, country):
     region_pops = _outflow(w, kids, bounds)[:k]
     country_pop = float(w.sum())
 
+    def city(i):   # the city of row i of pts, for a message
+        return f"city {names[city_idx[i]]!r} in {country!r}"
+
     # country tree: national center feeding the regional centers
-    region_shares = region_pops / country_pop
+    region_shares = _shares(region_pops, country_pop,
+                            lambda r: f"the region of {city(kids[bounds[r]])}")
     problems = [(f"country/{country}", OneToManyProblem(center, centers, region_shares))]
     members = []
     for r in range(k):
         idx = kids[bounds[r]:bounds[r + 1]]
         members.append(tuple(city_idx[idx].tolist()))
-        areas = w[idx] / region_pops[r]
+        areas = _shares(w[idx], region_pops[r], lambda j: city(idx[j]))
         problems.append((f"region/{country}/{r}", OneToManyProblem(centers[r], pts[idx], areas)))
     return center, country_pop, problems, tuple(members)
 
@@ -386,10 +401,10 @@ def santa_pipeline(
 
     seed_base = params.seed
     centers, country_pops, problems, members = zip(*[
-        _country_stage(xyz, pops, kids[bounds[c]:bounds[c + 1]], seed_base, name)
+        _country_stage(xyz, pops, kids[bounds[c]:bounds[c + 1]], seed_base, name, cities.name)
         for c, name in enumerate(countries)])
     country_pops = np.array(country_pops)
-    shares = country_pops / country_pops.sum()
+    shares = _shares(country_pops, country_pops.sum(), lambda c: f"country {countries[c]!r}")
 
     labelled = [lp for ps in problems for lp in ps]
     labelled.append(("global", OneToManyProblem(pole_xyz, np.array(centers), shares)))

@@ -453,7 +453,7 @@ def _gains(v_k, v_i, v_js, s_i, s_js, alpha, zs):
     return before - after
 
 
-def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point=None):
+def full_scan_build(problem, params, *, eps=None, post_point=None):
     """The greedy/tabu builder with a full candidate scan per iteration.
 
     Every iteration recomputes the distance of every selectable node to
@@ -508,8 +508,6 @@ def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point
             gains = _gains(v0, pos[i], pos[cand], s_i, s_js, alpha, zs)
             evals += cand.size
             order = np.argsort(np.linalg.norm(pos[cand] - pos[i], axis=1), kind="stable")
-            if nearest_only:
-                order = order[:1]
             improving = gains[order] > GAIN_TOL
             if improving.any():
                 hit = int(np.argmax(improving))
@@ -546,9 +544,16 @@ def full_scan_build(problem, params, *, eps=None, nearest_only=False, post_point
 
 
 def per_point_geo_project(point):
-    """(lat, lon) degrees of one 3-D point pushed onto the unit sphere."""
+    """(lat, lon) degrees of one 3-D point pushed onto the unit sphere.
+
+    A point whose squared norm underflows to 0, although a coordinate is
+    not 0, is first divided by its largest absolute coordinate.
+    """
     p = np.asarray(point, dtype=float).reshape(3)
     norm = float(np.linalg.norm(p))
+    if norm == 0 and np.any(p != 0):
+        p = p / np.abs(p).max()
+        norm = float(np.linalg.norm(p, axis=-1))
     if not norm > 0:
         raise ParameterError("cannot project the sphere center")
     x, y, z = p / norm

@@ -399,31 +399,6 @@ def test_build_near_1e150_is_the_unit_build_scaled():
     assert np.all(np.isfinite(big.trace)) and np.all(np.diff(big.trace) < 0)
 
 
-def test_build_nearest_only_variant():
-    problem = random_problem(20, 40)
-    result = build_one_to_many(problem, BotParams(alpha=0.5), nearest_only=True)
-    assert validate_tree(result.tree).ok
-    assert result.trace[-1] <= result.trace[0]
-    assert len(result.events) <= 2 * problem.n_targets
-    assert np.all(np.diff(result.trace) < 0)
-    # every merge partner is the picked node's nearest selectable neighbor
-    # at merge time (lower id on ties), which the full scan does not promise
-    coords = result.tree.coords
-    selectable = set(range(1, problem.n_targets + 1))
-    merges = 0
-    for ev in result.events:
-        selectable.remove(ev.picked)
-        if ev.partner is not None:
-            others = sorted(selectable)
-            dist = np.linalg.norm(coords[others] - coords[ev.picked], axis=1)
-            assert ev.partner == others[int(np.argmin(dist))]
-            selectable.remove(ev.partner)
-            selectable.add(ev.branch)
-            merges += 1
-    assert not selectable
-    assert merges > 0
-
-
 def test_build_post_point_hook_constrains_branches():
     problem = random_problem(21, 30)
 
@@ -491,9 +466,6 @@ def pinned_build(name):
     if name == "shift-4000":
         params = BotParams(shift_norm=0.01, seed=2)
         return [build_one_to_many(synthetic_problem(2, 4000), params)], 0.5
-    if name == "nearest-only-4000":
-        params = BotParams(alpha=0.5, seed=3)
-        return [build_one_to_many(synthetic_problem(3, 4000), params, nearest_only=True)], 0.5
     if name == "interp-4000-alpha-0.95":
         return [build_one_to_many(synthetic_problem(5, 4000), BotParams(alpha=0.95, seed=5))], 0.95
     if name == "interp-3d-1000":
@@ -521,7 +493,6 @@ def pinned_build(name):
     ("interp-4000", "f38363729929a16c21c9b1cf39f1c2dade107c9438f8f25020b34a446d98d77e"),
     ("power-4000", "a54a5fb929d771c94ee0dc22d692b519c0d1d2a577fb08d5748a483d97b44d0d"),
     ("shift-4000", "6cb9d7f7b2692fea29a12a62e627616c92e9008cd16fd26da5d6cc063470ecda"),
-    ("nearest-only-4000", "3746805315b26ef1ea807a9b4ab0ef45c4c2707ab84b8e4c522b28734f5151b0"),
     ("interp-4000-alpha-0.95", "f7e020268972e83a356e665c3c3748aa606a28a2d903c1aa5d769918773e90ff"),
     ("interp-3d-1000", "6e84f49205b72d2472fb792fb6073d97e2bd4334c3225c1f7a8ac5f333d28959"),
     ("grid-interp", "915e9e9096f0a4f9fe1194c16d8de0a82f2ab1cc906ee40367efb8b6719f1d1a"),
@@ -579,7 +550,7 @@ def small_builds(draw):
         shift_norm=draw(st.sampled_from([0.0, 0.05])),
         seed=draw(st.integers(0, 99)),
     )
-    options = {"nearest_only": draw(st.booleans())}
+    options = {}
     if draw(st.booleans()):
         options["post_point"] = flatten_last_axis
     return OneToManyProblem(source, targets, areas), params, options
@@ -718,7 +689,7 @@ def forests(draw):
         params.append(BotParams(alpha=own["alpha"], formula=own["formula"],
                                 shift_norm=own["shift_norm"], seed=draw(st.integers(0, 99))))
         eps.append(rng.normal(0.0, 0.05, d) if draw(st.integers(0, 4)) == 0 else None)
-    options = {"nearest_only": draw(st.booleans())}
+    options = {}
     if draw(st.booleans()):
         options["post_point"] = flatten_last_axis
     block_cells = draw(st.sampled_from([branching._BLOCK_CELLS, 64, 1]))

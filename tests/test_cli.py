@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchflow.core
 from branchflow import FlowTree, cli, geo_embed, network_to_json, render_geojson, render_svg
 from branchflow.cli import build_parser, main
 from branchflow.io import network_from_json
@@ -191,6 +192,12 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
         (["santa", "--cities", "{tmp}/huge.csv"], 2, "the total population must be finite"),
         (["santa", "--cities", "{tmp}/far.csv"], 2,
          "weights times squared distances overflow the float range"),
+        (["santa", "--cities", "{tmp}/tiny-city.csv"], 2,
+         "the population share of city 'B' in 'X' underflows to 0"),
+        (["santa", "--cities", "{tmp}/tiny-region.csv"], 2,
+         "the population share of the region of city 'B' in 'X' underflows to 0"),
+        (["santa", "--cities", "{tmp}/tiny-country.csv"], 2,
+         "the population share of country 'Y' underflows to 0"),
     ],
     ids=["parameter", "nan-parameter", "input", "convergence", "ot-subnormal-lambda",
          "net-subnormal-lambda", "structural", "os",
@@ -199,7 +206,8 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
          "latin1-tree", "latin1-manifest", "net-threshold-exact", "net-threshold-sinkhorn",
          "svg-box-overflow", "source-outflow-overflow", "branch-outflow-overflow",
          "deep-tree", "deep-manifest", "ot-huge-count", "ot-unallocatable-count",
-         "huge-total-population", "kmeans-overflow"],
+         "huge-total-population", "kmeans-overflow", "tiny-city-share", "tiny-region-share",
+         "tiny-country-share"],
 )
 def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
     write_dangling_branch(tmp_path / "bad.json")
@@ -229,6 +237,12 @@ def test_errors_map_to_exit_codes(tmp_path, capsys, argv, code, message):
                                        encoding="utf-8")
     (tmp_path / "far.csv").write_text(header + "A,X,10,20,8e307\nB,X,-10,-160,8e307\n",
                                       encoding="utf-8")
+    # a population share that underflows to 0: of a city in its region, of a
+    # region in its country, of a country in the world
+    for name, rows in [("tiny-city", "A,X,10,20,8e307\nB,X,10.001,20,1e-320\nC,X,-10,-160,1\n"),
+                       ("tiny-region", "A,X,10,20,8e307\nB,X,-10,-160,1e-320\n"),
+                       ("tiny-country", "A,X,10,20,8e307\nB,Y,-10,-160,1e-320\n")]:
+        (tmp_path / f"{name}.csv").write_text(header + rows, encoding="utf-8")
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(tmp=tmp_path))
@@ -387,6 +401,45 @@ def test_render_bad_second_tree_of_a_forest_exits_two(tmp_path, capsys, output, 
     assert main(["render", str(tmp_path), output, str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("files, code, message", [
+    ({1: "structural", 3: "malformed"}, 4, "invalid flow tree: node 1 carries 0.5 but sends 0.0"),
+    ({1: "malformed", 3: "structural"}, 2, "not valid JSON: Expecting property name"),
+], ids=["structural-first", "malformed-first"])
+def test_render_reports_the_first_bad_file_of_a_directory(tmp_path, capsys, files, code, message):
+    """Reading stops at a file that does not parse, but the trees before it
+    are checked first, so the first bad file in order decides the error."""
+    for k in range(5):
+        path = tmp_path / f"tree_{k:04d}.json"
+        if files.get(k) == "structural":
+            write_dangling_branch(path)
+        elif files.get(k) == "malformed":
+            path.write_text("{", encoding="utf-8")
+        else:
+            write_network(path, ["source", "target"], [[0.0, 0.0], [1.0, 0.0]], [(0, 1, 1.0)])
+    assert main(["render", str(tmp_path), "--svg", str(tmp_path / "out.svg")]) == code
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_load_forest_checks_a_mixed_planar_and_sphere_directory_at_once(tmp_path, monkeypatch):
+    for k, tree in enumerate(forest("mixed")):
+        (tmp_path / f"tree_{k:04d}.json").write_text(network_to_json(tree, 0.5), encoding="utf-8")
+    check = branchflow.core._check_forest
+    checked = []
+    monkeypatch.setattr(branchflow.core, "_check_forest",
+                        lambda kind, *args: checked.append(kind.size) or check(kind, *args))
+    trees, levels = cli._load_forest(tmp_path)
+    assert checked == [sum(t.n_nodes for t in trees)] and levels == [0, 1, 2, 3]
+    monkeypatch.undo()
+    assert [t.dim for t in trees] == [3, 2, 3, 2]
+    for tree, path in zip(trees, sorted(tmp_path.iterdir())):
+        want = network_from_json(path.read_text(encoding="utf-8")).tree
+        for name in ("coords", "kind", "parent", "area"):
+            a, b = getattr(tree, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
 
 
 def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, capsys,

@@ -36,6 +36,7 @@ from branchflow import (
     validate_tree,
     weighted_kmeans,
 )
+from branchflow.core import _sourced_forest
 from oracles import per_node_children, per_node_validate_tree
 
 
@@ -371,6 +372,66 @@ def test_validate_tree_matches_per_node_reference_on_santa_trees():
         # the parser sums the source's outflow as the builder does
         doc = network_from_json(network_to_json(tree, 0.5))
         assert doc.tree.area.tobytes() == tree.area.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# whole-forest finalisation against one tree at a time
+
+
+def sourced_alone(coords, kind, parent, area):
+    """One tree finalised alone: each source row, in id order, set to its
+    outflow (the sum of its children's areas, in id order), then FlowTree.
+    Returns the tree, or the error FlowTree raised."""
+    area = np.array(area, dtype=float)
+    kids = per_node_children(SimpleNamespace(n_nodes=len(kind), parent=parent))
+    for s in np.flatnonzero(np.array(kind) == "source"):
+        with np.errstate(over="ignore"):   # FlowTree rejects an inf outflow
+            area[s] = area[kids[s]].sum()
+    try:
+        return FlowTree(coords, kind, parent, area)
+    except (ParameterError, StructuralError) as exc:
+        return exc
+
+
+@st.composite
+def raw_forests(draw):
+    """A few of the raw_trees draws, valid and invalid, of both dimensions;
+    now and then a tree whose source outflow overflows to inf."""
+    forest = [raw[:4] for raw in draw(st.lists(raw_trees(), min_size=1, max_size=4))]
+    if draw(st.integers(0, 4)) == 0:
+        overflow = ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["source", "target", "target"],
+                    np.array([-1, 0, 0]), np.array([0.0, 1e308, 1e308]))
+        forest.insert(draw(st.integers(0, len(forest))), overflow)
+    return forest
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(raw_forests())
+def test_sourced_forest_matches_one_tree_at_a_time(forest):
+    want = [sourced_alone(*tree) for tree in forest]
+    coords = [np.array(c, dtype=float) for c, _, _, _ in forest]
+    kind, parent, area = (np.concatenate([np.array(tree[i]) for tree in forest]) for i in (1, 2, 3))
+    errors = [w for w in want if isinstance(w, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0])) as info:
+            _sourced_forest(coords, kind, parent, area.astype(float))
+        assert str(info.value) == str(errors[0])
+        if isinstance(errors[0], StructuralError):
+            assert report_bits(info.value.report) == report_bits(errors[0].report)
+        return
+    got = _sourced_forest(coords, kind, parent, area.astype(float))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is FlowTree
+        for name in ("coords", "kind", "parent", "area"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+
+
+def test_sourced_forest_of_no_trees_is_empty():
+    assert _sourced_forest([], np.array([], dtype=str), np.array([], dtype=np.int64),
+                           np.array([])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -190,21 +190,25 @@ def test_dual_shifted_trees_share_leaves_but_not_branches():
 
 
 def test_each_tree_is_validated_once(monkeypatch):
-    original = branchflow.core.validate_tree
-    seen = []
+    """Every node of every tree is checked exactly once, by the builder's
+    whole-forest check; serializing and costing a tree check nothing."""
+    original = branchflow.core._check_forest
+    checked = []
 
-    def counting(tree, demands=None):
-        seen.append(id(tree))
-        return original(tree, demands)
+    def recording(kind, parent, area, starts, links=None):
+        checked.append(parent)
+        return original(kind, parent, area, starts, links)
 
-    monkeypatch.setattr(branchflow.core, "validate_tree", counting)
+    monkeypatch.setattr(branchflow.core, "_check_forest", recording)
     result = solve_network(random_instance(4, 3, 30), BotParams(alpha=0.25, seed=4))
     for tree in result.trees:
         network_to_json(tree, 0.25)
         bot_cost(tree, 0.25)
-    # one check per tree, made when the builder constructs it
     assert len(result.trees) == 3
-    assert sorted(seen) == sorted(id(tree) for tree in result.trees)
+    # each tree's nodes lie in one checked forest, and no other node was checked
+    assert sum(parent.size for parent in checked) == sum(t.n_nodes for t in result.trees)
+    for tree in result.trees:
+        assert [np.shares_memory(parent, tree.parent) for parent in checked].count(True) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchflow import (
     BotParams,
@@ -324,6 +324,8 @@ def test_batched_projection_matches_per_point_bitwise(pts):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(sphere_points(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, _BLOCK]))
+@example(pts=np.array([[-1.0, -1e-300, 0.0], [-1.0, -1e-300, 0.0], [1.0, 0.0, 0.0]]), seed=0,
+         block=1)
 def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed, block):
     """Each edge keeps its point count and its [lon, lat] bits, zero-length
     edges, antipodes and rescaled copies of one direction included, at
