@@ -166,6 +166,17 @@ def _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs):
     return before_i + before_j - (w_m * r_z + w_i * r_i + w_j * r_j), r_z
 
 
+def _squared_distance(a, b):
+    """Squared distance of two points given as lists, summed in coordinate
+    order: numpy's reduce adds fewer than 8 terms in that order too, so the
+    root carries the bits of ``_row_norms``."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        t = x - y
+        acc += t * t
+    return acc
+
+
 def _check_branch_args(s_i, s_j, alpha):
     if not (0 < s_i < math.inf and 0 < s_j < math.inf):
         raise ParameterError("sectional areas must be finite and strictly positive")
@@ -216,6 +227,8 @@ def branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha, eps, delta) -> np.ndarr
     eps = np.asarray(eps, dtype=float)
     if eps.shape != z.shape:
         raise ParameterError("eps must have the same dimension as the points")
+    if not np.isfinite(eps).all():
+        raise ParameterError("eps must be finite")
     return z + eps / (float(s_i) + float(s_j) + float(delta))
 
 
@@ -269,6 +282,8 @@ class _Tree:
             eps = np.asarray(eps, dtype=float)
             if eps.shape != (d,):
                 raise ParameterError("eps must have the same dimension as the points")
+            if not np.isfinite(eps).all():
+                raise ParameterError("eps must be finite")
             if not 0 < params.shift_delta < np.inf:
                 raise ParameterError("shift_delta must be finite and positive for a shift")
         self.problem = problem
@@ -304,9 +319,14 @@ def _grow_block(trees, post_point):
     over the block; each tree's steps and trace are cut from the
     per-step records once the block is done.  The scan widens once: each
     tree's nearest node, then every other node where that does not pay.
-    The block is finalised at once: one gather of the used rows, one
-    ``_sourced_forest`` call and one cumsum for the cost traces.  Returns
-    the number of scans the nearest settled and of widened scans.
+    A step where one tree scans shares numpy's per-call cost with no
+    other, so its nearest node is evaluated on Python floats and its
+    merge indexes single cells (``scan_one``); the merged area's power
+    stays a numpy array power, which differs from Python's ``**`` in the
+    last bit on a few percent of inputs.  The block is finalised at once:
+    one gather of the used rows, one ``_sourced_forest`` call and one
+    cumsum for the cost traces.  Returns the number of scans the nearest
+    settled and of widened scans.
     """
     params = trees[0].params
     alpha = params.alpha
@@ -367,6 +387,35 @@ def _grow_block(trees, post_point):
     work = np.empty((d, B, W))
     settled = widened = 0       # scans ring 1 settles by a merge, scans ring 2 runs
 
+    src = v0[0].tolist()
+    eps0 = eps[0].tolist() if eps is not None else None
+
+    def scan_one(g, c):
+        """``scan`` of cell c alone for tree 0's picked node g, on Python floats
+        with the same bits: the merge it would return, or None."""
+        k = int(flat_ids[c])
+        v_i, v_j = pos[g].tolist(), cells[:d, c].tolist()
+        s_i, s_j, w_j = float(area[g]), float(area[k]), float(wa[k])
+        w_i = s_i ** alpha
+        s_m = s_i + s_j
+        w_m = float((np.array([s_m]) ** alpha)[0])   # numpy's array power, not libm's
+        if power:
+            den = w_i + w_j + w_m
+            z = [(w_i * a + w_j * b + w_m * o) / den for a, b, o in zip(v_i, v_j, src)]
+        else:
+            z = [(1.0 - alpha) * ((s_i * a + s_j * b) / s_m) + alpha * o
+                 for a, b, o in zip(v_i, v_j, src)]
+        if eps0 is not None:
+            z = [a + e / (s_m + delta) for a, e in zip(z, eps0)]
+        if post_point is not None:
+            z = post_point(np.array([z]))[0].tolist()
+        r_z, r_i, r_j = (math.sqrt(_squared_distance(z, v)) for v in (src, v_i, v_j))
+        dv = v0[0] - pos[g]
+        gain = (w_i * float(np.sqrt(np.vecdot(dv, dv))) + float(before[k])
+                - (w_m * r_z + w_i * r_i + w_j * r_j))
+        if gain > GAIN_TOL:
+            return 0, k, c, np.array(z), s_m, gain, w_m, r_z
+
     # a shifted branch point far enough out overflows to inf; its gain is
     # then -inf, so it cannot pay, and numpy need not warn about it
     with np.errstate(over="ignore"):
@@ -375,14 +424,20 @@ def _grow_block(trees, post_point):
             # pick each running tree's farthest selectable node, and retire it
             # by moving the tree's last selectable node into its cell
             r = rad[:nact, :W - step]
-            c_i = row_start[:nact] + r.argmax(axis=1)
+            if nact == 1:   # slices reach a lone tree's cells without index arrays
+                i = int(r.argmax())
+                c_i, c_last = slice(i, i + 1), slice(W - step - 1, W - step)
+            else:
+                c_i = row_start[:nact] + r.argmax(axis=1)
+                c_last = last_cell[:nact] - step
             ties = r == cells[d, c_i][:, None]
             if np.count_nonzero(ties) > nact:
                 tb, col = ties.nonzero()
                 c_i = row_start[tb] + col
                 c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
-            gi = picked[step, :nact] = flat_ids[c_i]
-            c_last = last_cell[:nact] - step
+            picked[step, :nact] = flat_ids[c_i]
+            # not flat_ids[c_i]: a slice of it is a view, which the swap overwrites
+            gi = picked[step, :nact]
             flat_ids[c_i] = flat_ids[c_last]
             cells[:, c_i] = cells[:, c_last]
             cells[:, c_last] = pad
@@ -395,15 +450,17 @@ def _grow_block(trees, post_point):
                                 out=work[:, :nscan, :width])
                 dist = _coord_norms(x)
                 flat_dist = dist.reshape(-1)
-                s_i = area[gi[:nscan]]
-                w_i = np.array([s ** alpha for s in s_i.tolist()])
-                dv = v0[:nscan] - vi
-                before_i = w_i * np.sqrt(np.vecdot(dv, dv))
-                # w_i * v_i or s_i * v_i: the picked node's term of the formula
-                prod = (w_i if power else s_i)[:, None] * vi
-                per_tree = [v0[:nscan], vi, s_i, w_i, before_i, prod]
-                if eps is not None:
-                    per_tree.append(eps[:nscan])
+
+                def tree_terms():
+                    """Each scanning tree's values that ``scan`` broadcasts or gathers."""
+                    s_i = area[gi[:nscan]]
+                    w_i = np.array([s ** alpha for s in s_i.tolist()])
+                    dv = v0[:nscan] - vi
+                    before_i = w_i * np.sqrt(np.vecdot(dv, dv))
+                    # w_i * v_i or s_i * v_i: the picked node's term of the formula
+                    prod = (w_i if power else s_i)[:, None] * vi
+                    terms = [v0[:nscan], vi, s_i, w_i, before_i, prod]
+                    return terms + [eps[:nscan]] if eps is not None else terms
 
                 def candidates(mask):
                     """The cells of ``mask``: tree, index into dist, flat cell."""
@@ -441,31 +498,44 @@ def _grow_block(trees, post_point):
                     return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
 
                 # ring 1: each tree's nearest node, the lower id on ties; if it
-                # pays, it is the least (distance, id) improving candidate
+                # pays, it is the least (distance, id) improving candidate.  A
+                # lone tree shares numpy's per-call cost with no other, so it
+                # evaluates the one candidate on Python floats instead
                 tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
                 if tb.size > nscan:
                     near = _least_per_tree(tb, flat_ids[c])
                     tb, f, c = tb[near], f[near], c[near]
-                rings = [scan(tb, f, c, False)]
-                settled += rings[0][0].size
+                per_tree = None
+                if nscan == 1:
+                    ring = scan_one(int(gi[0]), int(c[0]))
+                    paid = int(ring is not None)
+                else:
+                    per_tree = tree_terms()
+                    ring = scan(tb, f, c, False)
+                    paid = ring[0].size
+                rings = [ring] if paid else []
+                settled += paid
                 # ring 2, for the trees whose nearest did not pay and that have
                 # another selectable node: every other node, of which the least
                 # (distance, id) improving one
-                if rings[0][0].size < nscan:
+                if paid < nscan:
                     missed = sizes[:nscan] > step + 2   # a node beyond the nearest
-                    missed[rings[0][0]] = False
+                    if paid:
+                        missed[ring[0]] = False
                     if missed.any():
                         widened += int(np.count_nonzero(missed))
                         mask = ~np.isnan(dist) & missed[:, None]
                         mask.reshape(-1)[f] = False     # ring 1 evaluated these
                         tb, f, c = candidates(mask)
                         evals[:nscan] += np.bincount(tb, minlength=nscan)
-                        rings.append(scan(tb, f, c, True))
+                        per_tree = per_tree or tree_terms()
+                        ring = scan(tb, f, c, True)
+                        if ring[0].size:
+                            rings.append(ring)
 
-                # each merge retires the partner and puts the branch node in its cell
+                # each merge retires the partner and puts the branch node in its
+                # cell; scan_one's scalars index single cells
                 for mb, j, c, z, s_m, gains, w_m, r_z in rings:
-                    if not mb.size:
-                        continue
                     own = count[mb]
                     new = offs[mb] + own
                     flat_ids[c] = new
@@ -521,7 +591,8 @@ def _grow(problems, params, eps, post_point):
         shift = None if t.eps is None else p.shift_delta
         key = (t.problem.dim, p.formula, p.alpha, t.eps is not None, shift)
         groups.setdefault(key, []).append(t)
-    counts = {"blocks": 0, "steps": 0, "cells": 0, "settled": 0, "scans": 0, "widened": 0}
+    counts = {"blocks": 0, "steps": 0, "lone": 0, "cells": 0, "settled": 0, "scans": 0,
+              "widened": 0}
     for group in groups.values():
         group.sort(key=lambda t: -t.n)
         start = 0
@@ -534,6 +605,8 @@ def _grow(problems, params, eps, post_point):
             counts["scans"] += sum(t.n for t in block) - len(block)
             counts["blocks"] += 1
             counts["steps"] += width
+            # the steps past the second tree's size run the widest tree alone
+            counts["lone"] += width - (block[1].n if len(block) > 1 else 0)
             counts["cells"] += len(block) * width
             start += len(block)
 
@@ -579,19 +652,22 @@ def build_forest(
     of each tree's nearest node (the lower id on ties) and the merge
     bookkeeping, each as one numpy pass over the block; only the trees
     whose nearest does not pay go on to evaluate all their other nodes.
-    Each block's trees are then checked together, once, in whole-array
-    passes, and a tree that fails raises its FlowTree construction's
-    error.  ``post_point`` sees the candidates of several trees at once,
-    so it must act row by row.  One DEBUG line per call on this module's
-    logger gives the trees, blocks, lockstep steps, padded cells, the
-    tree scans settled by a merge with the nearest, and widened scans,
-    after each tree's own ``build_one_to_many`` line.
+    A step where only one tree scans (every step of a lone tree, the tail
+    of a block) evaluates its nearest node on Python floats instead, with
+    the same bits.  Each block's trees are then checked together, once,
+    in whole-array passes, and a tree that fails raises its FlowTree
+    construction's error.  ``post_point`` sees the candidates of several
+    trees at once, so it must act row by row.  One DEBUG line per call on
+    this module's logger gives the trees, blocks, lockstep steps and how
+    many of them ran one tree alone, padded cells, the tree scans settled
+    by a merge with the nearest, and widened scans, after each tree's own
+    ``build_one_to_many`` line.
     """
     results, c = _grow(problems, params, eps, post_point)
     _log.debug(
-        "build_forest: %d trees in %d blocks, %d lockstep steps, %d padded cells, "
-        "%d of %d tree scans settled by the nearest, %d widened scans",
-        len(results), c["blocks"], c["steps"], c["cells"],
+        "build_forest: %d trees in %d blocks, %d lockstep steps (%d with one tree), "
+        "%d padded cells, %d of %d tree scans settled by the nearest, %d widened scans",
+        len(results), c["blocks"], c["steps"], c["lone"], c["cells"],
         c["settled"], c["scans"], c["widened"],
     )
     return results

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,9 @@ def test_shifted_validates_delta_and_eps_shape():
             branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, np.zeros(2), delta)
     with pytest.raises(ParameterError):
         branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, np.zeros(3), 0.01)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="eps must be finite"):
+            branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, [bad, 0.0], 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +401,26 @@ def test_build_near_1e150_is_the_unit_build_scaled():
     assert np.array_equal(got.trace, want.trace * s)
     big = build_one_to_many(OneToManyProblem(unit.source, unit.targets * 1e150, unit.areas), params)
     assert np.all(np.isfinite(big.trace)) and np.all(np.diff(big.trace) < 0)
+
+
+@pytest.mark.parametrize("shift", [{"eps": [1e308, 1e308]}, {"shift_norm": 1e300}])
+def test_build_huge_shift_matches_full_scan_without_warning(shift):
+    """Shifted branch points overflow to inf, on a lone tree's Python floats
+    as in a block's arrays: the forest's wide tree runs its tail alone."""
+    params = BotParams(alpha=0.5, shift_norm=shift.get("shift_norm", 0.0))
+    eps = shift.get("eps")
+    wide, narrow = random_problem(5, 30), random_problem(6, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = build_one_to_many(wide, params, eps=eps)
+        forest = build_forest([wide, narrow], [params] * 2, eps=[eps, eps])
+    for problem, result in [(wide, alone), (wide, forest[0]), (narrow, forest[1])]:
+        assert np.all(np.diff(result.trace) < 0)
+        with np.errstate(over="ignore"):
+            want = full_scan_build(problem, params, eps=eps)
+        assert result.events == want.events
+        assert result.trace.tobytes() == want.trace.tobytes()
+        assert result.tree.coords.tobytes() == want.tree.coords.tobytes()
 
 
 def test_build_post_point_hook_constrains_branches():
@@ -782,8 +806,8 @@ def test_forest_logs_one_summary_after_the_tree_lines(caplog):
         "116 candidate evals",
         "build_one_to_many N=2: 2 iterations, 1 merges, 1 retirements, "
         "1 candidate evals",
-        "build_forest: 3 trees in 2 blocks, 33 lockstep steps, 35 padded cells, "
-        "26 of 32 tree scans settled by the nearest, 5 widened scans",
+        "build_forest: 3 trees in 2 blocks, 33 lockstep steps (31 with one tree), "
+        "35 padded cells, 26 of 32 tree scans settled by the nearest, 5 widened scans",
     ]
 
 
@@ -802,8 +826,8 @@ def test_forest_widens_the_scan_for_one_tree_of_a_block(caplog):
     with caplog.at_level(logging.DEBUG, logger="branchflow.branching"):
         got = build_forest(problems, [params] * 3)
     assert caplog.records[-1].getMessage() == (
-        "build_forest: 3 trees in 1 blocks, 6 lockstep steps, 18 padded cells, "
-        "6 of 13 tree scans settled by the nearest, 4 widened scans"
+        "build_forest: 3 trees in 1 blocks, 6 lockstep steps (1 with one tree), "
+        "18 padded cells, 6 of 13 tree scans settled by the nearest, 4 widened scans"
     )
     for problem, result in zip(problems, got):
         alone = build_one_to_many(problem, params)
@@ -820,6 +844,11 @@ def test_forest_checks_its_arguments():
         build_forest([problem], [BotParams()], eps=[None, None])
     with pytest.raises(ParameterError, match="same dimension"):
         build_forest([problem], [BotParams()], eps=[np.zeros(3)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="eps must be finite"):
+            build_one_to_many(problem, BotParams(), eps=np.array([bad, 0.0]))
+        with pytest.raises(ParameterError, match="eps must be finite"):
+            build_forest([problem, problem], [BotParams()] * 2, eps=[None, [0.0, bad]])
     # an explicit eps uses the shift even at shift_norm 0, so shift_delta is checked
     for delta in (-0.5, 0.0, np.nan, np.inf):
         params = BotParams(shift_delta=delta)
