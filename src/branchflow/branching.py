@@ -183,10 +183,12 @@ def _check_branch_args(s_i, s_j, alpha):
     _check_alpha(alpha)
 
 
-def _one_row(v_k, v_i, v_j, s_i, s_j, alpha):
-    """Checked scalar arguments as one-row arrays."""
+def _one_row(points, s_i, s_j, alpha):
+    """Checked scalar arguments as one-row arrays, the points of one dimension."""
     _check_branch_args(s_i, s_j, alpha)
-    rows = [as_point(v)[None, :] for v in (v_k, v_i, v_j)]
+    rows = [as_point(v)[None, :] for v in points]
+    if len({r.shape for r in rows}) > 1:
+        raise ParameterError("the points must share one dimension")
     return rows, np.array([float(s_i)]), np.array([float(s_j)])
 
 
@@ -197,7 +199,7 @@ def branch_point_power(v_k, v_i, v_j, s_i, s_j, alpha) -> np.ndarray:
     s_j**alpha and (s_i+s_j)**alpha, so it always lies inside the
     triangle (v_i, v_j, v_k).
     """
-    (v_k, v_i, v_j), s_i, s_j = _one_row(v_k, v_i, v_j, s_i, s_j, alpha)
+    (v_k, v_i, v_j), s_i, s_j = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
     w_i = np.array([float(s_i[0]) ** alpha])
     w_m = (s_i + s_j) ** alpha
     return _power_points(w_i[:, None] * v_i, w_i, v_j, s_j ** alpha, v_k, w_m)[0]
@@ -210,7 +212,7 @@ def branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha) -> np.ndarray:
     downstream nodes (alpha = 0, the T limit) to the upstream node
     itself (alpha = 1, the V limit: no branching).
     """
-    (v_k, v_i, v_j), s_i, s_j = _one_row(v_k, v_i, v_j, s_i, s_j, alpha)
+    (v_k, v_i, v_j), s_i, s_j = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
     return _interp_points(s_i[:, None] * v_i, v_j, s_j, s_i + s_j, v_k, alpha)[0]
 
 
@@ -221,15 +223,21 @@ def branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha, eps, delta) -> np.ndarr
     thick trunks are rigid, thin twigs bend.  A zero ``eps`` reduces to
     the unshifted formula exactly.
     """
-    if not 0 < delta < math.inf:
-        raise ParameterError("delta must be finite and positive")
     z = branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha)
+    return z + _shift_vector(eps, z.size, delta) / (float(s_i) + float(s_j) + float(delta))
+
+
+def _shift_vector(eps, dim, delta) -> np.ndarray:
+    """``eps`` as a float vector, checked as a frozen shift of dimension
+    ``dim`` that is divided by a merged area plus ``delta``."""
     eps = np.asarray(eps, dtype=float)
-    if eps.shape != z.shape:
+    if eps.shape != (dim,):
         raise ParameterError("eps must have the same dimension as the points")
     if not np.isfinite(eps).all():
         raise ParameterError("eps must be finite")
-    return z + eps / (float(s_i) + float(s_j) + float(delta))
+    if not 0 < delta < math.inf:
+        raise ParameterError("shift_delta must be finite and positive for a shift")
+    return eps
 
 
 def local_improvement(v_k, v_i, v_j, z, s_i, s_j, alpha) -> float:
@@ -238,14 +246,14 @@ def local_improvement(v_k, v_i, v_j, z, s_i, s_j, alpha) -> float:
     Positive means the branch strictly lowers the network cost; placing
     ``z`` at ``v_k`` gives exactly zero.
     """
-    (v_k, v_i, v_j), s_i, s_j = _one_row(v_k, v_i, v_j, s_i, s_j, alpha)
+    (v_k, v_i, v_j, z), s_i, s_j = _one_row((v_k, v_i, v_j, z), s_i, s_j, alpha)
     w_i = float(s_i[0]) ** alpha
     w_j = s_j ** alpha
     dv = v_k - v_i
     before_i = w_i * np.sqrt(np.vecdot(dv, dv))
     before_j = w_j * _row_norms(v_k - v_j)
     gains, _ = _gains(before_i, w_i, w_j, (s_i + s_j) ** alpha, before_j,
-                      v_k, v_i, v_j, as_point(z)[None, :])
+                      v_k, v_i, v_j, z)
     return float(gains[0])
 
 
@@ -279,13 +287,7 @@ class _Tree:
         if eps is None:
             eps = _frozen_shift(params, d, "branch-shift")
         if eps is not None:
-            eps = np.asarray(eps, dtype=float)
-            if eps.shape != (d,):
-                raise ParameterError("eps must have the same dimension as the points")
-            if not np.isfinite(eps).all():
-                raise ParameterError("eps must be finite")
-            if not 0 < params.shift_delta < np.inf:
-                raise ParameterError("shift_delta must be finite and positive for a shift")
+            eps = _shift_vector(eps, d, params.shift_delta)
         self.problem = problem
         self.n = problem.n_targets
         self.params = params

@@ -196,7 +196,8 @@ def _cmd_santa(args: argparse.Namespace) -> int:
     trees = [tree for _, _, tree in entries]
     costs = [bot_cost(tree, args.alpha) for tree in trees]
     print(f"countries {len(network.countries)} trees {network.n_trees}")
-    print(f"total cost {sum(costs)!r}")
+    # in order, as solve_network sums its totals: sum() compensates from Python 3.12 on
+    print(f"total cost {float(np.cumsum(costs)[-1])!r}")
     if args.out is not None:
         rows = [{"level": level, "label": label, "cost": cost, "n_nodes": tree.n_nodes}
                 for (level, label, tree), cost in zip(entries, costs)]

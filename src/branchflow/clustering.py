@@ -155,7 +155,8 @@ def weighted_kmeans(
     x = pointset.points
     w = pointset.weights
     n = pointset.n_points
-    if not 1 <= k <= n:
+    _check_count(k, "k")
+    if k > n:
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
 
     if init is not None:

@@ -59,8 +59,8 @@ def _check_alpha(alpha: float):
 
 
 def _check_int(value, name: str):
-    """Reject non-integers, which a later int() would truncate or parse."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject non-integers, which a later int() would truncate or parse, and bools."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 

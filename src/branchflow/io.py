@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -65,9 +66,9 @@ def _network_text(kind, coords, src, dst, area, alpha: float, cost: float) -> st
     ``json`` gives for an int and for a finite float; a non-finite cost
     raises ParameterError, since NaN and Infinity are not JSON.
     """
+    if not (isinstance(cost, numbers.Real) and math.isfinite(cost)):
+        raise ParameterError(f"cost must be a finite number, got {cost!r}")
     alpha, cost = float(alpha), float(cost)
-    if not math.isfinite(cost):
-        raise ParameterError(f"cost must be a finite number, got {cost}")
     node = '{"id":%d,"kind":"%s","coords":[' + ",".join(["%r"] * coords.shape[1]) + "]}"
     parts = ['{"nodes":[']
     parts.extend(_row_blocks(node, [np.arange(len(kind)), kind, *coords.T]))

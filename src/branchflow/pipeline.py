@@ -204,6 +204,8 @@ def geo_embed(lat, lon) -> np.ndarray:
     """
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
+    if lat.shape != lon.shape:
+        raise ParameterError(f"lat and lon must have one shape, got {lat.shape} and {lon.shape}")
     ok = _lat_ok(lat)
     if not ok.all():
         raise ParameterError(f"latitude must lie in [-90, 90], got {lat[~ok].flat[0]}")
@@ -216,7 +218,10 @@ def geo_embed(lat, lon) -> np.ndarray:
 
 def geo_project(point) -> tuple:
     """Renormalize a 3-D point to the unit sphere and return (lat, lon) degrees."""
-    (lon, lat), = _lon_lat_rows(np.asarray(point, dtype=float).reshape(1, 3)).tolist()
+    point = np.asarray(point, dtype=float)
+    if point.shape != (3,):
+        raise ParameterError(f"a sphere point needs 3 coordinates, got shape {point.shape}")
+    (lon, lat), = _lon_lat_rows(point[None, :]).tolist()
     return lat, lon
 
 
@@ -383,6 +388,8 @@ def santa_pipeline(
         raise ParameterError("every column of the city table needs one entry per city")
     if params is None:
         params = BotParams()
+    if np.shape(pole) != (2,):
+        raise ParameterError(f"pole must be one (lat, lon) pair, got {pole!r}")
     pole_xyz = geo_embed(*pole)
     # a loaded table's longitudes are normalized already; normalize_lon keeps their bits
     xyz = geo_embed(cities.lat, cities.lon)

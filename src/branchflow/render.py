@@ -5,21 +5,23 @@ a red dot per source and blue dots for targets.  GeoJSON emits one
 LineString per edge; edges of unit-sphere trees are subdivided into
 great-circle arcs of at most 100 km so they follow the globe on a map.
 
-SVG projects the sphere nodes ``_BLOCK`` at a time.  GeoJSON checks the
-angles of the sphere edges ``_BLOCK`` at a time, keeping each edge's
-angle and segment count, then draws the arc sample points in blocks of
-about ``_BLOCK``, each in one broadcast of the slerp formula, whose
-norms and divisions are elementwise numpy ops with the bits of the
-one-point path.  sin, acos, asin and atan2 stay on libm through
-``math``: numpy's vectorized versions differ from it in the last bit on
-some inputs (about 8% for arcsin and arctan2 on an AVX-512 machine), as
-do ``norm(axis=1)`` and ``einsum`` norms, and either would change the
-coordinate bytes.  Text goes through ``%`` templates: a block's GeoJSON
-features in one operation, numbers by ``%r`` (the ``repr(float)`` that
-``json`` writes for a finite float), and SVG rows by ``%.3f``.
+SVG projects the sphere nodes ``_BLOCK`` at a time.  GeoJSON takes the
+sphere edges ``_BLOCK`` at a time: it checks their angles, then draws
+their arc sample points in runs of about ``_BLOCK``, each in one
+broadcast of the slerp formula, whose norms and divisions are
+elementwise numpy ops with the bits of the one-point path.  sin, acos,
+asin and atan2 stay on libm through ``math``: numpy's vectorized
+versions differ from it in the last bit on some inputs (about 8% for
+arcsin and arctan2 on an AVX-512 machine), as do ``norm(axis=1)`` and
+``einsum`` norms, and either would change the coordinate bytes.  Text
+goes through ``%`` templates: a block's GeoJSON features in one
+operation, numbers by ``%r`` (the ``repr(float)`` that ``json`` writes
+for a finite float), and SVG rows by ``%.3f``.
 
 Both documents are made in pieces, which the public functions join and
-the CLI writes as they come.  Every check comes before the first piece.
+the CLI writes as they come.  Every check comes before the first piece
+but two GeoJSON faults between end points whose norms pass: an arc angle
+or a slerp point that overflows.  The CLI then removes its file.
 """
 
 from __future__ import annotations
@@ -112,37 +114,30 @@ def _great_circle_arcs(n: int, endpoints):
     """Great-circle polylines along n edges, in segments of at most 100 km.
 
     ``endpoints(a, b)`` gives the (b - a, 3) start and end points of
-    edges a..b-1.  This call checks all norms and angles, ``_BLOCK``
-    edges at a time, and returns the segment counts and an iterator over
-    blocks of the edges whose first point falls in one window of
-    ``_BLOCK`` points: (a, b, [lon, lat] rows of the n_seg + 1 points of
-    each edge a..b-1).  The norms are row-wise, so the bits are the
-    check's.  An edge under 1e-12 rad is two copies of its start point.
+    edges a..b-1.  Per ``_BLOCK`` edges this gathers and checks the end
+    points once, then yields each run of them whose first points fall in
+    one window of ``_BLOCK`` points: (a, b, the n_seg + 1 point counts of
+    edges a..b-1, their [lon, lat] rows).  The norms are row-wise, so the
+    bits do not depend on the block.  An edge under 1e-12 rad is two
+    copies of its start point.
     """
-    omega = np.empty(n)
-    n_seg = np.empty(n, dtype=np.int64)
-    starts, total, window = [], 0, -1   # the blocks' first edges; points and window so far
-    for a in range(0, n, _BLOCK):
-        (u, nu), (v, nv) = map(_dot_norms, endpoints(a, min(a + _BLOCK, n)))
+    for lo in range(0, n, _BLOCK):
+        (u, nu), (v, nv) = map(_dot_norms, endpoints(lo, min(lo + _BLOCK, n)))
         cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
         if np.isnan(cos).any():
             raise ParameterError("coordinates too large to draw as great-circle arcs")
-        w, k = omega[a:a + _BLOCK], n_seg[a:a + _BLOCK]
-        w[:] = list(map(math.acos, cos.tolist()))
-        k[:] = np.maximum(np.ceil(w * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1)
-        first = (total + np.cumsum(k + 1) - k - 1) // _BLOCK
-        starts += (a + np.flatnonzero(np.diff(first, prepend=window))).tolist()
-        total, window = total + int(k.sum()) + k.size, first[-1]
-
-    blocks = ((a, b, _arc_block(*endpoints(a, b), omega[a:b], n_seg[a:b]))
-              for a, b in zip(starts, starts[1:] + [n]))
-    return n_seg, blocks
+        omega = np.array(list(map(math.acos, cos.tolist())))
+        n_seg = np.maximum(np.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1).astype(np.int64)
+        window = (np.cumsum(n_seg + 1) - n_seg - 1) // _BLOCK
+        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), n_seg.size]
+        for a, b in zip(cuts, cuts[1:]):
+            yield lo + a, lo + b, n_seg[a:b] + 1, _arc_block(u[a:b], v[a:b], omega[a:b], n_seg[a:b])
 
 
 def _arc_block(u, v, omega, n_seg) -> np.ndarray:
-    """The arcs of one block of edges, every sample point in one broadcast
-    of the slerp: their (P, 2) [lon, lat] rows, n_seg + 1 per edge."""
-    (u, _), (v, _) = map(_dot_norms, (u, v))
+    """The arcs of one block of edges, from end points checked by
+    ``_dot_norms``, every sample point in one broadcast of the slerp:
+    their (P, 2) [lon, lat] rows, n_seg + 1 per edge."""
     # one row per sample point: its edge and t = s / n_seg, s = 0..n_seg
     ends = np.cumsum(n_seg + 1)
     edge = np.repeat(np.arange(n_seg.size), n_seg + 1)
@@ -190,7 +185,9 @@ def _geojson_chunks(trees, levels):
         return (np.concatenate([t.coords[t.parent[k]] for t, k in ks]),
                 np.concatenate([t.coords[k] for t, k in ks]))
 
-    n_seg, blocks = _great_circle_arcs(int(starts[-1]), endpoints)
+    for t, _ in sphere:   # every node is an edge's end: its norm faults come before the head
+        _dot_norms(t.coords)
+    blocks = _great_circle_arcs(int(starts[-1]), endpoints)
 
     @functools.cache
     def feature(n_points):
@@ -200,19 +197,18 @@ def _geojson_chunks(trees, levels):
     # json writes a finite float as its repr, and every coordinate and area here is finite
     yield '{"type":"FeatureCollection","features":['
     n_edges = n_points = 0
-    b = e = 0   # the arc block ends before sphere edge b; xy holds its points from edge e on
+    counts = ()   # the point counts of the arc block's edges not yet written; xy their points
     for tree, child, level in zip(trees, children, levels):
         # a level is manifest text: its % signs are escaped for the template
         tail = (',"level":' + json.dumps(level, separators=(",", ":")) + "}}").replace("%", "%%")
         lo = 0
         while lo < child.size:
             if tree.dim == 3:
-                if e == b:
-                    _, b, xy = next(blocks)
-                hi = min(child.size, lo + b - e)
-                count = n_seg[e:e + hi - lo] + 1
+                if not len(counts):
+                    _, _, counts, xy = next(blocks)
+                hi = min(child.size, lo + len(counts))
+                count, counts = np.split(counts, [hi - lo])
                 points, xy = np.split(xy, [count.sum()])
-                e += hi - lo
             else:
                 hi = min(child.size, lo + _BLOCK)
                 k = child[lo:hi]

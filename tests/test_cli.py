@@ -147,6 +147,8 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
          "shift_norm must be finite and nonnegative"),
         (["santa", "--cities", "{tmp}/nope.csv"], 2,
          "cannot read {tmp}/nope.csv: [Errno 2] No such file or directory"),
+        (["render", "{tmp}/nope.json", "--svg", "{tmp}/out.svg"], 2,
+         "{tmp}/nope.json does not exist"),
         (["ot", "--ot-mode", "sinkhorn", "--lambda", "1e-9"], 3,
          "scaling kernel underflowed to zero rows/columns; increase reg"),
         (["ot", "--ot-mode", "sinkhorn", "--lambda", "1e-320"], 3,
@@ -199,8 +201,8 @@ def test_invalid_network_render_exits_four(tmp_path, capsys):
         (["santa", "--cities", "{tmp}/tiny-country.csv"], 2,
          "the population share of country 'Y' underflows to 0"),
     ],
-    ids=["parameter", "nan-parameter", "input", "convergence", "ot-subnormal-lambda",
-         "net-subnormal-lambda", "structural", "os",
+    ids=["parameter", "nan-parameter", "input", "render-missing", "convergence",
+         "ot-subnormal-lambda", "net-subnormal-lambda", "structural", "os",
          "net-negative-sources", "net-zero-sources", "branch-negative-targets",
          "ot-negative-targets", "dual-negative-targets", "latin1-cities", "long-field-cities",
          "latin1-tree", "latin1-manifest", "net-threshold-exact", "net-threshold-sinkhorn",
@@ -465,6 +467,18 @@ def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("coords", [[[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                    [[0.0, 0.0, 1.0], [1e200, 0.0, 0.0]]],
+                         ids=["center", "overflow"])
+def test_render_norm_fault_leaves_an_existing_geojson_unchanged(tmp_path, capsys, coords):
+    # every sphere node's norm is checked before the first piece, so before the file opens
+    tree = write_network(tmp_path / "t.json", ["source", "target"], coords, [(0, 1, 1.0)])
+    out = tmp_path / "out.geojson"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["render", str(tree), "--geojson", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize(
     "trees",
     [[{"level": "global"}], [1], ["tree_0000.json"]],
@@ -594,6 +608,27 @@ def test_net_manifest_consistent(tmp_path, capsys):
         assert doc.cost == pytest.approx(entry["bot_cost"])
         total += entry["bot_cost"]
     assert total == pytest.approx(manifest["bot_cost"])
+
+
+def test_net_threshold_drops_a_source_from_the_manifest(tmp_path, capsys):
+    # the smallest row maximum of the exact plan: source 2 keeps no entry above it
+    out = tmp_path / "net"
+    assert main(["net", "--seed", "0", "--n-sources", "3", "--n-targets", "5",
+                 "--threshold", "0.18136517925028542", "--out", str(out)]) == 0
+    assert "trees 2\n" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["threshold"] == 0.18136517925028542
+    assert [entry["source"] for entry in manifest["trees"]] == [0, 1]
+
+
+def test_santa_total_cost_is_the_in_order_sum_of_the_manifest_costs(tmp_path, capsys):
+    # sum() compensates from Python 3.12 on, which would change the printed digits
+    out = tmp_path / "santa"
+    assert main(["santa", "--seed", "3", "--out", str(out)]) == 0
+    total = 0.0
+    for entry in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["trees"]:
+        total += entry["cost"]
+    assert f"\ntotal cost {total!r}\n" in capsys.readouterr().out
 
 
 def test_dual_out_files(tmp_path, capsys):

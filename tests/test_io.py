@@ -212,6 +212,10 @@ MALFORMED = {
         "each node must be an object",
     two_nodes('{"from":0,"to":1,"area":1.0}', "[0,1,1.0]"): "each edge must be an object",
     two_nodes(',"area":1.0', ""): "edge into 1 needs a finite area",
+    two_nodes('[{"from":0,"to":1,"area":1.0}]', '{"from":0,"to":1,"area":1.0}'):
+        "edges must be an array",
+    two_nodes('"from":0', '"from":2'): "edge 'from' must be a node id, got 2",
+    two_nodes('"to":1', '"to":"1"'): "edge 'to' must be a node id, got '1'",
 }
 
 

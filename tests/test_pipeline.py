@@ -25,8 +25,9 @@ from branchflow import (
     solve_network,
     validate_tree,
 )
-from branchflow.clustering import choose_k, weighted_kmeans
-from branchflow.pipeline import DEFAULT_POLE, EARTH_RADIUS_KM, to_sphere
+from branchflow.branching import branch_point_interp, branch_point_power, local_improvement
+from branchflow.clustering import WeightedPointSet, choose_k, weighted_kmeans
+from branchflow.pipeline import DEFAULT_POLE, EARTH_RADIUS_KM, synthetic_instance, to_sphere
 from branchflow.seeding import substream
 
 
@@ -137,6 +138,14 @@ def test_sinkhorn_mode_thresholds_and_reports():
     # a threshold that silences every coupling leaves nothing to build
     with pytest.raises(ParameterError, match="threshold 10.0 drops every plan entry"):
         solve_network(inst, BotParams(alpha=0.5), ot_mode="sinkhorn", threshold=10.0)
+
+
+def test_solve_network_skips_a_source_with_no_entry_above_the_threshold():
+    inst = synthetic_instance(0, 3, 5)
+    # the smallest row maximum of the exact plan: source 2 keeps no entry
+    res = solve_network(inst, BotParams(alpha=0.25), threshold=0.18136517925028542)
+    assert [i for i, _, _ in res.report.per_source] == [0, 1]
+    assert [tree.coords[0].tolist() for tree in res.trees] == inst.sources[:2].tolist()
 
 
 def test_solve_network_rejects_nan_threshold():
@@ -386,6 +395,29 @@ def test_hierarchy_rejects_a_total_population_past_the_float_range():
     cities = CityTable(("a", "b"), ("Z", "Z"), (10.0, -10.0), (20.0, -160.0), (1e308, 1e308))
     with pytest.raises(ParameterError, match="the total population must be finite"):
         santa_pipeline(cities)
+
+
+POINTS = WeightedPointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
+EDGE = build_one_to_many(OneToManyProblem([0.0, 0.0], [[1.0, 0.0]], [1.0]), BotParams()).tree
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: branch_point_interp([0, 0], [1, 1, 1], [2, 2], 1, 1, 0.5), "share one dimension"),
+    (lambda: branch_point_power([0, 0], [1, 1], [2, 2, 2], 1, 1, 0.5), "share one dimension"),
+    (lambda: local_improvement([0, 0], [1, 0], [0, 1], [0, 0, 0], 1, 1, 0.5),
+     "share one dimension"),
+    (lambda: geo_project([1.0, 0.0]), "a sphere point needs 3 coordinates"),
+    (lambda: geo_embed([1.0, 2.0], [1.0, 2.0, 3.0]), "lat and lon must have one shape"),
+    (lambda: weighted_kmeans(POINTS, 2.0), "k must be an integer, got 2.0"),
+    (lambda: weighted_kmeans(POINTS, True), "k must be an integer, got True"),
+    (lambda: santa_pipeline(random_cities(3, 10, ["A"]), (10.0,)), "pole must be one"),
+    (lambda: network_to_json(EDGE, 0.5, "12"), "cost must be a finite number, got '12'"),
+], ids=["interp-dims", "power-dims", "improvement-z-dims", "project-2d", "embed-shapes",
+        "kmeans-float-k", "kmeans-bool-k", "santa-short-pole", "json-string-cost"])
+def test_public_entry_points_reject_malformed_arguments(call, message):
+    # each of these died with a raw numpy or Python error, or wrote a string cost as a number
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 def test_earth_radius_constant():

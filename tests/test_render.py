@@ -346,18 +346,17 @@ def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed, block):
             expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
         except ParameterError:
             with pytest.raises(ParameterError):
-                n_seg, blocks = _great_circle_arcs(len(u), endpoints)
-                list(blocks)
+                list(_great_circle_arcs(len(u), endpoints))
             return
-        n_seg, blocks = _great_circle_arcs(len(u), endpoints)
         edges = 0
-        rows = []
-        for a, b, xy in blocks:
-            assert a == edges and b > a and len(xy) == (n_seg[a:b] + 1).sum()
+        counts, rows = [], []
+        for a, b, count, xy in _great_circle_arcs(len(u), endpoints):
+            assert a == edges and b > a and len(count) == b - a and len(xy) == count.sum()
             edges = b
+            counts.append(count)
             rows.append(xy)
     assert edges == len(u)
-    arcs = np.split(np.concatenate(rows), np.cumsum(n_seg + 1)[:-1])
+    arcs = np.split(np.concatenate(rows), np.cumsum(np.concatenate(counts))[:-1])
     assert [len(arc) for arc in arcs] == [len(arc) for arc in expected]
     for arc, ref in zip(arcs, expected):
         assert np.array_equal(bits(arc), bits(ref))
