@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -177,15 +179,11 @@ def _squared_distance(a, b):
     return acc
 
 
-def _check_branch_args(s_i, s_j, alpha):
-    if not (0 < s_i < math.inf and 0 < s_j < math.inf):
-        raise ParameterError("sectional areas must be finite and strictly positive")
-    _check_alpha(alpha)
-
-
 def _one_row(points, s_i, s_j, alpha):
     """Checked scalar arguments as one-row arrays, the points of one dimension."""
-    _check_branch_args(s_i, s_j, alpha)
+    if not all(isinstance(s, Real) and 0 < s < math.inf for s in (s_i, s_j)):
+        raise ParameterError("sectional areas must be finite and strictly positive")
+    _check_alpha(alpha)
     rows = [as_point(v)[None, :] for v in points]
     if len({r.shape for r in rows}) > 1:
         raise ParameterError("the points must share one dimension")
@@ -277,23 +275,6 @@ def _frozen_shift(params, dim, *labels):
         return random_direction(substream(params.seed, *labels), dim) * params.shift_norm
 
 
-class _Tree:
-    """The per-tree part of a lockstep build, kept in Python."""
-
-    __slots__ = ("problem", "n", "params", "eps", "result")
-
-    def __init__(self, problem, params, eps):
-        d = problem.dim
-        if eps is None:
-            eps = _frozen_shift(params, d, "branch-shift")
-        if eps is not None:
-            eps = _shift_vector(eps, d, params.shift_delta)
-        self.problem = problem
-        self.n = problem.n_targets
-        self.params = params
-        self.eps = eps
-
-
 def _least_per_tree(tb, *keys):
     """Positions in the sorted tree indices ``tb`` of each tree's least
     entry by ``keys``, most significant first; one per tree, in tree order."""
@@ -305,10 +286,10 @@ def _least_per_tree(tb, *keys):
     return order[first]
 
 
-def _grow_block(trees, post_point):
+def _grow_block(problems, params, eps, post_point):
     """Build the trees of one block in lockstep, one iteration per step.
 
-    ``trees`` are sorted by size, largest first, and share dimension,
+    ``problems`` are sorted by size, largest first, and share dimension,
     formula, alpha and shift settings.  Every iteration retires exactly
     one selectable node, so tree b runs for exactly n_b steps and the
     trees still running at a step are a prefix of the block.  Node data
@@ -327,18 +308,19 @@ def _grow_block(trees, post_point):
     stays a numpy array power, which differs from Python's ``**`` in the
     last bit on a few percent of inputs.  The block is finalised at once:
     one gather of the used rows, one ``_sourced_forest`` call and one
-    cumsum for the cost traces.  Returns the number of scans the nearest
-    settled and of widened scans.
+    cumsum for the cost traces.  ``params`` holds the shared settings and
+    ``eps`` each problem's checked shift vector, or None for every one.
+    Returns the block's ``BuildResult``s in block order, and its counts
+    for ``build_forest``'s DEBUG line.
     """
-    params = trees[0].params
     alpha = params.alpha
     power = params.formula == "power"
     delta = params.shift_delta
-    B = len(trees)
-    W = trees[0].n
-    d = trees[0].problem.dim
+    B = len(problems)
+    W = problems[0].n_targets
+    d = problems[0].dim
 
-    sizes = np.array([t.n for t in trees])
+    sizes = np.array([problem.n_targets for problem in problems])
     caps = 2 * sizes + 1
     offs = np.cumsum(caps) - caps
     total = int(caps.sum())
@@ -358,9 +340,7 @@ def _grow_block(trees, post_point):
     pad = planes[:, :1, 0].copy()   # an empty cell
     cells = planes.reshape(d + 1, B * W)
     flat_ids = np.zeros(B * W, dtype=np.int64)
-    for b, t in enumerate(trees):
-        problem = t.problem
-        n = t.n
+    for b, (problem, n) in enumerate(zip(problems, sizes.tolist())):
         o = int(offs[b])
         tgt = slice(o + 1, o + n + 1)
         pos[o] = problem.source
@@ -374,7 +354,7 @@ def _grow_block(trees, post_point):
         live[:, b, :n] = pos[tgt].T
         flat_ids[b * W:b * W + n] = np.arange(o + 1, o + n + 1)
     v0 = pos[offs]
-    eps = np.array([t.eps for t in trees]) if trees[0].eps is not None else None
+    shift = np.array(eps) if eps[0] is not None else None
     row_start = np.arange(B) * W
     last_cell = row_start + sizes - 1
     # running[s]: how many trees have more than s targets, a prefix of the block
@@ -390,7 +370,7 @@ def _grow_block(trees, post_point):
     settled = widened = 0       # scans ring 1 settles by a merge, scans ring 2 runs
 
     src = v0[0].tolist()
-    eps0 = eps[0].tolist() if eps is not None else None
+    eps0 = None if shift is None else shift[0].tolist()
 
     def scan_one(g, c):
         """``scan`` of cell c alone for tree 0's picked node g, on Python floats
@@ -462,7 +442,7 @@ def _grow_block(trees, post_point):
                     # w_i * v_i or s_i * v_i: the picked node's term of the formula
                     prod = (w_i if power else s_i)[:, None] * vi
                     terms = [v0[:nscan], vi, s_i, w_i, before_i, prod]
-                    return terms + [eps[:nscan]] if eps is not None else terms
+                    return terms + [shift[:nscan]] if shift is not None else terms
 
                 def candidates(mask):
                     """The cells of ``mask``: tree, index into dist, flat cell."""
@@ -478,7 +458,7 @@ def _grow_block(trees, post_point):
                     k = flat_ids[c]
                     v_j = cells[:d, c].T
                     # one tree's values broadcast; several are gathered per candidate
-                    v_k, v_i, s_ic, w_ic, bef, prod_c, *shift = (
+                    v_k, v_i, s_ic, w_ic, bef, prod_c, *shift_c = (
                         per_tree if nscan == 1 else [a[tb] for a in per_tree]
                     )
                     s_j = area[k]
@@ -489,8 +469,8 @@ def _grow_block(trees, post_point):
                         zs = _power_points(prod_c, w_ic, v_j, w_j, v_k, w_m)
                     else:
                         zs = _interp_points(prod_c, v_j, s_j, s_m, v_k, alpha)
-                    if shift:
-                        zs = zs + shift[0] / (s_m + delta)[:, None]
+                    if shift_c:
+                        zs = zs + shift_c[0] / (s_m + delta)[:, None]
                     if post_point is not None:
                         zs = post_point(zs)
                     gains, r_z = _gains(bef, w_ic, w_j, w_m, before[k], v_k, v_i, v_j, zs)
@@ -570,56 +550,54 @@ def _grow_block(trees, post_point):
              np.ascontiguousarray(gain_at.T), cost[:, 1:])
     traces = np.split(cost[np.column_stack((np.ones(B, dtype=bool), merged))],
                       np.cumsum(count - sizes)[:-1])
-    for b, (t, tree, trace) in enumerate(zip(trees, built, traces)):
-        t.result = BuildResult(tree, trace, tuple(col[b, :t.n] for col in steps),
-                               int(evals[b]), t.eps)
-    return settled, widened
+    results = [BuildResult(tree, trace, tuple(col[b, :n] for col in steps), int(evals[b]), e)
+               for b, (tree, trace, n, e) in enumerate(zip(built, traces, sizes.tolist(), eps))]
+    # step s runs running[s] trees, of which running[s + 1] scan
+    counts = {"blocks": 1, "steps": W, "lone": running.count(1), "cells": B * W,
+              "scans": sum(running[1:]), "settled": settled, "widened": widened}
+    return results, counts
 
 
 def _grow(problems, params, eps, post_point):
     """Build every problem's tree; returns the results in input order and
-    the counts of the lockstep run."""
+    the summed counts of the lockstep blocks."""
     problems = list(problems)
     params = list(params)
     eps = [None] * len(problems) if eps is None else list(eps)
     if not len(params) == len(eps) == len(problems):
         raise ParameterError("params and eps must have one entry per problem")
-    trees = [_Tree(*args) for args in zip(problems, params, eps)]
-
-    # a block shares every scalar of the scan arithmetic
-    groups = {}
-    for t in trees:
-        p = t.params
-        shift = None if t.eps is None else p.shift_delta
-        key = (t.problem.dim, p.formula, p.alpha, t.eps is not None, shift)
-        groups.setdefault(key, []).append(t)
-    counts = {"blocks": 0, "steps": 0, "lone": 0, "cells": 0, "settled": 0, "scans": 0,
-              "widened": 0}
+    shifts, groups = [], {}
+    for i, (problem, p, e) in enumerate(zip(problems, params, eps)):
+        if e is None:
+            e = _frozen_shift(p, problem.dim, "branch-shift")
+        if e is not None:
+            e = _shift_vector(e, problem.dim, p.shift_delta)
+        shifts.append(e)
+        # a block shares every scalar of the scan arithmetic
+        key = (problem.dim, p.formula, p.alpha, None if e is None else p.shift_delta)
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(problems)
+    counts = Counter()
     for group in groups.values():
-        group.sort(key=lambda t: -t.n)
-        start = 0
-        while start < len(group):
-            width = group[start].n
-            block = group[start:start + max(1, _BLOCK_CELLS // width)]
-            settled, widened = _grow_block(block, post_point)
-            counts["settled"] += settled
-            counts["widened"] += widened
-            counts["scans"] += sum(t.n for t in block) - len(block)
-            counts["blocks"] += 1
-            counts["steps"] += width
-            # the steps past the second tree's size run the widest tree alone
-            counts["lone"] += width - (block[1].n if len(block) > 1 else 0)
-            counts["cells"] += len(block) * width
-            start += len(block)
+        group.sort(key=lambda i: -problems[i].n_targets)
+        while group:
+            block = group[:max(1, _BLOCK_CELLS // problems[group[0]].n_targets)]
+            built, block_counts = _grow_block([problems[i] for i in block], params[block[0]],
+                                              [shifts[i] for i in block], post_point)
+            for i, r in zip(block, built):
+                results[i] = r
+            counts.update(block_counts)
+            group = group[len(block):]
 
-    for t in trees:
-        merges = t.result.tree.n_nodes - t.n - 1
+    for problem, r in zip(problems, results):
+        n = problem.n_targets
+        merges = r.tree.n_nodes - n - 1
         _log.debug(
             "build_one_to_many N=%d: %d iterations, %d merges, %d retirements, "
             "%d candidate evals",
-            t.n, t.n, merges, t.n - merges, t.result.candidate_evals,
+            n, n, merges, n - merges, r.candidate_evals,
         )
-    return [t.result for t in trees], counts
+    return results, counts
 
 
 def build_forest(

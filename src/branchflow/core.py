@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -21,7 +22,7 @@ KIND_TARGET = "target"
 KIND_BRANCH = "branch"
 KINDS = (KIND_SOURCE, KIND_TARGET, KIND_BRANCH)
 
-MASS_TOL = 1e-9           # closure tolerance for probability masses
+MASS_TOL = 1e-9           # closure and balance tolerance for masses
 CONSERVATION_RTOL = 1e-9  # relative residual tolerated at internal nodes
 
 
@@ -54,8 +55,8 @@ class InputError(BranchFlowError):
 
 
 def _check_alpha(alpha: float):
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    if not (isinstance(alpha, Real) and 0.0 <= alpha <= 1.0):
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")
 
 
 def _check_int(value, name: str):
@@ -154,8 +155,10 @@ class TransportInstance:
             raise ParameterError("q must have one mass per target")
         if np.any(self.p <= 0) or np.any(self.q <= 0):
             raise ParameterError("all masses must be strictly positive")
-        if abs(self.p.sum() - 1.0) > MASS_TOL or abs(self.q.sum() - 1.0) > MASS_TOL:
-            raise ParameterError("p and q must each sum to one")
+        sp, sq = float(self.p.sum()), float(self.q.sum())
+        if max(abs(sp - 1.0), abs(sq - 1.0), abs(sp - sq)) > MASS_TOL:
+            raise ParameterError(f"p and q must each sum to one and agree to {MASS_TOL}, "
+                                 f"got sum(p)={sp!r} and sum(q)={sq!r}")
         clash = (self.sources[:, None, :] == self.targets[None, :, :]).all(axis=2)
         if clash.any():
             i, j = np.argwhere(clash)[0]
@@ -298,9 +301,10 @@ class BotParams:
         if self.formula not in ("interp", "power"):
             raise ParameterError(f"formula must be 'interp' or 'power', got {self.formula!r}")
         # each check is written so that NaN fails it
-        if not 0 <= self.shift_norm < np.inf:
+        if not (isinstance(self.shift_norm, Real) and 0 <= self.shift_norm < np.inf):
             raise ParameterError("shift_norm must be finite and nonnegative")
-        if self.shift_norm > 0 and not 0 < self.shift_delta < np.inf:
+        delta = self.shift_delta
+        if self.shift_norm > 0 and not (isinstance(delta, Real) and 0 < delta < np.inf):
             raise ParameterError("shift_delta must be finite and positive when shift_norm > 0")
 
 
@@ -503,7 +507,7 @@ def subadditivity_gain(m1: float, m2: float, alpha: float) -> float:
 
     Strictly positive for alpha in [0, 1); exactly zero at alpha = 1.
     """
-    if not (0 < m1 < np.inf and 0 < m2 < np.inf):
+    if not all(isinstance(m, Real) and 0 < m < np.inf for m in (m1, m2)):
         raise ParameterError("masses must be finite and strictly positive")
     _check_alpha(alpha)
     return m1 ** alpha + m2 ** alpha - (m1 + m2) ** alpha

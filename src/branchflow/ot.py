@@ -26,10 +26,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .core import (
+    MASS_TOL,
     ConvergenceError,
     ParameterError,
     TransportInstance,
@@ -39,7 +41,6 @@ from .core import (
 
 _log = logging.getLogger(__name__)
 
-_FEAS_TOL = 1e-9      # allowed |sum(p) - sum(q)|
 _PRICE_TOL = 1e-11    # reduced-cost threshold for entering variables
 _PRICE_BLOCKS = 16    # at most 16 pricing blocks, each of ceil(m / 16) whole rows
 _ALIGN = 64           # bytes: the Sinkhorn kernel starts on a cache line
@@ -71,10 +72,9 @@ def _check_masses(p: np.ndarray, q: np.ndarray) -> None:
         raise ParameterError("supplies and demands must be finite")
     if not (np.all(p > 0) and np.all(q > 0)):
         raise ParameterError("supplies and demands must be strictly positive")
-    if not abs(p.sum() - q.sum()) <= _FEAS_TOL:
-        raise ParameterError(
-            f"infeasible marginals: sum(p)={p.sum()!r} != sum(q)={q.sum()!r}"
-        )
+    sp, sq = float(p.sum()), float(q.sum())
+    if not abs(sp - sq) <= MASS_TOL:
+        raise ParameterError(f"infeasible marginals: sum(p)={sp!r} != sum(q)={sq!r}")
 
 
 def plan_cost(plan: TransportPlan, c) -> float:
@@ -219,7 +219,7 @@ def transport_simplex(p, q, c) -> np.ndarray:
 
     Returns a basic optimal solution: at most m + n - 1 strictly positive
     entries.  Supplies and demands must be finite, strictly positive and
-    balanced to ``_FEAS_TOL``.  Pricing is block search over blocks of
+    balanced to ``MASS_TOL``.  Pricing is block search over blocks of
     ceil(m / ``_PRICE_BLOCKS``) whole rows, at most ``_PRICE_BLOCKS`` of
     them: starting from the block of the last entering cell, the blocks are
     priced in turn, and the most negative cell of the first block that
@@ -456,10 +456,10 @@ class SinkhornConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.reg > 0:
-            raise ParameterError(f"reg must be positive, got {self.reg}")
-        if not 0 < self.tol < math.inf:
-            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
+        if not (isinstance(self.reg, Real) and self.reg > 0):
+            raise ParameterError(f"reg must be positive, got {self.reg!r}")
+        if not (isinstance(self.tol, Real) and 0 < self.tol < math.inf):
+            raise ParameterError(f"tol must be positive and finite, got {self.tol!r}")
         _check_count(self.max_iter, "max_iter")
 
 
@@ -573,8 +573,8 @@ def plan_to_assignments(plan: TransportPlan, threshold: float = 0.0) -> list[lis
     target ``j`` with sectional area ``gamma[i, j]``.  The mass dropped by
     thresholding is at most n_sources * n_targets * threshold.
     """
-    if not threshold >= 0:   # NaN fails too
-        raise ParameterError(f"threshold must be nonnegative, got {threshold}")
+    if not (isinstance(threshold, Real) and threshold >= 0):   # NaN fails too
+        raise ParameterError(f"threshold must be nonnegative, got {threshold!r}")
     out: list[list[tuple[int, float]]] = []
     for row in plan.gamma:
         keep = np.flatnonzero(row > threshold)

@@ -202,8 +202,11 @@ def geo_embed(lat, lon) -> np.ndarray:
     Scalars give one point of shape (3,); arrays of n values give (n, 3).
     (0, 0) maps to (1, 0, 0) and (90, anything) to (0, 0, 1).
     """
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
+    try:
+        lat = np.asarray(lat, dtype=float)
+        lon = np.asarray(lon, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError("lat and lon must be numbers") from None
     if lat.shape != lon.shape:
         raise ParameterError(f"lat and lon must have one shape, got {lat.shape} and {lon.shape}")
     ok = _lat_ok(lat)
@@ -266,13 +269,16 @@ def _dot_norms(points: np.ndarray) -> tuple:
 
 
 def _check_norms(points: np.ndarray, norms: np.ndarray) -> tuple:
-    """Reject points with no direction: the center, or a norm that overflowed.
+    """Reject points with no direction: a NaN coordinate, the center, or a
+    norm that overflowed.
 
     A row whose squared norm underflowed to 0, although it has a nonzero
     coordinate, is divided by its largest absolute coordinate and gets
     the norm of that.  Returns the points and their norms, which keep
     their bits in every row whose norm was not 0.
     """
+    if np.isnan(norms).any():
+        raise ParameterError("non-finite coordinates cannot be projected onto the sphere")
     if not np.all(np.isfinite(norms)):
         raise ParameterError("coordinates too large to project onto the sphere")
     if np.all(norms > 0):

@@ -4,10 +4,12 @@ import ast
 import copy
 import math
 import os
+import pydoc
+import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -579,6 +581,16 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_all_lists_the_public_names_and_pydoc_documents_each():
+    # pydoc documents re-exported classes and functions only through __all__;
+    # without it the package's page lists its submodules and nothing else
+    public = sorted(name for name, value in vars(branchflow).items()
+                    if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert branchflow.__all__ == public
+    page = pydoc.render_doc(branchflow, renderer=pydoc.plaintext)
+    assert [name for name in public if not re.search(rf"\b{name}\b", page)] == []
 
 
 def test_array_holding_dataclasses_compare_and_hash_by_identity():

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+import re
 import zlib
 
 import numpy as np
@@ -728,3 +729,16 @@ def test_assignments_negative_threshold_rejected():
     plan = TransportPlan([[1.0]], [1.0], [1.0])
     with pytest.raises(ParameterError):
         plan_to_assignments(plan, -0.1)
+
+
+def test_instance_and_simplex_share_one_mass_balance_rule():
+    # each sum lies within MASS_TOL of one, but they differ by 1.8e-9, which the
+    # simplex rejects and Sinkhorn cannot close: the instance rejects them first
+    p = np.array([0.3, 0.7]) * (1 + 9e-10)
+    q = np.array([0.5, 0.5]) * (1 - 9e-10)
+    with pytest.raises(ParameterError,
+                       match=re.escape("got sum(p)=1.0000000009 and sum(q)=0.9999999991")):
+        TransportInstance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]], p, q)
+    with pytest.raises(ParameterError,
+                       match=re.escape("sum(p)=1.0000000009 != sum(q)=0.9999999991")):
+        transport_simplex(p, q, np.ones((2, 2)))

@@ -14,15 +14,20 @@ from branchflow import (
     CityTable,
     OneToManyProblem,
     ParameterError,
+    SinkhornConfig,
     TransportInstance,
+    TransportPlan,
     bot_cost,
     build_one_to_many,
     dual_network,
     geo_embed,
     geo_project,
     network_to_json,
+    plan_to_assignments,
+    render_svg,
     santa_pipeline,
     solve_network,
+    subadditivity_gain,
     validate_tree,
 )
 from branchflow.branching import branch_point_interp, branch_point_power, local_improvement
@@ -418,6 +423,39 @@ def test_public_entry_points_reject_malformed_arguments(call, message):
     # each of these died with a raw numpy or Python error, or wrote a string cost as a number
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
+
+
+PLAN = TransportPlan([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BotParams(alpha="0.5"), "alpha must lie in [0, 1], got '0.5'"),
+    (lambda: BotParams(shift_norm="0.1"), "shift_norm must be finite"),
+    (lambda: BotParams(shift_norm=0.1, shift_delta="0.1"), "shift_delta must be finite"),
+    (lambda: branch_point_interp([0, 0], [1, 0], [0, 1], "1", 1, 0.5),
+     "sectional areas must be finite"),
+    (lambda: subadditivity_gain("1", 1, 0.5), "masses must be finite"),
+    (lambda: SinkhornConfig(reg="0.1"), "reg must be positive, got '0.1'"),
+    (lambda: SinkhornConfig(tol="0.1"), "tol must be positive and finite, got '0.1'"),
+    (lambda: plan_to_assignments(PLAN, "0"), "threshold must be nonnegative, got '0'"),
+    (lambda: geo_embed("a", 0.0), "lat and lon must be numbers"),
+    (lambda: santa_pipeline(random_cities(3, 10, ["A"]), ("a", "b")),
+     "lat and lon must be numbers"),
+    (lambda: network_to_json(EDGE, "0.5"), "alpha must lie in [0, 1], got '0.5'"),
+    (lambda: render_svg([EDGE], alpha="0.5"), "alpha must lie in [0, 1], got '0.5'"),
+], ids=["params-alpha", "params-shift-norm", "params-shift-delta", "interp-area",
+        "subadditivity-mass", "sinkhorn-reg", "sinkhorn-tol", "assignments-threshold",
+        "embed-lat", "santa-pole", "json-alpha", "svg-alpha"])
+def test_public_entry_points_reject_non_numbers(call, message):
+    # a string reached a range check's comparison, which raised TypeError, or numpy's
+    # float conversion, which raised ValueError
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
+
+
+def test_geo_project_reports_a_nan_coordinate_as_non_finite():
+    with pytest.raises(ParameterError, match="non-finite coordinates"):
+        geo_project([math.nan, 0.0, 1.0])
 
 
 def test_earth_radius_constant():
