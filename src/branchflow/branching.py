@@ -8,18 +8,22 @@ that strictly lowers the total; the nearest is evaluated first, the
 others only if it does not pay.  Merged nodes are permanently retired,
 so the loop is a greedy search with a tabu list and finishes after
 exactly N iterations.  Independent trees are grown together, one
-iteration per lockstep step: the pick, the scan and the bookkeeping of
-a step are array passes over all the trees, so that numpy's per-call
-overhead is paid once per step rather than once per tree.
+iteration per lockstep step of array passes over all the trees, so that
+numpy's per-call overhead is paid once per step rather than once per
+tree.  A lone tree grows on Python floats, its pick from a heap and its
+nearest node from cell lists, so that a wide tree is not quadratic.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
 from numbers import Real
 
 import numpy as np
@@ -170,8 +174,7 @@ def _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs):
 
 def _squared_distance(a, b):
     """Squared distance of two points given as lists, summed in coordinate
-    order: numpy's reduce adds fewer than 8 terms in that order too, so the
-    root carries the bits of ``_row_norms``."""
+    order as numpy's reduce of fewer than 8 terms: ``_row_norms``' bits."""
     acc = 0.0
     for x, y in zip(a, b):
         t = x - y
@@ -266,6 +269,7 @@ def star_cost(problem: OneToManyProblem, alpha: float) -> float:
 # the greedy/tabu builder, run in lockstep over a forest
 
 _BLOCK_CELLS = 4096  # bound on trees x widest tree in one lockstep block
+_SPAN = 2 ** 20      # bound on a lone tree's cell indices
 
 
 def _frozen_shift(params, dim, *labels):
@@ -286,51 +290,243 @@ def _least_per_tree(tb, *keys):
     return order[first]
 
 
+def _picked_terms(v_k, v_i, s_i, alpha, power, shift):
+    """The rows of picked nodes that ``_branch_gains`` reads: v_k, v_i, s_i,
+    w_i on Python floats, the direct edge's cost, the picked node's term of
+    the formula and the shift, if any."""
+    w_i = np.array([s ** alpha for s in s_i.tolist()])
+    dv = v_k - v_i
+    before_i = w_i * np.sqrt(np.vecdot(dv, dv))
+    # w_i * v_i or s_i * v_i: the picked node's term of the formula
+    terms = [v_k, v_i, s_i, w_i, before_i, (w_i if power else s_i)[:, None] * v_i]
+    return terms + [shift[:len(v_k)]] if shift is not None else terms
+
+
+def _branch_gains(terms, v_j, s_j, w_j, before_j, params, post_point):
+    """Branch points of picked nodes and candidates v_j (zs, s_m, w_m, gains
+    and |v_k - zs|); ``terms`` has one row per candidate, or one for all."""
+    v_k, v_i, s_i, w_i, before_i, prod, *shift = terms
+    s_m = s_i + s_j
+    w_m = s_m ** params.alpha
+    if params.formula == "power":
+        zs = _power_points(prod, w_i, v_j, w_j, v_k, w_m)
+    else:
+        zs = _interp_points(prod, v_j, s_j, s_m, v_k, params.alpha)
+    if shift:
+        zs = zs + shift[0] / (s_m + params.shift_delta)[:, None]
+    if post_point is not None:
+        zs = post_point(zs)
+    gains, r_z = _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs)
+    return zs, s_m, w_m, gains, r_z
+
+
+class _CellLists:
+    """Uniform cell lists (Bentley, Stanat and Williams, 1977) over a lone
+    tree's selectable nodes, two to a cell over their box less its outer
+    1/64 on each axis.  A key packs a cell's per-axis indices, offset by
+    ``_SPAN`` and clamped to [0, 2 * _SPAN), in 21 bits each; a ring
+    offset past the clamp at most adds a cell to the search."""
+
+    def __init__(self, xyz, lo, side):
+        self.xyz, self.lo, self.side, self.buckets = xyz, lo, side, defaultdict(list)
+
+    @classmethod
+    def over(cls, pos_t, ids, xyz, where):
+        """Cell lists over the nodes ``ids`` (columns of ``pos_t``; ``xyz`` has
+        them on Python floats), their keys put in ``where``; None where no
+        finite grid holds them."""
+        pts = pos_t[:, ids]
+        k = (ids.size - 1) // 64   # order statistics: numpy's quantile imports numpy.ma
+        lo, hi = np.partition(pts, (k, ids.size - 1 - k), axis=1)[:, [k, ids.size - 1 - k]].T
+        wide = (hi - lo)[hi > lo]
+        # side ** d = 2 * box volume / nodes, in logs so that it cannot overflow
+        side = float(np.exp((np.log(2 / ids.size) + np.log(wide).sum()) / max(wide.size, 1)))
+        while 0 < side < math.inf and np.prod(np.floor((hi - lo) / side) + 1) > ids.size:
+            side *= 2   # a flat box: fewer, wider cells
+        if not 0 < side < math.inf:
+            return None
+        grid = cls(xyz, lo.tolist(), side)
+        cells = np.clip(np.floor((pts - lo[:, None]) / side), -_SPAN, _SPAN - 1) + _SPAN
+        keys = np.left_shift(cells.astype(np.int64), 21 * np.arange(len(lo))[:, None]).sum(axis=0)
+        np.frombuffer(where, dtype=np.int64)[ids] = keys
+        for j, key in zip(ids.tolist(), keys.tolist()):
+            grid.buckets[key].append(j)
+        return grid
+
+    def cell(self, p):
+        """The key of point p's cell."""
+        key = 0
+        for a, (x, lo) in enumerate(zip(p, self.lo)):
+            t = (x - lo) / self.side
+            i = math.floor(t) if -_SPAN <= t < _SPAN else (_SPAN - 1 if t > 0 else -_SPAN)
+            key |= i + _SPAN << 21 * a
+        return key
+
+    def nearest(self, p, budget):
+        """The node of least (distance to p, id), with ``_coord_norms``' bits,
+        or None once the rings visit more cells and nodes than ``budget``.
+        They stop below every unvisited ring's bound: k rings out, k - 1
+        cells plus the distance from p to its cell's nearest wall."""
+        side, buckets, sqrt = self.side, self.buckets, math.sqrt
+        (X, Y, Z), (px, py, pz) = self.xyz, (*p, 0.0)[:3]
+        key = self.cell(p)
+        wall, mag = math.inf, side
+        for a, (x, lo) in enumerate(zip(p, self.lo)):
+            below = x - (lo + ((key >> 21 * a & 0x1FFFFF) - _SPAN) * side)
+            wall = min(wall, below, side - below)
+            mag += abs(x) + abs(lo)
+        best, bj, seen, k = math.inf, math.inf, 0, 0
+        while True:
+            seen += len(shell := _shell(k, len(self.lo)))
+            for o in shell:
+                bucket = buckets.get(key + o, ())
+                seen += len(bucket)
+                if seen > budget:
+                    return None
+                for j in bucket:
+                    t, u, v = X[j] - px, Y[j] - py, Z[j] - pz
+                    dist = sqrt(t * t + u * u + v * v)
+                    if dist < best or dist == best and j < bj:
+                        best, bj = dist, j
+            # a margin of 1e-12 covers the rounding of cells and walls
+            if best + 1e-12 * (mag + k * side) < k * side + wall:
+                return bj
+            k += 1
+
+
+@lru_cache(maxsize=256)
+def _shell(k, d):
+    """The key offsets of the cells k rings out from a cell, in d dimensions."""
+    return tuple(sum(e << 21 * a for a, e in enumerate(off))
+                 for off in product(range(-k, k + 1), repeat=d) if max(map(abs, off)) == k)
+
+
+def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
+    """Grow a block's lone tree on the items of its buffers (coordinates,
+    area, wa, before, parent; ``pos`` views the coordinates) and records.
+    The pick pops a heap of (-distance to the source, id); the nearest
+    node comes from cell lists, rebuilt below a quarter of the last build's
+    nodes or below 7/8 once the pick's distance to the source has halved,
+    or from every selectable node past a budget of cells and nodes.  It is
+    evaluated on Python floats with ``_branch_gains``' bits.  Returns the
+    node count, candidate evals, and settled and widened scans."""
+    (xs, area, wa, before, parent), (picked, partner, gain_at) = bufs, recs
+    alpha, power, delta = params.alpha, params.formula == "power", params.shift_delta
+    n, (cap, d), pos_t = rad.size, pos.shape, pos.T
+    cols = [memoryview(xs)[c * cap:(c + 1) * cap] for c in range(d)]
+    xyz = cols + [array("d", bytes(8 * cap))] * (3 - d)
+    src, v0 = pos[0].tolist(), pos[:1]
+    eps0 = None if shift is None else shift[0].tolist()
+    sel = bytearray(b"\0" + b"\1" * n + bytes(n))   # selectable flags
+    selectable = np.frombuffer(sel, dtype=bool)
+    heapq.heapify(heap := list(zip((-rad).tolist(), range(1, n + 1))))
+    where = array("q", bytes(8 * cap))   # each node's grid cell
+    grid = _CellLists.over(pos_t, np.arange(1, n + 1), xyz, where)
+    built, reach = n, -heap[0][0]   # the nodes and the farthest one's distance at a build
+    count, evals, settled, widened = n + 1, n - 1, 0, 0
+    for step in range(n):
+        neg, g = heapq.heappop(heap)
+        while not sel[g]:
+            neg, g = heapq.heappop(heap)
+        picked[step], sel[g] = g, 0
+        live = n - step - 1       # selectable nodes left
+        if not live:
+            break
+        if 4 * live < built or -2 * neg < reach and 8 * live < 7 * built:
+            built, reach = live, -neg
+            grid = _CellLists.over(pos_t, np.flatnonzero(selectable), xyz, where)
+        elif grid:
+            grid.buckets[where[g]].remove(g)
+        v_i = [col[g] for col in cols]
+        j = grid and grid.nearest(v_i, live // 8 + 32)
+        if j is None:
+            ids = np.flatnonzero(selectable)
+            j = int(ids[np.argmin(_coord_norms(pos_t[:, ids] - pos_t[:, g:g + 1]))])
+
+        # ring 1: the nearest node
+        v_j = [col[j] for col in cols]
+        s_i, s_j, w_j = area[g], area[j], wa[j]
+        w_i, s_m = s_i ** alpha, s_i + s_j
+        w_m = float((np.array([s_m]) ** alpha)[0])   # numpy's array power, not libm's
+        if power:
+            den = w_i + w_j + w_m
+            z = [(w_i * a + w_j * b + w_m * o) / den for a, b, o in zip(v_i, v_j, src)]
+        else:
+            z = [(1.0 - alpha) * ((s_i * a + s_j * b) / s_m) + alpha * o
+                 for a, b, o in zip(v_i, v_j, src)]
+        if eps0 is not None:
+            z = [a + e / (s_m + delta) for a, e in zip(z, eps0)]
+        if post_point is not None:
+            z = post_point(np.array([z]))[0].tolist()
+        r_z, r_i, r_j = (math.sqrt(_squared_distance(z, v)) for v in (src, v_i, v_j))
+        dv = np.array(src) - np.array(v_i)   # the direct edge, with np.vecdot's bits
+        gain = (w_i * float(np.sqrt(np.vecdot(dv, dv))) + before[j]
+                - (w_m * r_z + w_i * r_i + w_j * r_j))
+        if gain > GAIN_TOL:
+            settled += 1
+        elif live > 1:
+            # ring 2: every other selectable node, of which the least
+            # (distance, id) improving one
+            widened += 1
+            ids = np.flatnonzero(selectable)
+            ids = ids[ids != j]
+            evals += ids.size
+            terms = _picked_terms(v0, pos[g:g + 1], np.array([s_i]), alpha, power, shift)
+            zs, s_m, w_m, gains, r_z = _branch_gains(
+                terms, pos[ids], *(np.frombuffer(b)[ids] for b in bufs[1:4]), params, post_point)
+            h = np.flatnonzero(gains > GAIN_TOL)
+            if not h.size:
+                continue
+            h = h[np.argmin(_coord_norms(pos_t[:, ids[h]] - pos_t[:, g:g + 1]))]
+            j, z, s_m, gain, w_m, r_z = (int(ids[h]), zs[h].tolist(), float(s_m[h]),
+                                         float(gains[h]), float(w_m[h]), float(r_z[h]))
+        else:
+            continue
+
+        # the merge retires the partner and makes the branch node selectable
+        new, count = count, count + 1
+        for col, a in zip(cols, z):
+            col[new] = a
+        area[new], wa[new], before[new] = s_m, w_m, w_m * r_z
+        parent[g] = parent[j] = new
+        sel[j], sel[new] = 0, 1
+        heapq.heappush(heap, (-r_z, new))
+        if grid:
+            grid.buckets[where[j]].remove(j)
+            where[new] = key = grid.cell(z)
+            grid.buckets[key].append(new)
+        partner[step], gain_at[step] = j, gain
+    return count, evals, settled, widened
+
+
 def _grow_block(problems, params, eps, post_point):
-    """Build the trees of one block in lockstep, one iteration per step.
+    """Build and finalise the trees of one block, one iteration per step.
 
     ``problems`` are sorted by size, largest first, and share dimension,
-    formula, alpha and shift settings.  Every iteration retires exactly
-    one selectable node, so tree b runs for exactly n_b steps and the
-    trees still running at a step are a prefix of the block.  Node data
-    of all trees sit in flat arrays at per-tree offsets.  The selectable
-    nodes of tree b sit compacted in row b of (B, W) planes: their ids,
-    one NaN-padded plane per coordinate, whose NaN cells drop out of
-    every comparison, and their distances to the source, -inf padded.
-    A step picks, per running tree, the cell of largest distance, the
-    lower id on ties, and does all of its bookkeeping as array passes
-    over the block; each tree's steps and trace are cut from the
-    per-step records once the block is done.  The scan widens once: each
-    tree's nearest node, then every other node where that does not pay.
-    A step where one tree scans shares numpy's per-call cost with no
-    other, so its nearest node is evaluated on Python floats and its
-    merge indexes single cells (``scan_one``); the merged area's power
-    stays a numpy array power, which differs from Python's ``**`` in the
-    last bit on a few percent of inputs.  The block is finalised at once:
-    one gather of the used rows, one ``_sourced_forest`` call and one
-    cumsum for the cost traces.  ``params`` holds the shared settings and
-    ``eps`` each problem's checked shift vector, or None for every one.
-    Returns the block's ``BuildResult``s in block order, and its counts
-    for ``build_forest``'s DEBUG line.
+    formula, alpha and shift settings; ``eps`` holds their checked shift
+    vectors, or None for every one.  Node data sit in flat buffers at
+    per-tree offsets, which numpy reads through zero-copy views and a lone
+    tree item by item (``_lone_steps``).  Several trees step in lockstep:
+    tree b runs n_b steps, so the running trees are a prefix of the block,
+    and row b of (B, W) planes holds its selectable nodes' ids, coordinates
+    and distances to the source, padded with NaN and -inf, which drop out
+    of every comparison.  The block is finalised at once: one gather, one
+    ``_sourced_forest`` call and one cumsum for the cost traces.  Returns
+    the ``BuildResult``s in block order and the block's DEBUG counts.
     """
-    alpha = params.alpha
-    power = params.formula == "power"
-    delta = params.shift_delta
-    B = len(problems)
-    W = problems[0].n_targets
-    d = problems[0].dim
+    alpha, power = params.alpha, params.formula == "power"
+    B, W, d = len(problems), problems[0].n_targets, problems[0].dim
 
     sizes = np.array([problem.n_targets for problem in problems])
     caps = 2 * sizes + 1
     offs = np.cumsum(caps) - caps
     total = int(caps.sum())
-    pos = np.zeros((total, d))
-    area = np.zeros(total)
-    parent = np.zeros(total, dtype=np.int64)   # per-tree ids; targets start on the source
-    # fixed when a node is inserted: area ** alpha, and that times the
-    # distance to the source, the node's direct-edge cost
-    wa = np.zeros(total)
-    before = np.zeros(total)
+    # positions, area, wa = area ** alpha and before = wa times the
+    # distance to the source (the node's direct-edge cost, fixed when it
+    # is inserted), and parent, in per-tree ids; targets start on the source
+    bufs = [array(t, bytes(8 * m)) for t, m in zip("ddddq", (d * total,) + (total,) * 4)]
+    pos, area, wa, before, parent = (np.frombuffer(b, dtype=b.typecode) for b in bufs)
+    pos = pos.reshape(d, total).T
     star = np.zeros(B)   # each star cost, with star_cost's arithmetic
     # the selectable nodes of tree b: flat_ids[b * W:][:m] at positions
     # live[:, b, :m] and at distances rad[b, :m] from the source
@@ -363,174 +559,97 @@ def _grow_block(problems, params, eps, post_point):
     evals = sizes - 1           # ring 1 evaluates one branch point per scan
     # per step and tree: the picked node's flat id, and the partner's
     # flat id and the gain of a merge (0 and 0.0 on a retirement)
-    picked = np.zeros((W, B), dtype=np.int64)
-    partner = np.zeros((W, B), dtype=np.int64)
-    gain_at = np.zeros((W, B))
-    work = np.empty((d, B, W))
+    recs = [array(t, bytes(8 * W * B)) for t in "qqd"]
+    picked, partner, gain_at = (np.frombuffer(b, dtype=b.typecode).reshape(W, B) for b in recs)
     settled = widened = 0       # scans ring 1 settles by a merge, scans ring 2 runs
-
-    src = v0[0].tolist()
-    eps0 = None if shift is None else shift[0].tolist()
-
-    def scan_one(g, c):
-        """``scan`` of cell c alone for tree 0's picked node g, on Python floats
-        with the same bits: the merge it would return, or None."""
-        k = int(flat_ids[c])
-        v_i, v_j = pos[g].tolist(), cells[:d, c].tolist()
-        s_i, s_j, w_j = float(area[g]), float(area[k]), float(wa[k])
-        w_i = s_i ** alpha
-        s_m = s_i + s_j
-        w_m = float((np.array([s_m]) ** alpha)[0])   # numpy's array power, not libm's
-        if power:
-            den = w_i + w_j + w_m
-            z = [(w_i * a + w_j * b + w_m * o) / den for a, b, o in zip(v_i, v_j, src)]
-        else:
-            z = [(1.0 - alpha) * ((s_i * a + s_j * b) / s_m) + alpha * o
-                 for a, b, o in zip(v_i, v_j, src)]
-        if eps0 is not None:
-            z = [a + e / (s_m + delta) for a, e in zip(z, eps0)]
-        if post_point is not None:
-            z = post_point(np.array([z]))[0].tolist()
-        r_z, r_i, r_j = (math.sqrt(_squared_distance(z, v)) for v in (src, v_i, v_j))
-        dv = v0[0] - pos[g]
-        gain = (w_i * float(np.sqrt(np.vecdot(dv, dv))) + float(before[k])
-                - (w_m * r_z + w_i * r_i + w_j * r_j))
-        if gain > GAIN_TOL:
-            return 0, k, c, np.array(z), s_m, gain, w_m, r_z
 
     # a shifted branch point far enough out overflows to inf; its gain is
     # then -inf, so it cannot pay, and numpy need not warn about it
     with np.errstate(over="ignore"):
-        for step in range(W):
-            nact, nscan = running[step], running[step + 1]
-            # pick each running tree's farthest selectable node, and retire it
-            # by moving the tree's last selectable node into its cell
-            r = rad[:nact, :W - step]
-            if nact == 1:   # slices reach a lone tree's cells without index arrays
-                i = int(r.argmax())
-                c_i, c_last = slice(i, i + 1), slice(W - step - 1, W - step)
-            else:
+        if B == 1:
+            count[0], evals[0], settled, widened = _lone_steps(
+                bufs, recs, pos, rad[0], params, shift, post_point)
+        else:
+            work = np.empty((d, B, W))
+            for step in range(W):
+                nact, nscan = running[step], running[step + 1]
+                # pick each running tree's farthest selectable node, and retire it
+                # by moving the tree's last selectable node into its cell
+                r = rad[:nact, :W - step]
                 c_i = row_start[:nact] + r.argmax(axis=1)
                 c_last = last_cell[:nact] - step
-            ties = r == cells[d, c_i][:, None]
-            if np.count_nonzero(ties) > nact:
-                tb, col = ties.nonzero()
-                c_i = row_start[tb] + col
-                c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
-            picked[step, :nact] = flat_ids[c_i]
-            # not flat_ids[c_i]: a slice of it is a view, which the swap overwrites
-            gi = picked[step, :nact]
-            flat_ids[c_i] = flat_ids[c_last]
-            cells[:, c_i] = cells[:, c_last]
-            cells[:, c_last] = pad
+                ties = r == cells[d, c_i][:, None]
+                if np.count_nonzero(ties) > nact:
+                    tb, col = ties.nonzero()
+                    c_i = row_start[tb] + col
+                    c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
+                picked[step, :nact] = flat_ids[c_i]
+                gi = picked[step, :nact]
+                flat_ids[c_i] = flat_ids[c_last]
+                cells[:, c_i] = cells[:, c_last]
+                cells[:, c_last] = pad
 
-            # the trees with selectable nodes left scan them; the others retire
-            if nscan:
-                width = W - step - 1
-                vi = pos[gi[:nscan]]
-                x = np.subtract(live[:, :nscan, :width], vi.T[:, :, None],
-                                out=work[:, :nscan, :width])
-                dist = _coord_norms(x)
-                flat_dist = dist.reshape(-1)
+                # the trees with selectable nodes left scan them; the others retire
+                if nscan:
+                    width = W - step - 1
+                    vi = pos[gi[:nscan]]
+                    x = np.subtract(live[:, :nscan, :width], vi.T[:, :, None],
+                                    out=work[:, :nscan, :width])
+                    dist = _coord_norms(x)
+                    flat_dist = dist.reshape(-1)
+                    per_tree = _picked_terms(v0[:nscan], vi, area[gi[:nscan]], alpha, power, shift)
 
-                def tree_terms():
-                    """Each scanning tree's values that ``scan`` broadcasts or gathers."""
-                    s_i = area[gi[:nscan]]
-                    w_i = np.array([s ** alpha for s in s_i.tolist()])
-                    dv = v0[:nscan] - vi
-                    before_i = w_i * np.sqrt(np.vecdot(dv, dv))
-                    # w_i * v_i or s_i * v_i: the picked node's term of the formula
-                    prod = (w_i if power else s_i)[:, None] * vi
-                    terms = [v0[:nscan], vi, s_i, w_i, before_i, prod]
-                    return terms + [shift[:nscan]] if shift is not None else terms
+                    def candidates(mask):   # tree, index into dist and flat cell of each
+                        f = mask.reshape(-1).nonzero()[0]
+                        tb = f // width
+                        return tb, f, f + tb * (W - width)
 
-                def candidates(mask):
-                    """The cells of ``mask``: tree, index into dist, flat cell."""
-                    f = mask.reshape(-1).nonzero()[0]
-                    if nscan == 1:
-                        return np.zeros(f.size, dtype=np.intp), f, f
-                    tb = f // width
-                    return tb, f, f + tb * (W - width)
+                    def scan(tb, f, c, several):
+                        """The improving candidates, or per tree the least (distance, id)
+                        improving one if a tree may have ``several``."""
+                        k = flat_ids[c]
+                        zs, s_m, w_m, gains, r_z = _branch_gains(
+                            [a[tb] for a in per_tree], cells[:d, c].T, area[k], wa[k], before[k],
+                            params, post_point)
+                        h = (gains > GAIN_TOL).nonzero()[0]
+                        if several:
+                            h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
+                        return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
 
-                def scan(tb, f, c, several):
-                    """Evaluate the candidates; the improving ones, or per tree the
-                    one of least (distance, id) if a tree may have ``several``."""
-                    k = flat_ids[c]
-                    v_j = cells[:d, c].T
-                    # one tree's values broadcast; several are gathered per candidate
-                    v_k, v_i, s_ic, w_ic, bef, prod_c, *shift_c = (
-                        per_tree if nscan == 1 else [a[tb] for a in per_tree]
-                    )
-                    s_j = area[k]
-                    w_j = wa[k]
-                    s_m = s_ic + s_j
-                    w_m = s_m ** alpha
-                    if power:
-                        zs = _power_points(prod_c, w_ic, v_j, w_j, v_k, w_m)
-                    else:
-                        zs = _interp_points(prod_c, v_j, s_j, s_m, v_k, alpha)
-                    if shift_c:
-                        zs = zs + shift_c[0] / (s_m + delta)[:, None]
-                    if post_point is not None:
-                        zs = post_point(zs)
-                    gains, r_z = _gains(bef, w_ic, w_j, w_m, before[k], v_k, v_i, v_j, zs)
-                    h = (gains > GAIN_TOL).nonzero()[0]
-                    if several:
-                        h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
-                    return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
-
-                # ring 1: each tree's nearest node, the lower id on ties; if it
-                # pays, it is the least (distance, id) improving candidate.  A
-                # lone tree shares numpy's per-call cost with no other, so it
-                # evaluates the one candidate on Python floats instead
-                tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
-                if tb.size > nscan:
-                    near = _least_per_tree(tb, flat_ids[c])
-                    tb, f, c = tb[near], f[near], c[near]
-                per_tree = None
-                if nscan == 1:
-                    ring = scan_one(int(gi[0]), int(c[0]))
-                    paid = int(ring is not None)
-                else:
-                    per_tree = tree_terms()
+                    # ring 1: each tree's nearest node, the lower id on ties; if it
+                    # pays, it is the least (distance, id) improving candidate
+                    tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
+                    if tb.size > nscan:
+                        near = _least_per_tree(tb, flat_ids[c])
+                        tb, f, c = tb[near], f[near], c[near]
                     ring = scan(tb, f, c, False)
                     paid = ring[0].size
-                rings = [ring] if paid else []
-                settled += paid
-                # ring 2, for the trees whose nearest did not pay and that have
-                # another selectable node: every other node, of which the least
-                # (distance, id) improving one
-                if paid < nscan:
-                    missed = sizes[:nscan] > step + 2   # a node beyond the nearest
-                    if paid:
+                    rings = [ring] if paid else []
+                    settled += paid
+                    # ring 2, where the nearest did not pay and another node is left:
+                    # every other node, of which the least (distance, id) improving one
+                    if paid < nscan:
+                        missed = sizes[:nscan] > step + 2   # a node beyond the nearest
                         missed[ring[0]] = False
-                    if missed.any():
-                        widened += int(np.count_nonzero(missed))
-                        mask = ~np.isnan(dist) & missed[:, None]
-                        mask.reshape(-1)[f] = False     # ring 1 evaluated these
-                        tb, f, c = candidates(mask)
-                        evals[:nscan] += np.bincount(tb, minlength=nscan)
-                        per_tree = per_tree or tree_terms()
-                        ring = scan(tb, f, c, True)
-                        if ring[0].size:
-                            rings.append(ring)
+                        if missed.any():
+                            widened += int(np.count_nonzero(missed))
+                            mask = ~np.isnan(dist) & missed[:, None]
+                            mask.reshape(-1)[f] = False     # ring 1 evaluated these
+                            tb, f, c = candidates(mask)
+                            evals[:nscan] += np.bincount(tb, minlength=nscan)
+                            ring = scan(tb, f, c, True)
+                            if ring[0].size:
+                                rings.append(ring)
 
-                # each merge retires the partner and puts the branch node in its
-                # cell; scan_one's scalars index single cells
-                for mb, j, c, z, s_m, gains, w_m, r_z in rings:
-                    own = count[mb]
-                    new = offs[mb] + own
-                    flat_ids[c] = new
-                    cells[:d, c] = z.T
-                    cells[d, c] = r_z
-                    pos[new] = z
-                    area[new] = s_m
-                    wa[new] = w_m
-                    before[new] = w_m * r_z
-                    parent[gi[mb]] = parent[j] = own
-                    count[mb] = own + 1
-                    partner[step, mb] = j
-                    gain_at[step, mb] = gains
+                    # each merge retires the partner and puts the branch node in its cell
+                    for mb, j, c, z, s_m, gains, w_m, r_z in rings:
+                        own = count[mb]
+                        new = offs[mb] + own
+                        flat_ids[c], cells[:d, c], cells[d, c] = new, z.T, r_z
+                        pos[new], area[new], wa[new], before[new] = z, s_m, w_m, w_m * r_z
+                        parent[gi[mb]] = parent[j] = own
+                        count[mb] = own + 1
+                        partner[step, mb], gain_at[step, mb] = j, gains
 
     # every tree's used rows and kinds, gathered once: local id 0 is the
     # source, 1..n the targets, the rest branch nodes
@@ -626,16 +745,11 @@ def build_forest(
     the bytes ``build_one_to_many`` gives it alone; the results come back
     in input order.  Trees are grouped by dimension, formula, alpha and
     shift settings, sorted by size, and cut into blocks of at most
-    ``_BLOCK_CELLS`` padded cells (one tree always fits).  Each lockstep
-    step picks every running tree's farthest node from a plane of source
-    distances and retires it, then runs the distance pass, the evaluation
-    of each tree's nearest node (the lower id on ties) and the merge
-    bookkeeping, each as one numpy pass over the block; only the trees
-    whose nearest does not pay go on to evaluate all their other nodes.
-    A step where only one tree scans (every step of a lone tree, the tail
-    of a block) evaluates its nearest node on Python floats instead, with
-    the same bits.  Each block's trees are then checked together, once,
-    in whole-array passes, and a tree that fails raises its FlowTree
+    ``_BLOCK_CELLS`` padded cells (one tree always fits).  A block of
+    several trees steps in lockstep, in numpy passes over all of them; a
+    block of one tree runs on Python floats, with a heap for its pick and
+    cell lists for its nearest node.  Each block's trees are checked
+    together in whole-array passes; a tree that fails raises its FlowTree
     construction's error.  ``post_point`` sees the candidates of several
     trees at once, so it must act row by row.  One DEBUG line per call on
     this module's logger gives the trees, blocks, lockstep steps and how
@@ -662,13 +776,12 @@ def build_one_to_many(
 ) -> BuildResult:
     """Grow a branched flow tree over one source and its targets.
 
-    A forest of one: see ``build_forest``.  Each build logs its counts
-    at DEBUG as ``build_one_to_many N=...``.
-
-    The scan evaluates the nearest neighbor first and the rest only when
-    it does not improve, so ``candidate_evals`` counts the branch points
-    actually evaluated: mostly one per merge, all other selectable nodes
-    per retirement.
+    A forest of one (see ``build_forest``): its pick pops a heap and its
+    nearest node comes from cell lists, so that a step reaches every node
+    only when the nearest does not pay.  ``candidate_evals`` counts the
+    branch points evaluated: mostly one per merge, all other selectable
+    nodes per retirement.  Each build logs its counts at DEBUG as
+    ``build_one_to_many N=...``.
 
     ``eps`` overrides the frozen shift vector (otherwise drawn once from
     ``params.seed`` when ``params.shift_norm > 0``); ``post_point`` maps

@@ -90,12 +90,13 @@ def _make_out_dir(path):
         path.mkdir(parents=True, exist_ok=True)
 
 
-def _sinkhorn_config(args: argparse.Namespace) -> SinkhornConfig:
-    return SinkhornConfig(reg=args.reg, tol=args.tol, max_iter=args.max_iter)
+def _from_args(cls, args: argparse.Namespace):
+    """A ``BotParams`` or ``SinkhornConfig`` from the options of its fields' names."""
+    return cls(**{name: getattr(args, name) for name in cls.__dataclass_fields__ if name in args})
 
 
 def _cmd_ot(args: argparse.Namespace) -> int:
-    cfg = _sinkhorn_config(args)
+    cfg = _from_args(SinkhornConfig, args)
     instance = synthetic_instance(args.seed, args.n_sources, args.n_targets)
     plan, cost, res = _plan(instance, args.ot_mode, cfg)
     print(f"ot cost {cost!r} ({args.ot_mode})")
@@ -109,8 +110,7 @@ def _cmd_ot(args: argparse.Namespace) -> int:
 
 
 def _cmd_branch(args: argparse.Namespace) -> int:
-    params = BotParams(alpha=args.alpha, formula=args.formula, shift_norm=args.shift_norm,
-                       shift_delta=args.shift_delta, seed=args.seed)
+    params = _from_args(BotParams, args)
     result = build_one_to_many(synthetic_problem(args.seed, args.n_targets, args.d), params)
     n_branch = int(np.sum(result.tree.kind == "branch"))
     print(f"star cost {float(result.trace[0])!r}")
@@ -143,9 +143,9 @@ def _cmd_net(args: argparse.Namespace) -> int:
     _make_out_dir(args.out)
     result = solve_network(
         synthetic_instance(args.seed, args.n_sources, args.n_targets),
-        BotParams(alpha=args.alpha, formula=args.formula, seed=args.seed),
+        _from_args(BotParams, args),
         args.ot_mode,
-        _sinkhorn_config(args),
+        _from_args(SinkhornConfig, args),
         threshold=args.threshold,
     )
     rep = result.report
@@ -170,8 +170,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 def _cmd_dual(args: argparse.Namespace) -> int:
     _make_out_dir(args.out)
-    params = BotParams(alpha=args.alpha, formula=args.formula, shift_norm=args.shift_norm,
-                       shift_delta=args.shift_delta, seed=args.seed)
+    params = _from_args(BotParams, args)
     artery, vein = dual_network(synthetic_problem(args.seed, args.n_targets, args.d), params)
     artery_cost, vein_cost = bot_cost(artery, args.alpha), bot_cost(vein, args.alpha)
     print(f"artery cost {artery_cost!r}")
@@ -190,7 +189,7 @@ def _cmd_santa(args: argparse.Namespace) -> int:
     print(report.summary())
     if not report.cities:
         raise InputError(f"{path} contains no loadable cities")
-    params = BotParams(alpha=args.alpha, formula=args.formula, seed=args.seed)
+    params = _from_args(BotParams, args)
     network = santa_pipeline(report.cities, (args.pole_lat, args.pole_lon), params)
     entries = list(network.all_trees())
     trees = [tree for _, _, tree in entries]

@@ -80,9 +80,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """``x`` as a float array; ParameterError unless it holds real numbers."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:   # a string, a complex, a ragged list
+        raise ParameterError(f"{name} must hold real numbers: {exc}") from None
+
+
 def as_point(coords: Iterable[float]) -> np.ndarray:
     """Return ``coords`` as a read-only float vector of dimension 2 or 3."""
-    p = np.array(coords, dtype=float)
+    p = _floats(coords, "a point")
     if p.ndim != 1 or p.shape[0] not in (2, 3):
         raise ParameterError(f"a point needs 2 or 3 coordinates, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -91,7 +99,7 @@ def as_point(coords: Iterable[float]) -> np.ndarray:
 
 
 def _as_point_array(arr, name: str) -> np.ndarray:
-    a = np.atleast_2d(np.array(arr, dtype=float))
+    a = np.atleast_2d(_floats(arr, name))
     if a.ndim != 2 or a.shape[1] not in (2, 3):
         raise ParameterError(f"{name} must be an (n, 2) or (n, 3) array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -100,7 +108,7 @@ def _as_point_array(arr, name: str) -> np.ndarray:
 
 
 def _as_mass_vector(arr, name: str) -> np.ndarray:
-    v = np.array(arr, dtype=float).reshape(-1)
+    v = _floats(arr, name).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ParameterError(f"{name} contains non-finite entries")
     return _freeze(v)
@@ -188,7 +196,7 @@ class TransportPlan:
     col_marginal: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
+        g = _floats(self.gamma, "gamma")
         if g.ndim != 2:
             raise ParameterError("gamma must be a matrix")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
@@ -237,7 +245,7 @@ class FlowTree:
         if parent.dtype.kind not in "iu" or not np.can_cast(parent.dtype, np.int64):
             raise ParameterError(f"parent ids must be integers, got dtype {parent.dtype}")
         parent = np.array(parent, dtype=np.int64)
-        area = np.array(self.area, dtype=float)
+        area = _floats(self.area, "area")
         n = self.coords.shape[0]
         if kind.shape != (n,) or parent.shape != (n,) or area.shape != (n,):
             raise ParameterError("kind, parent and area must have one entry per node")

@@ -740,6 +740,56 @@ def test_forest_matches_one_tree_builds_and_full_scan(forest):
         assert result.tree.coords.tobytes() == want.tree.coords.tobytes()
 
 
+def to_unit_sphere(points):
+    norm = np.linalg.norm(points, axis=1, keepdims=True)
+    return np.divide(points, norm, out=points.copy(), where=norm > 0)
+
+
+@st.composite
+def wide_builds(draw):
+    """Lone trees wide enough that the cell lists are rebuilt, search past
+    the first rings and fall back on every node: ties on an integer grid,
+    duplicate targets, a tight cluster with one far target, in 2-D and
+    3-D, with a shift or a unit-sphere post_point, scaled by 2**+-498."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(100, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["grid", "duplicates", "cluster", "uniform"]))
+    if layout == "grid":
+        targets = rng.integers(-5, 6, (n, d)).astype(float)
+    elif layout == "duplicates":
+        targets = rng.uniform(-1.0, 1.0, (n // 5 + 1, d))[rng.integers(0, n // 5 + 1, n)]
+    elif layout == "cluster":
+        targets = rng.normal(0.7, 1e-4, (n, d))
+        targets[rng.integers(n)] = -9.0
+    else:
+        targets = rng.uniform(-1.0, 1.0, (n, d))
+    source = np.zeros(d) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, d)
+    areas = np.full(n, 1.0 / n) if draw(st.booleans()) else rng.uniform(0.01, 1.0, n) ** 3
+    params = BotParams(
+        alpha=draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])),
+        formula=draw(st.sampled_from(["interp", "power"])),
+        shift_norm=draw(st.sampled_from([0.0, 0.05])),
+        seed=draw(st.integers(0, 99)),
+    )
+    options = {"post_point": to_unit_sphere} if draw(st.integers(0, 3)) == 0 else {}
+    scale = draw(st.sampled_from([2.0**-498, 1.0, 2.0**498]))
+    return OneToManyProblem(source * scale, targets * scale, areas), params, options
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(wide_builds())
+def test_wide_lone_build_matches_full_scan(build):
+    problem, params, options = build
+    got = build_one_to_many(problem, params, **options)
+    want = full_scan_build(problem, params, **options)
+    assert got.events == want.events
+    assert got.trace.tobytes() == want.trace.tobytes()
+    assert got.tree.coords.tobytes() == want.tree.coords.tobytes()
+    assert np.array_equal(got.tree.parent, want.tree.parent)
+    assert got.candidate_evals <= want.candidate_evals
+
+
 @st.composite
 def padded_rows(draw):
     """Point sets of several trees, NaN-padded to one width, with ties,

@@ -255,6 +255,25 @@ def test_integer_parent_dtypes_accepted():
                  [1.0, 1.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: OneToManyProblem(["a", 0], [[1, 0]], [1]),
+    lambda: OneToManyProblem([0, 0], [[1, 0]], ["a"]),
+    lambda: OneToManyProblem([0, 0], [[1, 0], [1]], [1, 1]),   # ragged
+    lambda: OneToManyProblem([1j, 0], [[1, 0]], [1]),
+    lambda: TransportInstance([[0, 0]], [["a", 1]], [1], [1]),
+    lambda: TransportInstance([[0, 0]], [[0, 1]], [1], ["a"]),
+    lambda: TransportPlan([["a"]], [1], [1]),
+    lambda: FlowTree([[0, 0], ["a", 0]], ["source", "target"], [-1, 0], [1.0, 1.0]),
+    lambda: FlowTree([[0, 0], [1, 0]], ["source", "target"], [-1, 0], ["a", 1.0]),
+    lambda: WeightedPointSet([[0, "a"]], [1]),
+], ids=["point", "area", "ragged-targets", "complex", "targets", "mass", "gamma",
+        "coords", "tree-area", "weighted-points"])
+def test_non_numeric_points_and_masses_raise_parameter_error(build):
+    # numpy's float conversion raised its own ValueError or TypeError
+    with pytest.raises(ParameterError, match="must hold real numbers"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # validate_tree against the per-node reference
 
