@@ -77,62 +77,6 @@ from .seeding import substream, substream_seed
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BotParams",
-    "BranchFlowError",
-    "BuildEvent",
-    "BuildResult",
-    "CityLoadReport",
-    "CityTable",
-    "ConvergenceError",
-    "FlowTree",
-    "HierarchicalNetwork",
-    "InputError",
-    "KMeansResult",
-    "NetworkDocument",
-    "NetworkReport",
-    "NetworkResult",
-    "OneToManyProblem",
-    "ParameterError",
-    "SinkhornConfig",
-    "SinkhornResult",
-    "StructuralError",
-    "TransportInstance",
-    "TransportPlan",
-    "ValidationReport",
-    "Violation",
-    "WeightedPointSet",
-    "bot_cost",
-    "branch_point_interp",
-    "branch_point_power",
-    "branch_point_shifted",
-    "build_forest",
-    "build_one_to_many",
-    "choose_k",
-    "cost_matrix",
-    "dual_network",
-    "geo_embed",
-    "geo_project",
-    "load_cities_csv",
-    "local_improvement",
-    "network_from_json",
-    "network_to_json",
-    "plan_cost",
-    "plan_to_assignments",
-    "plan_to_json",
-    "render_geojson",
-    "render_svg",
-    "sample_cities_path",
-    "santa_pipeline",
-    "solve_exact",
-    "solve_network",
-    "solve_sinkhorn",
-    "star_cost",
-    "subadditivity_gain",
-    "substream",
-    "substream_seed",
-    "to_sphere",
-    "validate_tree",
-    "weighted_centroid",
-    "weighted_kmeans",
-]
+# the public names: every class and function imported above, sorted
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_")
+                 and getattr(value, "__module__", "").startswith("branchflow."))

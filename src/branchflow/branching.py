@@ -37,6 +37,7 @@ from .core import (
     _as_point_array,
     _as_mass_vector,
     _check_alpha,
+    _floats,
     _sourced_forest,
 )
 from .seeding import random_direction, substream
@@ -231,7 +232,7 @@ def branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha, eps, delta) -> np.ndarr
 def _shift_vector(eps, dim, delta) -> np.ndarray:
     """``eps`` as a float vector, checked as a frozen shift of dimension
     ``dim`` that is divided by a merged area plus ``delta``."""
-    eps = np.asarray(eps, dtype=float)
+    eps = _floats(eps, "eps")
     if eps.shape != (dim,):
         raise ParameterError("eps must have the same dimension as the points")
     if not np.isfinite(eps).all():

@@ -19,6 +19,7 @@ import numpy as np
 
 from .branching import build_one_to_many
 from .core import (
+    FORMULAS,
     BotParams,
     BranchFlowError,
     ConvergenceError,
@@ -37,6 +38,7 @@ from .io import (
 from .ot import SinkhornConfig
 from .pipeline import (
     DEFAULT_POLE,
+    OT_MODES,
     _plan,
     dual_network,
     santa_pipeline,
@@ -275,12 +277,12 @@ def _add_common(sub, *, alpha: float):
     _add_seed(sub)
     sub.add_argument("--alpha", type=float, default=alpha,
                      help=f"cost exponent in [0, 1] (default {alpha})")
-    sub.add_argument("--formula", choices=("interp", "power"), default="interp",
+    sub.add_argument("--formula", choices=FORMULAS, default="interp",
                      help="branch-point rule (default interp)")
 
 
 def _add_sinkhorn(sub):
-    sub.add_argument("--ot-mode", choices=("exact", "sinkhorn"), default="exact",
+    sub.add_argument("--ot-mode", choices=OT_MODES, default="exact",
                      help="planning solver (default exact)")
     sub.add_argument("--lambda", dest="reg", type=float, default=0.01,
                      help="entropic regularization strength (default 0.01)")

@@ -18,7 +18,9 @@ from .core import (
     _as_mass_vector,
     _as_point_array,
     _check_count,
+    _check_int,
     _child_groups,
+    _floats,
     _freeze,
     _outflow,
 )
@@ -156,11 +158,12 @@ def weighted_kmeans(
     w = pointset.weights
     n = pointset.n_points
     _check_count(k, "k")
+    _check_int(seed, "seed")
     if k > n:
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
 
     if init is not None:
-        centers = np.array(init, dtype=float)
+        centers = _floats(init, "init")
         if centers.shape != (k, pointset.dim) or not np.all(np.isfinite(centers)):
             raise ParameterError(
                 f"init must be finite, of shape ({k}, {pointset.dim}), got shape {centers.shape}"

@@ -11,6 +11,7 @@ here are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, Mapping
@@ -21,6 +22,7 @@ KIND_SOURCE = "source"
 KIND_TARGET = "target"
 KIND_BRANCH = "branch"
 KINDS = (KIND_SOURCE, KIND_TARGET, KIND_BRANCH)
+FORMULAS = ("interp", "power")   # the closed-form branch-point rules
 
 MASS_TOL = 1e-9           # closure and balance tolerance for masses
 CONSERVATION_RTOL = 1e-9  # relative residual tolerated at internal nodes
@@ -306,7 +308,7 @@ class BotParams:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_int(self.seed, "seed")
-        if self.formula not in ("interp", "power"):
+        if self.formula not in FORMULAS:
             raise ParameterError(f"formula must be 'interp' or 'power', got {self.formula!r}")
         # each check is written so that NaN fails it
         if not (isinstance(self.shift_norm, Real) and 0 <= self.shift_norm < np.inf):
@@ -445,10 +447,14 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
                                f"but sends {float(outflow[i])} (residual {r:.3g})"))
 
     for node, demand in (demands or {}).items():
+        _check_int(node, "a demand's node id")
+        if not isinstance(demand, Real):
+            raise ParameterError(f"demand for node {node} must be a real number, got {demand!r}")
         if node < 0 or node >= n or kind[node] != KIND_TARGET:
             v.append(Violation("demand-mismatch", (int(node),), None,
                                f"demand given for non-target node {node}"))
-        elif abs(area[node] - demand) > CONSERVATION_RTOL * max(1.0, abs(demand)):
+        elif not (math.isfinite(demand)
+                  and abs(area[node] - demand) <= CONSERVATION_RTOL * max(1.0, abs(demand))):
             v.append(Violation("demand-mismatch", (int(node),), float(area[node] - demand),
                                f"target {node} carries {area[node]} but was assigned {demand}"))
 

@@ -37,6 +37,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _check_count,
+    _floats,
 )
 
 _log = logging.getLogger(__name__)
@@ -53,7 +54,7 @@ def cost_matrix(instance: TransportInstance) -> np.ndarray:
 
 
 def _check_cost(c, m: int, n: int) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
+    c = _floats(c, "the cost matrix")
     if c.shape != (m, n):
         raise ParameterError(f"cost matrix must have shape {(m, n)}, got {c.shape}")
     if not np.all(np.isfinite(c)) or np.any(c < 0):
@@ -62,12 +63,12 @@ def _check_cost(c, m: int, n: int) -> np.ndarray:
 
 
 def _check_masses(p: np.ndarray, q: np.ndarray) -> None:
-    """Supplies and demands must be finite, strictly positive and balanced.
-
-    Each check is written so that NaN fails it.
+    """Supplies and demands must be nonempty vectors, finite, strictly
+    positive and balanced.  Each check is written so that NaN fails it.
     """
-    if p.shape[0] == 0 or q.shape[0] == 0:
-        raise ParameterError("need at least one supply and one demand")
+    if not (p.ndim == q.ndim == 1 and p.size and q.size):
+        raise ParameterError(f"need at least one supply and one demand, each in a vector, "
+                             f"got shapes {p.shape} and {q.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise ParameterError("supplies and demands must be finite")
     if not (np.all(p > 0) and np.all(q > 0)):
@@ -247,11 +248,10 @@ def transport_simplex(p, q, c) -> np.ndarray:
     would give, so the pivot sequence and the plan bytes do not depend on
     this bookkeeping.  Pivot counts go to this module's logger at DEBUG.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _floats(p, "p"), _floats(q, "q")
+    _check_masses(p, q)
     m, n = p.shape[0], q.shape[0]
     c = _check_cost(c, m, n)
-    _check_masses(p, q)
     # reduced costs carry rounding residue relative to the costs' scale
     price_tol = _PRICE_TOL * max(1.0, float(c.max()))
 

@@ -24,6 +24,7 @@ from .core import (
     TransportPlan,
     _check_count,
     _child_groups,
+    _floats,
     _outflow,
     bot_cost,
 )
@@ -202,11 +203,7 @@ def geo_embed(lat, lon) -> np.ndarray:
     Scalars give one point of shape (3,); arrays of n values give (n, 3).
     (0, 0) maps to (1, 0, 0) and (90, anything) to (0, 0, 1).
     """
-    try:
-        lat = np.asarray(lat, dtype=float)
-        lon = np.asarray(lon, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError("lat and lon must be numbers") from None
+    lat, lon = _floats(lat, "lat"), _floats(lon, "lon")
     if lat.shape != lon.shape:
         raise ParameterError(f"lat and lon must have one shape, got {lat.shape} and {lon.shape}")
     ok = _lat_ok(lat)
@@ -221,7 +218,7 @@ def geo_embed(lat, lon) -> np.ndarray:
 
 def geo_project(point) -> tuple:
     """Renormalize a 3-D point to the unit sphere and return (lat, lon) degrees."""
-    point = np.asarray(point, dtype=float)
+    point = _floats(point, "a sphere point")
     if point.shape != (3,):
         raise ParameterError(f"a sphere point needs 3 coordinates, got shape {point.shape}")
     (lon, lat), = _lon_lat_rows(point[None, :]).tolist()
@@ -254,7 +251,7 @@ def _lon_lat_rows(points: np.ndarray) -> np.ndarray:
 
 def to_sphere(points: np.ndarray) -> np.ndarray:
     """Radially push an (n, 3) array of points onto the unit sphere."""
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points, "points")
     with np.errstate(over="ignore"):   # an overflowed norm is rejected by _check_norms
         norms = np.linalg.norm(pts, axis=-1, keepdims=True)
     pts, norms = _check_norms(pts, norms)
@@ -399,7 +396,7 @@ def santa_pipeline(
     pole_xyz = geo_embed(*pole)
     # a loaded table's longitudes are normalized already; normalize_lon keeps their bits
     xyz = geo_embed(cities.lat, cities.lon)
-    pops = np.array(cities.population, dtype=float)
+    pops = _floats(cities.population, "population")
     bad = ~(np.isfinite(pops) & (pops > 0))
     if bad.any():
         raise ParameterError(f"population must be positive, got {pops[bad][0]}")

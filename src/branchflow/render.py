@@ -173,6 +173,11 @@ def _geojson_chunks(trees, levels):
     levels = list(range(len(trees)) if levels is None else levels)
     if len(levels) != len(trees):
         raise ParameterError("levels must have one entry per tree")
+    try:   # a level is manifest text: its % signs are escaped for the template
+        tails = [(',"level":' + json.dumps(level, separators=(",", ":"), allow_nan=False)
+                  + "}}").replace("%", "%%") for level in levels]
+    except (TypeError, ValueError) as exc:   # NaN, an infinity or no JSON value at all
+        raise ParameterError(f"levels must be finite JSON values: {exc}") from None
 
     children = [np.flatnonzero(t.parent >= 0) for t in trees]
     # the sphere edges, tree by tree: sphere[s] holds edges starts[s]..starts[s + 1] - 1
@@ -198,9 +203,7 @@ def _geojson_chunks(trees, levels):
     yield '{"type":"FeatureCollection","features":['
     n_edges = n_points = 0
     counts = ()   # the point counts of the arc block's edges not yet written; xy their points
-    for tree, child, level in zip(trees, children, levels):
-        # a level is manifest text: its % signs are escaped for the template
-        tail = (',"level":' + json.dumps(level, separators=(",", ":")) + "}}").replace("%", "%%")
+    for tree, child, tail in zip(trees, children, tails):
         lo = 0
         while lo < child.size:
             if tree.dim == 3:

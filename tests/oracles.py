@@ -745,7 +745,8 @@ def per_node_validate_tree(tree, demands=None):
             if node < 0 or node >= n or tree.kind[node] != KIND_TARGET:
                 v.append(Violation("demand-mismatch", (int(node),), None,
                                    f"demand given for non-target node {node}"))
-            elif abs(tree.area[node] - demand) > CONSERVATION_RTOL * max(1.0, abs(demand)):
+            elif not (math.isfinite(demand) and abs(tree.area[node] - demand)
+                      <= CONSERVATION_RTOL * max(1.0, abs(demand))):
                 v.append(Violation("demand-mismatch", (int(node),),
                                    float(tree.area[node] - demand),
                                    f"target {node} carries {tree.area[node]} "

@@ -353,6 +353,35 @@ def test_build_commutes_with_reflections(case):
     assert np.array_equal(out.tree.coords, base.tree.coords * flip)
 
 
+@st.composite
+def quarter_turned_builds(draw):
+    """A 2-D problem with its source at the origin, the same problem turned a
+    quarter turn about it, (x, y) -> (-y, x), and unshifted params."""
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = rng.uniform(-1.0, 1.0, (n, 2))
+    areas = rng.uniform(0.01, 1.0, n)
+    params = BotParams(alpha=draw(st.sampled_from([0.25, 0.5, 0.9])),
+                       formula=draw(st.sampled_from(["interp", "power"])))
+    return (OneToManyProblem([0.0, 0.0], targets, areas),
+            OneToManyProblem([0.0, 0.0], targets[:, ::-1] * [-1.0, 1.0], areas), params)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quarter_turned_builds())
+def test_build_commutes_with_quarter_turns(case):
+    # a quarter turn is exact and every branch-point formula acts coordinate by
+    # coordinate, so each coordinate is the turned one; a length may round its two
+    # squares' sum another way, so the costs agree only to rounding
+    problem, turned, params = case
+    base = build_one_to_many(problem, params)
+    out = build_one_to_many(turned, params)
+    for field in ("parent", "kind", "area"):
+        assert getattr(out.tree, field).tobytes() == getattr(base.tree, field).tobytes()
+    assert np.array_equal(out.tree.coords, base.tree.coords[:, ::-1] * [-1.0, 1.0])
+    np.testing.assert_allclose(out.trace, base.trace, rtol=1e-12, atol=0.0)
+
+
 def test_formula_rigid_motion_equivariance():
     rng = substream(19, "rigid")
     theta = -1.2

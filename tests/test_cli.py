@@ -490,6 +490,19 @@ def test_render_malformed_manifest_exits_two(tmp_path, capsys, trees):
     assert "error: cannot read manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["NaN", "1e999", "-Infinity"])
+def test_render_non_finite_manifest_level_exits_two_and_writes_no_file(tmp_path, capsys, level):
+    # json reads each of these as a float, which GeoJSON cannot hold
+    write_network(tmp_path / "tree_0000.json", ["source", "target"], [[0.0, 0.0], [1.0, 0.0]],
+                  [(0, 1, 1.0)])
+    (tmp_path / "manifest.json").write_text(
+        '{"trees":[{"file":"tree_0000.json","level":%s}]}' % level, encoding="utf-8")
+    out = tmp_path / "out.geojson"
+    assert main(["render", str(tmp_path), "--geojson", str(out)]) == 2
+    assert "levels must be finite JSON values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_seed_env_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BRANCHFLOW_SEED", "not-an-int")
     assert main(["branch", "--n-targets", "4"]) == 2

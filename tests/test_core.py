@@ -382,6 +382,33 @@ def test_validate_tree_matches_per_node_reference(raw):
         assert report_bits(got) == report_bits(per_node_validate_tree(tree, demands))
 
 
+DEMAND_TREE = FlowTree([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["source", "target", "target"],
+                       [-1, 0, 0], [3.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
+                         ids=["nan", "inf", "minus-inf", "numpy-nan"])
+def test_validate_tree_reports_a_non_finite_demand_as_a_mismatch(demand):
+    # the tolerance test was written so that NaN passed it, and inf met an inf tolerance
+    demands = {1: 1.0, 2: demand}
+    got = validate_tree(DEMAND_TREE, demands)
+    assert [(v.kind, v.nodes) for v in got.violations] == [("demand-mismatch", (2,))]
+    assert report_bits(got) == report_bits(per_node_validate_tree(DEMAND_TREE, demands))
+
+
+@pytest.mark.parametrize("demands, message", [
+    ({True: 1.0}, "a demand's node id must be an integer, got True"),
+    ({1.5: 1.0}, "a demand's node id must be an integer, got 1.5"),
+    ({"1": 1.0}, "a demand's node id must be an integer, got '1'"),
+    ({1: "x"}, "demand for node 1 must be a real number, got 'x'"),
+    ({1: None}, "demand for node 1 must be a real number, got None"),
+], ids=["bool-key", "float-key", "str-key", "str-value", "none-value"])
+def test_validate_tree_rejects_malformed_demands(demands, message):
+    # numpy took True as a mask and 1.5 as a bad index, and subtracted "x" with its own error
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        validate_tree(DEMAND_TREE, demands)
+
+
 def test_validate_tree_matches_per_node_reference_on_santa_trees():
     cities = load_cities_csv(sample_cities_path()).cities
     network = santa_pipeline(cities, params=BotParams(alpha=0.5, seed=0))

@@ -18,20 +18,28 @@ from branchflow import (
     TransportInstance,
     TransportPlan,
     bot_cost,
+    build_forest,
     build_one_to_many,
+    cost_matrix,
     dual_network,
     geo_embed,
     geo_project,
     network_to_json,
+    plan_cost,
     plan_to_assignments,
     render_svg,
     santa_pipeline,
+    solve_exact,
     solve_network,
+    solve_sinkhorn,
     subadditivity_gain,
     validate_tree,
 )
-from branchflow.branching import branch_point_interp, branch_point_power, local_improvement
+from branchflow.branching import (
+    branch_point_interp, branch_point_power, branch_point_shifted, local_improvement,
+)
 from branchflow.clustering import WeightedPointSet, choose_k, weighted_kmeans
+from branchflow.ot import transport_simplex
 from branchflow.pipeline import DEFAULT_POLE, EARTH_RADIUS_KM, synthetic_instance, to_sphere
 from branchflow.seeding import substream
 
@@ -438,9 +446,9 @@ PLAN = TransportPlan([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5])
     (lambda: SinkhornConfig(reg="0.1"), "reg must be positive, got '0.1'"),
     (lambda: SinkhornConfig(tol="0.1"), "tol must be positive and finite, got '0.1'"),
     (lambda: plan_to_assignments(PLAN, "0"), "threshold must be nonnegative, got '0'"),
-    (lambda: geo_embed("a", 0.0), "lat and lon must be numbers"),
+    (lambda: geo_embed("a", 0.0), "lat must hold real numbers"),
     (lambda: santa_pipeline(random_cities(3, 10, ["A"]), ("a", "b")),
-     "lat and lon must be numbers"),
+     "lat must hold real numbers"),
     (lambda: network_to_json(EDGE, "0.5"), "alpha must lie in [0, 1], got '0.5'"),
     (lambda: render_svg([EDGE], alpha="0.5"), "alpha must lie in [0, 1], got '0.5'"),
 ], ids=["params-alpha", "params-shift-norm", "params-shift-delta", "interp-area",
@@ -449,6 +457,41 @@ PLAN = TransportPlan([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5])
 def test_public_entry_points_reject_non_numbers(call, message):
     # a string reached a range check's comparison, which raised TypeError, or numpy's
     # float conversion, which raised ValueError
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
+
+
+INSTANCE = TransportInstance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+                             [0.5, 0.5], [0.2, 0.3, 0.5])
+PROBLEM = OneToManyProblem([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, ["a", 0], 0.01),
+     "eps must hold real numbers"),
+    (lambda: build_forest([PROBLEM], [BotParams()], eps=[["a", 0]]), "eps must hold real numbers"),
+    (lambda: solve_exact(INSTANCE, "x"), "the cost matrix must hold real numbers"),
+    (lambda: solve_sinkhorn(INSTANCE, [[1, 2, 3], [1, 2]]),
+     "the cost matrix must hold real numbers"),
+    (lambda: plan_cost(solve_exact(INSTANCE, cost_matrix(INSTANCE)), [["x"] * 3] * 2),
+     "the cost matrix must hold real numbers"),
+    (lambda: transport_simplex(["a"], [1.0], [[1.0]]), "p must hold real numbers"),
+    (lambda: transport_simplex(1.0, [1.0], [[1.0]]), "got shapes () and (1,)"),
+    (lambda: transport_simplex([[1.0]], [1.0], [[1.0]]), "got shapes (1, 1) and (1,)"),
+    (lambda: transport_simplex([1.0], [[1.0]], [[1.0]]), "got shapes (1,) and (1, 1)"),
+    (lambda: weighted_kmeans(POINTS, 2, init=[[0, 0], [1]]), "init must hold real numbers"),
+    (lambda: weighted_kmeans(POINTS, 2, init="ab"), "init must hold real numbers"),
+    (lambda: weighted_kmeans(POINTS, 2, seed="a"), "seed must be an integer, got 'a'"),
+    (lambda: geo_project(["a", 0, 0]), "a sphere point must hold real numbers"),
+    (lambda: to_sphere([["a", 0, 0]]), "points must hold real numbers"),
+    (lambda: santa_pipeline(replace(random_cities(3, 10, ["A"]), population=("a",) * 10)),
+     "population must hold real numbers"),
+], ids=["shifted-eps", "forest-eps", "exact-cost", "sinkhorn-ragged-cost", "plan-cost",
+        "simplex-string-p", "simplex-scalar-p", "simplex-matrix-p", "simplex-matrix-q",
+        "kmeans-ragged-init", "kmeans-string-init", "kmeans-string-seed", "project-string",
+        "sphere-string", "santa-string-population"])
+def test_public_float_arguments_go_through_one_checked_conversion(call, message):
+    # each of these died in numpy's float conversion or indexing with a raw error
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
 

@@ -173,6 +173,16 @@ def test_geojson_levels_tags():
         render_geojson([tree], levels=["a", "b"])
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, [1, math.nan], object()],
+                         ids=["nan", "inf", "minus-inf", "nested-nan", "object"])
+def test_geojson_rejects_a_level_that_is_not_finite_json(level):
+    # NaN and the infinities went out as NaN and Infinity, which are not JSON,
+    # and an object raised json's TypeError
+    chunks = _geojson_chunks([star_tree(), star_tree()], ["global", level])
+    with pytest.raises(ParameterError, match="levels must be finite JSON values"):
+        next(chunks)   # before the head, so the CLI opens no file
+
+
 def test_geojson_subdivides_great_circle_edges():
     tree = geo_edge_tree(lon_span=10.0)
     doc = json.loads(render_geojson([tree]))
