@@ -237,7 +237,7 @@ def _shift_vector(eps, dim, delta) -> np.ndarray:
         raise ParameterError("eps must have the same dimension as the points")
     if not np.isfinite(eps).all():
         raise ParameterError("eps must be finite")
-    if not 0 < delta < math.inf:
+    if not (isinstance(delta, Real) and 0 < delta < math.inf):
         raise ParameterError("shift_delta must be finite and positive for a shift")
     return eps
 

@@ -68,11 +68,10 @@ class KMeansResult:
     objective_history: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "centroids", _freeze(np.array(self.centroids, dtype=float)))
-        object.__setattr__(self, "labels", _freeze(np.array(self.labels, dtype=np.int64)))
-        object.__setattr__(
-            self, "objective_history", _freeze(np.array(self.objective_history, dtype=float))
-        )
+        object.__setattr__(self, "centroids", _freeze(_floats(self.centroids, "centroids")))
+        object.__setattr__(self, "labels", _freeze(_floats(self.labels, "labels", np.int64)))
+        object.__setattr__(self, "objective_history",
+                           _freeze(_floats(self.objective_history, "objective_history")))
 
 
 def weighted_centroid(points, weights=None) -> np.ndarray:

@@ -82,10 +82,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _floats(x, name: str) -> np.ndarray:
-    """``x`` as a float array; ParameterError unless it holds real numbers."""
+def _floats(x, name: str, dtype=float) -> np.ndarray:
+    """``x`` as a float (or ``dtype``) array; ParameterError unless it holds real numbers."""
     try:
-        return np.array(x, dtype=float)
+        return np.array(x, dtype=dtype)
     except (TypeError, ValueError) as exc:   # a string, a complex, a ragged list
         raise ParameterError(f"{name} must hold real numbers: {exc}") from None
 
@@ -453,9 +453,13 @@ def validate_tree(tree: FlowTree, demands: Mapping[int, float] | None = None) ->
         if node < 0 or node >= n or kind[node] != KIND_TARGET:
             v.append(Violation("demand-mismatch", (int(node),), None,
                                f"demand given for non-target node {node}"))
-        elif not (math.isfinite(demand)
-                  and abs(area[node] - demand) <= CONSERVATION_RTOL * max(1.0, abs(demand))):
-            v.append(Violation("demand-mismatch", (int(node),), float(area[node] - demand),
+            continue
+        try:
+            d = float(demand)
+        except OverflowError:   # an int past the float range, reported as an infinite one
+            demand = d = math.inf
+        if not (math.isfinite(d) and abs(area[node] - d) <= CONSERVATION_RTOL * max(1.0, abs(d))):
+            v.append(Violation("demand-mismatch", (int(node),), float(area[node] - d),
                                f"target {node} carries {area[node]} but was assigned {demand}"))
 
     return ValidationReport(tuple(v))

@@ -185,18 +185,31 @@ def _parse_network(text: str) -> tuple:
 
 
 def _read_networks(texts) -> list[NetworkDocument]:
-    """The documents of network JSON texts, their trees checked as one
-    forest (``_sourced_forest``).  When a text fails to read or parse, the
-    trees before it are checked first, so the first bad text decides the error."""
-    parsed = []
+    """The documents of network JSON texts, their trees checked as forests
+    (``_sourced_forest``) of about ``8 * _BLOCK`` nodes, in input order, so
+    that the check's temporaries do not grow with the input.  When a text
+    fails to read or parse, the trees before it are checked first, so the
+    first bad text decides the error."""
+    docs, parsed = [], []
+
+    def check():
+        coords, kind, parent, area, alpha, cost = zip(*parsed)
+        parsed.clear()
+        trees = _sourced_forest(list(coords), *map(np.concatenate, (kind, parent, area)))
+        docs.extend(map(NetworkDocument, trees, alpha, cost))
+
     try:
+        n = 0
         for text in texts:
             parsed.append(_parse_network(text))
+            n += len(parsed[-1][1])
+            if n >= 8 * _BLOCK:
+                check()
+                n = 0
     finally:
         if parsed:
-            coords, kind, parent, area, alpha, cost = zip(*parsed)
-            trees = _sourced_forest(list(coords), *map(np.concatenate, (kind, parent, area)))
-    return list(map(NetworkDocument, trees, alpha, cost)) if parsed else []
+            check()
+    return docs
 
 
 def network_from_json(text: str) -> NetworkDocument:

@@ -6,27 +6,31 @@ LineString per edge; edges of unit-sphere trees are subdivided into
 great-circle arcs of at most 100 km so they follow the globe on a map.
 
 SVG projects the sphere nodes ``_BLOCK`` at a time.  GeoJSON takes the
-sphere edges ``_BLOCK`` at a time: it checks their angles, then draws
-their arc sample points in runs of about ``_BLOCK``, each in one
-broadcast of the slerp formula, whose norms and divisions are
-elementwise numpy ops with the bits of the one-point path.  sin, acos,
-asin and atan2 stay on libm through ``math``: numpy's vectorized
-versions differ from it in the last bit on some inputs (about 8% for
-arcsin and arctan2 on an AVX-512 machine), as do ``norm(axis=1)`` and
-``einsum`` norms, and either would change the coordinate bytes.  Text
-goes through ``%`` templates: a block's GeoJSON features in one
-operation, numbers by ``%r`` (the ``repr(float)`` that ``json`` writes
-for a finite float), and SVG rows by ``%.3f``.
+edges ``_BLOCK`` at a time, across trees of one dimension.  It projects
+and formats each node that a block touches once, and that text is the
+first or last point of every feature at the node, so the LineStrings
+share their vertices.  On the sphere the points between an edge's ends
+are slerped from its unit end points, in windows of about ``_BLOCK``
+points, each in one broadcast of the slerp formula, whose norms and
+divisions are elementwise numpy ops with the bits of the one-point
+path.  sin, acos, asin and atan2 stay on libm through ``math``: numpy's
+vectorized versions differ from it in the last bit on some inputs (about
+8% for arcsin and arctan2 on an AVX-512 machine), as do ``norm(axis=1)``
+and ``einsum`` norms, and either would change the coordinate bytes.
+Sphere coordinates are written with ``%.6f`` (about 0.11 m, the
+precision RFC 7946 section 11.2 suggests), planar ones and areas with
+``%r`` (the ``repr(float)`` that ``json`` writes for a finite float),
+and SVG rows with ``%.3f``.
 
 Both documents are made in pieces, which the public functions join and
 the CLI writes as they come.  Every check comes before the first piece
-but two GeoJSON faults between end points whose norms pass: an arc angle
-or a slerp point that overflows.  The CLI then removes its file.
+but one: the slerp between exactly antipodal end points has no
+direction, and a sample point may hit the sphere center.  The CLI then
+removes its file.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -110,48 +114,19 @@ def _svg_chunks(trees, alpha):
     yield "\n</svg>"
 
 
-def _great_circle_arcs(n: int, endpoints):
-    """Great-circle polylines along n edges, in segments of at most 100 km.
-
-    ``endpoints(a, b)`` gives the (b - a, 3) start and end points of
-    edges a..b-1.  Per ``_BLOCK`` edges this gathers and checks the end
-    points once, then yields each run of them whose first points fall in
-    one window of ``_BLOCK`` points: (a, b, the n_seg + 1 point counts of
-    edges a..b-1, their [lon, lat] rows).  The norms are row-wise, so the
-    bits do not depend on the block.  An edge under 1e-12 rad is two
-    copies of its start point.
-    """
-    for lo in range(0, n, _BLOCK):
-        (u, nu), (v, nv) = map(_dot_norms, endpoints(lo, min(lo + _BLOCK, n)))
-        cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
-        if np.isnan(cos).any():
-            raise ParameterError("coordinates too large to draw as great-circle arcs")
-        omega = np.array(list(map(math.acos, cos.tolist())))
-        n_seg = np.maximum(np.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1).astype(np.int64)
-        window = (np.cumsum(n_seg + 1) - n_seg - 1) // _BLOCK
-        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), n_seg.size]
-        for a, b in zip(cuts, cuts[1:]):
-            yield lo + a, lo + b, n_seg[a:b] + 1, _arc_block(u[a:b], v[a:b], omega[a:b], n_seg[a:b])
-
-
 def _arc_block(u, v, omega, n_seg) -> np.ndarray:
-    """The arcs of one block of edges, from end points checked by
-    ``_dot_norms``, every sample point in one broadcast of the slerp:
-    their (P, 2) [lon, lat] rows, n_seg + 1 per edge."""
-    # one row per sample point: its edge and t = s / n_seg, s = 0..n_seg
-    ends = np.cumsum(n_seg + 1)
-    edge = np.repeat(np.arange(n_seg.size), n_seg + 1)
-    t = (np.arange(edge.size) - (ends - n_seg - 1)[edge]) / n_seg[edge]
+    """The interior arc points of a window of edges from unit end points u
+    and v, every point in one broadcast of the slerp: their (P, 2)
+    [lon, lat] rows, n_seg - 1 per edge, t = s / n_seg for s = 1..n_seg-1.
+    Both ends are unit vectors, so no point can overflow."""
+    k = n_seg - 1
+    edge = np.repeat(np.arange(k.size), k)
+    t = (np.arange(edge.size) - (np.cumsum(k) - k)[edge] + 1) / n_seg[edge]
     w = omega[edge]
     sin_a = np.array(list(map(math.sin, ((1 - t) * w).tolist())))
     sin_b = np.array(list(map(math.sin, (t * w).tolist())))
     sin_w = np.array(list(map(math.sin, omega.tolist())))[edge]
-    flat = w < 1e-12
-    sin_w[flat] = 1.0
-    ue = u[edge]
-    pts = (sin_a[:, None] * ue + sin_b[:, None] * v[edge]) / sin_w[:, None]
-    pts[flat] = ue[flat]
-    return _lon_lat_rows(pts)
+    return _lon_lat_rows((sin_a[:, None] * u[edge] + sin_b[:, None] * v[edge]) / sin_w[:, None])
 
 
 def render_geojson(trees, levels=None) -> str:
@@ -165,63 +140,116 @@ def render_geojson(trees, levels=None) -> str:
     return "".join(_geojson_chunks(trees, levels))
 
 
+def _edge_blocks(trees, children):
+    """Blocks of at most ``_BLOCK`` edges of trees of one dimension, in
+    order: lists of runs (t, lo, hi), the children lo..hi-1 of tree t."""
+    block, n = [], 0
+    for t, (tree, child) in enumerate(zip(trees, children)):
+        lo = 0
+        while lo < child.size:
+            if n == _BLOCK or (block and trees[block[-1][0]].dim != tree.dim):
+                yield block
+                block, n = [], 0
+            hi = min(child.size, lo + _BLOCK - n)
+            block.append((t, lo, hi))
+            n += hi - lo
+            lo = hi
+    if block:
+        yield block
+
+
+def _texts(fmt, rows):
+    """One text per (n, 2) row, through the two-number template ``fmt``."""
+    return list(map(fmt.__mod__, zip(*rows.T.tolist())))
+
+
+_FEATURE = '{"type":"Feature","geometry":{"type":"LineString","coordinates":[['
+_AREA = ']]},"properties":{"area":'
+
+
 def _geojson_chunks(trees, levels):
     """``render_geojson`` in pieces: the head, the features of each run of
-    a tree's edges that falls in one arc block or one block of
-    ``_BLOCK`` planar edges, the tail."""
+    a tree's edges that falls in one window of about ``_BLOCK`` points,
+    the tail.
+
+    Per block of ``_BLOCK`` edges (``_edge_blocks``), the nodes that its
+    edges touch are projected and formatted once, and each node's text is
+    the first or last point of every feature that touches it.  On the
+    sphere the interior arc points of a window are slerped in one batch
+    (``_arc_block``) from the unit end points.
+    """
     trees = _check_trees(trees)
     levels = list(range(len(trees)) if levels is None else levels)
     if len(levels) != len(trees):
         raise ParameterError("levels must have one entry per tree")
-    try:   # a level is manifest text: its % signs are escaped for the template
-        tails = [(',"level":' + json.dumps(level, separators=(",", ":"), allow_nan=False)
-                  + "}}").replace("%", "%%") for level in levels]
+    try:
+        tails = [',"level":' + json.dumps(level, separators=(",", ":"), allow_nan=False) + "}}"
+                 for level in levels]
     except (TypeError, ValueError) as exc:   # NaN, an infinity or no JSON value at all
         raise ParameterError(f"levels must be finite JSON values: {exc}") from None
-
     children = [np.flatnonzero(t.parent >= 0) for t in trees]
-    # the sphere edges, tree by tree: sphere[s] holds edges starts[s]..starts[s + 1] - 1
-    sphere = [(t, c) for t, c in zip(trees, children) if t.dim == 3 and c.size]
-    starts = np.cumsum([0] + [c.size for _, c in sphere])
+    # every node is an edge's end: its norm faults come before the head,
+    # checked about 8 * _BLOCK nodes at a time
+    sphere, n = [], 0
+    for tree in trees:
+        if tree.dim == 3:
+            sphere.append(tree.coords)
+            n += tree.n_nodes
+        if n >= 8 * _BLOCK:
+            _dot_norms(np.concatenate(sphere))
+            sphere, n = [], 0
+    if sphere:
+        _dot_norms(np.concatenate(sphere))
 
-    def endpoints(a, b):
-        lo, hi = np.searchsorted(starts, [a, b - 1], side="right").tolist()
-        ks = [(t, c[max(a - o, 0):b - o]) for (t, c), o in zip(sphere[lo - 1:hi], starts[lo - 1:])]
-        return (np.concatenate([t.coords[t.parent[k]] for t, k in ks]),
-                np.concatenate([t.coords[k] for t, k in ks]))
-
-    for t, _ in sphere:   # every node is an edge's end: its norm faults come before the head
-        _dot_norms(t.coords)
-    blocks = _great_circle_arcs(int(starts[-1]), endpoints)
-
-    @functools.cache
-    def feature(n_points):
-        return ('{"type":"Feature","geometry":{"type":"LineString","coordinates":[['
-                + "],[".join(["%r,%r"] * n_points) + ']]},"properties":{"area":%r')
-
-    # json writes a finite float as its repr, and every coordinate and area here is finite
     yield '{"type":"FeatureCollection","features":['
     n_edges = n_points = 0
-    counts = ()   # the point counts of the arc block's edges not yet written; xy their points
-    for tree, child, tail in zip(trees, children, tails):
-        lo = 0
-        while lo < child.size:
-            if tree.dim == 3:
-                if not len(counts):
-                    _, _, counts, xy = next(blocks)
-                hi = min(child.size, lo + len(counts))
-                count, counts = np.split(counts, [hi - lo])
-                points, xy = np.split(xy, [count.sum()])
-            else:
-                hi = min(child.size, lo + _BLOCK)
-                k = child[lo:hi]
-                points = np.stack([tree.coords[tree.parent[k]], tree.coords[k]], axis=1)
-                count = np.full(hi - lo, 2)
-            values = np.insert(points.ravel(), 2 * np.cumsum(count), tree.area[child[lo:hi]])
-            template = (tail + ",").join([feature(c) for c in count.tolist()]) + tail
-            yield ("," if n_edges else "") + template % tuple(values.tolist())
-            n_edges += hi - lo
-            n_points += int(count.sum())
-            lo = hi
+    for runs in _edge_blocks(trees, children):
+        # the block's nodes, numbered apart per run (each run is another tree's)
+        ks = [children[t][lo:hi] for t, lo, hi in runs]
+        off = np.cumsum([0] + [trees[t].n_nodes for t, _, _ in runs])
+        ends = np.concatenate([trees[t].parent[k] + o for (t, _, _), k, o in zip(runs, ks, off)]
+                              + [k + o for k, o in zip(ks, off)])
+        nodes, ends = np.unique(ends, return_inverse=True)
+        head, tail = np.split(ends, 2)
+        cuts = np.searchsorted(nodes, off).tolist()
+        coords = np.concatenate([trees[t].coords[nodes[a:b] - o]
+                                 for (t, _, _), a, b, o in zip(runs, cuts, cuts[1:], off)])
+        if coords.shape[1] == 3:
+            text = _texts("%.6f,%.6f", _lon_lat_rows(coords))
+            p, norms = _dot_norms(coords)
+            unit = p / norms[:, None]
+            u, v = unit[head], unit[tail]
+            cos = np.clip(np.vecdot(u, v), -1.0, 1.0)
+            omega = np.array(list(map(math.acos, cos.tolist())))
+            n_seg = np.maximum(np.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM), 1).astype(int)
+        else:
+            text = _texts("%r,%r", coords)
+            n_seg = np.ones(head.size, dtype=int)
+        head = [text[i] for i in head.tolist()]
+        tail = [text[i] for i in tail.tolist()]
+        area = np.concatenate([trees[t].area[k] for (t, _, _), k in zip(runs, ks)]).tolist()
+        n_points += int(n_seg.sum()) + len(head)
+        # the interior points of each window of about _BLOCK points in one batch,
+        # the text of each run of one tree within it in one piece
+        window = (np.cumsum(n_seg + 1) - n_seg - 1) // _BLOCK
+        wcuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(head)]
+        rcuts = np.cumsum([hi - lo for _, lo, hi in runs])
+        for wa, wb in zip(wcuts, wcuts[1:]):
+            mids = ["],["] * (wb - wa)   # between an edge's end points: its interior points
+            e = np.flatnonzero(n_seg[wa:wb] > 1)
+            if e.size:
+                k = e + wa
+                points = _texts("%.6f,%.6f", _arc_block(u[k], v[k], omega[k], n_seg[k]))
+                bounds = np.cumsum(n_seg[k] - 1).tolist()
+                for i, lo, hi in zip(e.tolist(), [0] + bounds, bounds):
+                    mids[i] = "],[" + "],[".join(points[lo:hi]) + "],["
+            r = int(np.searchsorted(rcuts, wa, side="right"))
+            stops = [wa, *rcuts[r:np.searchsorted(rcuts, wb)].tolist(), wb]
+            for r, (a, b) in enumerate(zip(stops, stops[1:]), r):
+                level = tails[runs[r][0]]
+                yield ("," if n_edges else "") + ",".join([
+                    f"{_FEATURE}{h}{m}{c}{_AREA}{x!r}{level}"
+                    for h, m, c, x in zip(head[a:b], mids[a - wa:b - wa], tail[a:b], area[a:b])])
+                n_edges += b - a
     _log.debug("render_geojson: %d trees, %d edges, %d arc points", len(trees), n_edges, n_points)
     yield "]}"

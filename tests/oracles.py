@@ -543,8 +543,8 @@ def full_scan_build(problem, params, *, eps=None, post_point=None):
 # per-point sphere projection
 
 
-def per_point_geo_project(point):
-    """(lat, lon) degrees of one 3-D point pushed onto the unit sphere.
+def per_point_unit(point):
+    """One 3-D point pushed onto the unit sphere.
 
     A point whose squared norm underflows to 0, although a coordinate is
     not 0, is first divided by its largest absolute coordinate.
@@ -556,18 +556,42 @@ def per_point_geo_project(point):
         norm = float(np.linalg.norm(p, axis=-1))
     if not norm > 0:
         raise ParameterError("cannot project the sphere center")
-    x, y, z = p / norm
+    return p / norm
+
+
+def per_point_geo_project(point):
+    """(lat, lon) degrees of one 3-D point pushed onto the unit sphere."""
+    x, y, z = per_point_unit(point)
     lat = math.degrees(math.asin(min(1.0, max(-1.0, z))))
     lon = math.degrees(math.atan2(y, x))
     return lat, normalize_lon(lon)
 
 
 def per_point_arc_points(u, v):
-    """Great-circle polyline from u to v in [lon, lat], one point and one edge at a time."""
+    """Great-circle polyline from u to v in [lon, lat], one point and one edge at a time.
+
+    The end points are the projections of u and v themselves; the points
+    between them are slerped from u/|u| to v/|v|.
+    """
+    a, b = per_point_unit(u), per_point_unit(v)
+    omega = math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
+    n_seg = max(1, math.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM))
+    pts = [u]
+    for s in range(1, n_seg):
+        t = s / n_seg
+        pts.append((math.sin((1 - t) * omega) * a + math.sin(t * omega) * b) / math.sin(omega))
+    pts.append(v)
+    return [per_point_geo_project(p)[::-1] for p in pts]
+
+
+def full_precision_arc_points(u, v):
+    """Great-circle polyline from u to v in [lon, lat] at full precision,
+    slerped between the raw end points; an edge under 1e-12 rad is two
+    copies of its start point.  Where u and v have one norm, each point
+    is the one of ``per_point_arc_points`` before rounding."""
     dot = float(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
     omega = math.acos(dot)
-    arc_km = omega * EARTH_RADIUS_KM
-    n_seg = max(1, math.ceil(arc_km / MAX_SEGMENT_KM))
+    n_seg = max(1, math.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM))
     pts = []
     for s in range(n_seg + 1):
         t = s / n_seg
@@ -585,31 +609,27 @@ def per_point_arc_points(u, v):
 
 
 def dict_geojson(trees, levels=None):
-    """GeoJSON FeatureCollection text of a forest, built as one dict tree.
+    """GeoJSON FeatureCollection text of a forest, built one feature at a time.
 
-    Sphere edges are drawn one at a time with ``per_point_arc_points``.
+    Planar points are written as ``json`` writes them.  Sphere edges are
+    drawn one at a time with ``per_point_arc_points``, each number by
+    ``%.6f``.
     """
     if levels is None:
         levels = list(range(len(trees)))
     features = []
     for tree, level in zip(trees, levels):
-        child = np.flatnonzero(tree.parent >= 0)
-        a = tree.coords[tree.parent[child]]
-        b = tree.coords[child]
-        if tree.dim == 3:
-            lines = [per_point_arc_points(u, v) for u, v in zip(a, b)]
-        else:
-            lines = [[pa, pb] for pa, pb in zip(a.tolist(), b.tolist())]
-        for coords, area in zip(lines, tree.area[child].tolist()):
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "LineString", "coordinates": coords},
-                    "properties": {"area": area, "level": level},
-                }
-            )
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, separators=(",", ":"))
+        for i in np.flatnonzero(tree.parent >= 0):
+            a, b = tree.coords[tree.parent[i]], tree.coords[i]
+            if tree.dim == 3:
+                coords = ",".join(["[%.6f,%.6f]" % tuple(p) for p in per_point_arc_points(a, b)])
+            else:
+                coords = json.dumps([a.tolist(), b.tolist()], separators=(",", ":"))[1:-1]
+            properties = json.dumps({"area": float(tree.area[i]), "level": level},
+                                    separators=(",", ":"))
+            features.append('{"type":"Feature","geometry":{"type":"LineString","coordinates":['
+                            + coords + ']},"properties":' + properties + "}")
+    return '{"type":"FeatureCollection","features":[' + ",".join(features) + "]}"
 
 
 def per_node_network_json(tree, alpha, cost=None):

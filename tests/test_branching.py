@@ -158,7 +158,8 @@ def test_shifted_large_areas_are_rigid():
 
 
 def test_shifted_validates_delta_and_eps_shape():
-    for delta in (0.0, -1.0, math.nan, math.inf):
+    # a str delta met the range test first and raised its TypeError
+    for delta in (0.0, -1.0, math.nan, math.inf, "a", None):
         with pytest.raises(ParameterError, match="delta must be finite and positive"):
             branch_point_shifted([0, 0], [1, 0], [0, 1], 1.0, 1.0, 0.5, np.zeros(2), delta)
     with pytest.raises(ParameterError):

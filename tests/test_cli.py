@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import branchflow.core
+import branchflow.io
 from branchflow import FlowTree, cli, geo_embed, network_to_json, render_geojson, render_svg
 from branchflow.cli import build_parser, main
 from branchflow.io import network_from_json
@@ -444,12 +445,55 @@ def test_load_forest_checks_a_mixed_planar_and_sphere_directory_at_once(tmp_path
             assert not a.flags.writeable
 
 
+@pytest.mark.parametrize("files, code, message", [
+    ({9: "structural", 10: "malformed"}, 4, "invalid flow tree: node 1 carries 0.5"),
+    ({9: "malformed", 10: "structural"}, 2, "not valid JSON"),
+    ({1: "structural", 10: "malformed"}, 4, "invalid flow tree: node 1 carries 0.5"),
+], ids=["pending-block-first", "parse-error-first", "checked-block-first"])
+def test_load_forest_checks_blocks_of_nodes_in_input_order(tmp_path, capsys, monkeypatch, files,
+                                                           code, message):
+    """The loader checks about 8 * _BLOCK nodes at a time: here 8 nodes,
+    four 2-node trees a block.  The first bad file still decides the error."""
+    for k in range(12):
+        path = tmp_path / f"tree_{k:04d}.json"
+        if files.get(k) == "structural":
+            write_dangling_branch(path)
+        elif files.get(k) == "malformed":
+            path.write_text("{", encoding="utf-8")
+        else:
+            write_network(path, ["source", "target"], [[0.0, k], [1.0, k]], [(0, 1, 1.0)])
+    monkeypatch.setattr(branchflow.io, "_BLOCK", 1)
+    assert main(["render", str(tmp_path), "--svg", str(tmp_path / "out.svg")]) == code
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_load_forest_in_blocks_matches_one_block(tmp_path, monkeypatch):
+    trees = forest("mixed") * 3
+    for k, tree in enumerate(trees):
+        (tmp_path / f"tree_{k:04d}.json").write_text(network_to_json(tree, 0.5), encoding="utf-8")
+    whole, levels = cli._load_forest(tmp_path)
+    check = branchflow.core._check_forest
+    checked = []
+    monkeypatch.setattr(branchflow.core, "_check_forest",
+                        lambda kind, *args: checked.append(kind.size) or check(kind, *args))
+    monkeypatch.setattr(branchflow.io, "_BLOCK", 2)
+    blocks, same_levels = cli._load_forest(tmp_path)
+    assert sum(checked) == sum(t.n_nodes for t in trees) and len(checked) > 2
+    assert all(16 <= n < 16 + max(t.n_nodes for t in trees) for n in checked[:-1])
+    assert same_levels == levels
+    for a, b in zip(whole, blocks, strict=True):
+        for name in ("coords", "kind", "parent", "area"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, capsys,
                                                                     monkeypatch):
-    # the angle passes its check, but a sample point near the antipode
-    # overflows its norm while the arcs are drawn, after the file was opened
+    # every norm passes its check, but the slerp between exact antipodes has
+    # no direction: a sample point hits the center while the arcs are drawn,
+    # after the file was opened
     good = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    bad = [[1e153, 0.0, 0.0], [-2e153, 1e140, 0.0]]
+    bad = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
     for name, coords in (("a.json", good), ("b.json", bad)):
         write_network(tmp_path / name, ["source", "target"], coords, [(0, 1, 1.0)])
     seen = []
@@ -462,7 +506,7 @@ def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, ca
     write_text = cli._write_text
     monkeypatch.setattr(cli, "_write_text", lambda path, text: write_text(path, recording(text)))
     assert main(["render", str(tmp_path), "--geojson", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: coordinates too large to project onto the sphere\n"
+    assert capsys.readouterr().err == "error: cannot project the sphere center\n"
     assert seen == ['{"type":"FeatureCollection","features":[']
     assert not (tmp_path / "out").exists()
 
@@ -596,7 +640,7 @@ def test_net_repeat_runs_byte_identical(tmp_path, capsys):
     (["net", "--ot-mode", "sinkhorn", "--seed", "5", "--n-sources", "4", "--n-targets", "40"], 5,
      "d28951d91d213e0e9775a6742ee96cfc86109bd7f789c403454bd8f109ec2bc5"),
     (["santa", "--seed", "0"], 174,
-     "61bf36a35ac71b35c487a5f6f1eda4a3eb6ffc240f3ed50f764d185e90830043"),
+     "3d33d0673c9627c8d1f1d6094e5e605e1fa454db2f462ab5fc435e62f88493d8"),
 ], ids=["net", "net-sinkhorn", "santa"])
 def test_forest_directory_bytes_pinned(tmp_path, capsys, argv, n_files, digest):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchflow import (
+    KMeansResult,
     ParameterError,
     WeightedPointSet,
     choose_k,
@@ -226,3 +227,14 @@ def test_kmeans_matches_masked_reference(case):
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert got.objective_history.tobytes() == want.objective_history.tobytes()
     assert got.n_iter == want.n_iter
+
+
+@pytest.mark.parametrize("args", [
+    (["a"], [0], 0.0, 1, [0.0]),
+    ([[0.0, 0.0]], ["a"], 0.0, 1, [0.0]),
+    ([[0.0, 0.0]], [0], 0.0, 1, [[0.0], [0.0, 1.0]]),
+], ids=["centroids", "labels", "history"])
+def test_kmeans_result_rejects_arrays_of_non_numbers(args):
+    # numpy's ValueError came through unchanged
+    with pytest.raises(ParameterError, match="must hold real numbers"):
+        KMeansResult(*args)

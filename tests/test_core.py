@@ -396,6 +396,14 @@ def test_validate_tree_reports_a_non_finite_demand_as_a_mismatch(demand):
     assert report_bits(got) == report_bits(per_node_validate_tree(DEMAND_TREE, demands))
 
 
+def test_validate_tree_reports_a_demand_past_the_float_range_as_a_mismatch():
+    # the int 10**400 raised a raw OverflowError in the finiteness test
+    got = validate_tree(DEMAND_TREE, {1: 1.0, 2: 10**400})
+    assert [(v.kind, v.nodes, v.residual) for v in got.violations] == \
+        [("demand-mismatch", (2,), -math.inf)]
+    assert got.violations[0].message == "target 2 carries 2.0 but was assigned inf"
+
+
 @pytest.mark.parametrize("demands, message", [
     ({True: 1.0}, "a demand's node id must be an integer, got True"),
     ({1.5: 1.0}, "a demand's node id must be an integer, got 1.5"),

@@ -32,13 +32,12 @@ from branchflow import (
     to_sphere,
 )
 from branchflow.pipeline import EARTH_RADIUS_KM, _lon_lat_rows
-from branchflow.render import (
-    _BLOCK, _arc_block, _geojson_chunks, _great_circle_arcs, _svg_chunks,
-)
+from branchflow.render import _BLOCK, _arc_block, _geojson_chunks, _svg_chunks
 from branchflow.seeding import substream
 
 from oracles import (
     dict_geojson,
+    full_precision_arc_points,
     per_node_network_json,
     per_point_arc_points,
     per_point_geo_project,
@@ -272,11 +271,11 @@ def sha256(text):
 
 
 @pytest.mark.parametrize("name, fmt, digest", [
-    ("santa-sample", "geojson", "e9efb88d93b9e695da88a2a990aaf728ab107e3dd486c40a7b77d716ce54958d"),
+    ("santa-sample", "geojson", "8fe5b30a7494ffb6b09ca52b6635ba27ea3c0b33ad596f86ccf748d7f7809d68"),
     ("santa-sample", "svg", "c7772c14e3c5a2075948812927eaab44e8ad4fa428686818833b47028dc81c39"),
     ("planar-forest", "geojson", "6aa14780bce061517c05e73a216feea4ddda39fe5f3969edba461eb28525c43e"),
     ("planar-forest", "svg", "f7b1a7f37524670159c1457b7610890a7cafa4d5d08a502547b9d3c72e2cb2a6"),
-    ("sphere-edge-cases", "geojson", "ff78b8613d5c62873479345b0ae745d3e1b6c88a489255e1ec73ee8324cb062c"),
+    ("sphere-edge-cases", "geojson", "d5e8751653a1092cbcc26c837acb0b2de41daea3a0fc9a4a98f158d8643092b2"),
     ("sphere-edge-cases", "svg", "bbb747eba587cd1fb0eaa433f42592e09512f613eea9661f67821aa1c3d737dd"),
 ])
 def test_render_bytes_are_pinned(name, fmt, digest):
@@ -337,39 +336,37 @@ def test_batched_projection_matches_per_point_bitwise(pts):
 @example(pts=np.array([[-1.0, -1e-300, 0.0], [-1.0, -1e-300, 0.0], [1.0, 0.0, 0.0]]), seed=0,
          block=1)
 def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed, block):
-    """Each edge keeps its point count and its [lon, lat] bits, zero-length
-    edges, antipodes and rescaled copies of one direction included, at
-    any block size."""
+    """Each edge keeps its point count, its interior points their [lon, lat]
+    bits and its end points the text of its nodes' own projections,
+    zero-length edges, antipodes and rescaled copies of one direction
+    included, at any block size."""
     rng = np.random.default_rng(seed)
     n = len(pts)
     u = pts[rng.integers(0, n, 2 * n)]
     v = pts[rng.integers(0, n, 2 * n)]
     v[::4] = u[::4] * rng.choice([1.0, 2.5, 1e-3, -1.0], (len(u[::4]), 1))
+    trees = [FlowTree([a, b], ["source", "target"], [-1, 0], [1.0, 1.0]) for a, b in zip(u, v)]
+    rows = []
 
-    def endpoints(a, b):
-        return u[a:b], v[a:b]
+    def arc_block(*args):
+        rows.append(_arc_block(*args))
+        return rows[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("branchflow.render._BLOCK", block)
         mp.setattr("branchflow.pipeline._BLOCK", block)
-        try:
+        mp.setattr("branchflow.render._arc_block", arc_block)
+        try:   # a slerp between exact antipodes has no direction: its points may hit the center
             expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
         except ParameterError:
             with pytest.raises(ParameterError):
-                list(_great_circle_arcs(len(u), endpoints))
+                render_geojson(trees)
             return
-        edges = 0
-        counts, rows = [], []
-        for a, b, count, xy in _great_circle_arcs(len(u), endpoints):
-            assert a == edges and b > a and len(count) == b - a and len(xy) == count.sum()
-            edges = b
-            counts.append(count)
-            rows.append(xy)
-    assert edges == len(u)
-    arcs = np.split(np.concatenate(rows), np.cumsum(np.concatenate(counts))[:-1])
-    assert [len(arc) for arc in arcs] == [len(arc) for arc in expected]
-    for arc, ref in zip(arcs, expected):
-        assert np.array_equal(bits(arc), bits(ref))
+        text = render_geojson(trees)
+    assert text == dict_geojson(trees)
+    interior = [p for ref in expected for p in ref[1:-1]]
+    assert np.array_equal(bits(np.concatenate(rows or [np.empty((0, 2))])),
+                          bits(interior).reshape(-1, 2))
 
 
 def test_projection_rejects_the_sphere_center():
@@ -447,7 +444,7 @@ def test_geojson_over_several_arc_blocks_matches_the_reference(monkeypatch):
     sizes = []
 
     def arc_block(u, v, omega, n_seg):
-        sizes.append(int((n_seg + 1).sum()))
+        sizes.append(int((n_seg - 1).sum()))
         return _arc_block(u, v, omega, n_seg)
 
     monkeypatch.setattr("branchflow.render._arc_block", arc_block)
@@ -457,15 +454,17 @@ def test_geojson_over_several_arc_blocks_matches_the_reference(monkeypatch):
     text = render_geojson(trees)
     assert text == dict_geojson(trees)
 
-    # the arc points of each sphere edge, and the block window its first point falls in
+    # the arc points of each sphere edge, and the window its first point falls in;
+    # the planar tree ends a block of edges, so the windows start again after it
     points = [len(f["geometry"]["coordinates"]) for f in json.loads(text)["features"]]
     per_tree = np.split(points, np.cumsum([t.n_nodes - 1 for t in trees])[:-1])
-    points = np.concatenate([p for p, t in zip(per_tree, trees) if t.dim == 3])
-    window = (np.cumsum(points) - points) // _BLOCK
-    windows = [set(w.tolist()) for w in np.split(window, np.cumsum([60] * 8)[:-1])]
-    assert points.sum() > 2 * _BLOCK
-    assert sum(len(w) > 1 for w in windows) >= 2   # trees that straddle a block boundary
-    assert sizes == np.bincount(window, points).astype(int).tolist()
+    groups = [np.concatenate(per_tree[:3]), np.concatenate(per_tree[4:])]
+    window = [(np.cumsum(p) - p) // _BLOCK for p in groups]
+    windows = [set(w.tolist()) for w in np.split(np.concatenate(window), np.cumsum([60] * 8)[:-1])]
+    assert groups[1].sum() > 2 * _BLOCK
+    assert sum(len(w) > 1 for w in windows) >= 2   # trees that straddle a window boundary
+    interior = [np.bincount(w, p - 2).astype(int).tolist() for w, p in zip(window, groups)]
+    assert sizes == [n for counts in interior for n in counts if n]
     assert max(sizes) < _BLOCK + 202
 
 
@@ -507,9 +506,9 @@ def traced_peak(pieces):
 
 def test_render_peak_memory_grows_only_by_per_edge_and_per_node_arrays(monkeypatch):
     # the Python floats and strings of a block do not grow with the forest.  What
-    # may is 8-byte entries: per edge its child index, arc angle and segment count,
-    # and one spare for the per-tree lists; per node, for SVG, its gathered
-    # coordinates (3), their [lon, lat] row (2), its x and y (2) and a child index
+    # may is 8-byte entries: per edge, for GeoJSON, its child index and spares for
+    # the per-tree lists; per node, for SVG, its gathered coordinates (3), their
+    # [lon, lat] row (2), its x and y (2) and a child index
     monkeypatch.setattr("branchflow.render._BLOCK", 256)
     monkeypatch.setattr("branchflow.pipeline._BLOCK", 256)
     monkeypatch.setattr("branchflow.io._BLOCK", 256)
@@ -583,9 +582,11 @@ levels_st = st.one_of(
 )
 
 
-def random_tree(rng):
-    """A valid tree of 2 to 12 nodes, planar or on the sphere, with
-    zero-length edges and, on the sphere, edges across the antimeridian."""
+def random_tree(rng, dim=None, tree_scale=False):
+    """A valid tree of 2 to 12 nodes, planar or on the sphere (or of
+    ``dim``), with zero-length edges and, on the sphere, edges across the
+    antimeridian, its nodes scaled off the sphere (all by one factor with
+    ``tree_scale``)."""
     n = int(rng.integers(2, 13))
     parent = np.array([-1] + [int(rng.integers(0, i)) for i in range(1, n)])
     leaf = np.ones(n, dtype=bool)
@@ -595,13 +596,13 @@ def random_tree(rng):
         area[parent[i]] += area[i]
     kind = np.where(leaf, "target", "branch")
     kind[0] = "source"
-    if rng.random() < 0.5:
+    if (rng.random() < 0.5) if dim is None else dim == 2:
         coords = rng.uniform(-5.0, 5.0, (n, 2))
     else:
         lat = rng.uniform(-89.0, 89.0, n)
         lon = np.where(rng.random(n) < 0.5, rng.choice([179.5, -179.5, 180.0, -180.0], n),
                        rng.uniform(-180.0, 180.0, n))
-        coords = geo_embed(lat, lon) * rng.choice([1.0, 1.0, 0.5, 40.0], (n, 1))
+        coords = geo_embed(lat, lon) * rng.choice([1.0, 1.0, 0.5, 40.0], (1 if tree_scale else n, 1))
     for i in np.flatnonzero(rng.random(n) < 0.2)[1:]:   # zero-length edges
         coords[i] = coords[parent[i]]
     return FlowTree(coords, kind, parent, area)
@@ -619,3 +620,45 @@ def test_writers_match_the_dict_built_references(seed, n_trees, data):
     for tree in trees:
         for cost in (None, float(rng.uniform(0.0, 9.0))):
             assert network_to_json(tree, alpha, cost) == per_node_network_json(tree, alpha, cost)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([[2], [3], [2, 3]]), st.integers(1, 6))
+def test_geojson_features_share_their_end_point_vertices(seed, dims, n_trees):
+    """Each node has one [lon, lat] text, the first or last point of every
+    feature that touches it.  Point counts are those of the full-precision
+    arcs, and every sphere coordinate lies within 5e-7 degrees (the 6th
+    decimal's rounding) of its full-precision value: within a tree all
+    nodes have one norm, so both slerps draw one great circle."""
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, dims[i % len(dims)], tree_scale=True) for i in range(n_trees)]
+    lines = iter(re.findall(r'"coordinates":\[\[(.*?)\]\]\}', render_geojson(trees)))
+    for tree in trees:
+        text = {}
+        for i in np.flatnonzero(tree.parent >= 0).tolist():
+            points = next(lines).split("],[")
+            for node, point in ((int(tree.parent[i]), points[0]), (i, points[-1])):
+                assert text.setdefault(node, point) == point
+            a, b = tree.coords[tree.parent[i]], tree.coords[i]
+            if tree.dim == 2:
+                assert points == ["%r,%r" % tuple(p) for p in (a.tolist(), b.tolist())]
+                continue
+            ref = np.array(full_precision_arc_points(a, b))
+            got = np.array([p.split(",") for p in points], dtype=float)
+            assert got.shape == ref.shape
+            gap = np.abs(got - ref)
+            gap[:, 0] = np.minimum(gap[:, 0] % 360.0, 360.0 - gap[:, 0] % 360.0)
+            assert gap.max() <= 5e-7 + 1e-9
+    assert next(lines, None) is None
+
+
+def test_geojson_slerps_unit_end_points_of_huge_nodes():
+    # each node projects, but the slerp of the raw end points overflowed at
+    # the arc's middle: the sample point there is about 1e152 / 1e-8
+    tree = FlowTree(1e152 * np.array([[1.0, 0.0, 0.0], [-1.0, 1e-8, 0.0]]), ["source", "target"],
+                    [-1, 0], [1.0, 1.0])
+    text = render_geojson([tree])
+    assert text == dict_geojson([tree])
+    coords = json.loads(text)["features"][0]["geometry"]["coordinates"]
+    assert len(coords) == 202
+    assert coords[0] == [0.0, 0.0] and coords[-1] == [179.999999, 0.0]
