@@ -196,6 +196,55 @@ def test_improvement_wide_angle_is_negative():
     assert delta < 0
 
 
+@st.composite
+def scalar_merges(draw):
+    """Random problems of two targets (or a few), in 2-D and 3-D, scaled
+    by 1, 1e+-150 or 1e-3, with alpha in [0, 1], either formula and, for
+    interp, sometimes a shift."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([2, 2, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150, 1e-3]))
+    formula = draw(st.sampled_from(["interp", "power"]))
+    shifted = formula == "interp" and draw(st.booleans())
+    params = BotParams(
+        alpha=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))),
+        formula=formula,
+        shift_norm=0.05 * scale if shifted else 0.0,
+        seed=draw(st.integers(0, 99)),
+    )
+    source = rng.uniform(-1.0, 1.0, d) * scale
+    targets = (np.ones(d) + rng.normal(0.0, 0.3, (n, d))) * scale
+    return OneToManyProblem(source, targets, rng.uniform(0.01, 1.0, n)), params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scalar_merges())
+def test_scalar_functions_give_the_builders_bits(case):
+    """Every merge of a lone build and of a lockstep forest inserts the
+    bytes of the public branch point and gains local_improvement's bits."""
+    problem, params = case
+    alpha = params.alpha
+    alone = build_one_to_many(problem, params)
+    for result in [alone] + build_forest([problem] * 2, [params] * 2):
+        tree, v_k = result.tree, result.tree.coords[0]
+        for event in result.events:
+            if event.partner is None:
+                continue
+            v_i, v_j, z = tree.coords[[event.picked, event.partner, event.branch]]
+            s_i, s_j = tree.area[event.picked], tree.area[event.partner]
+            if params.formula == "power":
+                want = branch_point_power(v_k, v_i, v_j, s_i, s_j, alpha)
+            elif result.eps is not None:
+                want = branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha,
+                                            result.eps, params.shift_delta)
+            else:
+                want = branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha)
+            assert want.tobytes() == z.tobytes()
+            gain = local_improvement(v_k, v_i, v_j, z, s_i, s_j, alpha)
+            assert gain.hex() == event.gain.hex()
+
+
 # ---------------------------------------------------------------------------
 # star_cost
 
