@@ -11,7 +11,9 @@ exactly N iterations.  Independent trees are grown together, one
 iteration per lockstep step of array passes over all the trees, so that
 numpy's per-call overhead is paid once per step rather than once per
 tree.  A lone tree grows on Python floats, its pick from a heap and its
-nearest node from cell lists, so that a wide tree is not quadratic.
+nearest node from cell lists, so that a wide tree is not quadratic.  Each
+merge rule is one function, run on floats there and by the public scalar
+functions, and on numpy rows by the scans, with the same bits.
 """
 
 from __future__ import annotations
@@ -123,11 +125,8 @@ class BuildResult:
 
 
 # ---------------------------------------------------------------------------
-# closed-form branch points (row-wise cores, scalar wrappers)
-#
-# The cores work row by row on (n, d) points and (n,) areas or weights, so
-# one call serves a single branch point and every candidate of a forest
-# step alike: each row gets the bits it would get alone.
+# the merge rules, each written once for Python floats (one coordinate at a time)
+# and numpy rows: +, -, * and / round alike on both, and the rest is numpy on both
 
 
 def _row_norms(x):
@@ -147,32 +146,6 @@ def _coord_norms(x):
     return np.sqrt(np.add.reduce(x, axis=0))
 
 
-def _power_points(wv_i, w_i, v_j, w_j, v_k, w_k):
-    """Power-rule branch points; ``wv_i`` is w_i * v_i."""
-    num = wv_i + w_j[:, None] * v_j + w_k[:, None] * v_k
-    return num / (w_i + w_j + w_k)[:, None]
-
-
-def _interp_points(sv_i, v_j, s_j, s_m, v_k, alpha):
-    """Interpolating branch points; ``sv_i`` is s_i * v_i and ``s_m`` is s_i + s_j."""
-    mid = (sv_i + s_j[:, None] * v_j) / s_m[:, None]
-    return (1.0 - alpha) * mid + alpha * v_k
-
-
-def _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs):
-    """Cost saved per row by routing v_i and v_j through zs, and |v_k - zs|.
-
-    ``before_i`` and ``before_j`` are the weighted direct edges of v_i
-    and v_j to v_k.
-    """
-    legs = np.empty((3,) + zs.shape)
-    np.subtract(v_k, zs, out=legs[0])
-    np.subtract(zs, v_i, out=legs[1])
-    np.subtract(zs, v_j, out=legs[2])
-    r_z, r_i, r_j = _row_norms(legs)
-    return before_i + before_j - (w_m * r_z + w_i * r_i + w_j * r_j), r_z
-
-
 def _squared_distance(a, b):
     """Squared distance of two points given as lists, summed in coordinate
     order as numpy's reduce of fewer than 8 terms: ``_row_norms``' bits."""
@@ -183,15 +156,52 @@ def _squared_distance(a, b):
     return acc
 
 
+def _weight(s, alpha):
+    """numpy's array power s ** alpha, which need not round as libm's pow, Python's **."""
+    return np.asarray(s) ** alpha
+
+
+def _branch_point(power, alpha, v_k, v_i, v_j, s_i, s_j, w_i, w_j, w_m, eps=None, delta=None):
+    """Branch point of v_i and v_j under v_k by the power rule (weights w_i,
+    w_j and w_m = (s_i + s_j) ** alpha) or the interp rule, moved by
+    eps / (s_i + s_j + delta) if ``eps`` is given."""
+    if power:
+        z = (w_i * v_i + w_j * v_j + w_m * v_k) / (w_i + w_j + w_m)
+    else:
+        z = (1.0 - alpha) * ((s_i * v_i + s_j * v_j) / (s_i + s_j)) + alpha * v_k
+    return z if eps is None else z + eps / (s_i + s_j + delta)
+
+
+def _gain(before_i, before_j, w_i, w_j, w_m, r_i, r_j, r_z):
+    """Cost saved by routing v_i and v_j through a branch point, new edges r_i, r_j, r_z long."""
+    return before_i + before_j - (w_m * r_z + w_i * r_i + w_j * r_j)
+
+
+def _direct_edge(w, v_k, v_i):
+    """Cost of a direct edge of weight w, its length from np.vecdot; on rows or on lists."""
+    dv = np.subtract(v_k, v_i)
+    return w * np.sqrt(np.vecdot(dv, dv))
+
+
+def _post(post_point, zs):
+    """``post_point``'s image of the branch points zs, checked to keep their shape."""
+    out = post_point(zs)
+    if getattr(out, "shape", None) != zs.shape:
+        raise ParameterError(f"post_point must return an array of shape {zs.shape}, as given")
+    return out
+
+
 def _one_row(points, s_i, s_j, alpha):
-    """Checked scalar arguments as one-row arrays, the points of one dimension."""
+    """Checked scalar arguments: the points as lists of one dimension, alpha,
+    s_i and s_j as floats, and the weights w_i (Python's **), w_j and w_m."""
     if not all(isinstance(s, Real) and 0 < s < math.inf for s in (s_i, s_j)):
         raise ParameterError("sectional areas must be finite and strictly positive")
     _check_alpha(alpha)
-    rows = [as_point(v)[None, :] for v in points]
-    if len({r.shape for r in rows}) > 1:
+    rows = [as_point(v).tolist() for v in points]
+    if len({len(r) for r in rows}) > 1:
         raise ParameterError("the points must share one dimension")
-    return rows, np.array([float(s_i)]), np.array([float(s_j)])
+    alpha, s_i, s_j = float(alpha), float(s_i), float(s_j)
+    return rows, alpha, s_i, s_j, s_i ** alpha, *map(float, _weight([s_j, s_i + s_j], alpha))
 
 
 def branch_point_power(v_k, v_i, v_j, s_i, s_j, alpha) -> np.ndarray:
@@ -201,10 +211,8 @@ def branch_point_power(v_k, v_i, v_j, s_i, s_j, alpha) -> np.ndarray:
     s_j**alpha and (s_i+s_j)**alpha, so it always lies inside the
     triangle (v_i, v_j, v_k).
     """
-    (v_k, v_i, v_j), s_i, s_j = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
-    w_i = np.array([float(s_i[0]) ** alpha])
-    w_m = (s_i + s_j) ** alpha
-    return _power_points(w_i[:, None] * v_i, w_i, v_j, s_j ** alpha, v_k, w_m)[0]
+    points, alpha, *terms = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
+    return np.array([_branch_point(True, alpha, *v, *terms) for v in zip(*points)])
 
 
 def branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha) -> np.ndarray:
@@ -214,8 +222,8 @@ def branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha) -> np.ndarray:
     downstream nodes (alpha = 0, the T limit) to the upstream node
     itself (alpha = 1, the V limit: no branching).
     """
-    (v_k, v_i, v_j), s_i, s_j = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
-    return _interp_points(s_i[:, None] * v_i, v_j, s_j, s_i + s_j, v_k, alpha)[0]
+    points, alpha, *terms = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
+    return np.array([_branch_point(False, alpha, *v, *terms) for v in zip(*points)])
 
 
 def branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha, eps, delta) -> np.ndarray:
@@ -225,8 +233,10 @@ def branch_point_shifted(v_k, v_i, v_j, s_i, s_j, alpha, eps, delta) -> np.ndarr
     thick trunks are rigid, thin twigs bend.  A zero ``eps`` reduces to
     the unshifted formula exactly.
     """
-    z = branch_point_interp(v_k, v_i, v_j, s_i, s_j, alpha)
-    return z + _shift_vector(eps, z.size, delta) / (float(s_i) + float(s_j) + float(delta))
+    points, alpha, *terms = _one_row((v_k, v_i, v_j), s_i, s_j, alpha)
+    eps = _shift_vector(eps, len(points[0]), delta).tolist()
+    return np.array([_branch_point(False, alpha, *v, *terms, e, float(delta))
+                     for *v, e in zip(*points, eps)])
 
 
 def _shift_vector(eps, dim, delta) -> np.ndarray:
@@ -248,15 +258,10 @@ def local_improvement(v_k, v_i, v_j, z, s_i, s_j, alpha) -> float:
     Positive means the branch strictly lowers the network cost; placing
     ``z`` at ``v_k`` gives exactly zero.
     """
-    (v_k, v_i, v_j, z), s_i, s_j = _one_row((v_k, v_i, v_j, z), s_i, s_j, alpha)
-    w_i = float(s_i[0]) ** alpha
-    w_j = s_j ** alpha
-    dv = v_k - v_i
-    before_i = w_i * np.sqrt(np.vecdot(dv, dv))
-    before_j = w_j * _row_norms(v_k - v_j)
-    gains, _ = _gains(before_i, w_i, w_j, (s_i + s_j) ** alpha, before_j,
-                      v_k, v_i, v_j, z)
-    return float(gains[0])
+    (v_k, v_i, v_j, z), _, _, _, w_i, w_j, w_m = _one_row((v_k, v_i, v_j, z), s_i, s_j, alpha)
+    r_i, r_j, r_z, r_kj = (math.sqrt(_squared_distance(*p))
+                           for p in ((z, v_i), (z, v_j), (z, v_k), (v_k, v_j)))
+    return float(_gain(_direct_edge(w_i, v_k, v_i), w_j * r_kj, w_i, w_j, w_m, r_i, r_j, r_z))
 
 
 def star_cost(problem: OneToManyProblem, alpha: float) -> float:
@@ -291,34 +296,31 @@ def _least_per_tree(tb, *keys):
     return order[first]
 
 
-def _picked_terms(v_k, v_i, s_i, alpha, power, shift):
+def _picked_terms(v_k, v_i, s_i, alpha, shift):
     """The rows of picked nodes that ``_branch_gains`` reads: v_k, v_i, s_i,
-    w_i on Python floats, the direct edge's cost, the picked node's term of
-    the formula and the shift, if any."""
+    w_i on Python floats, the direct edge's cost and the shift, if any."""
     w_i = np.array([s ** alpha for s in s_i.tolist()])
-    dv = v_k - v_i
-    before_i = w_i * np.sqrt(np.vecdot(dv, dv))
-    # w_i * v_i or s_i * v_i: the picked node's term of the formula
-    terms = [v_k, v_i, s_i, w_i, before_i, (w_i if power else s_i)[:, None] * v_i]
+    terms = [v_k, v_i, s_i, w_i, _direct_edge(w_i, v_k, v_i)]
     return terms + [shift[:len(v_k)]] if shift is not None else terms
 
 
 def _branch_gains(terms, v_j, s_j, w_j, before_j, params, post_point):
     """Branch points of picked nodes and candidates v_j (zs, s_m, w_m, gains
     and |v_k - zs|); ``terms`` has one row per candidate, or one for all."""
-    v_k, v_i, s_i, w_i, before_i, prod, *shift = terms
+    v_k, v_i, s_i, w_i, before_i, *shift = terms
     s_m = s_i + s_j
-    w_m = s_m ** params.alpha
-    if params.formula == "power":
-        zs = _power_points(prod, w_i, v_j, w_j, v_k, w_m)
-    else:
-        zs = _interp_points(prod, v_j, s_j, s_m, v_k, params.alpha)
-    if shift:
-        zs = zs + shift[0] / (s_m + params.shift_delta)[:, None]
+    w_m = _weight(s_m, params.alpha)
+    zs = _branch_point(params.formula == "power", params.alpha, v_k, v_i, v_j,
+                       *(a[:, None] for a in (s_i, s_j, w_i, w_j, w_m)),
+                       shift[0] if shift else None, params.shift_delta)
     if post_point is not None:
-        zs = post_point(zs)
-    gains, r_z = _gains(before_i, w_i, w_j, w_m, before_j, v_k, v_i, v_j, zs)
-    return zs, s_m, w_m, gains, r_z
+        zs = _post(post_point, zs)
+    legs = np.empty((3,) + zs.shape)
+    np.subtract(zs, v_i, out=legs[0])
+    np.subtract(zs, v_j, out=legs[1])
+    np.subtract(v_k, zs, out=legs[2])
+    r_i, r_j, r_z = _row_norms(legs)
+    return zs, s_m, w_m, _gain(before_i, before_j, w_i, w_j, w_m, r_i, r_j, r_z), r_z
 
 
 class _CellLists:
@@ -417,7 +419,7 @@ def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
     cols = [memoryview(xs)[c * cap:(c + 1) * cap] for c in range(d)]
     xyz = cols + [array("d", bytes(8 * cap))] * (3 - d)
     src, v0 = pos[0].tolist(), pos[:1]
-    eps0 = None if shift is None else shift[0].tolist()
+    eps0 = [None] * d if shift is None else shift[0].tolist()
     sel = bytearray(b"\0" + b"\1" * n + bytes(n))   # selectable flags
     selectable = np.frombuffer(sel, dtype=bool)
     heapq.heapify(heap := list(zip((-rad).tolist(), range(1, n + 1))))
@@ -447,22 +449,13 @@ def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
         # ring 1: the nearest node
         v_j = [col[j] for col in cols]
         s_i, s_j, w_j = area[g], area[j], wa[j]
-        w_i, s_m = s_i ** alpha, s_i + s_j
-        w_m = float((np.array([s_m]) ** alpha)[0])   # numpy's array power, not libm's
-        if power:
-            den = w_i + w_j + w_m
-            z = [(w_i * a + w_j * b + w_m * o) / den for a, b, o in zip(v_i, v_j, src)]
-        else:
-            z = [(1.0 - alpha) * ((s_i * a + s_j * b) / s_m) + alpha * o
-                 for a, b, o in zip(v_i, v_j, src)]
-        if eps0 is not None:
-            z = [a + e / (s_m + delta) for a, e in zip(z, eps0)]
+        w_i, s_m, w_m = s_i ** alpha, s_i + s_j, float(_weight(s_i + s_j, alpha))
+        z = [_branch_point(power, alpha, o, a, b, s_i, s_j, w_i, w_j, w_m, e, delta)
+             for o, a, b, e in zip(src, v_i, v_j, eps0)]
         if post_point is not None:
-            z = post_point(np.array([z]))[0].tolist()
-        r_z, r_i, r_j = (math.sqrt(_squared_distance(z, v)) for v in (src, v_i, v_j))
-        dv = np.array(src) - np.array(v_i)   # the direct edge, with np.vecdot's bits
-        gain = (w_i * float(np.sqrt(np.vecdot(dv, dv))) + before[j]
-                - (w_m * r_z + w_i * r_i + w_j * r_j))
+            z = _post(post_point, np.array([z]))[0].tolist()
+        r_i, r_j, r_z = (math.sqrt(_squared_distance(z, v)) for v in (v_i, v_j, src))
+        gain = _gain(_direct_edge(w_i, v0[0], pos[g]), before[j], w_i, w_j, w_m, r_i, r_j, r_z)
         if gain > GAIN_TOL:
             settled += 1
         elif live > 1:
@@ -472,7 +465,7 @@ def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
             ids = np.flatnonzero(selectable)
             ids = ids[ids != j]
             evals += ids.size
-            terms = _picked_terms(v0, pos[g:g + 1], np.array([s_i]), alpha, power, shift)
+            terms = _picked_terms(v0, pos[g:g + 1], np.array([s_i]), alpha, shift)
             zs, s_m, w_m, gains, r_z = _branch_gains(
                 terms, pos[ids], *(np.frombuffer(b)[ids] for b in bufs[1:4]), params, post_point)
             h = np.flatnonzero(gains > GAIN_TOL)
@@ -515,7 +508,7 @@ def _grow_block(problems, params, eps, post_point):
     ``_sourced_forest`` call and one cumsum for the cost traces.  Returns
     the ``BuildResult``s in block order and the block's DEBUG counts.
     """
-    alpha, power = params.alpha, params.formula == "power"
+    alpha = params.alpha
     B, W, d = len(problems), problems[0].n_targets, problems[0].dim
 
     sizes = np.array([problem.n_targets for problem in problems])
@@ -545,7 +538,7 @@ def _grow_block(problems, params, eps, post_point):
         area[tgt] = problem.areas
         parent[o] = -1
         rad[b, :n] = _row_norms(pos[tgt] - pos[o])
-        wa[tgt] = area[tgt] ** alpha
+        wa[tgt] = _weight(area[tgt], alpha)
         before[tgt] = wa[tgt] * rad[b, :n]
         star[b] = np.sum(before[tgt])
         live[:, b, :n] = pos[tgt].T
@@ -598,7 +591,7 @@ def _grow_block(problems, params, eps, post_point):
                                     out=work[:, :nscan, :width])
                     dist = _coord_norms(x)
                     flat_dist = dist.reshape(-1)
-                    per_tree = _picked_terms(v0[:nscan], vi, area[gi[:nscan]], alpha, power, shift)
+                    per_tree = _picked_terms(v0[:nscan], vi, area[gi[:nscan]], alpha, shift)
 
                     def candidates(mask):   # tree, index into dist and flat cell of each
                         f = mask.reshape(-1).nonzero()[0]
@@ -681,9 +674,14 @@ def _grow_block(problems, params, eps, post_point):
 def _grow(problems, params, eps, post_point):
     """Build every problem's tree; returns the results in input order and
     the summed counts of the lockstep blocks."""
-    problems = list(problems)
-    params = list(params)
-    eps = [None] * len(problems) if eps is None else list(eps)
+    try:
+        problems, params = list(problems), list(params)
+        eps = [None] * len(problems) if eps is None else list(eps)
+    except TypeError:
+        raise ParameterError("problems, params and eps must be sequences") from None
+    for items, kind in ((problems, OneToManyProblem), (params, BotParams)):
+        if bad := [x for x in items if not isinstance(x, kind)]:
+            raise ParameterError(f"expected {kind.__name__} instances, got {type(bad[0]).__name__}")
     if not len(params) == len(eps) == len(problems):
         raise ParameterError("params and eps must have one entry per problem")
     shifts, groups = [], {}

@@ -309,7 +309,8 @@ class BotParams:
         _check_alpha(self.alpha)
         _check_int(self.seed, "seed")
         if self.formula not in FORMULAS:
-            raise ParameterError(f"formula must be 'interp' or 'power', got {self.formula!r}")
+            raise ParameterError(f"formula must be {' or '.join(map(repr, FORMULAS))}, "
+                                 f"got {self.formula!r}")
         # each check is written so that NaN fails it
         if not (isinstance(self.shift_norm, Real) and 0 <= self.shift_norm < np.inf):
             raise ParameterError("shift_norm must be finite and nonnegative")

@@ -519,6 +519,17 @@ def test_build_post_point_hook_constrains_branches():
     assert np.all(np.diff(result.trace) < 0)
 
 
+@pytest.mark.parametrize("post_point", [lambda z: z[:, :1], lambda z: z[:1], np.ndarray.tolist])
+def test_build_rejects_a_post_point_that_changes_the_shape(post_point):
+    # a dropped coordinate was stored as [x, 0.0] or met numpy's broadcast error
+    with pytest.raises(ParameterError, match="post_point must return an array of shape"):
+        build_one_to_many(synthetic_problem(0, 5), BotParams(), post_point=post_point)
+    with pytest.raises(ParameterError, match="post_point must return an array of shape"):
+        build_one_to_many(synthetic_problem(0, 6), BotParams(), post_point=post_point)
+    with pytest.raises(ParameterError, match="post_point must return an array of shape"):
+        build_forest([synthetic_problem(0, 6)] * 2, [BotParams()] * 2, post_point=post_point)
+
+
 def test_build_shift_draws_frozen_eps():
     problem = random_problem(22, 25)
     params = BotParams(alpha=0.5, shift_norm=0.01, shift_delta=0.01, seed=77)
@@ -967,6 +978,17 @@ def test_forest_widens_the_scan_for_one_tree_of_a_block(caplog):
 def test_forest_checks_its_arguments():
     problem = narrow_problem()
     assert build_forest([], []) == []
+    # these raised TypeError or AttributeError
+    with pytest.raises(ParameterError, match="problems, params and eps must be sequences"):
+        build_forest([problem], BotParams())
+    with pytest.raises(ParameterError, match="problems, params and eps must be sequences"):
+        build_forest([problem], [BotParams()], eps=5)
+    with pytest.raises(ParameterError, match="expected OneToManyProblem instances, got list"):
+        build_forest([[0, 0]], [BotParams()])
+    with pytest.raises(ParameterError, match="expected BotParams instances, got float"):
+        build_one_to_many(problem, 0.5)
+    with pytest.raises(ParameterError, match="^formula must be 'interp' or 'power', got 'x'$"):
+        BotParams(formula="x")
     with pytest.raises(ParameterError, match="one entry per problem"):
         build_forest([problem, problem], [BotParams()])
     with pytest.raises(ParameterError, match="one entry per problem"):
