@@ -330,12 +330,12 @@ class _CellLists:
     ``_SPAN`` and clamped to [0, 2 * _SPAN), in 21 bits each; a ring
     offset past the clamp at most adds a cell to the search."""
 
-    def __init__(self, xyz, lo, side):
-        self.xyz, self.lo, self.side, self.buckets = xyz, lo, side, defaultdict(list)
+    def __init__(self, cols, lo, side):
+        self.cols, self.lo, self.side, self.buckets = cols, lo, side, defaultdict(list)
 
     @classmethod
-    def over(cls, pos_t, ids, xyz, where):
-        """Cell lists over the nodes ``ids`` (columns of ``pos_t``; ``xyz`` has
+    def over(cls, pos_t, ids, cols, where):
+        """Cell lists over the nodes ``ids`` (columns of ``pos_t``; ``cols`` has
         them on Python floats), their keys put in ``where``; None where no
         finite grid holds them."""
         pts = pos_t[:, ids]
@@ -348,7 +348,7 @@ class _CellLists:
             side *= 2   # a flat box: fewer, wider cells
         if not 0 < side < math.inf:
             return None
-        grid = cls(xyz, lo.tolist(), side)
+        grid = cls(cols, lo.tolist(), side)
         cells = np.clip(np.floor((pts - lo[:, None]) / side), -_SPAN, _SPAN - 1) + _SPAN
         keys = np.left_shift(cells.astype(np.int64), 21 * np.arange(len(lo))[:, None]).sum(axis=0)
         np.frombuffer(where, dtype=np.int64)[ids] = keys
@@ -369,26 +369,33 @@ class _CellLists:
         """The node of least (distance to p, id), with ``_coord_norms``' bits,
         or None once the rings visit more cells and nodes than ``budget``.
         They stop below every unvisited ring's bound: k rings out, k - 1
-        cells plus the distance from p to its cell's nearest wall."""
-        side, buckets, sqrt = self.side, self.buckets, math.sqrt
-        (X, Y, Z), (px, py, pz) = self.xyz, (*p, 0.0)[:3]
-        key = self.cell(p)
-        wall, mag = math.inf, side
-        for a, (x, lo) in enumerate(zip(p, self.lo)):
-            below = x - (lo + ((key >> 21 * a & 0x1FFFFF) - _SPAN) * side)
+        cells plus the distance from p to its cell's nearest wall.  In 2-D
+        the sum of squares has no third term: adding 0.0 * 0.0 keeps its bits."""
+        side, get, sqrt = self.side, self.buckets.get, math.sqrt
+        (X, Y, Z), (px, py, pz) = (*self.cols, None)[:3], (*p, 0.0)[:3]
+        key, wall, mag = 0, math.inf, side
+        for a, (x, lo) in enumerate(zip(p, self.lo)):   # cell() and its nearest wall
+            t = (x - lo) / side
+            i = math.floor(t) if -_SPAN <= t < _SPAN else (_SPAN - 1 if t > 0 else -_SPAN)
+            key |= i + _SPAN << 21 * a
+            below = x - (lo + i * side)
             wall = min(wall, below, side - below)
             mag += abs(x) + abs(lo)
         best, bj, seen, k = math.inf, math.inf, 0, 0
         while True:
             seen += len(shell := _shell(k, len(self.lo)))
             for o in shell:
-                bucket = buckets.get(key + o, ())
+                bucket = get(key + o, ())
                 seen += len(bucket)
                 if seen > budget:
                     return None
                 for j in bucket:
-                    t, u, v = X[j] - px, Y[j] - py, Z[j] - pz
-                    dist = sqrt(t * t + u * u + v * v)
+                    t, u = X[j] - px, Y[j] - py
+                    dist = t * t + u * u
+                    if Z is not None:
+                        v = Z[j] - pz
+                        dist += v * v
+                    dist = sqrt(dist)
                     if dist < best or dist == best and j < bj:
                         best, bj = dist, j
             # a margin of 1e-12 covers the rounding of cells and walls
@@ -411,20 +418,26 @@ def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
     node comes from cell lists, rebuilt below a quarter of the last build's
     nodes or below 7/8 once the pick's distance to the source has halved,
     or from every selectable node past a budget of cells and nodes.  It is
-    evaluated on Python floats with ``_branch_gains``' bits.  Returns the
-    node count, candidate evals, and settled and widened scans."""
+    evaluated on Python floats with ``_branch_gains``' bits.  Each node's
+    length |v_k - v| sits in a buffer, filled by ``_direct_edge`` on rows:
+    the targets in one pass, and the branch nodes made since the last pass
+    in one more whenever one of them is picked; the picked node's direct
+    edge costs w_i times its length, the product ``_direct_edge`` takes.
+    Returns the node count, candidate evals, and settled and widened scans."""
     (xs, area, wa, before, parent), (picked, partner, gain_at) = bufs, recs
     alpha, power, delta = params.alpha, params.formula == "power", params.shift_delta
     n, (cap, d), pos_t = rad.size, pos.shape, pos.T
     cols = [memoryview(xs)[c * cap:(c + 1) * cap] for c in range(d)]
-    xyz = cols + [array("d", bytes(8 * cap))] * (3 - d)
     src, v0 = pos[0].tolist(), pos[:1]
+    length = array("d", bytes(8 * cap))   # each node's |v_k - v|, filled in passes
+    np.frombuffer(length)[1:n + 1] = _direct_edge(1.0, v0, pos[1:n + 1])
+    known = n + 1   # the nodes whose length is filled
     eps0 = [None] * d if shift is None else shift[0].tolist()
     sel = bytearray(b"\0" + b"\1" * n + bytes(n))   # selectable flags
     selectable = np.frombuffer(sel, dtype=bool)
     heapq.heapify(heap := list(zip((-rad).tolist(), range(1, n + 1))))
     where = array("q", bytes(8 * cap))   # each node's grid cell
-    grid = _CellLists.over(pos_t, np.arange(1, n + 1), xyz, where)
+    grid = _CellLists.over(pos_t, np.arange(1, n + 1), cols, where)
     built, reach = n, -heap[0][0]   # the nodes and the farthest one's distance at a build
     count, evals, settled, widened = n + 1, n - 1, 0, 0
     for step in range(n):
@@ -437,7 +450,7 @@ def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
             break
         if 4 * live < built or -2 * neg < reach and 8 * live < 7 * built:
             built, reach = live, -neg
-            grid = _CellLists.over(pos_t, np.flatnonzero(selectable), xyz, where)
+            grid = _CellLists.over(pos_t, np.flatnonzero(selectable), cols, where)
         elif grid:
             grid.buckets[where[g]].remove(g)
         v_i = [col[g] for col in cols]
@@ -455,7 +468,10 @@ def _lone_steps(bufs, recs, pos, rad, params, shift, post_point):
         if post_point is not None:
             z = _post(post_point, np.array([z]))[0].tolist()
         r_i, r_j, r_z = (math.sqrt(_squared_distance(z, v)) for v in (v_i, v_j, src))
-        gain = _gain(_direct_edge(w_i, v0[0], pos[g]), before[j], w_i, w_j, w_m, r_i, r_j, r_z)
+        if g >= known:   # a branch node made since the last pass
+            np.frombuffer(length)[known:count] = _direct_edge(1.0, v0, pos[known:count])
+            known = count
+        gain = _gain(w_i * length[g], before[j], w_i, w_j, w_m, r_i, r_j, r_z)
         if gain > GAIN_TOL:
             settled += 1
         elif live > 1:

@@ -307,6 +307,8 @@ class BotParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        # a numpy scalar would make s ** alpha on a Python float round in its precision
+        object.__setattr__(self, "alpha", float(self.alpha))
         _check_int(self.seed, "seed")
         if self.formula not in FORMULAS:
             raise ParameterError(f"formula must be {' or '.join(map(repr, FORMULAS))}, "

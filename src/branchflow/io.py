@@ -5,10 +5,12 @@ an object with "nodes" (id, kind, coords), "edges" (from, to, area),
 "alpha" and "cost", fields always in that order, nodes ordered by id and
 edges by their "to" endpoint.  Writing the same tree twice yields
 byte-identical text.  The writer formats blocks of rows of the node and
-edge arrays through ``%``-templates, so no dict per node is built; every
-number is finite and written as ``repr`` of a Python int or float, the
-text ``json`` writes.  ``network_to_json`` raises ParameterError for an
-alpha outside [0, 1] and for a cost that is not finite.
+edge arrays with one ``%`` per block (the row template repeated once per
+row, applied to the block's columns interleaved into one tuple), so no
+dict or string per node is built; every number is finite and written as
+``repr`` of a Python int or float, the text ``json`` writes.
+``network_to_json`` raises ParameterError for an alpha outside [0, 1]
+and for a cost that is not finite.
 
 A cities CSV loads into a CityTable, each drop rule run once on whole columns.
 """
@@ -53,10 +55,16 @@ _BLOCK = 2048   # rows, arc points or edges at a time: bounds the Python objects
 
 def _row_blocks(template: str, columns: list[np.ndarray], sep: str = ","):
     """The rows of ``columns``, formatted with ``template`` and joined by
-    ``sep``: one string per block of rows, each after the first led by ``sep``."""
-    for lo in range(0, len(columns[0]), _BLOCK):
-        rows = zip(*(c[lo:lo + _BLOCK].tolist() for c in columns))
-        yield (sep if lo else "") + sep.join([template % row for row in rows])
+    ``sep``: one string per block of rows, each after the first led by ``sep``.
+    A block is one ``%``: the template repeated once per row, applied to
+    the block's columns interleaved into one tuple, row after row."""
+    n, width = len(columns[0]), len(columns)
+    for lo in range(0, n, _BLOCK):
+        rows = min(_BLOCK, n - lo)
+        values = [None] * (rows * width)
+        for c, column in enumerate(columns):
+            values[c::width] = column[lo:lo + rows].tolist()
+        yield (sep if lo else "") + sep.join([template] * rows) % tuple(values)
 
 
 def _network_text(kind, coords, src, dst, area, alpha: float, cost: float) -> str:

@@ -198,11 +198,12 @@ def test_improvement_wide_angle_is_negative():
 
 @st.composite
 def scalar_merges(draw):
-    """Random problems of two targets (or a few), in 2-D and 3-D, scaled
-    by 1, 1e+-150 or 1e-3, with alpha in [0, 1], either formula and, for
-    interp, sometimes a shift."""
+    """Random problems of two targets (or a few, or 40, whose picks include
+    branch nodes made since the lone tree last filled its lengths), in 2-D
+    and 3-D, scaled by 1, 1e+-150 or 1e-3, with alpha in [0, 1], either
+    formula and, for interp, sometimes a shift."""
     d = draw(st.sampled_from([2, 3]))
-    n = draw(st.sampled_from([2, 2, 6]))
+    n = draw(st.sampled_from([2, 2, 6, 40]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1.0, 1e150, 1e-150, 1e-3]))
     formula = draw(st.sampled_from(["interp", "power"]))
@@ -754,6 +755,23 @@ def test_build_logs_scan_counts(caplog):
     ]
 
 
+def test_lone_build_fills_lengths_in_few_passes(monkeypatch):
+    """The lone tree computes its direct edges in passes over rows, not one
+    numpy call per step: 13 calls for these 4000 targets, widened scans
+    included."""
+    rows = []
+    direct_edge = branching._direct_edge
+
+    def counted(w, v_k, v_i):
+        rows.append(len(v_i))
+        return direct_edge(w, v_k, v_i)
+
+    monkeypatch.setattr(branching, "_direct_edge", counted)
+    result = build_one_to_many(synthetic_problem(0, 4000), BotParams(alpha=0.5))
+    assert len(result.events) == 4000
+    assert rows[0] == 4000 and len(rows) <= 20
+
+
 # ---------------------------------------------------------------------------
 # the lockstep forest against one-tree builds and the full-scan reference
 
@@ -828,6 +846,18 @@ def test_forest_matches_one_tree_builds_and_full_scan(forest):
         assert result.events == want.events
         assert result.trace.tobytes() == want.trace.tobytes()
         assert result.tree.coords.tobytes() == want.tree.coords.tobytes()
+
+
+@pytest.mark.parametrize("formula", ["interp", "power"])
+@pytest.mark.parametrize("alpha", [np.float32(0.3), np.float64(0.3)], ids=["float32", "float64"])
+def test_engines_agree_for_a_numpy_alpha(formula, alpha):
+    """BotParams keeps alpha as a Python float, so the lone tree's float
+    arithmetic and the lockstep rows run in one precision."""
+    problem, params = synthetic_problem(0, 50), BotParams(alpha=alpha, formula=formula)
+    assert type(params.alpha) is float and params.alpha == float(alpha)
+    alone = build_one_to_many(problem, params)
+    lockstep = build_forest([problem, problem], [params, params])[0]
+    assert tree_bytes(alone, params.alpha) == tree_bytes(lockstep, params.alpha)
 
 
 def to_unit_sphere(points):

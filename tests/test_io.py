@@ -26,6 +26,7 @@ from branchflow import (
     load_cities_csv,
     network_from_json,
     network_to_json,
+    render_svg,
     sample_cities_path,
     santa_pipeline,
 )
@@ -153,11 +154,19 @@ def test_json_bytes_do_not_depend_on_the_row_block(monkeypatch, block):
     c = cost_matrix(inst)
     plans = [solve_exact(inst, c), solve_sinkhorn(inst, c, SinkhornConfig(reg=0.05)).plan]
     assert np.all(plans[1].gamma > 0)   # Sinkhorn rows are dense
-    monkeypatch.setattr("branchflow.io._BLOCK", block)
+    cities = load_cities_csv(sample_cities_path()).cities
+    cities = CityTable(**{field: column[:40] for field, column in vars(cities).items()})
+    sphere = [tree for _, _, tree in santa_pipeline(cities, params=BotParams(seed=0)).all_trees()]
+    forests = [[tree for tree in trees if tree.dim == 2], sphere]
+    svgs = [render_svg(forest, alpha=0.5) for forest in forests]   # at the default block
+    for module in ("io", "render", "pipeline"):
+        monkeypatch.setattr(f"branchflow.{module}._BLOCK", block)
     for tree in trees:
         assert network_to_json(tree, 0.5) == per_node_network_json(tree, 0.5)
     for plan in plans:
         assert plan_to_json(inst, plan, plan_cost(plan, c)) == dict_plan_json(inst, plan)
+    for forest, svg in zip(forests, svgs):
+        assert render_svg(forest, alpha=0.5) == svg
 
 
 def test_network_json_peak_memory_stays_within_four_times_the_text():
