@@ -45,6 +45,7 @@ _log = logging.getLogger(__name__)
 _PRICE_TOL = 1e-11    # reduced-cost threshold for entering variables
 _PRICE_BLOCKS = 16    # at most 16 pricing blocks, each of ceil(m / 16) whole rows
 _ALIGN = 64           # bytes: the Sinkhorn kernel starts on a cache line
+_BATCH = 16           # Sinkhorn iterations run between two convergence checks
 
 
 def cost_matrix(instance: TransportInstance) -> np.ndarray:
@@ -485,6 +486,95 @@ def _aligned_empty(shape) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
+def _aligned_rows(rows: int, n: int) -> np.ndarray:
+    """A ``(rows, n)`` float64 view whose every row starts on a cache line.
+
+    The row stride is ``n`` padded to whole 64-byte lines, so each row is
+    a contiguous, aligned vector, like the kernel.
+    """
+    per_line = _ALIGN // 8
+    return _aligned_empty((rows, -(-n // per_line) * per_line))[:, :n]
+
+
+def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
+    """Sinkhorn's iterations on the kernel ``K``: ``(u, v, n_iter, error, converged)``.
+
+    The iterations run in batches of up to ``_BATCH``.  Iteration ``b``
+    of a batch reads ``V[b]`` and writes its ``K v``, ``u``, ``K' u``
+    and next ``v`` into row ``b`` of ``KV``, ``U``, ``KTU`` and row
+    ``b + 1`` of ``V``: two mat-vecs through ``ndarray.dot`` (the
+    ``cblas_dgemv`` call of ``@``, with less dispatch) and two divisions,
+    and no other Python work.  Every buffer is allocated once, with each
+    row on a cache line, and freed on return, before the plan is formed.
+    After a batch, one elementwise pass and one row reduce give the
+    column error of each of its iterations (a row reduce of a contiguous
+    row has the bits of its 1-D sum), and these are walked in order under
+    the checks of an every-iteration loop.  No decision depends on an
+    iteration past the first one that stops the loop, so the factors,
+    the iteration count and the error have the bits of checking on
+    every iteration.
+
+    A finite column error means every ``u`` and ``K' u`` entry is
+    finite: ``K`` has no zero row, so an infinite ``u_i`` makes some
+    ``K' u_j`` infinite or NaN, a NaN one makes every ``K' u_j`` NaN,
+    and a non-finite ``K' u_j`` makes the column error non-finite.  So
+    the elementwise finiteness test runs only when the column error is
+    not finite, which covers every iteration on which it can fail.  The
+    row error is computed only when the column error is below ``tol``
+    (or NaN), since the exit test needs both below it.
+    """
+    (m, n), Kt, tol = K.shape, K.T, cfg.tol
+    KV, U = _aligned_rows(_BATCH, m), _aligned_rows(_BATCH, m)
+    KTU, resid = _aligned_rows(_BATCH, n), _aligned_rows(_BATCH, n)
+    V = _aligned_rows(_BATCH + 1, n)
+    V[0] = 1.0
+    steps = list(zip(KV, U, KTU, V[:-1], V[1:]))
+    done = batches = 0
+    converged = False
+    # an overflowing factor is caught by the finiteness check below, so
+    # numpy's warnings on the way there (and past it, to the batch's
+    # end) are noise
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while not converged and done < cfg.max_iter:
+            nb = min(_BATCH, cfg.max_iter - done)
+            batches += 1
+            for kv, u, ktu, v, v_next in steps[:nb]:
+                K.dot(v, out=kv)
+                np.divide(p, kv, out=u)
+                Kt.dot(u, out=ktu)
+                np.divide(q, ktu, out=v_next)
+            res = resid[:nb]
+            np.multiply(V[:nb], KTU[:nb], out=res)
+            np.subtract(res, q, out=res)
+            col_errs = np.add.reduce(np.abs(res, out=res), axis=1).tolist()
+            for b, col_err in enumerate(col_errs):
+                if not math.isfinite(col_err):
+                    if not (np.all(np.isfinite(U[b])) and np.all(np.isfinite(KTU[b]))):
+                        raise ConvergenceError(
+                            "scaling factors overflowed; increase reg"
+                        )
+                # written so that NaN passes: max(row_err, nan) is row_err
+                if not col_err >= tol:
+                    row_err = float(np.abs(U[b] * KV[b] - p).sum())
+                    if max(row_err, col_err) < tol:
+                        converged = True
+                        break
+            else:
+                done += nb
+                V[0] = V[nb]
+    if converged:
+        n_iter, v = done + b + 1, V[b]
+    else:  # the cap: the last iterate's error, and its updated v
+        row_err = float(np.abs(U[b] * KV[b] - p).sum())
+        n_iter, v = done, V[0]
+    err = max(row_err, col_err)
+    _log.debug(
+        "solve_sinkhorn %dx%d: %d iterations in %d batches, marginal error %.3g, converged %s",
+        m, n, n_iter, batches, err, "yes" if converged else "no",
+    )
+    return U[b].copy(), v.copy(), n_iter, err, converged
+
+
 def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = None) -> SinkhornResult:
     """Entropically regularized plan via alternating row/column scaling.
 
@@ -499,18 +589,8 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     ``K`` is computed elementwise into a C-ordered buffer on a 64-byte
     boundary, whatever the layout of ``c``: the mat-vecs' summation
     order follows the kernel's layout, and their speed its alignment.
-    The loop writes every vector into a buffer allocated once.
-
-    One iteration costs two mat-vecs, two divisions and one L1
-    reduction, the column error.  A finite column error means every
-    ``u`` and ``K' u`` entry is finite: ``K`` has no zero row, so an
-    infinite ``u_i`` makes some ``K' u_j`` infinite or NaN, a NaN one
-    makes every ``K' u_j`` NaN, and a non-finite ``K' u_j`` makes the
-    column error non-finite.  So the elementwise finiteness test runs
-    only when the column error is not finite, which covers every
-    iteration on which it can fail.  The row error is computed only when
-    the column error is below ``tol`` (or NaN), since the exit test
-    needs both below it.
+    ``_scale`` runs the iterations in batches, checking them afterwards
+    in order, with the bits of a loop that checks every iteration.
     """
     cfg = cfg or SinkhornConfig()
     c = _check_cost(c, instance.n_sources, instance.n_targets)
@@ -532,35 +612,7 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
             "scaling kernel underflowed to zero rows/columns; increase reg"
         )
 
-    Kv, u = np.empty(m), np.empty(m)
-    Ktu, v, resid = np.empty(n), np.ones(n), np.empty(n)
-    converged = False
-    # an overflowing factor is caught by the finiteness check below, so
-    # numpy's warnings on the way there are noise
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for n_iter in range(1, cfg.max_iter + 1):
-            np.matmul(K, v, out=Kv)
-            np.divide(p, Kv, out=u)
-            np.matmul(K.T, u, out=Ktu)
-            np.multiply(v, Ktu, out=resid)
-            np.subtract(resid, q, out=resid)
-            col_err = float(np.abs(resid, out=resid).sum())
-            if not math.isfinite(col_err):
-                if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
-                    raise ConvergenceError(
-                        "scaling factors overflowed; increase reg"
-                    )
-            # written so that NaN passes: max(row_err, nan) is row_err
-            if not col_err >= cfg.tol:
-                row_err = float(np.abs(u * Kv - p).sum())
-                if max(row_err, col_err) < cfg.tol:
-                    converged = True
-                    break
-            np.divide(q, Ktu, out=v)
-        else:  # the cap: report the last iterate's error
-            row_err = float(np.abs(u * Kv - p).sum())
-    err = max(row_err, col_err)
-
+    u, v, n_iter, err, converged = _scale(K, p, q, cfg)
     gamma = u[:, None] * K * v[None, :]
     plan = TransportPlan(gamma, p, q)
     return SinkhornResult(plan, n_iter, err, converged)

@@ -3,8 +3,12 @@
 import hashlib
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,6 +628,68 @@ def test_sinkhorn_matches_the_every_iteration_reference_bitwise(case):
     # the gated finiteness test and the lazy row error must not change a
     # plan byte, an iteration count, an error bit or a raised message
     assert _sinkhorn_outcome(solve_sinkhorn, *case) == _sinkhorn_outcome(reference_sinkhorn, *case)
+
+
+@pytest.mark.parametrize("m, n, max_iter", [
+    # caps on either side of a batch's end
+    *((6, 8, cap) for cap in (ot._BATCH - 1, ot._BATCH, ot._BATCH + 1, 2 * ot._BATCH + 1)),
+    # rows that are not whole cache lines, and rows above numpy's
+    # 8192-element buffer, which the 1-D sum reduces in pieces
+    (1, 70000, 40), (2, 20000, 40), (3, 9000, 40), (7, 16385, 40), (40, 5, 40), (16, 17, 40),
+])
+@pytest.mark.parametrize("tol", [1e-9, 1e-300])   # at 1e-300 only the cap stops
+def test_sinkhorn_matches_the_reference_at_batch_seams_and_on_long_rows(m, n, max_iter, tol):
+    inst, cfg = random_instance(m + n, m, n), SinkhornConfig(reg=0.02, tol=tol, max_iter=max_iter)
+    assert _sinkhorn_outcome(solve_sinkhorn, inst, cfg) == _sinkhorn_outcome(reference_sinkhorn, inst, cfg)
+
+
+@pytest.mark.parametrize("seed, m, n, reg, rem", [
+    (20, 6, 8, 0.05, 0),     # converges on the last iteration of a batch
+    (19, 5, 9, 0.03, 1),     # on the first
+    (1, 6, 8, 0.05, ot._BATCH - 1),
+])
+def test_sinkhorn_matches_the_reference_with_a_cap_next_to_convergence(seed, m, n, reg, rem):
+    inst = random_instance(seed, m, n)
+    n_conv = reference_sinkhorn(inst, cost_matrix(inst), SinkhornConfig(reg=reg)).n_iter
+    assert n_conv % ot._BATCH == rem
+    for max_iter in (n_conv - 1, n_conv, n_conv + 1):
+        cfg = SinkhornConfig(reg=reg, max_iter=max_iter)
+        got = _sinkhorn_outcome(solve_sinkhorn, inst, cfg)
+        assert got == _sinkhorn_outcome(reference_sinkhorn, inst, cfg)
+        assert (got[1], got[3]) == (min(max_iter, n_conv), max_iter >= n_conv)
+
+
+def test_sinkhorn_logs_one_line_per_solve(caplog):
+    inst = _golden_planar("planar-20x200")
+    with caplog.at_level(logging.DEBUG, logger="branchflow.ot"):
+        for cfg in (SinkhornConfig(reg=0.01), SinkhornConfig(reg=0.01, max_iter=2)):
+            solve_sinkhorn(inst, cost_matrix(inst), cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        "solve_sinkhorn 20x200: 623 iterations in 39 batches, marginal error 9.79e-10, converged yes",
+        "solve_sinkhorn 20x200: 2 iterations in 1 batches, marginal error 0.671, converged no",
+    ]
+
+
+def test_sinkhorn_plan_bytes_do_not_depend_on_the_blas_thread_count():
+    # the pinned 50x1000 plan; larger kernels split a mat-vec's sum across
+    # OpenBLAS threads, and their bytes differ (see ROADMAP item 6)
+    script = (
+        "import hashlib\n"
+        "from test_ot import SinkhornConfig, _golden_planar, _sinkhorn_outcome, solve_sinkhorn\n"
+        "gamma, n_iter, err, converged = _sinkhorn_outcome(\n"
+        "    solve_sinkhorn, _golden_planar('planar-50x1000'), SinkhornConfig(reg=1.5e-3))\n"
+        "print(hashlib.sha256(gamma).hexdigest(), n_iter, err, converged)\n"
+    )
+    src = str(Path(ot.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == [
+            "ce68fb5a145c3ee5fe2966c62b5d8fd378aa109b5103720e83accae74da99317",
+            "7415", "9.986686674292537e-10", "True",
+        ]
 
 
 def test_sinkhorn_plan_does_not_depend_on_the_cost_layout():
