@@ -6,10 +6,11 @@ scaling.  Both are deterministic: the same inputs give the same bytes.
 
 The exact solver's plan bytes depend only on its final basis, which
 ``_rebuild_from_basis`` turns into allocations by order-independent
-sums.  So when the optimum is unique, any pivot rule, and any relabeling
-of sources or targets, gives the same bytes.  A tied optimum is not
-unique: the optimal basis reached, and so the plan, can change with the
-pivot rule or with the order of the inputs.
+sums.  So when the optimum is unique, any start, any pivot rule, and
+any relabeling of sources or targets, gives the same bytes.  A tied or
+degenerate optimum is not unique: the optimal basis reached, and so the
+plan, can change with the start, the pivot rule or the order of the
+inputs.
 
 The exact solver keeps its basis as a spanning tree of the m + n row and
 column nodes, rooted at row 0 (network simplex; Ahuja, Magnanti and
@@ -17,12 +18,17 @@ Orlin, Network Flows, ch. 11).  Pricing searches blocks of whole rows in
 turn and enters the best cell of the first block that holds an improving
 one (block search; Grigoriadis 1986).  A pivot re-hangs the subtree it
 cuts off by walking only that subtree's non-leaf nodes; one numpy
-gather then sets every leaf's dual from its parent's.  The least-cost
-start always yields such a spanning tree.
+gather then sets every leaf's dual from its parent's.  The start is the
+least-cost rule, which always yields such a spanning tree, run on the
+costs less row potentials from a short entropic scaling (Cuturi 2013):
+a per-row constant leaves the optimal plans as they are, and the start
+lands near them, so about a third of the pivots remain.  A heap of
+column minima gives each least-cost cell without rescanning the matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -46,6 +52,8 @@ _PRICE_TOL = 1e-11    # reduced-cost threshold for entering variables
 _PRICE_BLOCKS = 16    # at most 16 pricing blocks, each of ceil(m / 16) whole rows
 _ALIGN = 64           # bytes: the Sinkhorn kernel starts on a cache line
 _BATCH = 16           # Sinkhorn iterations run between two convergence checks
+_WARM_REG = 0.01      # the exact start's scaling runs at eps = _WARM_REG * max(c)
+_WARM_ITERS = 200     # and takes this many iterations
 
 
 def cost_matrix(instance: TransportInstance) -> np.ndarray:
@@ -89,8 +97,48 @@ def plan_cost(plan: TransportPlan, c) -> float:
 # exact solver: transportation simplex on the bipartite graph
 
 
-def _initial_basis(p: np.ndarray, q: np.ndarray, c: np.ndarray):
-    """Least-cost starting basis: allocate to the cheapest open cell.
+def _warm_costs(p: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """``c`` less row potentials from a short entropic scaling, or None.
+
+    ``_WARM_ITERS`` scaling iterations on the kernel ``exp(-c / eps)``,
+    ``eps = _WARM_REG * max(c)``, give row factors ``u``, and
+    ``f = eps * log(u)`` approximates the optimal row duals (Cuturi,
+    NeurIPS 2013).  Less a per-row constant, ``c`` has the same optimal
+    plans, and its least-cost start lies near them.  The sums run
+    through ``np.einsum`` and the logs through ``math.log``, so the
+    result does not depend on the BLAS thread count.  ``c - f`` is
+    written over the kernel: one m x n array sits beside ``c``, as a
+    working copy of ``c`` would.  None when ``eps`` is 0, when ``u`` has
+    a zero, or when ``u``, ``f`` or ``c - f`` is not finite.
+    """
+    eps = _WARM_REG * float(c.max())
+    if not eps > 0.0:
+        return None
+    m, n = c.shape
+    w = np.empty((m, n))
+    np.divide(c, -eps, out=w)
+    np.exp(w, out=w)
+    u, kv, ktu, v = np.empty(m), np.empty(m), np.empty(n), np.ones(n)
+    # a scaling that under- or overflows fails the finiteness tests below
+    with np.errstate(all="ignore"):
+        for _ in range(_WARM_ITERS):
+            np.einsum("ij,j->i", w, v, out=kv)
+            np.divide(p, kv, out=u)
+            np.einsum("ij,i->j", w, u, out=ktu)
+            np.divide(q, ktu, out=v)
+    if not np.all(u > 0.0):  # NaN fails too; math.log takes no 0
+        return None
+    f = np.array([eps * math.log(x) for x in u.tolist()])
+    with np.errstate(over="ignore"):
+        np.subtract(c, f[:, None], out=w)
+    # c is finite, so an infinite u or f, or an overflow, shows in w's extremes
+    if not (math.isfinite(w.max()) and math.isfinite(w.min())):
+        return None
+    return w
+
+
+def _least_cost_start(p: np.ndarray, q: np.ndarray, w: np.ndarray):
+    """Least-cost starting basis on ``w``: allocate to the cheapest open cell.
 
     Every allocation closes exactly one row or column, which keeps the
     chosen cells acyclic and yields exactly m + n - 1 basic cells.  The
@@ -99,27 +147,67 @@ def _initial_basis(p: np.ndarray, q: np.ndarray, c: np.ndarray):
     rows stay open: then the other line of the cell closes, and the lines
     left open get degenerate (zero) fills.  This matters when a float
     residual exhausts a row before the columns it must still reach.
+
+    The cheapest open cell comes off a heap holding, per open column,
+    ``(value, row, column)`` for its least open row, the first one on
+    ties.  That is the order of numpy's flat argmin, so the cells are
+    those of an ``argmin`` over the whole matrix with closed lines set to
+    inf, tie for tie.  Entries of closed columns, or of rows no longer a
+    column's least, are skipped as they come off.  A closing row is set
+    to inf in ``w``, which this overwrites, and only the columns whose
+    least row it was are ranked again, by one argmin.
     """
-    m, n = c.shape
-    a = p.copy()
-    b = q.copy()
-    cc = c.copy()
+    m, n = w.shape
+    a, b = p.tolist(), q.tolist()
+    # each column's first least row, a row at a time: w.argmin(axis=0)
+    # would copy all of w
+    best = np.zeros(n, dtype=np.intp)
+    low = w[0].copy()
+    for r in range(1, m):
+        less = w[r] < low
+        best[less] = r
+        np.minimum(low, w[r], out=low)
+    heap = list(zip(low.tolist(), best.tolist(), range(n)))
+    heapq.heapify(heap)
+    col_open = np.ones(n, dtype=bool)
     rows_open, cols_open = m, n
     alloc: dict[tuple[int, int], float] = {}
     for _ in range(m + n - 1):
-        flat = int(np.argmin(cc))
-        i, j = divmod(flat, n)
+        while True:
+            _, i, j = heapq.heappop(heap)
+            if col_open.item(j) and best.item(j) == i:
+                break
         x = min(a[i], b[j])
         alloc[(i, j)] = x
         a[i] -= x
         b[j] -= x
         # x is min(a[i], b[j]), so at least one of the two is now exactly 0
         if rows_open > 1 and (a[i] == 0.0 or cols_open == 1):
-            cc[i, :] = np.inf
+            w[i] = np.inf
             rows_open -= 1
+            cols = np.flatnonzero((best == i) & col_open)
+            if cols.size:
+                at = w[:, cols].argmin(axis=0)
+                best[cols] = at
+                for entry in zip(w[at, cols].tolist(), at.tolist(), cols.tolist()):
+                    heapq.heappush(heap, entry)
         else:
-            cc[:, j] = np.inf
+            col_open[j] = False
             cols_open -= 1
+    return alloc
+
+
+def _initial_basis(p: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """The least-cost start on warm costs, or on ``c`` when there are none.
+
+    Logs one DEBUG line: the shape, whether warm potentials were used,
+    and the start's cost under ``c``.
+    """
+    w = _warm_costs(p, q, c)
+    alloc = _least_cost_start(p, q, c.copy() if w is None else w)
+    cost = math.fsum(x * c.item(i, j) for (i, j), x in alloc.items())
+    _log.debug("least-cost start %dx%d: warm potentials %s, start cost %.4g",
+               *c.shape, "no" if w is None else "yes", cost)
     return alloc
 
 
@@ -234,13 +322,23 @@ def transport_simplex(p, q, c) -> np.ndarray:
     costs' own rounding.  The plan bytes depend only on the final basis,
     so a unique optimum gives the same bytes as any other pivot rule.
 
-    The least-cost initial basis always spans all m + n row and column
-    nodes, and the basis is kept as a spanning tree rooted at row 0, with
-    one dual per node (u for rows, v for columns, with u[0] = 0) in the
-    array that pricing reads.  A leaf is a degree-1 node other than row 0;
-    its parent is its only neighbour, and its depth is its parent's plus
-    one.  Every other node keeps its parent and depth in lists, and the
-    set of its non-leaf neighbours.  A pivot finds its cycle by walking
+    The start is the least-cost basis on ``c`` less the row potentials of
+    ``_WARM_ITERS`` entropic scaling iterations at ``eps = _WARM_REG *
+    max(c)``, or on ``c`` itself when that scaling under- or overflows
+    (``_warm_costs``); the pivots still price with ``c``.  A per-row
+    constant does not change the optimal plans, so only a tied or
+    degenerate optimum can end at another plan than a start on ``c``
+    would.  The start's cells come off a heap of column minima, with the
+    ties of a flat argmin over the matrix, and one DEBUG line gives the
+    shape, whether warm potentials were used, and the start's cost.
+
+    The start always spans all m + n row and column nodes, and the basis
+    is kept as a spanning tree rooted at row 0, with one dual per node (u
+    for rows, v for columns, with u[0] = 0) in the array that pricing
+    reads.  A leaf is a degree-1 node other than row 0; its parent is its
+    only neighbour, and its depth is its parent's plus one.  Every other
+    node keeps its parent and depth in lists, and the set of its non-leaf
+    neighbours.  A pivot finds its cycle by walking
     the entering cell's two endpoints up to their common ancestor, cuts
     the leaving cell, re-hangs the cut-off subtree from the entering
     endpoint inside it and walks only that subtree's non-leaf nodes; then

@@ -13,7 +13,10 @@ project one point at a time, as the renderer once did, and the tree
 validation reference checks one node at a time, as validate_tree once
 did.  The writer references build the GeoJSON, network JSON and plan
 JSON documents as dicts, one edge and one node at a time, and leave the
-text to ``json.dumps``, as the library's writers once did.  The simplex
+text to ``json.dumps``, as the library's writers once did.  The
+reference start finds each least-cost allocation by one argmin over the
+whole cost matrix, closed lines set to inf, as the simplex's start once
+did.  The simplex
 reference re-hangs every node of a cut-off subtree, leaves included, and
 builds the whole reduced-cost matrix from a fresh copy of the duals for
 every pricing, as transport_simplex once did; it then walks that matrix
@@ -200,6 +203,35 @@ def _block_entering(reduced, price_tol, start):
         if block.flat[at] < -price_tol:
             return k * rows * n + at, k
     return -1, start
+
+
+def argmin_start(p, q, c):
+    """Least-cost start on ``c``: one argmin over every cell per allocation.
+
+    The closure rules are the library's: the exhausted line closes,
+    except that the last open row (or column) stays open while the other
+    side has open lines.  ``c`` is not modified.
+    """
+    m, n = c.shape
+    a = p.copy()
+    b = q.copy()
+    cc = c.copy()
+    rows_open, cols_open = m, n
+    alloc = {}
+    for _ in range(m + n - 1):
+        flat = int(np.argmin(cc))
+        i, j = divmod(flat, n)
+        x = min(a[i], b[j])
+        alloc[(i, j)] = x
+        a[i] -= x
+        b[j] -= x
+        if rows_open > 1 and (a[i] == 0.0 or cols_open == 1):
+            cc[i, :] = np.inf
+            rows_open -= 1
+        else:
+            cc[:, j] = np.inf
+            cols_open -= 1
+    return alloc
 
 
 def full_walk_simplex(p, q, c, pricing="block"):

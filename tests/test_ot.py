@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from branchflow import ot
 from branchflow.ot import _initial_basis, transport_simplex
 from branchflow.seeding import substream
 
-from oracles import exact_ot_oracle, full_walk_simplex, reference_sinkhorn
+from oracles import argmin_start, exact_ot_oracle, full_walk_simplex, reference_sinkhorn
 
 
 def random_instance(seed, m, n):
@@ -162,33 +163,28 @@ BLAND_COST = [
     [0, 2, 1, 2, 2, 1, 2, 2, 0],
 ]
 
-# 23x23 assignment with 0/1 costs, one row a string: block search stalls
-# here for more than m + n degenerate pivots, so the solve ends under
-# Bland's rule
+# 18x18 assignment with costs in {0, 1, 2}, one row a string: block search
+# from the warm start stalls here for more than m + n degenerate pivots, so
+# the solve ends under Bland's rule
 BLAND_ROWS = [
-    "10000000100001101011101",
-    "00010001111111101011101",
-    "10101101010100000111011",
-    "10011000111001111011011",
-    "00011010011001011101101",
-    "10100010100010110001011",
-    "10100001001101111010001",
-    "10100101011110001101000",
-    "00011010110001011110011",
-    "01000010010000001111010",
-    "01101001100110100010111",
-    "10100001000010011111100",
-    "01010010110110111100100",
-    "00101000111101010101111",
-    "11011011100000000101000",
-    "00011000011011001000111",
-    "01010110111010000110011",
-    "11111010110101000011100",
-    "00100011111011010010001",
-    "00000010000101101011001",
-    "01010101110110011100011",
-    "01001110100100001000011",
-    "11010101100110111011100",
+    "110110001001011101",
+    "211200002012120002",
+    "110020222010212200",
+    "122100021120010020",
+    "110201202110200120",
+    "110101221211022002",
+    "200120201111202011",
+    "120201102020021200",
+    "010000102210010021",
+    "012021211221220012",
+    "000210002202002212",
+    "121102210110111201",
+    "111122111122200011",
+    "001210001102021222",
+    "211222012021121111",
+    "220122121212002222",
+    "120111120012100211",
+    "222120111221010010",
 ]
 
 
@@ -207,8 +203,8 @@ def _golden_problem(name):
         ys = rng.integers(0, 4, (64, 2)).astype(float)
         c = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
         return np.full(16, 1 / 16), np.full(64, 1 / 64), c
-    if name == "bland-23x23":
-        return np.ones(23), np.ones(23), np.array([list(r) for r in BLAND_ROWS], dtype=float)
+    if name == "bland-18x18":
+        return np.ones(18), np.ones(18), np.array([list(r) for r in BLAND_ROWS], dtype=float)
     assert name == "bland-9x9"
     return np.ones(9), np.ones(9), np.array(BLAND_COST, dtype=float)
 
@@ -216,8 +212,8 @@ def _golden_problem(name):
 @pytest.mark.parametrize("name, digest", [
     ("planar-20x200", "4b6145c24788f08cae84ee387efc112c13c388857cb88ba35d616fb012f1b3bd"),
     ("planar-50x1000", "89734b2b8029c8a8a79e8cfb68f61882135e5d045332d675a44342d9924287a5"),
-    # tied optimum: the pivot rule picks which optimal vertex (checked below)
-    ("int-grid-16x64", "70183227316c13765b7807b0bcdb7479345c113b879ff64376f97c948da0f7c6"),
+    # tied optimum: the start and the pivot rule pick which optimal vertex (checked below)
+    ("int-grid-16x64", "9ccb82c8d2b035474264dd3099206a751adf5b848a213ddfc34b070138062141"),
     ("bland-9x9", "f9ebf1e1fe1f5bfba634a7d05cfae25d14ea731f92b84e82fa7d1a35c2203d49"),
 ])
 def test_exact_plan_bytes_are_pinned(name, digest):
@@ -353,11 +349,23 @@ def test_exact_logs_pivot_counts(caplog):
     with caplog.at_level(logging.DEBUG, logger="branchflow.ot"):
         for name in ("bland-9x9", "planar-20x200", "planar-50x1000", "int-grid-16x64"):
             transport_simplex(*_golden_problem(name))
-    assert [r.getMessage() for r in caplog.records] == [
-        "transport_simplex 9x9: 12 pivots, 9 degenerate, bland switch no",
-        "transport_simplex 20x200: 235 pivots, 0 degenerate, bland switch no",
-        "transport_simplex 50x1000: 1557 pivots, 0 degenerate, bland switch no",
-        "transport_simplex 16x64: 22 pivots, 18 degenerate, bland switch no",
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line for line in lines if line.startswith("transport_simplex")] == [
+        "transport_simplex 9x9: 6 pivots, 6 degenerate, bland switch no",
+        "transport_simplex 20x200: 83 pivots, 0 degenerate, bland switch no",
+        "transport_simplex 50x1000: 536 pivots, 0 degenerate, bland switch no",
+        "transport_simplex 16x64: 0 pivots, 0 degenerate, bland switch no",
+    ]
+
+
+def test_exact_logs_its_start(caplog):
+    with caplog.at_level(logging.DEBUG, logger="branchflow.ot"):
+        transport_simplex(*_golden_problem("planar-50x1000"))
+        transport_simplex(*_hard_problem("all-zero"))
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line for line in lines if line.startswith("least-cost")] == [
+        "least-cost start 50x1000: warm potentials yes, start cost 0.2208",
+        "least-cost start 4x7: warm potentials no, start cost 0",
     ]
 
 
@@ -431,11 +439,12 @@ def test_exact_matches_the_full_walk_reference_bitwise(instance):
 
 
 def test_exact_switches_to_blands_rule_after_a_stall():
-    p, q, c = _golden_problem("bland-23x23")
+    p, q, c = _golden_problem("bland-18x18")
     plan, lines = _solve_and_log(transport_simplex, p, q, c)
-    assert lines == ["transport_simplex 23x23: 53 pivots, 52 degenerate, bland switch yes"]
+    assert lines == ["least-cost start 18x18: warm potentials yes, start cost 4",
+                     "transport_simplex 18x18: 60 pivots, 57 degenerate, bland switch yes"]
     assert (plan, lines) == _solve_and_log(full_walk_simplex, p, q, c)
-    check_against_highs(p, q, c, np.frombuffer(plan).reshape(23, 23), 1e-12)
+    check_against_highs(p, q, c, np.frombuffer(plan).reshape(18, 18), 1e-12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -445,6 +454,116 @@ def test_exact_plan_bytes_do_not_depend_on_the_pivot_rule(instance):
     # final basis alone: block search must write what Dantzig's rule wrote
     want, _ = full_walk_simplex(*instance, pricing="dantzig")
     assert transport_simplex(*instance).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(planar_instances())
+def test_exact_plan_bytes_do_not_depend_on_the_start(instance):
+    # the warm start only moves where the pivots begin: a unique optimum
+    # gives the bytes of the least-cost start on the raw costs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ot, "_initial_basis", argmin_start)
+        want = transport_simplex(*instance)
+    assert transport_simplex(*instance).tobytes() == want.tobytes()
+
+
+@st.composite
+def start_problems(draw):
+    """Masses and a matrix for the least-cost start.
+
+    Every planar shape class; integer grids with ties, duplicate rows
+    and columns, -0.0 next to 0.0, and signed reals such as warm costs;
+    uniform and tenths masses with their float residue, integer masses,
+    which exhaust a row and a column at once, and either side short, so
+    that the other side's last open lines keep mass.
+    """
+    m, n = _planar_shape(draw, draw(st.sampled_from(PLANAR_SHAPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "signed-zeros", "reals"]))
+    if kind == "grid":
+        w = rng.integers(0, 3, (m, n)).astype(float)
+    elif kind == "duplicates":
+        base = rng.integers(0, 4, (max(1, m // 2), max(1, n // 2))).astype(float)
+        w = base[rng.integers(0, base.shape[0], m)][:, rng.integers(0, base.shape[1], n)]
+    elif kind == "signed-zeros":
+        w = rng.choice([-0.0, 0.0, 1.0], (m, n))
+    else:
+        w = rng.normal(size=(m, n))
+    masses = draw(st.sampled_from(["uniform", "tenths", "integer"]))
+    if masses == "uniform":
+        p, q = np.full(m, 1 / m), np.full(n, 1 / n)
+    elif masses == "tenths":
+        p, q = rng.integers(1, 10, m) / 10, rng.integers(1, 10, n) / 10
+        p, q = p / p.sum(), q / q.sum()
+    else:
+        p = rng.integers(1, 4, m).astype(float) * n
+        q = np.full(n, p.sum() / n)
+    # one side short: the other side's last open lines keep mass, which
+    # the rules for the last open row and the last open column fill
+    short = draw(st.sampled_from([None, p, q]))
+    if short is not None:
+        short[int(rng.integers(short.size))] *= draw(st.sampled_from([1.0 - 1e-12, 0.5]))
+    return p, q, w
+
+
+def _alloc_bits(alloc):
+    return list(alloc), np.array(list(alloc.values()), dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(start_problems())
+def test_heap_start_matches_the_argmin_start(problem):
+    # the same cells in the same order with the same value bits: the heap
+    # breaks ties as numpy's flat argmin does
+    p, q, w = problem
+    want = _alloc_bits(argmin_start(p, q, w))
+    assert _alloc_bits(ot._least_cost_start(p, q, w.copy())) == want
+
+
+def test_warm_costs_do_not_depend_on_the_blas_thread_count():
+    # a 300x3000 matrix-vector product through BLAS gives other bits
+    # under one and two OpenBLAS threads; the warm start sums through einsum
+    script = (
+        "import hashlib\n"
+        "from test_ot import cost_matrix, ot, random_instance\n"
+        "inst = random_instance(5, 300, 3000)\n"
+        "w = ot._warm_costs(inst.p, inst.q, cost_matrix(inst))\n"
+        "print(hashlib.sha256(w.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(ot.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
+def _hard_problem(name):
+    """Inputs on which the warm start's scaling fails, so the start runs on c."""
+    if name == "all-zero":
+        return np.full(4, 1 / 4), np.full(7, 1 / 7), np.zeros((4, 7))
+    if name == "near-1e308":
+        # eps * log(u) overflows at the tiny supply
+        c = 1e308 * (0.9 + 0.1 * np.random.default_rng(0).random((3, 4)))
+        return np.array([1e-300, 0.5, 0.5]), np.full(4, 0.25), c
+    assert name == "masses-1e-300-to-1"
+    # the scaling underflows; q is p reordered, so the two balance exactly
+    p = np.array([1.0, 1e-300, 1e-200, 1e-100])
+    return p, p[[2, 0, 3, 1]], 1.0 - np.eye(4)
+
+
+@pytest.mark.parametrize("name", ["all-zero", "near-1e308", "masses-1e-300-to-1"])
+def test_exact_solves_hard_inputs_from_the_plain_start(name, caplog):
+    p, q, c = _hard_problem(name)
+    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="branchflow.ot"):
+        warnings.simplefilter("error")
+        gamma = transport_simplex(p, q, c)
+    assert f"{len(p)}x{len(q)}: warm potentials no" in caplog.records[0].getMessage()
+    # HiGHS treats costs above 1e20 as infinite; the plan is optimal for c / max(c) too
+    check_against_highs(p, q, c / max(1.0, float(c.max())), gamma, 1e-12)
 
 
 @pytest.mark.parametrize("solve", [transport_simplex, full_walk_simplex])

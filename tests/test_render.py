@@ -273,8 +273,8 @@ def sha256(text):
 @pytest.mark.parametrize("name, fmt, digest", [
     ("santa-sample", "geojson", "8fe5b30a7494ffb6b09ca52b6635ba27ea3c0b33ad596f86ccf748d7f7809d68"),
     ("santa-sample", "svg", "c7772c14e3c5a2075948812927eaab44e8ad4fa428686818833b47028dc81c39"),
-    ("planar-forest", "geojson", "6aa14780bce061517c05e73a216feea4ddda39fe5f3969edba461eb28525c43e"),
-    ("planar-forest", "svg", "f7b1a7f37524670159c1457b7610890a7cafa4d5d08a502547b9d3c72e2cb2a6"),
+    ("planar-forest", "geojson", "a45f6a54dafb07b442216589e06257d724b01d2d0ad43c65ac601c9f2c1c44cd"),
+    ("planar-forest", "svg", "f4d46bda690afb1949483278468104cd31b61ccfa0ce820bf1804f8ad2aced0c"),
     ("sphere-edge-cases", "geojson", "d5e8751653a1092cbcc26c837acb0b2de41daea3a0fc9a4a98f158d8643092b2"),
     ("sphere-edge-cases", "svg", "bbb747eba587cd1fb0eaa433f42592e09512f613eea9661f67821aa1c3d737dd"),
 ])
