@@ -277,19 +277,20 @@ def _add_common(sub, *, alpha: float):
     _add_seed(sub)
     sub.add_argument("--alpha", type=float, default=alpha,
                      help=f"cost exponent in [0, 1] (default {alpha})")
-    sub.add_argument("--formula", choices=FORMULAS, default="interp",
-                     help="branch-point rule (default interp)")
+    sub.add_argument("--formula", choices=FORMULAS, default=BotParams.formula,
+                     help=f"branch-point rule (default {BotParams.formula})")
 
 
 def _add_sinkhorn(sub):
     sub.add_argument("--ot-mode", choices=OT_MODES, default="exact",
                      help="planning solver (default exact)")
-    sub.add_argument("--lambda", dest="reg", type=float, default=0.01,
-                     help="entropic regularization strength (default 0.01)")
-    sub.add_argument("--tol", type=float, default=1e-9,
-                     help="marginal L1 convergence threshold (default 1e-9)")
-    sub.add_argument("--max-iter", type=int, default=100_000,
-                     help="scaling iteration cap (default 100000)")
+    sub.add_argument("--lambda", dest="reg", type=float, default=SinkhornConfig.reg,
+                     help=f"entropic regularization strength (default {SinkhornConfig.reg})")
+    tol = np.format_float_scientific(SinkhornConfig.tol, trim="-", exp_digits=1)
+    sub.add_argument("--tol", type=float, default=SinkhornConfig.tol,
+                     help=f"marginal L1 convergence threshold (default {tol})")
+    sub.add_argument("--max-iter", type=int, default=SinkhornConfig.max_iter,
+                     help=f"scaling iteration cap (default {SinkhornConfig.max_iter})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--n-targets", type=int, default=100)
     br.add_argument("--d", type=int, choices=(2, 3), default=2,
                     help="ambient dimension (default 2)")
-    br.add_argument("--shift-norm", type=float, default=0.0)
-    br.add_argument("--shift-delta", type=float, default=0.01)
+    br.add_argument("--shift-norm", type=float, default=BotParams.shift_norm)
+    br.add_argument("--shift-delta", type=float, default=BotParams.shift_delta)
     br.add_argument("--out", type=Path, default=None, help="write the tree as network JSON")
     br.add_argument("--trace", type=Path, default=None, help="write iter,cost CSV")
 
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     dual.add_argument("--n-targets", type=int, default=200)
     dual.add_argument("--d", type=int, choices=(2, 3), default=2)
     dual.add_argument("--shift-norm", type=float, default=0.01)
-    dual.add_argument("--shift-delta", type=float, default=0.01)
+    dual.add_argument("--shift-delta", type=float, default=BotParams.shift_delta)
     dual.add_argument("--out", type=Path, default=None,
                       help="directory for artery.json and vein.json")
 

@@ -24,6 +24,12 @@ costs less row potentials from a short entropic scaling (Cuturi 2013):
 a per-row constant leaves the optimal plans as they are, and the start
 lands near them, so about a third of the pivots remain.  A heap of
 column minima gives each least-cost cell without rescanning the matrix.
+
+Both solvers scale through one loop, ``_scale``: the entropic solver to
+convergence, the exact start for ``_WARM_ITERS`` iterations at most.
+Its mat-vecs are summed over fixed panels of whole kernel rows, each of
+at most ``_PANEL`` cells, so their bits, and both solvers' outputs, do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ _PRICE_TOL = 1e-11    # reduced-cost threshold for entering variables
 _PRICE_BLOCKS = 16    # at most 16 pricing blocks, each of ceil(m / 16) whole rows
 _ALIGN = 64           # bytes: the Sinkhorn kernel starts on a cache line
 _BATCH = 16           # Sinkhorn iterations run between two convergence checks
+_PANEL = 2 ** 18      # cells: the scaling mat-vecs sum over row panels of at most this many
 _WARM_REG = 0.01      # the exact start's scaling runs at eps = _WARM_REG * max(c)
-_WARM_ITERS = 200     # and takes this many iterations
+_WARM_ITERS = 200     # and takes at most this many iterations
 
 
 def cost_matrix(instance: TransportInstance) -> np.ndarray:
@@ -100,38 +107,33 @@ def plan_cost(plan: TransportPlan, c) -> float:
 def _warm_costs(p: np.ndarray, q: np.ndarray, c: np.ndarray):
     """``c`` less row potentials from a short entropic scaling, or None.
 
-    ``_WARM_ITERS`` scaling iterations on the kernel ``exp(-c / eps)``,
-    ``eps = _WARM_REG * max(c)``, give row factors ``u``, and
-    ``f = eps * log(u)`` approximates the optimal row duals (Cuturi,
-    NeurIPS 2013).  Less a per-row constant, ``c`` has the same optimal
-    plans, and its least-cost start lies near them.  The sums run
-    through ``np.einsum`` and the logs through ``math.log``, so the
-    result does not depend on the BLAS thread count.  ``c - f`` is
-    written over the kernel: one m x n array sits beside ``c``, as a
-    working copy of ``c`` would.  None when ``eps`` is 0, when ``u`` has
-    a zero, or when ``u``, ``f`` or ``c - f`` is not finite.
+    ``_scale`` runs at most ``_WARM_ITERS`` iterations on the kernel
+    ``exp(-c / eps)``, ``eps = _WARM_REG * max(c)``: the loop, panels
+    and bits of the entropic solver, so the result does not depend on
+    the BLAS thread count.  Its row factors ``u`` give ``f = eps *
+    log(u)``, which approximates the optimal row duals (Cuturi, NeurIPS
+    2013).  Less a per-row constant, ``c`` has the same optimal plans,
+    and its least-cost start lies near them.  ``c - f`` is written over
+    the kernel: one m x n array sits beside ``c``, as a working copy of
+    ``c`` would.  None when ``eps`` is 0, when the scaling overflows or
+    ``u`` has a zero, or when ``f`` or ``c - f`` is not finite.
     """
     eps = _WARM_REG * float(c.max())
     if not eps > 0.0:
         return None
-    m, n = c.shape
-    w = np.empty((m, n))
+    w = _aligned_empty(c.shape)
     np.divide(c, -eps, out=w)
     np.exp(w, out=w)
-    u, kv, ktu, v = np.empty(m), np.empty(m), np.empty(n), np.ones(n)
-    # a scaling that under- or overflows fails the finiteness tests below
-    with np.errstate(all="ignore"):
-        for _ in range(_WARM_ITERS):
-            np.einsum("ij,j->i", w, v, out=kv)
-            np.divide(p, kv, out=u)
-            np.einsum("ij,i->j", w, u, out=ktu)
-            np.divide(q, ktu, out=v)
+    try:
+        u = _scale(w, p, q, SinkhornConfig(max_iter=_WARM_ITERS))[0]
+    except ConvergenceError:
+        return None
     if not np.all(u > 0.0):  # NaN fails too; math.log takes no 0
         return None
     f = np.array([eps * math.log(x) for x in u.tolist()])
     with np.errstate(over="ignore"):
         np.subtract(c, f[:, None], out=w)
-    # c is finite, so an infinite u or f, or an overflow, shows in w's extremes
+    # c is finite, so an infinite f, or an overflow, shows in w's extremes
     if not (math.isfinite(w.max()) and math.isfinite(w.min())):
         return None
     return w
@@ -323,14 +325,15 @@ def transport_simplex(p, q, c) -> np.ndarray:
     so a unique optimum gives the same bytes as any other pivot rule.
 
     The start is the least-cost basis on ``c`` less the row potentials of
-    ``_WARM_ITERS`` entropic scaling iterations at ``eps = _WARM_REG *
-    max(c)``, or on ``c`` itself when that scaling under- or overflows
-    (``_warm_costs``); the pivots still price with ``c``.  A per-row
-    constant does not change the optimal plans, so only a tied or
-    degenerate optimum can end at another plan than a start on ``c``
-    would.  The start's cells come off a heap of column minima, with the
-    ties of a flat argmin over the matrix, and one DEBUG line gives the
-    shape, whether warm potentials were used, and the start's cost.
+    at most ``_WARM_ITERS`` iterations of the entropic solver's scaling
+    loop at ``eps = _WARM_REG * max(c)``, or on ``c`` itself when that
+    scaling under- or overflows (``_warm_costs``); the pivots still price
+    with ``c``.  A per-row constant does not change the optimal plans, so
+    only a tied or degenerate optimum can end at another plan than a
+    start on ``c`` would.  The start's cells come off a heap of column
+    minima, with the ties of a flat argmin over the matrix, and one DEBUG
+    line gives the shape, whether warm potentials were used, and the
+    start's cost.
 
     The start always spans all m + n row and column nodes, and the basis
     is kept as a spanning tree rooted at row 0, with one dual per node (u
@@ -346,6 +349,14 @@ def transport_simplex(p, q, c) -> np.ndarray:
     the same sum of costs along its root path as a full recomputation
     would give, so the pivot sequence and the plan bytes do not depend on
     this bookkeeping.  Pivot counts go to this module's logger at DEBUG.
+
+    A dual sums up to m + n costs, so on costs near the float maximum
+    the duals and reduced costs could overflow.  The pivots then run on
+    ``c`` and the price threshold scaled by the power of two that keeps
+    ``(2 (m + n) + 2) max(c)`` below ``2 ** 1023``: the scaling is exact,
+    short of subnormal costs, so every comparison, pivot and plan byte
+    is the same.  On any other input the scale is 1 and ``c`` is not
+    copied.
     """
     p, q = _floats(p, "p"), _floats(q, "q")
     _check_masses(p, q)
@@ -356,6 +367,10 @@ def transport_simplex(p, q, c) -> np.ndarray:
 
     alloc = _initial_basis(p, q, c)
     size = m + n
+    # duals and reduced costs stay finite on c scaled by a power of two
+    k = max(0, math.frexp(c.max())[1] + (2 * size + 2).bit_length() - 1023)
+    if k:
+        c, price_tol = np.ldexp(c, -k), math.ldexp(price_tol, -k)
     adj: list[set[int]] = [set() for _ in range(size)]
     for (i, j) in alloc:
         adj[i].add(m + j)
@@ -600,10 +615,21 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     The iterations run in batches of up to ``_BATCH``.  Iteration ``b``
     of a batch reads ``V[b]`` and writes its ``K v``, ``u``, ``K' u``
     and next ``v`` into row ``b`` of ``KV``, ``U``, ``KTU`` and row
-    ``b + 1`` of ``V``: two mat-vecs through ``ndarray.dot`` (the
+    ``b + 1`` of ``V``: mat-vecs through ``ndarray.dot`` (the
     ``cblas_dgemv`` call of ``@``, with less dispatch) and two divisions,
     and no other Python work.  Every buffer is allocated once, with each
     row on a cache line, and freed on return, before the plan is formed.
+
+    Both mat-vecs run over the same panels of whole rows of ``K``, each
+    of at most ``_PANEL`` cells, or one row when a row is longer.  ``K v``
+    is one call per panel, into that panel's slice of ``KV[b]``, so no
+    sum crosses a panel; ``K' u`` is the first panel's product, plus each
+    later panel's, in row order.  OpenBLAS splits one dgemv's sum across
+    its threads only on larger matrices (measured with OpenBLAS 0.3.31),
+    so the bits do not depend on the BLAS thread count.  A kernel of at
+    most ``_PANEL`` cells is one panel, and one call per mat-vec.  The
+    panel views are built once.
+
     After a batch, one elementwise pass and one row reduce give the
     column error of each of its iterations (a row reduce of a contiguous
     row has the bits of its 1-D sum), and these are walked in order under
@@ -621,25 +647,33 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     row error is computed only when the column error is below ``tol``
     (or NaN), since the exit test needs both below it.
     """
-    (m, n), Kt, tol = K.shape, K.T, cfg.tol
+    (m, n), tol = K.shape, cfg.tol
     KV, U = _aligned_rows(_BATCH, m), _aligned_rows(_BATCH, m)
     KTU, resid = _aligned_rows(_BATCH, n), _aligned_rows(_BATCH, n)
     V = _aligned_rows(_BATCH + 1, n)
     V[0] = 1.0
-    steps = list(zip(KV, U, KTU, V[:-1], V[1:]))
-    done = batches = 0
-    converged = False
+    # per iteration of a batch: the panels of K v, then K' u's first panel
+    # and its later ones, which go through part
+    part, rows = np.empty(n), max(1, _PANEL // n)
+    cuts = [slice(a, a + rows) for a in range(0, m, rows)]
+    steps = [([(K[r], kv[r]) for r in cuts], kv, u, K[cuts[0]].T, u[cuts[0]],
+              [(K[r].T, u[r]) for r in cuts[1:]], ktu, v, v_next)
+             for kv, u, ktu, v, v_next in zip(KV, U, KTU, V[:-1], V[1:])]
+    done, converged = 0, False
     # an overflowing factor is caught by the finiteness check below, so
     # numpy's warnings on the way there (and past it, to the batch's
     # end) are noise
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while not converged and done < cfg.max_iter:
             nb = min(_BATCH, cfg.max_iter - done)
-            batches += 1
-            for kv, u, ktu, v, v_next in steps[:nb]:
-                K.dot(v, out=kv)
+            for fwd, kv, u, Kt0, u0, back, ktu, v, v_next in steps[:nb]:
+                for Kp, kvp in fwd:
+                    Kp.dot(v, out=kvp)
                 np.divide(p, kv, out=u)
-                Kt.dot(u, out=ktu)
+                Kt0.dot(u0, out=ktu)
+                for Ktp, up in back:
+                    Ktp.dot(up, out=part)
+                    np.add(ktu, part, out=ktu)
                 np.divide(q, ktu, out=v_next)
             res = resid[:nb]
             np.multiply(V[:nb], KTU[:nb], out=res)
@@ -665,12 +699,7 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     else:  # the cap: the last iterate's error, and its updated v
         row_err = float(np.abs(U[b] * KV[b] - p).sum())
         n_iter, v = done, V[0]
-    err = max(row_err, col_err)
-    _log.debug(
-        "solve_sinkhorn %dx%d: %d iterations in %d batches, marginal error %.3g, converged %s",
-        m, n, n_iter, batches, err, "yes" if converged else "no",
-    )
-    return U[b].copy(), v.copy(), n_iter, err, converged
+    return U[b].copy(), v.copy(), n_iter, max(row_err, col_err), converged
 
 
 def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = None) -> SinkhornResult:
@@ -688,7 +717,10 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     boundary, whatever the layout of ``c``: the mat-vecs' summation
     order follows the kernel's layout, and their speed its alignment.
     ``_scale`` runs the iterations in batches, checking them afterwards
-    in order, with the bits of a loop that checks every iteration.
+    in order, with the bits of a loop that checks every iteration, and
+    sums each mat-vec over fixed row panels of ``K``, so the plan's bytes
+    do not depend on the BLAS thread count.  One DEBUG line gives the
+    shape, the iterations and batches, the error and convergence.
     """
     cfg = cfg or SinkhornConfig()
     c = _check_cost(c, instance.n_sources, instance.n_targets)
@@ -711,6 +743,8 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
         )
 
     u, v, n_iter, err, converged = _scale(K, p, q, cfg)
+    _log.debug("solve_sinkhorn %dx%d: %d iterations in %d batches, marginal error %.3g, converged %s",
+               m, n, n_iter, -(-n_iter // _BATCH), err, "yes" if converged else "no")
     gamma = u[:, None] * K * v[None, :]
     plan = TransportPlan(gamma, p, q)
     return SinkhornResult(plan, n_iter, err, converged)

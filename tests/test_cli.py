@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 import branchflow.core
 import branchflow.io
-from branchflow import FlowTree, cli, geo_embed, network_to_json, render_geojson, render_svg
+from branchflow import (
+    BotParams,
+    FlowTree,
+    SinkhornConfig,
+    cli,
+    geo_embed,
+    network_to_json,
+    render_geojson,
+    render_svg,
+)
 from branchflow.cli import build_parser, main
 from branchflow.io import network_from_json
 from branchflow.render import _geojson_chunks, _svg_chunks
@@ -87,6 +97,21 @@ def test_parser_defaults_dual():
     assert args.alpha == 0.5
     assert args.shift_norm == 0.01
     assert args.shift_delta == 0.01
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    # --alpha differs per subcommand, as does dual's --shift-norm, on
+    # purpose; --seed falls back to the environment
+    checked = set()
+    for command in ("ot", "branch", "net", "dual", "santa", "render"):
+        args = build_parser().parse_args([command, "in.json"] if command == "render" else [command])
+        for cls in (BotParams, SinkhornConfig):
+            for field in dataclasses.fields(cls):
+                if field.name in args and field.name not in ("alpha", "seed") and not (
+                        command == "dual" and field.name == "shift_norm"):
+                    assert getattr(args, field.name) == field.default, (command, field.name)
+                    checked.add(field.name)
+    assert checked == {"formula", "shift_norm", "shift_delta", "reg", "tol", "max_iter"}
 
 
 def test_parser_defaults_ot(capsys):

@@ -520,9 +520,23 @@ def test_heap_start_matches_the_argmin_start(problem):
     assert _alloc_bits(ot._least_cost_start(p, q, w.copy())) == want
 
 
+def _under_one_and_two_blas_threads(script):
+    """The output of a Python script run once under one OpenBLAS thread and once under two."""
+    src = str(Path(ot.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    return outputs
+
+
 def test_warm_costs_do_not_depend_on_the_blas_thread_count():
-    # a 300x3000 matrix-vector product through BLAS gives other bits
-    # under one and two OpenBLAS threads; the warm start sums through einsum
+    # a 300x3000 matrix-vector product through BLAS, taken whole, gives
+    # other bits under one and two OpenBLAS threads; the warm start's
+    # scaling sums over row panels
     script = (
         "import hashlib\n"
         "from test_ot import cost_matrix, ot, random_instance\n"
@@ -530,14 +544,7 @@ def test_warm_costs_do_not_depend_on_the_blas_thread_count():
         "w = ot._warm_costs(inst.p, inst.q, cost_matrix(inst))\n"
         "print(hashlib.sha256(w.tobytes()).hexdigest())\n"
     )
-    src = str(Path(ot.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        digests.append(proc.stdout)
+    digests = _under_one_and_two_blas_threads(script)
     assert digests[0] == digests[1]
 
 
@@ -564,6 +571,19 @@ def test_exact_solves_hard_inputs_from_the_plain_start(name, caplog):
     assert f"{len(p)}x{len(q)}: warm potentials no" in caplog.records[0].getMessage()
     # HiGHS treats costs above 1e20 as infinite; the plan is optimal for c / max(c) too
     check_against_highs(p, q, c / max(1.0, float(c.max())), gamma, 1e-12)
+
+
+def test_exact_prices_costs_near_the_float_maximum_without_overflow():
+    # a reduced cost c - u - v of such costs overflowed; pricing runs on c
+    # scaled down by a power of two, which changes no pivot
+    rng = np.random.default_rng(0)
+    c = rng.uniform(0.0, 1.0, (6, 9)) * np.finfo(float).max
+    p, q = np.full(6, 1 / 6), np.full(9, 1 / 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = transport_simplex(p, q, c)
+    assert gamma.tobytes() == transport_simplex(p, q, np.ldexp(c, -8)).tobytes()
+    check_against_highs(p, q, c / c.max(), gamma, 1e-12)
 
 
 @pytest.mark.parametrize("solve", [transport_simplex, full_walk_simplex])
@@ -790,8 +810,9 @@ def test_sinkhorn_logs_one_line_per_solve(caplog):
 
 
 def test_sinkhorn_plan_bytes_do_not_depend_on_the_blas_thread_count():
-    # the pinned 50x1000 plan; larger kernels split a mat-vec's sum across
-    # OpenBLAS threads, and their bytes differ (see ROADMAP item 6)
+    # the pinned 50x1000 plan is one row panel; a wide and a tall kernel
+    # of several panels, whose mat-vecs taken whole OpenBLAS would sum in
+    # another order under two threads
     script = (
         "import hashlib\n"
         "from test_ot import SinkhornConfig, _golden_planar, _sinkhorn_outcome, solve_sinkhorn\n"
@@ -799,16 +820,22 @@ def test_sinkhorn_plan_bytes_do_not_depend_on_the_blas_thread_count():
         "    solve_sinkhorn, _golden_planar('planar-50x1000'), SinkhornConfig(reg=1.5e-3))\n"
         "print(hashlib.sha256(gamma).hexdigest(), n_iter, err, converged)\n"
     )
-    src = str(Path(ot.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == [
+    for stdout in _under_one_and_two_blas_threads(script):
+        assert stdout.split() == [
             "ce68fb5a145c3ee5fe2966c62b5d8fd378aa109b5103720e83accae74da99317",
             "7415", "9.986686674292537e-10", "True",
         ]
+    script = (
+        "import hashlib\n"
+        "from test_ot import SinkhornConfig, _sinkhorn_outcome, random_instance, solve_sinkhorn\n"
+        "for m, n in ((300, 3000), (4000, 500)):\n"
+        "    gamma, n_iter, err, converged = _sinkhorn_outcome(\n"
+        "        solve_sinkhorn, random_instance(m, m, n), SinkhornConfig(max_iter=200))\n"
+        "    print(hashlib.sha256(gamma).hexdigest(), n_iter, err, converged)\n"
+    )
+    digests = _under_one_and_two_blas_threads(script)
+    assert len(digests[0].splitlines()) == 2
+    assert digests[0] == digests[1]
 
 
 def test_sinkhorn_plan_does_not_depend_on_the_cost_layout():
