@@ -28,8 +28,9 @@ column minima gives each least-cost cell without rescanning the matrix.
 Both solvers scale through one loop, ``_scale``: the entropic solver to
 convergence, the exact start for ``_WARM_ITERS`` iterations at most.
 Its mat-vecs are summed over fixed panels of whole kernel rows, each of
-at most ``_PANEL`` cells, so their bits, and both solvers' outputs, do
-not depend on the BLAS thread count.
+at most ``_PANEL`` cells and at least two rows, so their bits, and both
+solvers' outputs, do not depend on the BLAS thread count (the limits
+are in ``_scale``).
 """
 
 from __future__ import annotations
@@ -620,15 +621,19 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     and no other Python work.  Every buffer is allocated once, with each
     row on a cache line, and freed on return, before the plan is formed.
 
-    Both mat-vecs run over the same panels of whole rows of ``K``, each
-    of at most ``_PANEL`` cells, or one row when a row is longer.  ``K v``
-    is one call per panel, into that panel's slice of ``KV[b]``, so no
-    sum crosses a panel; ``K' u`` is the first panel's product, plus each
-    later panel's, in row order.  OpenBLAS splits one dgemv's sum across
-    its threads only on larger matrices (measured with OpenBLAS 0.3.31),
-    so the bits do not depend on the BLAS thread count.  A kernel of at
-    most ``_PANEL`` cells is one panel, and one call per mat-vec.  The
-    panel views are built once.
+    Both mat-vecs run over the same panels of whole rows of ``K``: the
+    fewest panels of at most ``_PANEL`` cells, of as even a row count as
+    can be, and of at least two rows unless ``K`` has one.  ``K v`` is one
+    call per panel, into that panel's slice of ``KV[b]``, so no sum
+    crosses a panel; ``K' u`` is the first panel's product, plus each
+    later panel's, in row order.  OpenBLAS 0.3.31 summed such a dgemv in
+    the same order under 1, 2 and 4 threads, so the bits do not depend
+    on the thread count.  Two cases fall outside this: a one-row ``K``
+    is a vector dot, which OpenBLAS splits across threads past 10,000
+    cells, and rows longer than ``_PANEL / 3`` cells make some panels of
+    two or three rows larger than ``_PANEL``.  A kernel of at most
+    ``_PANEL`` cells is one panel, and one call per mat-vec.  The panel
+    views are built once.
 
     After a batch, one elementwise pass and one row reduce give the
     column error of each of its iterations (a row reduce of a contiguous
@@ -652,10 +657,12 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     KTU, resid = _aligned_rows(_BATCH, n), _aligned_rows(_BATCH, n)
     V = _aligned_rows(_BATCH + 1, n)
     V[0] = 1.0
-    # per iteration of a batch: the panels of K v, then K' u's first panel
-    # and its later ones, which go through part
-    part, rows = np.empty(n), max(1, _PANEL // n)
-    cuts = [slice(a, a + rows) for a in range(0, m, rows)]
+    # k panels of m // k or m // k + 1 rows: at most _PANEL cells, but
+    # never a lone row of a taller K, which numpy would send to a vector
+    # dot.  Per iteration of a batch: the panels of K v, then K' u's
+    # first panel and its later ones, which go through part
+    part, k = np.empty(n), max(1, min(-(-m // max(1, _PANEL // n)), m // 2))
+    cuts = [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
     steps = [([(K[r], kv[r]) for r in cuts], kv, u, K[cuts[0]].T, u[cuts[0]],
               [(K[r].T, u[r]) for r in cuts[1:]], ktu, v, v_next)
              for kv, u, ktu, v, v_next in zip(KV, U, KTU, V[:-1], V[1:])]
@@ -719,8 +726,9 @@ def solve_sinkhorn(instance: TransportInstance, c, cfg: SinkhornConfig | None = 
     ``_scale`` runs the iterations in batches, checking them afterwards
     in order, with the bits of a loop that checks every iteration, and
     sums each mat-vec over fixed row panels of ``K``, so the plan's bytes
-    do not depend on the BLAS thread count.  One DEBUG line gives the
-    shape, the iterations and batches, the error and convergence.
+    do not depend on the BLAS thread count, within the limits stated
+    there.  One DEBUG line gives the shape, the iterations and batches,
+    the error and convergence.
     """
     cfg = cfg or SinkhornConfig()
     c = _check_cost(c, instance.n_sources, instance.n_targets)

@@ -520,12 +520,12 @@ def test_heap_start_matches_the_argmin_start(problem):
     assert _alloc_bits(ot._least_cost_start(p, q, w.copy())) == want
 
 
-def _under_one_and_two_blas_threads(script):
-    """The output of a Python script run once under one OpenBLAS thread and once under two."""
+def _under_one_two_and_four_blas_threads(script):
+    """The outputs of a Python script run under one, two and four OpenBLAS threads."""
     src = str(Path(ot.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p)
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
@@ -544,8 +544,9 @@ def test_warm_costs_do_not_depend_on_the_blas_thread_count():
         "w = ot._warm_costs(inst.p, inst.q, cost_matrix(inst))\n"
         "print(hashlib.sha256(w.tobytes()).hexdigest())\n"
     )
-    digests = _under_one_and_two_blas_threads(script)
+    digests = _under_one_two_and_four_blas_threads(script)
     assert digests[0] == digests[1]
+    assert digests[0] == digests[2]
 
 
 def _hard_problem(name):
@@ -810,9 +811,11 @@ def test_sinkhorn_logs_one_line_per_solve(caplog):
 
 
 def test_sinkhorn_plan_bytes_do_not_depend_on_the_blas_thread_count():
-    # the pinned 50x1000 plan is one row panel; a wide and a tall kernel
-    # of several panels, whose mat-vecs taken whole OpenBLAS would sum in
-    # another order under two threads
+    # the pinned 50x1000 plan is one row panel; wide and tall kernels of
+    # several panels, whose mat-vecs taken whole OpenBLAS would sum in
+    # another order under two threads, and two whose panels of a fixed
+    # row count would leave a single row, which numpy sums as a vector
+    # dot that OpenBLAS splits across threads
     script = (
         "import hashlib\n"
         "from test_ot import SinkhornConfig, _golden_planar, _sinkhorn_outcome, solve_sinkhorn\n"
@@ -820,7 +823,7 @@ def test_sinkhorn_plan_bytes_do_not_depend_on_the_blas_thread_count():
         "    solve_sinkhorn, _golden_planar('planar-50x1000'), SinkhornConfig(reg=1.5e-3))\n"
         "print(hashlib.sha256(gamma).hexdigest(), n_iter, err, converged)\n"
     )
-    for stdout in _under_one_and_two_blas_threads(script):
+    for stdout in _under_one_two_and_four_blas_threads(script):
         assert stdout.split() == [
             "ce68fb5a145c3ee5fe2966c62b5d8fd378aa109b5103720e83accae74da99317",
             "7415", "9.986686674292537e-10", "True",
@@ -828,14 +831,14 @@ def test_sinkhorn_plan_bytes_do_not_depend_on_the_blas_thread_count():
     script = (
         "import hashlib\n"
         "from test_ot import SinkhornConfig, _sinkhorn_outcome, random_instance, solve_sinkhorn\n"
-        "for m, n in ((300, 3000), (4000, 500)):\n"
+        "for m, n in ((300, 3000), (4000, 500), (14, 20000), (21, 100000)):\n"
         "    gamma, n_iter, err, converged = _sinkhorn_outcome(\n"
         "        solve_sinkhorn, random_instance(m, m, n), SinkhornConfig(max_iter=200))\n"
         "    print(hashlib.sha256(gamma).hexdigest(), n_iter, err, converged)\n"
     )
-    digests = _under_one_and_two_blas_threads(script)
-    assert len(digests[0].splitlines()) == 2
-    assert digests[0] == digests[1]
+    digests = _under_one_two_and_four_blas_threads(script)
+    assert len(digests[0].splitlines()) == 4
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_sinkhorn_plan_does_not_depend_on_the_cost_layout():
