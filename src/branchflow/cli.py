@@ -10,9 +10,12 @@ JSON to SVG/GeoJSON).  Exit codes: 0 success, 2 bad input or parameters,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +89,28 @@ def _write_text(path: Path, text):
         raise
 
 
-def _make_out_dir(path):
-    """Create an output directory before any work, so an unusable path fails at once."""
-    if path is not None:
-        path.mkdir(parents=True, exist_ok=True)
+def _make_out_dir(cmd):
+    """``cmd`` with its ``--out`` directory created before any work, so an
+    unusable path fails at once.
+
+    If the command fails, each directory this created that is still empty
+    is removed, deepest first.  One that existed before stays, and so does
+    one that holds files.
+    """
+    @functools.wraps(cmd)
+    def run(args: argparse.Namespace) -> int:
+        if args.out is None:
+            return cmd(args)
+        made = list(takewhile(lambda d: not d.exists(), (args.out, *args.out.parents)))
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            return cmd(args)
+        except BaseException:
+            for path in made:
+                with contextlib.suppress(OSError):   # not empty, or not made
+                    path.rmdir()
+            raise
+    return run
 
 
 def _from_args(cls, args: argparse.Namespace):
@@ -141,8 +162,8 @@ def _write_forest(out: Path, trees, alpha, costs, rows, manifest: dict):
     _write_text(out / "manifest.json", json.dumps(manifest, separators=(",", ":")))
 
 
+@_make_out_dir
 def _cmd_net(args: argparse.Namespace) -> int:
-    _make_out_dir(args.out)
     result = solve_network(
         synthetic_instance(args.seed, args.n_sources, args.n_targets),
         _from_args(BotParams, args),
@@ -170,8 +191,8 @@ def _cmd_net(args: argparse.Namespace) -> int:
     return 0
 
 
+@_make_out_dir
 def _cmd_dual(args: argparse.Namespace) -> int:
-    _make_out_dir(args.out)
     params = _from_args(BotParams, args)
     artery, vein = dual_network(synthetic_problem(args.seed, args.n_targets, args.d), params)
     artery_cost, vein_cost = bot_cost(artery, args.alpha), bot_cost(vein, args.alpha)
@@ -184,8 +205,8 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     return 0
 
 
+@_make_out_dir
 def _cmd_santa(args: argparse.Namespace) -> int:
-    _make_out_dir(args.out)
     path = args.cities if args.cities is not None else sample_cities_path()
     report = load_cities_csv(path)
     print(report.summary())

@@ -16,9 +16,10 @@ The exact solver keeps its basis as a spanning tree of the m + n row and
 column nodes, rooted at row 0 (network simplex; Ahuja, Magnanti and
 Orlin, Network Flows, ch. 11).  Pricing searches blocks of whole rows in
 turn and enters the best cell of the first block that holds an improving
-one (block search; Grigoriadis 1986).  A pivot re-hangs the subtree it
-cuts off by walking only that subtree's non-leaf nodes; one numpy
-gather then sets every leaf's dual from its parent's.  The start is the
+one (block search; Grigoriadis 1986).  A pivot finds its cycle from the
+entering row's path to row 0, re-hangs the subtree it cuts off by
+walking only that subtree's non-leaf nodes, and one numpy gather then
+sets every leaf's dual from its parent's.  The start is the
 least-cost rule, which always yields such a spanning tree, run on the
 costs less row potentials from a short entropic scaling (Cuturi 2013):
 a per-row constant leaves the optimal plans as they are, and the start
@@ -214,6 +215,25 @@ def _initial_basis(p: np.ndarray, q: np.ndarray, c: np.ndarray):
     return alloc
 
 
+def _preorder(adj):
+    """The nodes reached from row 0 in preorder, and each node's parent.
+
+    Row 0 is its own parent, and a node not reached has parent -1.  On a
+    tree the order holds every node, and each subtree is one run of it.
+    """
+    parent = [-1] * len(adj)
+    parent[0] = 0
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for nb in adj[node]:
+            if parent[nb] == -1:
+                parent[nb] = node
+                stack.append(nb)
+    return order, parent
+
+
 def _rebuild_from_basis(adj, p, q, m: int, n: int) -> np.ndarray:
     """Recompute basic allocations from scratch via subtree cuts.
 
@@ -223,32 +243,16 @@ def _rebuild_from_basis(adj, p, q, m: int, n: int) -> np.ndarray:
     result depends only on the final basis, not on pivot history or on
     node labeling.
     """
-    size = m + n
-    order: list[int] = []
-    parent = [-1] * size
-    parent[0] = 0
-    dq = [0]
-    while dq:
-        node = dq.pop()
-        order.append(node)
-        for nb in adj[node]:
-            if parent[nb] == -1:
-                parent[nb] = node
-                dq.append(nb)
-
-    tin = [0] * size
+    order, parent = _preorder(adj)
+    tin = [0] * (m + n)
     for t, node in enumerate(order):
         tin[node] = t
-    # order[] is a DFS preorder; subtree extents come from children extents
+    # subtree extents in the preorder come from children extents
     tout = tin[:]
-    for node in reversed(order):
+    for node in reversed(order[1:]):
         par = parent[node]
-        if par != node:
-            tout[par] = max(tout[par], tout[node])
-
-    vals = [0.0] * size
-    for node in range(size):
-        vals[tin[node]] = -p[node] if node < m else q[node - m]
+        tout[par] = max(tout[par], tout[node])
+    vals = [-p[node] if node < m else q[node - m] for node in order]
 
     gamma = np.zeros((m, n))
     for node in order[1:]:
@@ -259,32 +263,15 @@ def _rebuild_from_basis(adj, p, q, m: int, n: int) -> np.ndarray:
             # row-side child: sum the complementary slices so the summed
             # set is still the column node's component
             x = math.fsum(vals[:tin[node]] + vals[tout[node] + 1:])
-        if x < 0.0:
-            if x < -1e-9:
-                raise ConvergenceError(f"negative basic allocation {x}")
-            x = 0.0
-        elif x == 0.0:
-            x = 0.0  # normalize -0.0 away
+        if x < -1e-9:
+            raise ConvergenceError(f"negative basic allocation {x}")
         r, col = (par, node - m) if node >= m else (node, par - m)
-        gamma[r, col] = x
+        gamma[r, col] = max(0.0, x)   # clamps rounding residue, and -0.0, to 0.0
     return gamma
 
 
-def _connected(adj) -> bool:
-    """Whether every node is reachable from node 0."""
-    seen = [False] * len(adj)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if not seen[nb]:
-                seen[nb] = True
-                stack.append(nb)
-    return all(seen)
-
-
-def _hang(internal, c, m: int, top: int, parent, depth, dual) -> None:
-    """Set parent, depth and dual of the non-leaf nodes below ``top``.
+def _hang(internal, c, m: int, top: int, parent, dual) -> None:
+    """Set parent and dual of the non-leaf nodes below ``top``.
 
     Walks the non-leaf nodes of ``top``'s component away from
     ``parent[top]``, over ``internal[node]``, the node's non-leaf
@@ -296,12 +283,10 @@ def _hang(internal, c, m: int, top: int, parent, depth, dual) -> None:
     while stack:
         node = stack.pop()
         up = parent[node]
-        d = depth[node] + 1
         du = dual.item(node)
         for nb in internal[node]:
             if nb != up:
                 parent[nb] = node
-                depth[nb] = d
                 cost = item(node, nb - m) if node < m else item(nb, node - m)
                 dual[nb] = cost - du
                 stack.append(nb)
@@ -339,17 +324,17 @@ def transport_simplex(p, q, c) -> np.ndarray:
     The start always spans all m + n row and column nodes, and the basis
     is kept as a spanning tree rooted at row 0, with one dual per node (u
     for rows, v for columns, with u[0] = 0) in the array that pricing
-    reads.  A leaf is a degree-1 node other than row 0; its parent is its
-    only neighbour, and its depth is its parent's plus one.  Every other
-    node keeps its parent and depth in lists, and the set of its non-leaf
-    neighbours.  A pivot finds its cycle by walking
-    the entering cell's two endpoints up to their common ancestor, cuts
-    the leaving cell, re-hangs the cut-off subtree from the entering
-    endpoint inside it and walks only that subtree's non-leaf nodes; then
-    one gather sets every leaf's dual from its parent's.  Every dual is
-    the same sum of costs along its root path as a full recomputation
-    would give, so the pivot sequence and the plan bytes do not depend on
-    this bookkeeping.  Pivot counts go to this module's logger at DEBUG.
+    reads.  Every node keeps its parent in a list and the set of its
+    non-leaf neighbours; a leaf, a degree-1 node other than row 0, is
+    flagged in one byte array that numpy also reads.  A pivot finds its
+    cycle by walking the entering row up to row 0, then the entering
+    column up to the first node of that path; it cuts the leaving cell,
+    re-hangs the cut-off subtree from the entering endpoint inside it and
+    walks only that subtree's non-leaf nodes; then one gather sets every
+    leaf's dual from its parent's.  Every dual is the same sum of costs
+    along its root path as a full recomputation would give, so the pivot
+    sequence and the plan bytes do not depend on this bookkeeping.  Pivot
+    counts go to this module's logger at DEBUG.
 
     A dual sums up to m + n costs, so on costs near the float maximum
     the duals and reduced costs could overflow.  The pivots then run on
@@ -376,24 +361,22 @@ def transport_simplex(p, q, c) -> np.ndarray:
     for (i, j) in alloc:
         adj[i].add(m + j)
         adj[m + j].add(i)
-    if len(alloc) != size - 1 or not _connected(adj):
+    order, parent = _preorder(adj)
+    if len(alloc) != size - 1 or len(order) != size:
         raise ConvergenceError("initial basis is not a spanning tree of all rows and columns")
 
-    def is_leaf(x: int) -> bool:
-        return x != 0 and len(adj[x]) == 1
-
-    parent = [0] * size
-    depth = [0] * size
     dual = np.zeros(size)
-    # per leaf: its parent and the flat index of the cell joining them
-    leaf = np.zeros(size, dtype=bool)
+    # per node, whether it is a leaf (a degree-1 node other than row 0),
+    # through a numpy view; per leaf, its parent and the flat index of
+    # the cell joining them
+    flags = bytearray(size)
+    leaf = np.frombuffer(flags, dtype=bool)
     leaf_up = np.zeros(size, dtype=np.intp)
     leaf_cell = np.zeros(size, dtype=np.intp)
 
     def settle(x: int) -> bool:
         """Record whether ``x`` is a leaf now and, if so, its parent and cell."""
-        now = is_leaf(x)
-        leaf[x] = now
+        flags[x] = now = x != 0 and len(adj[x]) == 1
         if now:
             (up,) = adj[x]
             parent[x] = leaf_up[x] = up
@@ -407,8 +390,8 @@ def transport_simplex(p, q, c) -> np.ndarray:
 
     for x in range(size):
         settle(x)
-    internal = [{y for y in adj[x] if not is_leaf(y)} for x in range(size)]
-    _hang(internal, c, m, 0, parent, depth, dual)
+    internal = [{y for y in adj[x] if not flags[y]} for x in range(size)]
+    _hang(internal, c, m, 0, parent, dual)
     leaf_duals()
 
     # Pricing reads the reduced costs c - u[:, None] - v[None, :] of one
@@ -452,32 +435,29 @@ def transport_simplex(p, q, c) -> np.ndarray:
         ei, ej = divmod(flat, n)
 
         # Cycle: the tree path from row ei to column ej, closed by the
-        # entering cell.  Walking from ei, the path's cells alternate
+        # entering cell: up from ei, and from ej to the first node of
+        # ei's path to row 0.  Walking from ei, the path's cells alternate
         # -theta, +theta; the -theta ones are those below a row node on
         # ei's side and those below a column node on ej's side.  Each
-        # -theta cell is recorded with the side it lies on.  Only the
-        # two endpoints can be leaves, since every node above them is a
-        # parent; a leaf's depth is taken here, for the walk and the re-hang.
+        # -theta cell is recorded with the side it lies on.
+        row_path = [ei]
+        while row_path[-1]:
+            row_path.append(parent[row_path[-1]])
+        rank = {node: k for k, node in enumerate(row_path)}
+        col_path = [m + ej]
+        while col_path[-1] not in rank:
+            col_path.append(parent[col_path[-1]])
         minus: list[tuple[tuple[int, int], bool]] = []
         plus: list[tuple[int, int]] = []
-        a, b = ei, m + ej
-        for x in (a, b):
-            if is_leaf(x):
-                depth[x] = depth[parent[x]] + 1
-        da, db = depth[a], depth[b]
-        while a != b:
-            on_row_side = da >= db
-            node = a if on_row_side else b
-            up = parent[node]
-            cell = (node, up - m) if node < m else (up, node - m)
-            if (node < m) == on_row_side:
-                minus.append((cell, on_row_side))
-            else:
-                plus.append(cell)
-            if on_row_side:
-                a, da = up, da - 1
-            else:
-                b, db = up, db - 1
+        meet = col_path.pop()
+        for path, on_row_side in ((row_path[:rank[meet]], True), (col_path, False)):
+            for node in path:
+                up = parent[node]
+                cell = (node, up - m) if node < m else (up, node - m)
+                if (node < m) == on_row_side:
+                    minus.append((cell, on_row_side))
+                else:
+                    plus.append(cell)
         theta = min(alloc[cell] for cell, _ in minus)
         leaving, on_row_side = min(entry for entry in minus if alloc[entry[0]] == theta)
 
@@ -488,7 +468,6 @@ def transport_simplex(p, q, c) -> np.ndarray:
         alloc[(ei, ej)] = theta
         del alloc[leaving]
         li, lj = leaving[0], m + leaving[1]
-        was_leaf = {x: is_leaf(x) for x in (ei, m + ej, li, lj)}
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
         adj[li].discard(lj)
@@ -496,20 +475,21 @@ def transport_simplex(p, q, c) -> np.ndarray:
 
         # Only the four endpoints change degree.  Keep every node's set of
         # non-leaf neighbours: drop the leaving cell, tell the neighbours
-        # of an endpoint that turned leaf or non-leaf, add the entering cell.
+        # of an endpoint that turned leaf or non-leaf, add the entering
+        # cell.  An endpoint met twice is settled by then, and unchanged.
         internal[li].discard(lj)
         internal[lj].discard(li)
-        for x, was in was_leaf.items():
-            now = settle(x)
-            if now != was:
+        for x in (ei, m + ej, li, lj):
+            was = flags[x]
+            if settle(x) != was:
                 for y in adj[x]:
-                    if now:
-                        internal[y].discard(x)
-                    else:
+                    if was:
                         internal[y].add(x)
-        if not is_leaf(m + ej):
+                    else:
+                        internal[y].discard(x)
+        if not flags[m + ej]:
             internal[ei].add(m + ej)
-        if not is_leaf(ei):
+        if not flags[ei]:
             internal[m + ej].add(ei)
 
         # The subtree cut off below the leaving cell holds the entering
@@ -517,10 +497,9 @@ def transport_simplex(p, q, c) -> np.ndarray:
         # endpoint, which is never a leaf, and refresh that subtree.
         inner, outer = (ei, m + ej) if on_row_side else (m + ej, ei)
         parent[inner] = outer
-        if not is_leaf(inner):
-            depth[inner] = depth[outer] + 1
+        if not flags[inner]:
             dual[inner] = c.item(ei, ej) - dual.item(outer)
-            _hang(internal, c, m, inner, parent, depth, dual)
+            _hang(internal, c, m, inner, parent, dual)
         leaf_duals()
 
         pivots += 1
@@ -591,23 +570,13 @@ def _aligned_empty(shape) -> np.ndarray:
 
     numpy only promises 16-byte alignment.  OpenBLAS's dgemv on the
     Sinkhorn kernel runs about a fifth slower when the matrix starts
-    anywhere but on a cache line, so the kernel is written into one of
-    these.
+    anywhere but on a cache line, so the kernel, and the scaling loop's
+    iterate buffers, are written into these.
     """
     size = math.prod(shape)
     buf = np.empty(size + _ALIGN // 8)
     start = (-buf.ctypes.data % _ALIGN) // 8
     return buf[start:start + size].reshape(shape)
-
-
-def _aligned_rows(rows: int, n: int) -> np.ndarray:
-    """A ``(rows, n)`` float64 view whose every row starts on a cache line.
-
-    The row stride is ``n`` padded to whole 64-byte lines, so each row is
-    a contiguous, aligned vector, like the kernel.
-    """
-    per_line = _ALIGN // 8
-    return _aligned_empty((rows, -(-n // per_line) * per_line))[:, :n]
 
 
 def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
@@ -618,8 +587,9 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     and next ``v`` into row ``b`` of ``KV``, ``U``, ``KTU`` and row
     ``b + 1`` of ``V``: mat-vecs through ``ndarray.dot`` (the
     ``cblas_dgemv`` call of ``@``, with less dispatch) and two divisions,
-    and no other Python work.  Every buffer is allocated once, with each
-    row on a cache line, and freed on return, before the plan is formed.
+    and no other Python work.  Every buffer is one C-contiguous array,
+    starting on a cache line, allocated once and freed on return, before
+    the plan is formed.
 
     Both mat-vecs run over the same panels of whole rows of ``K``: the
     fewest panels of at most ``_PANEL`` cells, of as even a row count as
@@ -653,9 +623,9 @@ def _scale(K: np.ndarray, p: np.ndarray, q: np.ndarray, cfg: SinkhornConfig):
     (or NaN), since the exit test needs both below it.
     """
     (m, n), tol = K.shape, cfg.tol
-    KV, U = _aligned_rows(_BATCH, m), _aligned_rows(_BATCH, m)
-    KTU, resid = _aligned_rows(_BATCH, n), _aligned_rows(_BATCH, n)
-    V = _aligned_rows(_BATCH + 1, n)
+    KV, U = _aligned_empty((_BATCH, m)), _aligned_empty((_BATCH, m))
+    KTU, resid = _aligned_empty((_BATCH, n)), _aligned_empty((_BATCH, n))
+    V = _aligned_empty((_BATCH + 1, n))
     V[0] = 1.0
     # k panels of m // k or m // k + 1 rows: at most _PANEL cells, but
     # never a lone row of a taller K, which numpy would send to a vector

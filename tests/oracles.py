@@ -57,8 +57,8 @@ from branchflow.ot import (
     _PRICE_TOL,
     _check_cost,
     _check_masses,
-    _connected,
     _initial_basis,
+    _preorder,
     _rebuild_from_basis,
     cost_matrix,
     plan_cost,
@@ -259,7 +259,7 @@ def full_walk_simplex(p, q, c, pricing="block"):
     for (i, j) in alloc:
         adj[i].add(m + j)
         adj[m + j].add(i)
-    if len(alloc) != size - 1 or not _connected(adj):
+    if len(alloc) != size - 1 or len(_preorder(adj)[0]) != size:
         raise ConvergenceError("initial basis is not a spanning tree of all rows and columns")
     parent = [0] * size
     depth = [0] * size

@@ -449,6 +449,42 @@ def test_formula_rigid_motion_equivariance():
             assert np.allclose(z_moved, z @ rot.T + shift, atol=1e-9)
 
 
+@st.composite
+def rigid_motions(draw):
+    """Three points, areas and a shift vector in 2-D or 3-D at one of three
+    scales, an alpha in [0, 1], and a random rotation (the Q of a normal
+    matrix's QR, turned proper) with a translation at the same scale."""
+    d = draw(st.sampled_from([2, 3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    alpha = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rot = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    if np.linalg.det(rot) < 0:
+        rot[:, 0] = -rot[:, 0]
+    points = scale * rng.uniform(-3.0, 3.0, (3, d))
+    eps = scale * rng.uniform(-1.0, 1.0, d)
+    s_i, s_j = rng.uniform(0.1, 2.0, 2)
+    return points, eps, s_i, s_j, alpha, rot, scale * rng.uniform(-4.0, 4.0, d), scale
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(rigid_motions())
+def test_branch_points_commute_with_rigid_motions(case):
+    # every rule commutes with the motion, the shifted one with eps turned
+    # too, and the improvement of rerouting through z does not change
+    points, eps, s_i, s_j, alpha, rot, shift, scale = case
+    moved = points @ rot.T + shift
+    tol = 1e-9 * scale
+    for fn in (branch_point_power, branch_point_interp):
+        z = fn(*points, s_i, s_j, alpha)
+        assert np.max(np.abs(fn(*moved, s_i, s_j, alpha) - (rot @ z + shift))) <= tol
+    z = branch_point_shifted(*points, s_i, s_j, alpha, eps=eps, delta=0.01)
+    z_moved = branch_point_shifted(*moved, s_i, s_j, alpha, eps=rot @ eps, delta=0.01)
+    assert np.max(np.abs(z_moved - (rot @ z + shift))) <= tol
+    gain = local_improvement(*points, z, s_i, s_j, alpha)
+    assert abs(local_improvement(*moved, z_moved, s_i, s_j, alpha) - gain) <= tol
+
+
 def test_build_empty_targets_rejected():
     with pytest.raises(ParameterError):
         OneToManyProblem([0.0, 0.0], np.zeros((0, 2)), np.zeros(0))

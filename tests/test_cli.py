@@ -372,6 +372,38 @@ def test_unusable_out_dir_fails_before_solving(tmp_path, capsys, command):
     assert err == f"error: [Errno 17] File exists: '{taken}'\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["net", "--n-sources", "3", "--n-targets", "5", "--threshold", "1"],
+    ["dual", "--n-targets", "5", "--alpha", "2"],
+    ["santa", "--cities", "{tmp}/missing.csv"],
+], ids=["net", "dual", "santa"])
+def test_failed_run_removes_the_out_dirs_it_made(tmp_path, capsys, command):
+    argv = [arg.format(tmp=tmp_path) for arg in command]
+    assert main(argv + ["--out", str(tmp_path / "a" / "b")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "a").exists()
+
+
+def test_failed_run_keeps_out_dirs_it_did_not_make_or_that_hold_files(tmp_path, capsys,
+                                                                       monkeypatch):
+    fail = ["net", "--n-sources", "3", "--n-targets", "5", "--threshold", "1", "--out"]
+    made_before = tmp_path / "before"
+    made_before.mkdir()
+    assert main(fail + [str(made_before)]) == 2
+    assert made_before.is_dir()
+    # a/b made by the run, then given a file: b stays, and so does a above it
+    held = tmp_path / "a" / "b"
+
+    def write_then_fail(*args, **kwargs):
+        (held / "partial.txt").write_text("kept\n", encoding="utf-8")
+        raise OSError("failed after writing")
+
+    monkeypatch.setattr("branchflow.cli.solve_network", write_then_fail)
+    assert main(fail + [str(held)]) == 2
+    assert (held / "partial.txt").is_file()
+    assert "error: " in capsys.readouterr().err
+
+
 def test_render_without_outputs_exits_two(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["branch", "--n-targets", "4", "--out", str(out)]) == 0
