@@ -519,10 +519,15 @@ def _grow_block(problems, params, eps, post_point):
     tree item by item (``_lone_steps``).  Several trees step in lockstep:
     tree b runs n_b steps, so the running trees are a prefix of the block,
     and row b of (B, W) planes holds its selectable nodes' ids, coordinates
-    and distances to the source, padded with NaN and -inf, which drop out
-    of every comparison.  The block is finalised at once: one gather, one
-    ``_sourced_forest`` call and one cumsum for the cost traces.  Returns
-    the ``BuildResult``s in block order and the block's DEBUG counts.
+    and distances to the source.  Each node keeps one cell while it is
+    selectable: a target starts in cell i - 1 of its row, a picked node's
+    cell is emptied in place and a branch node takes its partner's cell,
+    so every pass runs over whole rows, and a flat index into a pass's
+    (rows, W) result is a flat cell.  Padding and emptied cells hold NaN
+    and -inf, which drop out of every comparison.  The block is finalised
+    at once: one gather, one ``_sourced_forest`` call and one cumsum for
+    the cost traces.  Returns the ``BuildResult``s in block order and the
+    block's DEBUG counts.
     """
     alpha = params.alpha
     B, W, d = len(problems), problems[0].n_targets, problems[0].dim
@@ -538,8 +543,9 @@ def _grow_block(problems, params, eps, post_point):
     pos, area, wa, before, parent = (np.frombuffer(b, dtype=b.typecode) for b in bufs)
     pos = pos.reshape(d, total).T
     star = np.zeros(B)   # each star cost, with star_cost's arithmetic
-    # the selectable nodes of tree b: flat_ids[b * W:][:m] at positions
-    # live[:, b, :m] and at distances rad[b, :m] from the source
+    # the selectable nodes of tree b, in the cells of row b that hold a
+    # node: flat_ids[b * W:][:W] at positions live[:, b] and at distances
+    # rad[b] from the source
     planes = np.full((d + 1, B, W), np.nan)
     planes[d] = -np.inf
     live, rad = planes[:d], planes[d]
@@ -561,8 +567,6 @@ def _grow_block(problems, params, eps, post_point):
         flat_ids[b * W:b * W + n] = np.arange(o + 1, o + n + 1)
     v0 = pos[offs]
     shift = np.array(eps) if eps[0] is not None else None
-    row_start = np.arange(B) * W
-    last_cell = row_start + sizes - 1
     # running[s]: how many trees have more than s targets, a prefix of the block
     running = (B - np.searchsorted(sizes[::-1], np.arange(W + 1), side="right")).tolist()
     count = sizes + 1           # nodes of each tree so far
@@ -581,73 +585,58 @@ def _grow_block(problems, params, eps, post_point):
                 bufs, recs, pos, rad[0], params, shift, post_point)
         else:
             work = np.empty((d, B, W))
+
+            def lowest_id(mask):
+                """Per row of ``mask``, the flat cell of its lowest id."""
+                c = np.flatnonzero(mask)
+                return c if c.size == len(mask) else c[_least_per_tree(c // W, flat_ids[c])]
+
             for step in range(W):
                 nact, nscan = running[step], running[step + 1]
-                # pick each running tree's farthest selectable node, and retire it
-                # by moving the tree's last selectable node into its cell
-                r = rad[:nact, :W - step]
-                c_i = row_start[:nact] + r.argmax(axis=1)
-                c_last = last_cell[:nact] - step
-                ties = r == cells[d, c_i][:, None]
-                if np.count_nonzero(ties) > nact:
-                    tb, col = ties.nonzero()
-                    c_i = row_start[tb] + col
-                    c_i = c_i[_least_per_tree(tb, flat_ids[c_i])]
-                picked[step, :nact] = flat_ids[c_i]
-                gi = picked[step, :nact]
-                flat_ids[c_i] = flat_ids[c_last]
-                cells[:, c_i] = cells[:, c_last]
-                cells[:, c_last] = pad
+                # pick each running tree's farthest selectable node; empty its cell
+                r = rad[:nact]
+                c_i = lowest_id(r == r.max(axis=1)[:, None])
+                picked[step, :nact] = gi = flat_ids[c_i]
+                cells[:, c_i] = pad
 
                 # the trees with selectable nodes left scan them; the others retire
                 if nscan:
-                    width = W - step - 1
                     vi = pos[gi[:nscan]]
-                    x = np.subtract(live[:, :nscan, :width], vi.T[:, :, None],
-                                    out=work[:, :nscan, :width])
-                    dist = _coord_norms(x)
-                    flat_dist = dist.reshape(-1)
+                    dist = _coord_norms(np.subtract(live[:, :nscan], vi.T[:, :, None],
+                                                    out=work[:, :nscan]))
                     per_tree = _picked_terms(v0[:nscan], vi, area[gi[:nscan]], alpha, shift)
 
-                    def candidates(mask):   # tree, index into dist and flat cell of each
-                        f = mask.reshape(-1).nonzero()[0]
-                        tb = f // width
-                        return tb, f, f + tb * (W - width)
-
-                    def scan(tb, f, c, several):
-                        """The improving candidates, or per tree the least (distance, id)
-                        improving one if a tree may have ``several``."""
-                        k = flat_ids[c]
+                    def scan(c, several):
+                        """The improving candidates among flat cells ``c``, or per tree
+                        the least (distance, id) improving one if a tree may have
+                        ``several``."""
+                        tb, k = c // W, flat_ids[c]
                         zs, s_m, w_m, gains, r_z = _branch_gains(
                             [a[tb] for a in per_tree], cells[:d, c].T, area[k], wa[k], before[k],
                             params, post_point)
                         h = (gains > GAIN_TOL).nonzero()[0]
                         if several:
-                            h = h[_least_per_tree(tb[h], flat_dist[f[h]], k[h])]
+                            h = h[_least_per_tree(tb[h], dist.reshape(-1)[c[h]], k[h])]
                         return tb[h], k[h], c[h], zs[h], s_m[h], gains[h], w_m[h], r_z[h]
 
                     # ring 1: each tree's nearest node, the lower id on ties; if it
                     # pays, it is the least (distance, id) improving candidate
-                    tb, f, c = candidates(dist == np.fmin.reduce(dist, axis=1)[:, None])
-                    if tb.size > nscan:
-                        near = _least_per_tree(tb, flat_ids[c])
-                        tb, f, c = tb[near], f[near], c[near]
-                    ring = scan(tb, f, c, False)
+                    near = lowest_id(dist == np.fmin.reduce(dist, axis=1)[:, None])
+                    ring = scan(near, False)
                     paid = ring[0].size
                     rings = [ring] if paid else []
                     settled += paid
-                    # ring 2, where the nearest did not pay and another node is left:
-                    # every other node, of which the least (distance, id) improving one
+                    # ring 2, in the rows that did not merge: every other node, of
+                    # which the least (distance, id) improving one
                     if paid < nscan:
-                        missed = sizes[:nscan] > step + 2   # a node beyond the nearest
-                        missed[ring[0]] = False
-                        if missed.any():
-                            widened += int(np.count_nonzero(missed))
-                            mask = ~np.isnan(dist) & missed[:, None]
-                            mask.reshape(-1)[f] = False     # ring 1 evaluated these
-                            tb, f, c = candidates(mask)
-                            evals[:nscan] += np.bincount(tb, minlength=nscan)
-                            ring = scan(tb, f, c, True)
+                        mask = ~np.isnan(dist)
+                        mask.reshape(-1)[near] = False   # ring 1 evaluated these
+                        mask[ring[0]] = False
+                        left = np.count_nonzero(mask, axis=1)
+                        if left.any():
+                            widened += int(np.count_nonzero(left))
+                            evals[:nscan] += left
+                            ring = scan(np.flatnonzero(mask), True)
                             if ring[0].size:
                                 rings.append(ring)
 

@@ -23,10 +23,10 @@ precision RFC 7946 section 11.2 suggests), planar ones and areas with
 and SVG rows with ``%.3f``.
 
 Both documents are made in pieces, which the public functions join and
-the CLI writes as they come.  Every check comes before the first piece
-but one: the slerp between exactly antipodal end points has no
-direction, and a sample point may hit the sphere center.  The CLI then
-removes its file.
+the CLI writes as they come.  Every check comes before the first piece.
+The slerp between exactly antipodal end points has no direction, so such
+an edge follows the great circle through the north pole, or through lon
+0 from a pole.
 """
 
 from __future__ import annotations
@@ -118,7 +118,10 @@ def _arc_block(u, v, omega, n_seg) -> np.ndarray:
     """The interior arc points of a window of edges from unit end points u
     and v, every point in one broadcast of the slerp: their (P, 2)
     [lon, lat] rows, n_seg - 1 per edge, t = s / n_seg for s = 1..n_seg-1.
-    Both ends are unit vectors, so no point can overflow."""
+    Between exact antipodes, where the slerp has no direction, the points
+    are cos(t pi) u + sin(t pi) e, e the unit vector at u toward the north
+    pole, or toward lon 0 from a pole.  Both ends are unit vectors, so no
+    point can overflow."""
     k = n_seg - 1
     edge = np.repeat(np.arange(k.size), k)
     t = (np.arange(edge.size) - (np.cumsum(k) - k)[edge] + 1) / n_seg[edge]
@@ -126,7 +129,20 @@ def _arc_block(u, v, omega, n_seg) -> np.ndarray:
     sin_a = np.array(list(map(math.sin, ((1 - t) * w).tolist())))
     sin_b = np.array(list(map(math.sin, (t * w).tolist())))
     sin_w = np.array(list(map(math.sin, omega.tolist())))[edge]
-    return _lon_lat_rows((sin_a[:, None] * u[edge] + sin_b[:, None] * v[edge]) / sin_w[:, None])
+    points = (sin_a[:, None] * u[edge] + sin_b[:, None] * v[edge]) / sin_w[:, None]
+    flip = np.flatnonzero((u == -v).all(axis=1)[edge])
+    if flip.size:
+        a = u[edge[flip]]
+        x, y, z = a.T
+        rho = np.hypot(x, y)
+        pole = rho == 0
+        rho[pole] = 1.0
+        e = np.column_stack((-z * x / rho, -z * y / rho, rho))
+        e[pole] = 1.0, 0.0, 0.0
+        tw = (t[flip] * math.pi).tolist()
+        cos, sin = (np.array(list(map(f, tw)))[:, None] for f in (math.cos, math.sin))
+        points[flip] = cos * a + sin * e
+    return _lon_lat_rows(points)
 
 
 def render_geojson(trees, levels=None) -> str:

@@ -603,15 +603,24 @@ def per_point_arc_points(u, v):
     """Great-circle polyline from u to v in [lon, lat], one point and one edge at a time.
 
     The end points are the projections of u and v themselves; the points
-    between them are slerped from u/|u| to v/|v|.
+    between them are slerped from u/|u| to v/|v|.  Between exact antipodes
+    they run along the great circle from u/|u| toward the north pole, or
+    from a pole toward lon 0.
     """
     a, b = per_point_unit(u), per_point_unit(v)
     omega = math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
     n_seg = max(1, math.ceil(omega * EARTH_RADIUS_KM / MAX_SEGMENT_KM))
+    flip = np.array_equal(a, -b)
+    x, y, z = a
+    rho = np.hypot(x, y)
+    e = np.array([-z * x / rho, -z * y / rho, rho]) if rho else np.array([1.0, 0.0, 0.0])
     pts = [u]
     for s in range(1, n_seg):
         t = s / n_seg
-        pts.append((math.sin((1 - t) * omega) * a + math.sin(t * omega) * b) / math.sin(omega))
+        if flip:
+            pts.append(math.cos(t * math.pi) * a + math.sin(t * math.pi) * e)
+        else:
+            pts.append((math.sin((1 - t) * omega) * a + math.sin(t * omega) * b) / math.sin(omega))
     pts.append(v)
     return [per_point_geo_project(p)[::-1] for p in pts]
 

@@ -20,6 +20,7 @@ import branchflow.io
 from branchflow import (
     BotParams,
     FlowTree,
+    ParameterError,
     SinkhornConfig,
     cli,
     geo_embed,
@@ -546,13 +547,16 @@ def test_load_forest_in_blocks_matches_one_block(tmp_path, monkeypatch):
 
 def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, capsys,
                                                                     monkeypatch):
-    # every norm passes its check, but the slerp between exact antipodes has
-    # no direction: a sample point hits the center while the arcs are drawn,
-    # after the file was opened
+    # every check passes before the head; the arcs then fail while they are
+    # drawn, after the file was opened
     good = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    bad = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
-    for name, coords in (("a.json", good), ("b.json", bad)):
-        write_network(tmp_path / name, ["source", "target"], coords, [(0, 1, 1.0)])
+    for name in ("a.json", "b.json"):
+        write_network(tmp_path / name, ["source", "target"], good, [(0, 1, 1.0)])
+
+    def failing(*args):
+        raise ParameterError("no arc")
+
+    monkeypatch.setattr("branchflow.render._arc_block", failing)
     seen = []
 
     def recording(pieces):
@@ -563,7 +567,7 @@ def test_render_arc_that_fails_after_the_first_piece_leaves_no_file(tmp_path, ca
     write_text = cli._write_text
     monkeypatch.setattr(cli, "_write_text", lambda path, text: write_text(path, recording(text)))
     assert main(["render", str(tmp_path), "--geojson", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: cannot project the sphere center\n"
+    assert capsys.readouterr().err == "error: no arc\n"
     assert seen == ['{"type":"FeatureCollection","features":[']
     assert not (tmp_path / "out").exists()
 

@@ -12,6 +12,7 @@ import branchflow.pipeline
 from branchflow import (
     BotParams,
     CityTable,
+    InputError,
     OneToManyProblem,
     ParameterError,
     SinkhornConfig,
@@ -24,6 +25,7 @@ from branchflow import (
     dual_network,
     geo_embed,
     geo_project,
+    network_from_json,
     network_to_json,
     plan_cost,
     plan_to_assignments,
@@ -34,13 +36,17 @@ from branchflow import (
     solve_sinkhorn,
     subadditivity_gain,
     validate_tree,
+    weighted_centroid,
 )
 from branchflow.branching import (
     branch_point_interp, branch_point_power, branch_point_shifted, local_improvement,
 )
 from branchflow.clustering import WeightedPointSet, choose_k, weighted_kmeans
 from branchflow.ot import transport_simplex
-from branchflow.pipeline import DEFAULT_POLE, EARTH_RADIUS_KM, synthetic_instance, to_sphere
+from branchflow.core import as_point
+from branchflow.pipeline import (
+    DEFAULT_POLE, EARTH_RADIUS_KM, synthetic_instance, synthetic_problem, to_sphere,
+)
 from branchflow.seeding import substream
 
 
@@ -494,6 +500,59 @@ def test_public_float_arguments_go_through_one_checked_conversion(call, message)
     # each of these died in numpy's float conversion or indexing with a raw error
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
+
+
+ONE_D = '{"nodes":[{"id":0,"kind":"source","coords":[0.0]},{"id":1,"kind":"target","coords":[1.0]}],' \
+        '"edges":[{"from":0,"to":1,"area":1.0}],"alpha":0.5,"cost":1.0}'
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OneToManyProblem([0, 0], [[1, 0, 0]], [1]), ParameterError,
+     "source and targets must share one dimension"),
+    (lambda: OneToManyProblem([0, 0], [[1, 0]], [1, 2]), ParameterError,
+     "areas must have one entry per target"),
+    (lambda: OneToManyProblem([0, 0], [[1, 0]], [0.0]), ParameterError,
+     "areas must be strictly positive"),
+    (lambda: WeightedPointSet(np.empty((0, 2)), []), ParameterError,
+     "at least one point is required"),
+    (lambda: weighted_centroid([[0, 0], [1, 0]], [1.0]), ParameterError,
+     "weights must have one entry per point"),
+    (lambda: weighted_centroid(POINTS, [1.0, 1.0, 1.0]), ParameterError,
+     "weights are already part of the point set"),
+    (lambda: as_point([0, 0, 0, 0]), ParameterError,
+     "a point needs 2 or 3 coordinates, got shape (4,)"),
+    (lambda: as_point([0, math.inf]), ParameterError, "point coordinates must be finite"),
+    (lambda: WeightedPointSet([[0, 0, 0, 0]], [1]), ParameterError,
+     "points must be an (n, 2) or (n, 3) array, got shape (1, 4)"),
+    (lambda: WeightedPointSet([[0, math.nan]], [1]), ParameterError,
+     "points contains non-finite coordinates"),
+    (lambda: WeightedPointSet([[0, 0]], [math.inf]), ParameterError,
+     "weights contains non-finite entries"),
+    (lambda: TransportInstance([[0, 0]], [[1, 0]], [0.5, 0.5], [1]), ParameterError,
+     "p must have one mass per source"),
+    (lambda: TransportInstance([[0, 0]], [[1, 0]], [1], [0.5, 0.5]), ParameterError,
+     "q must have one mass per target"),
+    (lambda: TransportPlan([1.0], [1], [1]), ParameterError, "gamma must be a matrix"),
+    (lambda: TransportPlan([[-1.0]], [1], [1]), ParameterError,
+     "gamma entries must be finite and nonnegative"),
+    (lambda: TransportPlan([[1.0]], [0.5, 0.5], [1]), ParameterError,
+     "gamma shape must match the marginal lengths"),
+    (lambda: network_from_json(ONE_D), InputError, "node 0 coords must be 2-D or 3-D"),
+    (lambda: solve_exact(INSTANCE, -cost_matrix(INSTANCE)), ParameterError,
+     "cost entries must be finite and nonnegative"),
+    (lambda: transport_simplex([0.0, 1.0], [1.0], [[1.0], [1.0]]), ParameterError,
+     "supplies and demands must be strictly positive"),
+    (lambda: synthetic_problem(0, 5, d=4), ParameterError, "d must be 2 or 3, got 4"),
+], ids=["problem-dims", "problem-areas-length", "problem-zero-area", "points-empty",
+        "centroid-weights-length", "centroid-set-and-weights", "point-shape", "point-inf",
+        "points-shape", "points-nan", "weights-inf", "instance-p-length", "instance-q-length",
+        "plan-vector", "plan-negative", "plan-shape", "json-1d-coords", "negative-cost",
+        "simplex-zero-supply", "synthetic-4d"])
+def test_input_checks_raise_their_error_and_message(call, error, message):
+    # checks that the rest of the suite never reaches
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_geo_project_reports_a_nan_coordinate_as_non_finite():

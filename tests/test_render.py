@@ -356,12 +356,7 @@ def test_batched_arcs_match_per_edge_arcs_bitwise(pts, seed, block):
         mp.setattr("branchflow.render._BLOCK", block)
         mp.setattr("branchflow.pipeline._BLOCK", block)
         mp.setattr("branchflow.render._arc_block", arc_block)
-        try:   # a slerp between exact antipodes has no direction: its points may hit the center
-            expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
-        except ParameterError:
-            with pytest.raises(ParameterError):
-                render_geojson(trees)
-            return
+        expected = [per_point_arc_points(a, b) for a, b in zip(u, v)]
         text = render_geojson(trees)
     assert text == dict_geojson(trees)
     interior = [p for ref in expected for p in ref[1:-1]]
@@ -662,3 +657,34 @@ def test_geojson_slerps_unit_end_points_of_huge_nodes():
     coords = json.loads(text)["features"][0]["geometry"]["coordinates"]
     assert len(coords) == 202
     assert coords[0] == [0.0, 0.0] and coords[-1] == [179.999999, 0.0]
+
+
+@pytest.mark.parametrize("u, v", [([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+                                  ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]),
+                                  ([0.6, 0.8, 0.0], [-0.6, -0.8, 0.0])],
+                         ids=["equator", "poles", "oblique"])
+def test_geojson_draws_exactly_antipodal_edges(monkeypatch, u, v):
+    # the slerp has no direction: the arc runs from u over the north pole,
+    # or from a pole along lon 0
+    projected = []
+
+    def lon_lat_rows(points):
+        projected.append(np.array(points))
+        return _lon_lat_rows(points)
+
+    monkeypatch.setattr("branchflow.render._lon_lat_rows", lon_lat_rows)
+    tree = FlowTree([u, v], ["source", "target"], [-1, 0], [1.0, 1.0])
+    text = render_geojson([tree])
+    assert text == dict_geojson([tree])
+    coords = json.loads(text)["features"][0]["geometry"]["coordinates"]
+    assert len(coords) == 202
+    assert [coords[0], coords[-1]] == [[float("%.6f" % x) for x in geo_project(p)[::-1]]
+                                       for p in (u, v)]
+    interior = projected[-1]
+    assert interior.shape == (200, 3)
+    assert np.abs(np.linalg.norm(interior, axis=1) - 1.0).max() < 1e-9
+    lon, lat = np.array(coords[1:-1]).T
+    if u[2]:
+        assert np.all(lon == 0.0)
+    else:
+        assert lat.max() > 89.0
