@@ -21,9 +21,11 @@ reference re-hangs every node of a cut-off subtree, leaves included, and
 builds the whole reduced-cost matrix from a fresh copy of the duals for
 every pricing, as transport_simplex once did; it then walks that matrix
 in the library's row blocks, or takes its most negative cell, the
-Dantzig rule transport_simplex once used.  The Sinkhorn reference checks
-both factors for finiteness and computes both marginal errors on every
-iteration, as solve_sinkhorn once did.  The cities CSV reference parses
+Dantzig rule transport_simplex once used.  The Sinkhorn references check
+both factors for finiteness and compute both marginal errors on every
+iteration, as solve_sinkhorn once did: one on the plain iteration, one
+over-relaxed, with the fallback to plain scaling applied per block of
+iterations.  The cities CSV reference parses
 and checks one row at a time, as load_cities_csv once did.
 """
 
@@ -53,6 +55,7 @@ from branchflow.core import (
 from branchflow.io import _CITY_ALIASES, CityLoadReport, CityTable, normalize_lon
 from branchflow.ot import (
     SinkhornResult,
+    _BATCH,
     _PRICE_BLOCKS,
     _PRICE_TOL,
     _check_cost,
@@ -337,23 +340,29 @@ def full_walk_simplex(p, q, c, pricing="block"):
     return _rebuild_from_basis(adj, p, q, m, n), line
 
 
-def reference_sinkhorn(instance, c, cfg):
-    """Sinkhorn scaling with every check on every iteration.
-
-    The same kernel, iteration, stopping rule and errors as
-    ``solve_sinkhorn``, but both factors are tested for finiteness and
-    both marginal L1 errors are computed on every iteration.
-    """
+def _reference_kernel(instance, c, reg):
+    """The Gibbs kernel of ``solve_sinkhorn``, or its ConvergenceError."""
     c = _check_cost(c, instance.n_sources, instance.n_targets)
-    p, q = instance.p, instance.q
-
     cmax = float(c.max())
     chat = c / cmax if cmax > 0 else c
-    K = np.exp(-chat / cfg.reg)
+    K = np.exp(-chat / reg)
     if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
         raise ConvergenceError(
             "scaling kernel underflowed to zero rows/columns; increase reg"
         )
+    return K
+
+
+def plain_reference_sinkhorn(instance, c, cfg):
+    """Plain Sinkhorn scaling with every check on every iteration.
+
+    The kernel, stopping rule and errors of ``solve_sinkhorn``, on the
+    plain iteration ``u = p / K v``, ``v = q / K' u``, with both factors
+    tested for finiteness and both marginal L1 errors computed on every
+    iteration.  This is what ``solve_sinkhorn`` runs once it falls back.
+    """
+    K = _reference_kernel(instance, c, cfg.reg)
+    p, q = instance.p, instance.q
 
     v = np.ones_like(q)
     u = np.ones_like(p)
@@ -376,6 +385,60 @@ def reference_sinkhorn(instance, c, cfg):
                 converged = True
                 break
             v = q / Ktu
+
+    gamma = u[:, None] * K * v[None, :]
+    plan = TransportPlan(gamma, p, q)
+    return SinkhornResult(plan, n_iter, err, converged)
+
+
+def reference_sinkhorn(instance, c, cfg):
+    """Over-relaxed Sinkhorn scaling with every check on every iteration.
+
+    The kernel, stopping rule and errors of ``solve_sinkhorn``, on
+    ``u = u_hat * sqrt(u_hat / u)`` for ``u_hat = p / K v``, then the same
+    for ``v`` with ``q / K' u``, from factors of 1.  Both factors are
+    tested for finiteness and both marginal L1 errors computed on every
+    iteration.  An overflow, and at every ``_BATCH``-th iteration and at
+    the cap, a last column error not below the one of the previous such
+    check (or a non-finite ``v``), sends the count and both factors back
+    to the last check that passed, and the rest runs plain.
+    """
+    K = _reference_kernel(instance, c, cfg.reg)
+    p, q = instance.p, instance.q
+
+    v = np.ones_like(q)
+    u = np.ones_like(p)
+    relaxed, passed, last_col = True, (0, u, v), math.inf
+    err = np.inf
+    converged = False
+    n_iter = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while n_iter < cfg.max_iter:
+            n_iter += 1
+            Kv = K @ v
+            u_hat = p / Kv
+            u = u_hat * np.sqrt(u_hat / u) if relaxed else u_hat
+            Ktu = K.T @ u
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
+                if not relaxed:
+                    raise ConvergenceError(
+                        "scaling factors overflowed; increase reg"
+                    )
+                (n_iter, u, v), relaxed = passed, False
+                continue
+            col_err = float(np.abs(v * Ktu - q).sum())
+            row_err = float(np.abs(u * Kv - p).sum())
+            err = max(row_err, col_err)
+            if err < cfg.tol:
+                converged = True
+                break
+            v_hat = q / Ktu
+            v = v_hat * np.sqrt(v_hat / v) if relaxed else v_hat
+            if relaxed and (n_iter % _BATCH == 0 or n_iter == cfg.max_iter):
+                if col_err < last_col and np.all(np.isfinite(v)):
+                    passed, last_col = (n_iter, u, v), col_err
+                else:
+                    (n_iter, u, v), relaxed = passed, False
 
     gamma = u[:, None] * K * v[None, :]
     plan = TransportPlan(gamma, p, q)
