@@ -21,11 +21,12 @@ reference re-hangs every node of a cut-off subtree, leaves included, and
 builds the whole reduced-cost matrix from a fresh copy of the duals for
 every pricing, as transport_simplex once did; it then walks that matrix
 in the library's row blocks, or takes its most negative cell, the
-Dantzig rule transport_simplex once used.  The Sinkhorn references check
-both factors for finiteness and compute both marginal errors on every
-iteration, as solve_sinkhorn once did: one on the plain iteration, one
-over-relaxed, with the fallback to plain scaling applied per block of
-iterations.  The cities CSV reference parses
+Dantzig rule transport_simplex once used.  The plain Sinkhorn reference
+checks both factors for finiteness and computes both marginal errors on
+every iteration, as solve_sinkhorn once did; the over-relaxed one runs
+solve_sinkhorn's schedule of probe, omega, absorption, truncation,
+rewinds and per-batch checks on whole arrays, one ``@`` per mat-vec and
+a kernel rebuilt from the cost matrix.  The cities CSV reference parses
 and checks one row at a time, as load_cities_csv once did.
 """
 
@@ -55,9 +56,14 @@ from branchflow.core import (
 from branchflow.io import _CITY_ALIASES, CityLoadReport, CityTable, normalize_lon
 from branchflow.ot import (
     SinkhornResult,
+    _ABSORB,
     _BATCH,
+    _OMEGA_MAX,
+    _PATIENCE,
     _PRICE_BLOCKS,
     _PRICE_TOL,
+    _PROBE,
+    _RELAX_MIN,
     _check_cost,
     _check_masses,
     _initial_basis,
@@ -359,7 +365,7 @@ def plain_reference_sinkhorn(instance, c, cfg):
     The kernel, stopping rule and errors of ``solve_sinkhorn``, on the
     plain iteration ``u = p / K v``, ``v = q / K' u``, with both factors
     tested for finiteness and both marginal L1 errors computed on every
-    iteration.  This is what ``solve_sinkhorn`` runs once it falls back.
+    iteration.  Its factors overflow where ``solve_sinkhorn`` absorbs them.
     """
     K = _reference_kernel(instance, c, cfg.reg)
     p, q = instance.p, instance.q
@@ -392,53 +398,83 @@ def plain_reference_sinkhorn(instance, c, cfg):
 
 
 def reference_sinkhorn(instance, c, cfg):
-    """Over-relaxed Sinkhorn scaling with every check on every iteration.
+    """Over-relaxed Sinkhorn scaling, written out on whole arrays.
 
-    The kernel, stopping rule and errors of ``solve_sinkhorn``, on
-    ``u = u_hat * sqrt(u_hat / u)`` for ``u_hat = p / K v``, then the same
-    for ``v`` with ``q / K' u``, from factors of 1.  Both factors are
-    tested for finiteness and both marginal L1 errors computed on every
-    iteration.  An overflow, and at every ``_BATCH``-th iteration and at
-    the cap, a last column error not below the one of the previous such
-    check (or a non-finite ``v``), sends the count and both factors back
-    to the last check that passed, and the rest runs plain.
+    The kernel, stopping rule, errors and schedule of ``solve_sinkhorn``:
+    batches of ``_BATCH`` iterations, each checked on its last iterate
+    ``(u, v_old)``; ``_PROBE`` plain iterations, then ``omega`` from the
+    column error's contraction over the second half of them; after a
+    batch that passes, factors outside ``[1 / _ABSORB, _ABSORB]``
+    absorbed into a rebuilt, truncated kernel; a relaxed batch that goes
+    non-finite (or leaves a zero factor), or the ``_PATIENCE``-th in a
+    row without a new lowest column error, thrown away, with ``omega -
+    1`` halved.  Every mat-vec is one ``@`` on the whole kernel, the kernel
+    is rebuilt from the cost matrix each time, and both errors are
+    computed on every check.
     """
     K = _reference_kernel(instance, c, cfg.reg)
+    c = _check_cost(c, instance.n_sources, instance.n_targets)
+    cmax = float(c.max())
+    chat = c / cmax if cmax > 0 else c
     p, q = instance.p, instance.q
 
-    v = np.ones_like(q)
-    u = np.ones_like(p)
-    relaxed, passed, last_col = True, (0, u, v), math.inf
-    err = np.inf
-    converged = False
-    n_iter = 0
+    def relax(x_hat, x):
+        return x_hat if omega == 1.0 else x_hat * np.power(x_hat / x, omega - 1.0)
+
+    f, g = np.zeros_like(p), np.zeros_like(q)
+    u, v = np.ones_like(p), np.ones_like(q)
+    n_iter, omega, saved, converged = 0, 1.0, (u, v), False
+    best, stalls = math.inf, 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while n_iter < cfg.max_iter:
-            n_iter += 1
-            Kv = K @ v
-            u_hat = p / Kv
-            u = u_hat * np.sqrt(u_hat / u) if relaxed else u_hat
-            Ktu = K.T @ u
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Ktu))):
-                if not relaxed:
-                    raise ConvergenceError(
-                        "scaling factors overflowed; increase reg"
-                    )
-                (n_iter, u, v), relaxed = passed, False
-                continue
+        while True:
+            nb = min(_BATCH, cfg.max_iter - n_iter)
+            for b in range(nb):
+                if b:
+                    v = relax(q / Ktu, v)
+                Kv = K @ v
+                u = relax(p / Kv, u)
+                Ktu = K.T @ u
             col_err = float(np.abs(v * Ktu - q).sum())
             row_err = float(np.abs(u * Kv - p).sum())
             err = max(row_err, col_err)
-            if err < cfg.tol:
-                converged = True
+            if col_err < cfg.tol and row_err < cfg.tol:
+                n_iter, converged = n_iter + nb, True
                 break
-            v_hat = q / Ktu
-            v = v_hat * np.sqrt(v_hat / v) if relaxed else v_hat
-            if relaxed and (n_iter % _BATCH == 0 or n_iter == cfg.max_iter):
-                if col_err < last_col and np.all(np.isfinite(v)):
-                    passed, last_col = (n_iter, u, v), col_err
+            if n_iter + nb < cfg.max_iter:
+                v = relax(q / Ktu, v)
+            factors = np.concatenate([u, v])
+            finite = np.isfinite(col_err) and np.all(np.isfinite(factors)) and np.all(factors > 0)
+            if finite and omega > 1.0:
+                if col_err < best:
+                    best, stalls = col_err, 0
                 else:
-                    (n_iter, u, v), relaxed = passed, False
+                    stalls += 1
+            if not finite or stalls == _PATIENCE:
+                if omega == 1.0:
+                    raise ConvergenceError("scaling factors overflowed; increase reg")
+                u, v, stalls = saved[0], saved[1], 0
+                omega = (omega + 1.0) / 2
+                omega = omega if omega - 1.0 >= _RELAX_MIN else 1.0
+                continue
+            n_iter += nb
+            if n_iter == cfg.max_iter:
+                break
+            if np.any(factors < 1 / _ABSORB) or np.any(factors > _ABSORB):
+                f, g = f + np.log(u), g + np.log(v)
+                K = np.exp(-chat / cfg.reg + f[:, None] + g[None, :])
+                K[K < np.finfo(float).tiny * _ABSORB] = 0.0
+                if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
+                    raise ConvergenceError(
+                        "scaling kernel underflowed to zero rows/columns; increase reg"
+                    )
+                u, v = np.ones_like(p), np.ones_like(q)
+            saved = (u, v)
+            if n_iter == _PROBE // 2:
+                half = col_err
+            elif n_iter == _PROBE:
+                rate = min(1.0, (col_err / half) ** (2 / _PROBE)) if half > 0 else 0.0
+                omega = min(_OMEGA_MAX, 2 / (1 + math.sqrt(1 - rate)))
+                omega = omega if omega - 1.0 >= _RELAX_MIN else 1.0
 
     gamma = u[:, None] * K * v[None, :]
     plan = TransportPlan(gamma, p, q)
